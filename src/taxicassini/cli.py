@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from typing import Optional, Sequence
@@ -57,6 +58,18 @@ def _parse_radii(text: str) -> list[float]:
     return values
 
 
+def _record_number(value: object, what: str) -> float:
+    # JSON numbers only: float() would also take text, and True as 1.0.
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise GeometryError(f"{what} must be a finite number, got {value!r}")
+
+
 def _load_instance(path: str, label: Optional[str]) -> tuple[Point, Point, float]:
     """Pick one record from a line-delimited instance file.
 
@@ -82,18 +95,17 @@ def _load_instance(path: str, label: Optional[str]) -> tuple[Point, Point, float
             raise GeometryError("instance label must be nonempty text")
         if name in records:
             raise GeometryError(f"duplicate instance label {name!r}")
-        p_val, q_val = rec["p"], rec["q"]
-        for coords in (p_val, q_val):
+        foci = []
+        for key in ("p", "q"):
+            coords = rec[key]
             if not (isinstance(coords, list) and len(coords) == 2):
                 raise GeometryError(f"instance point must be [x1, x2], got {coords!r}")
-        r_val = float(rec["r"])
+            what = f"instance {name!r} {key} coordinate"
+            foci.append(Point(_record_number(coords[0], what), _record_number(coords[1], what)))
+        r_val = _record_number(rec["r"], f"instance {name!r} r")
         if r_val < 0:
             raise GeometryError(f"instance {name!r} has negative r")
-        records[name] = (
-            Point(float(p_val[0]), float(p_val[1])),
-            Point(float(q_val[0]), float(q_val[1])),
-            r_val,
-        )
+        records[name] = (foci[0], foci[1], r_val)
     if not records:
         raise GeometryError(f"instance file {path!r} has no records")
     if label is None:

@@ -74,10 +74,12 @@ def grid_field(spec: CassiniSpec, half_width: Optional[float] = None, n: int = 2
         raise GeometryError(f"half_width must be positive and finite, got {half!r}")
     xs = np.linspace(center.x1 - half, center.x1 + half, n)
     ys = np.linspace(center.x2 - half, center.x2 + half, n)
-    mx, my = np.meshgrid(xs, ys)
-    dp = np.abs(mx - spec.p.x1) + np.abs(my - spec.p.x2)
-    dq = np.abs(mx - spec.q.x1) + np.abs(my - spec.q.x2)
-    values = dp * dq - spec.r * spec.r
+    # Each distance is a row term plus a column term, so the field is built
+    # by broadcasting two length-n vectors; IEEE + and * commute, so the
+    # values equal the node-by-node products bit for bit.
+    values = np.abs(ys - spec.p.x2)[:, None] + np.abs(xs - spec.p.x1)[None, :]
+    values *= np.abs(ys - spec.q.x2)[:, None] + np.abs(xs - spec.q.x1)[None, :]
+    values -= spec.r * spec.r
     edge_min = min(
         values[0, :].min(), values[-1, :].min(), values[:, 0].min(), values[:, -1].min()
     )
@@ -147,12 +149,25 @@ def extract_contour(grid: ScalarGrid) -> Contour:
         vals = np.where(vals == 0, bump, vals)
 
     neg = vals < 0
-    a = neg[:-1, :-1]
-    b = neg[:-1, 1:]
-    c = neg[1:, 1:]
-    d = neg[1:, :-1]
-    mixed = ~((a == b) & (b == c) & (c == d))
-    cells = np.argwhere(mixed)
+    rows = np.flatnonzero(neg.any(axis=1))
+    cols = np.flatnonzero(neg.any(axis=0))
+    if rows.size == 0:
+        cells = np.empty((0, 2), dtype=np.intp)
+    else:
+        # Every mixed cell touches a negative node, so it lies in the window
+        # of negative nodes grown by one cell; scanning only that window
+        # keeps the row-major cell order of a full scan.
+        j0 = max(int(rows[0]) - 1, 0)
+        i0 = max(int(cols[0]) - 1, 0)
+        j1 = min(int(rows[-1]) + 2, grid.ny)
+        i1 = min(int(cols[-1]) + 2, grid.nx)
+        win = neg[j0:j1, i0:i1]
+        a = win[:-1, :-1]
+        b = win[:-1, 1:]
+        c = win[1:, 1:]
+        d = win[1:, :-1]
+        mixed = ~((a == b) & (b == c) & (c == d))
+        cells = np.argwhere(mixed) + (j0, i0)
 
     segments: list[tuple[tuple[str, int, int], tuple[str, int, int]]] = []
     for j, i in cells:
@@ -250,7 +265,31 @@ def _as_array(points: Sequence) -> np.ndarray:
     )
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] == 0:
         raise GeometryError("polyline must be a nonempty sequence of planar points")
+    if not np.isfinite(arr).all():
+        raise GeometryError("polyline coordinates must be finite")
     return arr
+
+
+# Vertex-segment pairs evaluated at once; bounds the working arrays.
+_PAIR_CHUNK = 2_000_000
+
+
+def _pair_distance(px, py, ax, ay, ux, uy) -> np.ndarray:
+    """Taxicab distance from (px, py) to the segment a + t*u, t in [0, 1].
+
+    The distance along a segment is piecewise linear in t; its minimum sits
+    at an endpoint or where one coordinate difference vanishes.  Arguments
+    broadcast elementwise, and each pair gets the same operations whatever
+    the shapes, so a pair's value never depends on how pairs are grouped.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        tx = np.clip(np.nan_to_num((px - ax) / ux), 0.0, 1.0)
+        ty = np.clip(np.nan_to_num((py - ay) / uy), 0.0, 1.0)
+    best = None
+    for t in (np.zeros_like(tx), np.ones_like(tx), tx, ty):
+        dist = np.abs(px - (ax + t * ux)) + np.abs(py - (ay + t * uy))
+        best = dist if best is None else np.minimum(best, dist)
+    return best
 
 
 def _directed_hausdorff(points: np.ndarray, polyline: np.ndarray) -> float:
@@ -261,37 +300,96 @@ def _directed_hausdorff(points: np.ndarray, polyline: np.ndarray) -> float:
     else:
         seg_a = polyline[:-1]
         seg_u = polyline[1:] - polyline[:-1]
-    worst = 0.0
-    chunk = max(1, int(2_000_000 // max(1, seg_a.shape[0])))
+    m = seg_a.shape[0]
+    # Blocks of consecutive segments with their bounding boxes.  Block k
+    # holds segments k*size .. k*size + size - 1; the last block repeats the
+    # final segment to fill up, which cannot change a minimum.
+    size = max(1, math.isqrt(m))
+    nblocks = -(-m // size)
+    block_segs = np.minimum(np.arange(nblocks * size).reshape(nblocks, size), m - 1)
+    # The boxes span a and the rounded a + u, the two points that t = 0 and
+    # t = 1 reach in _pair_distance; every rounded a + t*u lies between
+    # them, because rounding is monotone.  So a computed pair distance is
+    # never below its block's computed box distance.  The slack of a few
+    # ulps of the largest coordinate is a margin on top of that bound.
+    ends = seg_a + seg_u
+    box_lo = np.minimum(seg_a, ends)[block_segs].min(axis=1)
+    box_hi = np.maximum(seg_a, ends)[block_segs].max(axis=1)
+    scale = max(float(np.abs(points).max()), float(np.abs(polyline).max()))
+    slack = 4 * np.finfo(float).eps * scale
+
+    def box_distance(pts: np.ndarray) -> np.ndarray:
+        # L1 distance from each point to each block box: a lower bound on
+        # its distance to every segment in the block.
+        gap_x = np.maximum(box_lo[None, :, 0] - pts[:, 0:1], pts[:, 0:1] - box_hi[None, :, 0])
+        gap_y = np.maximum(box_lo[None, :, 1] - pts[:, 1:2], pts[:, 1:2] - box_hi[None, :, 1])
+        return np.maximum(gap_x, 0.0) + np.maximum(gap_y, 0.0)
+
+    def block_minimum(pts: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+        # Exact min distance from pts[k] to the segments of blocks[k].
+        segs = block_segs[blocks]
+        a = seg_a[segs]
+        u = seg_u[segs]
+        dist = _pair_distance(pts[:, 0:1], pts[:, 1:2], a[..., 0], a[..., 1], u[..., 0], u[..., 1])
+        return dist.min(axis=1)
+
+    # Upper bound per point: its distance to the block nearest by box.
+    chunk = max(1, _PAIR_CHUNK // max(nblocks, size))
+    upper = np.empty(points.shape[0])
     for lo in range(0, points.shape[0], chunk):
         pts = points[lo : lo + chunk]
-        px = pts[:, 0:1]
-        py = pts[:, 1:2]
-        ax = seg_a[None, :, 0]
-        ay = seg_a[None, :, 1]
-        ux = seg_u[None, :, 0]
-        uy = seg_u[None, :, 1]
-        best = None
-        # The taxicab distance along a segment is piecewise linear in the
-        # parameter; its minimum sits at an endpoint or where one coordinate
-        # difference vanishes.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tx = np.clip(np.nan_to_num((px - ax) / ux), 0.0, 1.0)
-            ty = np.clip(np.nan_to_num((py - ay) / uy), 0.0, 1.0)
-        for t in (np.zeros_like(tx), np.ones_like(tx), tx, ty):
-            dist = np.abs(px - (ax + t * ux)) + np.abs(py - (ay + t * uy))
-            best = dist if best is None else np.minimum(best, dist)
-        worst = max(worst, float(best.min(axis=1).max()))
+        nearest = box_distance(pts).argmin(axis=1)
+        upper[lo : lo + chunk] = block_minimum(pts, nearest)
+
+    # Taha-Hanbury early break: visit points by descending upper bound and
+    # stop once no remaining point can raise the running maximum.  A visited
+    # point's minimum covers every block whose box is within its upper bound
+    # (plus slack), so it equals the all-segments minimum exactly.
+    order = np.argsort(-upper, kind="stable")
+    sorted_upper = upper[order]
+    worst = 0.0
+    batch = 1
+    pos = 0
+    max_batch = max(1, _PAIR_CHUNK // (nblocks * size))
+    while pos < order.size and sorted_upper[pos] > worst:
+        stop = min(pos + min(batch, max_batch), order.size)
+        idx = order[pos:stop]
+        pts = points[idx]
+        near = box_distance(pts) <= (upper[idx] + slack)[:, None]
+        owner, blocks = np.nonzero(near)
+        best = upper[idx].copy()
+        np.minimum.at(best, owner, block_minimum(pts[owner], blocks))
+        worst = max(worst, float(best.max()))
+        pos = stop
+        batch *= 2
     return worst
 
 
 def hausdorff(a: Sequence, b: Sequence) -> float:
     """Symmetric taxicab Hausdorff distance between two polylines.
 
-    Inputs are point sequences (Points or coordinate pairs); consecutive
-    points are joined by segments, with no implicit wraparound, so closed
-    rings must repeat their first point.  Vertices of each polyline are
-    measured against the segments of the other.
+    Inputs are point sequences (Points or coordinate pairs) with finite
+    coordinates; consecutive points are joined by segments, with no
+    implicit wraparound, so closed rings must repeat their first point.
+    Vertices of each polyline are measured against the segments of the
+    other.
+
+    The search is exact, not approximate.  Segments are grouped into blocks
+    of consecutive segments; the L1 distance from a vertex to a block's
+    bounding box bounds its distance to every segment inside from below.
+    Each vertex first gets an upper bound, its distance to the block whose
+    box is nearest.  Vertices are then visited by descending upper bound,
+    and the search stops once the next bound cannot exceed the running
+    maximum (Taha and Hanbury, IEEE TPAMI 2015).  A visited vertex is
+    measured against every block whose box distance is within its upper
+    bound plus a slack of a few ulps of the largest coordinate magnitude.
+    Rounding cannot prune the segment that gives the computed minimum: a
+    box spans the rounded segment endpoints, every rounded point a + t*u
+    lies between them because rounding is monotone, so each computed pair
+    distance is at least its block's computed box distance, and the slack
+    is a margin on top.  Every evaluated pair uses the same floating-point
+    operations as an all-pairs sweep, and min and max are exact, so the
+    result is bit-identical to that sweep.
     """
     pa = _as_array(a)
     pb = _as_array(b)

@@ -180,6 +180,31 @@ class TestInstanceFiles:
         code, _, err = run(capsys, "info", "--instances", "/no/such/file.jsonl")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("p", [None, 0]),
+            ("p", ["4", 1]),
+            ("q", [[-4], -1]),
+            ("p", [True, 1]),
+            ("r", None),
+            ("r", "6"),
+            ("r", [6]),
+            ("r", True),
+            ("r", 10**400),
+            ("p", [float("nan"), 0]),
+        ],
+    )
+    def test_bad_number_fields_rejected(self, capsys, tmp_path, field, value):
+        record = {"label": "bad", "p": [4, 1], "q": [-4, -1], "r": 6}
+        record[field] = value
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        code, out, err = run(capsys, "info", "--instances", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_fixtures_cover_every_topology_class(self):
         labels = set()
         with open(FIXTURES, "r", encoding="utf-8") as handle:

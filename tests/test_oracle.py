@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from taxicassini.cassini import CassiniSpec, PointLocation, build_curves, classify_point, curve_polyline
+from taxicassini.characterization import sampling_box
 from taxicassini.core import GeometryError, Point
 from taxicassini.oracle import (
     BoxTooSmall,
     Contour,
     ScalarGrid,
+    _directed_hausdorff,
     component_count,
     extract_contour,
     grid_field,
@@ -24,6 +28,72 @@ DIAMOND = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (1.0, 0.0)]
 def closed_ring(curve, samples_per_piece=64):
     ring = [(p.x1, p.x2) for p in curve_polyline(curve, samples_per_piece)]
     return ring + [ring[0]]
+
+
+def meshgrid_field(spec, half_width, n):
+    """Reference for grid_field: the product field node by node."""
+    center, default_half = sampling_box(spec.p, spec.q, spec.r)
+    half = default_half if half_width is None else float(half_width)
+    xs = np.linspace(center.x1 - half, center.x1 + half, n)
+    ys = np.linspace(center.x2 - half, center.x2 + half, n)
+    mx, my = np.meshgrid(xs, ys)
+    dp = np.abs(mx - spec.p.x1) + np.abs(my - spec.p.x2)
+    dq = np.abs(mx - spec.q.x1) + np.abs(my - spec.q.x2)
+    return dp * dq - spec.r * spec.r
+
+
+def brute_directed(points, polyline):
+    """Reference for the pruned search: every vertex against every segment."""
+    if polyline.shape[0] == 1:
+        seg_a = polyline
+        seg_u = np.zeros_like(polyline)
+    else:
+        seg_a = polyline[:-1]
+        seg_u = polyline[1:] - polyline[:-1]
+    px = points[:, 0:1]
+    py = points[:, 1:2]
+    ax = seg_a[None, :, 0]
+    ay = seg_a[None, :, 1]
+    ux = seg_u[None, :, 0]
+    uy = seg_u[None, :, 1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        tx = np.clip(np.nan_to_num((px - ax) / ux), 0.0, 1.0)
+        ty = np.clip(np.nan_to_num((py - ay) / uy), 0.0, 1.0)
+    best = None
+    for t in (np.zeros_like(tx), np.ones_like(tx), tx, ty):
+        dist = np.abs(px - (ax + t * ux)) + np.abs(py - (ay + t * uy))
+        best = dist if best is None else np.minimum(best, dist)
+    return max(0.0, float(best.min(axis=1).max()))
+
+
+def assert_matches_brute_force(a, b):
+    pa = np.asarray(a, dtype=float)
+    pb = np.asarray(b, dtype=float)
+    forward, backward = brute_directed(pa, pb), brute_directed(pb, pa)
+    assert _directed_hausdorff(pa, pb) == forward
+    assert _directed_hausdorff(pb, pa) == backward
+    assert hausdorff(a, b) == max(forward, backward)
+
+
+# Lattice values make axis-parallel segments (u = 0 in one coordinate) and
+# repeated vertices common; the scales and offsets span 1e-6 .. 1e9.
+_coordinate = st.one_of(
+    st.integers(-6, 6).map(float),
+    st.floats(-6.0, 6.0, allow_nan=False, allow_infinity=False),
+)
+_vertices = st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=40)
+
+
+@st.composite
+def polyline_pairs(draw):
+    scale = draw(st.sampled_from([1e-6, 1e-3, 1.0, 7.0, 1e3, 1e6, 1e9]))
+    ox = draw(st.sampled_from([0.0, 0.5, -3.25e4, 6e8, -1e9]))
+    oy = draw(st.sampled_from([0.0, -0.5, 2.5e5, -6e8, 1e9]))
+    a, b = draw(_vertices), draw(_vertices)
+    return (
+        [(ox + scale * x, oy + scale * y) for x, y in a],
+        [(ox + scale * x, oy + scale * y) for x, y in b],
+    )
 
 
 class TestGridField:
@@ -58,6 +128,17 @@ class TestGridField:
         assert grid.nx == grid.ny == 16
         with pytest.raises(GeometryError):
             grid_field(spec, half_width=5.0, n=15)
+
+    @pytest.mark.parametrize("n", [16, 257])
+    @pytest.mark.parametrize("half_width", [None, 23.5])
+    def test_matches_meshgrid_reference(self, n, half_width):
+        for spec in (
+            CassiniSpec(Point(4, 1), Point(-4, -1), 6.0),
+            CassiniSpec(Point(8.3, 3.1), Point(-8.7, -2.9), 15.9),
+            CassiniSpec(Point(0.1, 0.2), Point(0.1, 0.2), 1.7),
+        ):
+            grid = grid_field(spec, half_width=half_width, n=n)
+            assert np.array_equal(grid.values, meshgrid_field(spec, half_width, n))
 
     def test_node_signs_agree_with_classification(self):
         spec = CassiniSpec(Point(4, 1), Point(-4, -1), 6.0)
@@ -177,6 +258,29 @@ class TestHausdorff:
         with pytest.raises(GeometryError):
             hausdorff([], DIAMOND)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(GeometryError):
+            hausdorff([(0.0, 0.0), (bad, 1.0)], DIAMOND)
+        with pytest.raises(GeometryError):
+            hausdorff(DIAMOND, [(1.0, bad)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(polyline_pairs())
+    @example(([(0.0, 1.0)], [(-1.0, 0.0), (1.0, 0.0)]))
+    @example(([(3.0, -2.0)], [(1e9, 1e9)]))
+    @example(([(0.0, 0.0), (0.0, 0.0), (0.0, 5.0)], [(1.0, 1.0), (1.0, 1.0)]))
+    @example(([(0.0, 0.0), (4.0, 0.0), (4.0, 3.0)], [(1.0, 2.0), (1.0, -2.0), (6.0, -2.0)]))
+    def test_matches_brute_force(self, pair):
+        assert_matches_brute_force(*pair)
+
+    def test_contour_ladder_matches_brute_force(self):
+        spec = CassiniSpec(Point(8, 3), Point(-8, -3), 16.0)
+        ring = closed_ring(build_curves(spec)[0], 128)
+        for n in (65, 257):
+            contour = extract_contour(grid_field(spec, n=n))
+            assert_matches_brute_force(ring, contour.polylines[0])
+
     def test_analytic_vs_contour_is_tight(self):
         spec = CassiniSpec(Point(4, 1), Point(-4, -1), 6.0)
         grid = grid_field(spec, n=257)
@@ -194,6 +298,11 @@ class TestRingContains:
 
     def test_open_ring_accepted(self):
         assert ring_contains(DIAMOND[:-1], Point(0, 0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(GeometryError):
+            ring_contains(DIAMOND[:-1] + [(bad, 0.0)], Point(0, 0))
 
     def test_contour_agrees_with_classification(self):
         spec = CassiniSpec(Point(4, 1), Point(-4, -1), 6.0)
