@@ -99,14 +99,6 @@ class RegionId(Enum):
     CENTRAL_RECTANGLE = "R"
 
 
-QUADRANTS = frozenset(
-    {RegionId.QUADRANT_P, RegionId.QUADRANT_Q, RegionId.QUADRANT_C1, RegionId.QUADRANT_C2}
-)
-HALF_STRIPS = frozenset(
-    {RegionId.STRIP_P_C1, RegionId.STRIP_P_C2, RegionId.STRIP_Q_C1, RegionId.STRIP_Q_C2}
-)
-
-
 @dataclass(frozen=True)
 class FociFrame:
     """Derived landmarks of a focus pair.

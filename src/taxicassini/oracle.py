@@ -15,11 +15,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cassini import CassiniSpec, product_value
+from .cassini import CassiniSpec
 from .characterization import sampling_box
 from .core import GeometryError, Point
 
 _ZERO_NODE_RTOL = 1e-12
+# Rows of the field multiplied at once by grid_field; bounds its temporary.
+_FIELD_ROWS = 64
 
 
 class BoxTooSmall(GeometryError):
@@ -76,10 +78,16 @@ def grid_field(spec: CassiniSpec, half_width: Optional[float] = None, n: int = 2
     ys = np.linspace(center.x2 - half, center.x2 + half, n)
     # Each distance is a row term plus a column term, so the field is built
     # by broadcasting two length-n vectors; IEEE + and * commute, so the
-    # values equal the node-by-node products bit for bit.
+    # values equal the node-by-node products bit for bit.  The q factor is
+    # formed a block of rows at a time, so no second n x n array exists.
     values = np.abs(ys - spec.p.x2)[:, None] + np.abs(xs - spec.p.x1)[None, :]
-    values *= np.abs(ys - spec.q.x2)[:, None] + np.abs(xs - spec.q.x1)[None, :]
-    values -= spec.r * spec.r
+    qx = np.abs(xs - spec.q.x1)[None, :]
+    qy = np.abs(ys - spec.q.x2)[:, None]
+    target = spec.r * spec.r
+    for j in range(0, n, _FIELD_ROWS):
+        block = values[j : j + _FIELD_ROWS]
+        block *= qy[j : j + _FIELD_ROWS] + qx
+        block -= target
     edge_min = min(
         values[0, :].min(), values[-1, :].min(), values[:, 0].min(), values[:, -1].min()
     )
@@ -110,27 +118,51 @@ def component_count(contour: Contour) -> int:
     return sum(1 for flag in contour.closed_flags if flag)
 
 
-def _edge_point(grid: ScalarGrid, vals: np.ndarray, key: tuple[str, int, int]) -> tuple[float, float]:
-    kind, i, j = key
-    v0 = vals[j, i]
-    if kind == "h":
-        v1 = vals[j, i + 1]
-        t = v0 / (v0 - v1)
-        return grid.origin.x1 + (i + t) * grid.spacing, grid.origin.x2 + j * grid.spacing
-    v1 = vals[j + 1, i]
-    t = v0 / (v0 - v1)
-    return grid.origin.x1 + i * grid.spacing, grid.origin.x2 + (j + t) * grid.spacing
+# Marching-squares cases.  A cell's case is a | b<<1 | c<<2 | d<<3, where a,
+# b, c, d say whether its corners (i, j), (i+1, j), (i+1, j+1), (i, j+1) are
+# inside.  Its edges are S, E, N, W = 0, 1, 2, 3, and each row lists the
+# cell's segments as pairs of edges, crossings in S, E, N, W order; -1 pads
+# cases with fewer than two segments.  The saddle rows 5 and 10 pair the
+# crossings for a center outside the set.  Complementing a case keeps its
+# crossings, so a saddle whose center is inside takes the row of 15 - case.
+_S, _E, _N, _W = 0, 1, 2, 3
+_CASE_SEGMENTS = np.array(
+    [
+        [[-1, -1], [-1, -1]],  # 0
+        [[_S, _W], [-1, -1]],  # 1: a
+        [[_S, _E], [-1, -1]],  # 2: b
+        [[_E, _W], [-1, -1]],  # 3: a b
+        [[_E, _N], [-1, -1]],  # 4: c
+        [[_S, _W], [_E, _N]],  # 5: a c, center outside
+        [[_S, _N], [-1, -1]],  # 6: b c
+        [[_N, _W], [-1, -1]],  # 7: a b c
+        [[_N, _W], [-1, -1]],  # 8: d
+        [[_S, _N], [-1, -1]],  # 9: a d
+        [[_S, _E], [_N, _W]],  # 10: b d, center outside
+        [[_E, _N], [-1, -1]],  # 11: a b d
+        [[_E, _W], [-1, -1]],  # 12: c d
+        [[_S, _E], [-1, -1]],  # 13: a c d
+        [[_S, _W], [-1, -1]],  # 14: b c d
+        [[-1, -1], [-1, -1]],  # 15
+    ],
+    dtype=np.intp,
+)
 
 
-def _center_sign(grid: ScalarGrid, vals: np.ndarray, i: int, j: int) -> bool:
-    # True when the cell center is inside the filled set.
+def _saddle_inside(grid: ScalarGrid, vals: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Whether the centers of cells (i, j) lie inside the filled set.
+
+    With the spec kept, the true field at the center decides, evaluated as
+    (|x1 - p1| + |x2 - p2|) * (|x1 - q1| + |x2 - q2|); without it, the mean
+    of the four corner values.
+    """
     if grid.spec is not None:
-        x = Point(
-            grid.origin.x1 + (i + 0.5) * grid.spacing,
-            grid.origin.x2 + (j + 0.5) * grid.spacing,
-        )
-        target = grid.spec.r * grid.spec.r
-        return product_value(grid.spec, x) - target < 0
+        spec = grid.spec
+        x1 = grid.origin.x1 + (i + 0.5) * grid.spacing
+        x2 = grid.origin.x2 + (j + 0.5) * grid.spacing
+        dp = np.abs(x1 - spec.p.x1) + np.abs(x2 - spec.p.x2)
+        dq = np.abs(x1 - spec.q.x1) + np.abs(x2 - spec.q.x2)
+        return dp * dq - spec.r * spec.r < 0
     mean = (vals[j, i] + vals[j, i + 1] + vals[j + 1, i] + vals[j + 1, i + 1]) / 4
     return mean < 0
 
@@ -139,121 +171,139 @@ def extract_contour(grid: ScalarGrid) -> Contour:
     """Marching-squares zero level set of the grid, stitched into polylines.
 
     Nodes exactly at zero are nudged positive by 1e-12 of the value scale so
-    every cell edge has a well-defined crossing.  Cells whose four corners
-    alternate in sign are split according to the field sign at the cell
-    center.  Because boundary nodes are positive, every polyline closes.
+    every cell edge has a well-defined crossing.  Each mixed cell's corner
+    signs index a 16-case table of segments between its edges (Lorensen and
+    Cline 1987, in two dimensions).  Cells whose four corners alternate in
+    sign are split according to the field sign at the cell center.  Every
+    edge has an integer id, and the segments are joined at shared edges in
+    the order cells are scanned, row by row.  Crossing points interpolate
+    linearly along their edge.
+
+    When every frame node is positive, as grid_field ensures, every polyline
+    closes.  A hand-built grid with negative frame nodes may give open
+    polylines, which end where they meet the frame.
     """
     vals = grid.values
     if (vals == 0).any():
         bump = _ZERO_NODE_RTOL * max(1.0, float(np.abs(vals).max()))
         vals = np.where(vals == 0, bump, vals)
 
+    nx, ny = grid.nx, grid.ny
     neg = vals < 0
     rows = np.flatnonzero(neg.any(axis=1))
     cols = np.flatnonzero(neg.any(axis=0))
     if rows.size == 0:
-        cells = np.empty((0, 2), dtype=np.intp)
-    else:
-        # Every mixed cell touches a negative node, so it lies in the window
-        # of negative nodes grown by one cell; scanning only that window
-        # keeps the row-major cell order of a full scan.
-        j0 = max(int(rows[0]) - 1, 0)
-        i0 = max(int(cols[0]) - 1, 0)
-        j1 = min(int(rows[-1]) + 2, grid.ny)
-        i1 = min(int(cols[-1]) + 2, grid.nx)
-        win = neg[j0:j1, i0:i1]
-        a = win[:-1, :-1]
-        b = win[:-1, 1:]
-        c = win[1:, 1:]
-        d = win[1:, :-1]
-        mixed = ~((a == b) & (b == c) & (c == d))
-        cells = np.argwhere(mixed) + (j0, i0)
+        return Contour(polylines=(), closed_flags=())
+    # Every mixed cell touches a negative node, so it lies in the window of
+    # negative nodes grown by one cell; scanning only that window keeps the
+    # row-major cell order of a full scan.
+    j0 = max(int(rows[0]) - 1, 0)
+    i0 = max(int(cols[0]) - 1, 0)
+    j1 = min(int(rows[-1]) + 2, ny)
+    i1 = min(int(cols[-1]) + 2, nx)
+    win = neg[j0:j1, i0:i1]
+    a = win[:-1, :-1]
+    b = win[:-1, 1:]
+    c = win[1:, 1:]
+    d = win[1:, :-1]
+    mixed = ~((a == b) & (b == c) & (c == d))
+    cells = np.argwhere(mixed)
+    j = cells[:, 0] + j0
+    i = cells[:, 1] + i0
+    base = j * nx + i
+    flat_neg = neg.ravel()
+    case = np.zeros(base.size, dtype=np.intp)
+    for bit, step in enumerate((0, 1, nx + 1, nx)):  # corners a, b, c, d
+        case |= flat_neg[base + step].astype(np.intp) << bit
+    saddle = np.flatnonzero((case == 5) | (case == 10))
+    if saddle.size:
+        inside = _saddle_inside(grid, vals, i[saddle], j[saddle])
+        case[saddle[inside]] = 15 - case[saddle[inside]]
 
-    segments: list[tuple[tuple[str, int, int], tuple[str, int, int]]] = []
-    for j, i in cells:
-        j = int(j)
-        i = int(i)
-        south = ("h", i, j)
-        north = ("h", i, j + 1)
-        west = ("v", i, j)
-        east = ("v", i + 1, j)
-        sa, sb, sc, sd = neg[j, i], neg[j, i + 1], neg[j + 1, i + 1], neg[j + 1, i]
-        crossings = []
-        if sa != sb:
-            crossings.append(south)
-        if sb != sc:
-            crossings.append(east)
-        if sc != sd:
-            crossings.append(north)
-        if sd != sa:
-            crossings.append(west)
-        if len(crossings) == 2:
-            segments.append((crossings[0], crossings[1]))
-        elif len(crossings) == 4:
-            # Alternating corners: pair the crossings around whichever
-            # diagonally opposite corners the center sign isolates.
-            center_inside = _center_sign(grid, vals, i, j)
-            if sa:  # corners a and c inside
-                if center_inside:
-                    segments.append((south, east))
-                    segments.append((north, west))
-                else:
-                    segments.append((south, west))
-                    segments.append((east, north))
-            else:  # corners b and d inside
-                if center_inside:
-                    segments.append((south, west))
-                    segments.append((east, north))
-                else:
-                    segments.append((south, east))
-                    segments.append((north, west))
+    # Edge ids: j*nx + i for the horizontal edge from node (i, j), and
+    # nx*ny + j*nx + i for the vertical one.  Each segment is a pair of ids,
+    # in cell order and, within a saddle cell, in table order.
+    horizontal = nx * ny
+    edge_offset = np.array([0, horizontal + 1, nx, horizontal], dtype=np.intp)  # S, E, N, W
+    seg_edges = _CASE_SEGMENTS[case]
+    present = seg_edges[:, :, 0] >= 0
+    seg_cell = np.nonzero(present)[0]
+    keys = (base[seg_cell, None] + edge_offset[seg_edges[present]]).ravel()
+    if keys.size == 0:
+        return Contour(polylines=(), closed_flags=())
 
-    adjacency: dict[tuple[str, int, int], list[tuple[str, int, int]]] = {}
-    for k1, k2 in segments:
-        adjacency.setdefault(k1, []).append(k2)
-        adjacency.setdefault(k2, []).append(k1)
+    # An edge is shared by at most two cells and appears once in each, so
+    # every id occurs once or twice in keys.  A stable sort groups the
+    # occurrences of an id in the order they were emitted; the partner of
+    # position k is position k ^ 1.  Ids are then ranked by first occurrence,
+    # the order a walk over the segments meets them, and nb0 and nb1 hold
+    # the ranks of the partners at an id's first and second occurrence (-1
+    # when it occurs once).
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    group_start = np.flatnonzero(first)
+    count = np.diff(np.append(group_start, keys.size))
+    first_pos = order[group_start]
+    by_appearance = np.argsort(first_pos)
+    rank_of_group = np.empty(group_start.size, dtype=np.intp)
+    rank_of_group[by_appearance] = np.arange(group_start.size)
+    rank = np.empty(keys.size, dtype=np.intp)
+    rank[order] = rank_of_group[np.cumsum(first) - 1]
+    nb0 = np.empty(group_start.size, dtype=np.intp)
+    nb0[rank_of_group] = rank[first_pos ^ 1]
+    nb1 = np.full(group_start.size, -1, dtype=np.intp)
+    twice = count == 2
+    nb1[rank_of_group[twice]] = rank[order[group_start[twice] + 1] ^ 1]
 
-    point_cache: dict[tuple[str, int, int], tuple[float, float]] = {}
+    # Crossing points of the ranked edges, with t = v0 / (v0 - v1) measured
+    # from the edge's lower node.
+    edge_ids = sorted_keys[group_start][by_appearance]
+    vertical = edge_ids >= horizontal
+    local = edge_ids - np.where(vertical, horizontal, 0)
+    flat = vals.ravel()
+    v0 = flat[local]
+    v1 = flat[local + np.where(vertical, nx, 1)]
+    t = v0 / (v0 - v1)
+    points = np.empty((edge_ids.size, 2))
+    points[:, 0] = grid.origin.x1 + (local % nx + np.where(vertical, 0.0, t)) * grid.spacing
+    points[:, 1] = grid.origin.x2 + (local // nx + np.where(vertical, t, 0.0)) * grid.spacing
 
-    def point_of(key: tuple[str, int, int]) -> tuple[float, float]:
-        cached = point_cache.get(key)
-        if cached is None:
-            cached = _edge_point(grid, vals, key)
-            point_cache[key] = cached
-        return cached
-
-    visited: set[tuple[str, int, int]] = set()
+    # Walk from each unvisited edge in rank order, always to the neighbour
+    # that is not the previous edge (-1 before the first step), until the
+    # walk returns to its start, leaves an edge with one neighbour, or meets
+    # an edge an earlier walk took.
+    next0 = nb0.tolist()
+    next1 = nb1.tolist()
+    visited = bytearray(edge_ids.size)
     polylines: list[np.ndarray] = []
     closed_flags: list[bool] = []
-    for start in adjacency:
-        if start in visited:
+    for start in range(edge_ids.size):
+        if visited[start]:
             continue
         path = [start]
-        visited.add(start)
-        prev = None
+        visited[start] = 1
+        prev = -1
         current = start
         closed = False
         while True:
-            nbrs = adjacency[current]
-            nxt = None
-            for cand in nbrs:
-                if cand != prev:
-                    nxt = cand
+            nxt = next0[current]
+            if nxt == prev:
+                nxt = next1[current]
+                if nxt < 0:
                     break
-            if nxt is None or (nxt == prev and len(nbrs) == 1):
-                break
             if nxt == start:
                 closed = True
                 break
-            if nxt in visited:
+            if visited[nxt]:
                 break
             path.append(nxt)
-            visited.add(nxt)
+            visited[nxt] = 1
             prev, current = current, nxt
-        pts = [point_of(key) for key in path]
         if closed:
-            pts.append(pts[0])
-        polylines.append(np.asarray(pts, dtype=float))
+            path.append(start)
+        polylines.append(points[path])
         closed_flags.append(closed)
     return Contour(polylines=tuple(polylines), closed_flags=tuple(closed_flags))
 

@@ -1,5 +1,6 @@
 """Command-line behavior: reports, rendering, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -111,6 +112,36 @@ class TestRender:
         )
         assert code == 0
         assert 'id="oracle"' in out_path.read_text()
+
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            (
+                ["--p", "4,1", "--q", "-4,-1", "--r", "3,5,6"],
+                "5012dfbe2f81ea4a7a78764732f7fea579ac5de658d15ddb1eb6e2cef8761c53",
+            ),
+            (
+                ["--p", "8,3", "--q", "-8,-3", "--r", "16"],
+                "4893d7b81aaa0267be4e4cca29685a71ffcfe9aa50fbf7538cbf6456de9794e7",
+            ),
+            (
+                ["--p", "4,1", "--q", "-4,-1", "--r", "6"],
+                "1c6fc1f99aaaeb19b35c9801a4d9596ee9e954d4820d73fd16dca619b30af44a",
+            ),
+            (
+                ["--p", "8,3", "--q", "-8,-3", "--r", "16", "--overlay-oracle"],
+                "e51a3063aaefeaa6160b8676607dc9bc610a11029cdcafed64e70adf40b66fcd",
+            ),
+        ],
+        ids=["family", "wide", "single", "wide-oracle"],
+    )
+    def test_golden_digest(self, capsys, tmp_path, flags, digest):
+        # The criterion-9 figures and the wide one with the oracle overlay,
+        # pinned byte for byte (the digests of perfbench/svg_digests.json).
+        out_path = tmp_path / "figure.svg"
+        code, _, _ = run(capsys, "render", *flags, "--out", str(out_path))
+        assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
     def test_io_failure_exit_code(self, capsys):
         code, _, err = run(

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from taxicassini.cassini import CassiniSpec, PointLocation, build_curves, classify_point, curve_polyline
+from taxicassini.campaign import _random_topology_spec, _topology_grid
+from taxicassini.cassini import (
+    CassiniSpec,
+    PointLocation,
+    build_curves,
+    classify_point,
+    curve_polyline,
+    product_value,
+)
 from taxicassini.characterization import sampling_box
 from taxicassini.core import GeometryError, Point
 from taxicassini.oracle import (
@@ -94,6 +102,134 @@ def polyline_pairs(draw):
         [(ox + scale * x, oy + scale * y) for x, y in a],
         [(ox + scale * x, oy + scale * y) for x, y in b],
     )
+
+
+def reference_extract_contour(grid):
+    """Reference for extract_contour: marching squares one cell at a time.
+
+    Edges are keyed by ("h" | "v", i, j) tuples and stitched through a dict
+    of neighbour lists; saddles are resolved by product_value at the center.
+    """
+    vals = grid.values
+    if (vals == 0).any():
+        bump = 1e-12 * max(1.0, float(np.abs(vals).max()))
+        vals = np.where(vals == 0, bump, vals)
+    neg = vals < 0
+
+    def edge_point(key):
+        kind, i, j = key
+        v0 = vals[j, i]
+        if kind == "h":
+            v1 = vals[j, i + 1]
+            t = v0 / (v0 - v1)
+            return grid.origin.x1 + (i + t) * grid.spacing, grid.origin.x2 + j * grid.spacing
+        v1 = vals[j + 1, i]
+        t = v0 / (v0 - v1)
+        return grid.origin.x1 + i * grid.spacing, grid.origin.x2 + (j + t) * grid.spacing
+
+    def center_inside(i, j):
+        if grid.spec is not None:
+            x = Point(
+                grid.origin.x1 + (i + 0.5) * grid.spacing,
+                grid.origin.x2 + (j + 0.5) * grid.spacing,
+            )
+            return product_value(grid.spec, x) - grid.spec.r * grid.spec.r < 0
+        mean = (vals[j, i] + vals[j, i + 1] + vals[j + 1, i] + vals[j + 1, i + 1]) / 4
+        return mean < 0
+
+    # Mixed cells in row-major order.
+    mixed = ~(
+        (neg[:-1, :-1] == neg[:-1, 1:]) & (neg[:-1, 1:] == neg[1:, 1:]) & (neg[1:, 1:] == neg[1:, :-1])
+    )
+    segments = []
+    for j, i in np.argwhere(mixed).tolist():
+        south, north = ("h", i, j), ("h", i, j + 1)
+        west, east = ("v", i, j), ("v", i + 1, j)
+        sa, sb, sc, sd = neg[j, i], neg[j, i + 1], neg[j + 1, i + 1], neg[j + 1, i]
+        crossings = []
+        if sa != sb:
+            crossings.append(south)
+        if sb != sc:
+            crossings.append(east)
+        if sc != sd:
+            crossings.append(north)
+        if sd != sa:
+            crossings.append(west)
+        if len(crossings) == 2:
+            segments.append((crossings[0], crossings[1]))
+        elif len(crossings) == 4:
+            if bool(sa) == center_inside(i, j):
+                segments += [(south, east), (north, west)]
+            else:
+                segments += [(south, west), (east, north)]
+
+    adjacency = {}
+    for k1, k2 in segments:
+        adjacency.setdefault(k1, []).append(k2)
+        adjacency.setdefault(k2, []).append(k1)
+    visited = set()
+    polylines, closed_flags = [], []
+    for start in adjacency:
+        if start in visited:
+            continue
+        path = [start]
+        visited.add(start)
+        prev, current, closed = None, start, False
+        while True:
+            nxt = next((cand for cand in adjacency[current] if cand != prev), None)
+            if nxt is None:
+                break
+            if nxt == start:
+                closed = True
+                break
+            if nxt in visited:
+                break
+            path.append(nxt)
+            visited.add(nxt)
+            prev, current = current, nxt
+        pts = [edge_point(key) for key in path]
+        if closed:
+            pts.append(pts[0])
+        polylines.append(np.asarray(pts, dtype=float))
+        closed_flags.append(closed)
+    return Contour(polylines=tuple(polylines), closed_flags=tuple(closed_flags))
+
+
+def assert_same_contour(grid):
+    got = extract_contour(grid)
+    want = reference_extract_contour(grid)
+    assert got.closed_flags == want.closed_flags
+    assert len(got.polylines) == len(want.polylines)
+    for line, ref_line in zip(got.polylines, want.polylines):
+        assert line.shape == ref_line.shape
+        assert line.tobytes() == ref_line.tobytes()
+
+
+# Node values from a small set make zero nodes and saddle cells common.
+_NODE_VALUES = st.sampled_from([-2.0, -1.0, 0.0, 1.0, 3.0])
+
+
+@st.composite
+def small_grids(draw):
+    nx = draw(st.integers(2, 12))
+    ny = draw(st.integers(2, 12))
+    values = np.array(draw(st.lists(_NODE_VALUES, min_size=nx * ny, max_size=nx * ny)))
+    values = values.reshape(ny, nx)
+    if draw(st.booleans()):
+        # A positive frame, as grid_field makes: every polyline closes.
+        values[0, :] = values[-1, :] = values[:, 0] = values[:, -1] = 1.0
+    origin = Point(draw(st.sampled_from([0.0, -3.5, 1e3])), draw(st.sampled_from([0.0, 2.25, -7e2])))
+    spacing = draw(st.sampled_from([1.0, 0.3, 17.0]))
+    spec = None
+    if draw(st.booleans()):
+        # Foci inside the grid's extent, so center signs vary from cell to cell.
+        def coordinate(lo, count):
+            return draw(st.floats(lo, lo + (count - 1) * spacing, allow_nan=False))
+
+        p = Point(coordinate(origin.x1, nx), coordinate(origin.x2, ny))
+        q = Point(coordinate(origin.x1, nx), coordinate(origin.x2, ny))
+        spec = CassiniSpec(p, q, draw(st.floats(0.0, 2.0 * max(nx, ny) * spacing)))
+    return ScalarGrid(origin, spacing, nx, ny, values, spec)
 
 
 class TestGridField:
@@ -240,6 +376,28 @@ class TestExtractContour:
                     sides.add("E")
             joined.add(frozenset(sides))
         assert joined == {frozenset({"S", "W"}), frozenset({"N", "E"})}
+
+
+    @settings(max_examples=400, deadline=None)
+    @given(small_grids())
+    @example(ScalarGrid(Point(0, 0), 1.0, 2, 2, np.array([[-1.0, 3.0], [3.0, -9.0]])))
+    @example(ScalarGrid(Point(0, 0), 1.0, 2, 2, np.array([[3.0, -1.0], [-1.0, 3.0]])))
+    # A saddle whose center lies exactly on the level set: f = 1 * 1 = r^2.
+    @example(
+        ScalarGrid(
+            Point(0, 0), 1.0, 2, 2, np.array([[-1.0, 3.0], [3.0, -9.0]]), CassiniSpec(Point(0, 0), Point(1, 1), 1.0)
+        )
+    )
+    def test_matches_reference(self, grid):
+        assert_same_contour(grid)
+
+    def test_topology_campaign_grids_match_reference(self):
+        # The 100 grids of run_topology_campaign at its default seed.
+        rng = np.random.default_rng(42)
+        for _ in range(100):
+            spec = _random_topology_spec(rng)
+            half_width, n = _topology_grid(spec)
+            assert_same_contour(grid_field(spec, half_width=half_width, n=n))
 
 
 class TestHausdorff:
