@@ -52,10 +52,14 @@ class CampaignResult:
 
 
 def random_spec(rng: np.random.Generator) -> CassiniSpec:
-    """Random instance with coordinates in [-20, 20] and r in (0, 40]."""
+    """Random instance with coordinates in [-20, 20] and r in (0, 40].
+
+    Coordinates and r are Python floats, so the campaigns' scalar
+    arithmetic does not run on NumPy scalars.
+    """
     while True:
-        coords = rng.uniform(-20.0, 20.0, 4)
-        r = rng.uniform(0.0, 40.0)
+        coords = rng.uniform(-20.0, 20.0, 4).tolist()
+        r = float(rng.uniform(0.0, 40.0))
         p = Point(coords[0], coords[1])
         q = Point(coords[2], coords[3])
         if r > 0 and p != q:
@@ -110,12 +114,12 @@ def _random_topology_spec(rng: np.random.Generator) -> CassiniSpec:
     # Foci at least 2 apart and r away from the critical radius by over 1%,
     # so the analytic component count is unambiguous and grid-resolvable.
     while True:
-        coords = rng.uniform(-20.0, 20.0, 4)
+        coords = rng.uniform(-20.0, 20.0, 4).tolist()
         p = Point(coords[0], coords[1])
         q = Point(coords[2], coords[3])
         if taxicab_distance(p, q) < 2.0:
             continue
-        ratio = rng.uniform(0.2, 2.0)
+        ratio = float(rng.uniform(0.2, 2.0))
         if abs(ratio - 1.0) <= 0.01:
             continue
         return CassiniSpec(p, q, ratio * critical_radius(p, q))

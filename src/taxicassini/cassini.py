@@ -12,7 +12,7 @@ conjugated back through the standardizing isometry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
@@ -61,9 +61,14 @@ def critical_radius(p: Point, q: Point) -> float:
     return taxicab_distance(p, q) / 2
 
 
+def _product(p: Point, q: Point, x1: float, x2: float) -> float:
+    # d(x, p) * d(x, q) on plain coordinates, with taxicab_distance's arithmetic.
+    return (abs(x1 - p.x1) + abs(x2 - p.x2)) * (abs(x1 - q.x1) + abs(x2 - q.x2))
+
+
 def product_value(spec: CassiniSpec, x: Point) -> float:
     """d(x, p) * d(x, q); zero exactly at the foci."""
-    return taxicab_distance(x, spec.p) * taxicab_distance(x, spec.q)
+    return _product(spec.p, spec.q, x.x1, x.x2)
 
 
 class PointLocation(Enum):
@@ -125,18 +130,20 @@ class GuideSegment:
     end: Point
     slope_sign: int
 
-    def point_at(self, f: float) -> Point:
+    def coords_at(self, f: float) -> tuple[float, float]:
+        """Coordinates at parameter f in [0, 1]; exact at the endpoints."""
+        start, end = self.start, self.end
         if f == 0.0:
-            return self.start
+            return start.x1, start.x2
         if f == 1.0:
-            return self.end
-        return Point(
-            self.start.x1 + f * (self.end.x1 - self.start.x1),
-            self.start.x2 + f * (self.end.x2 - self.start.x2),
-        )
+            return end.x1, end.x2
+        return start.x1 + f * (end.x1 - start.x1), start.x2 + f * (end.x2 - start.x2)
+
+    def point_at(self, f: float) -> Point:
+        return Point(*self.coords_at(f))
 
     def reversed(self) -> "GuideSegment":
-        return replace(self, start=self.end, end=self.start)
+        return GuideSegment(self.region, self.end, self.start, self.slope_sign)
 
     def length_scale(self) -> float:
         return taxicab_distance(self.start, self.end)
@@ -150,7 +157,7 @@ class HyperbolaArc:
     radius^2 where "run" is the coordinate axis sweeping the strip and
     "other" the remaining one; branch_dir picks the side of the center.  The
     center is a guide complement of the foci.  Endpoints are stored so that
-    point_at(0) and point_at(1) are exact.
+    coords_at(0) and coords_at(1) are exact.
     """
 
     region: RegionId
@@ -168,17 +175,29 @@ class HyperbolaArc:
         """Sign s in (x1 - c1)^2 - (x2 - c2)^2 = s * radius^2."""
         return 1 if self.run_axis == 2 else -1
 
-    def point_at(self, f: float) -> Point:
+    def coords_at(self, f: float) -> tuple[float, float]:
+        """Coordinates at parameter f in [0, 1]; exact at the endpoints."""
         if f == 0.0:
-            return self.start
+            return self.start.x1, self.start.x2
         if f == 1.0:
-            return self.end
+            return self.end.x1, self.end.x2
         u = self.u_start + f * (self.u_end - self.u_start)
-        return _arc_point(self.center, self.run_axis, self.branch_dir, self.radius, u)
+        return _arc_coords(self.center, self.run_axis, self.branch_dir, self.radius, u)
+
+    def point_at(self, f: float) -> Point:
+        return Point(*self.coords_at(f))
 
     def reversed(self) -> "HyperbolaArc":
-        return replace(
-            self, u_start=self.u_end, u_end=self.u_start, start=self.end, end=self.start
+        return HyperbolaArc(
+            self.region,
+            self.center,
+            self.run_axis,
+            self.branch_dir,
+            self.radius,
+            self.u_end,
+            self.u_start,
+            self.end,
+            self.start,
         )
 
     def length_scale(self) -> float:
@@ -188,11 +207,16 @@ class HyperbolaArc:
 CurvePiece = Union[GuideSegment, HyperbolaArc]
 
 
-def _arc_point(center: Point, run_axis: int, branch_dir: int, radius: float, u: float) -> Point:
-    other = center.coord(3 - run_axis) + branch_dir * math.hypot(u - center.coord(run_axis), radius)
+def _arc_coords(
+    center: Point, run_axis: int, branch_dir: int, radius: float, u: float
+) -> tuple[float, float]:
     if run_axis == 1:
-        return Point(u, other)
-    return Point(other, u)
+        return u, center.x2 + branch_dir * math.hypot(u - center.x1, radius)
+    return center.x1 + branch_dir * math.hypot(u - center.x2, radius), u
+
+
+def _arc_point(center: Point, run_axis: int, branch_dir: int, radius: float, u: float) -> Point:
+    return Point(*_arc_coords(center, run_axis, branch_dir, radius, u))
 
 
 @dataclass(frozen=True)
@@ -452,33 +476,35 @@ _REGION_UNDER_SWAP = {
 }
 
 
-def _map_region(region: RegionId, iso: Isometry) -> RegionId:
-    if iso.element.swaps_axes:
-        return _REGION_UNDER_SWAP.get(region, region)
-    return region
-
-
 def _map_piece(piece: CurvePiece, iso: Isometry) -> CurvePiece:
-    region = _map_region(piece.region, iso)
+    swap, s1, s2 = iso.element.value
+    t1, t2 = iso.translation.x1, iso.translation.x2
+
+    def image(x: Point) -> Point:
+        # Isometry.apply, with the element's signed permutation written out.
+        if swap:
+            return Point(s1 * x.x2 + t1, s2 * x.x1 + t2)
+        return Point(s1 * x.x1 + t1, s2 * x.x2 + t2)
+
+    region = _REGION_UNDER_SWAP.get(piece.region, piece.region) if swap else piece.region
     if isinstance(piece, GuideSegment):
-        _, s1, s2 = iso.element.value
         return GuideSegment(
-            region, iso.apply(piece.start), iso.apply(piece.end), piece.slope_sign * s1 * s2
+            region, image(piece.start), image(piece.end), piece.slope_sign * s1 * s2
         )
-    center = iso.apply(piece.center)
-    start = iso.apply(piece.start)
-    end = iso.apply(piece.end)
-    run_axis = 3 - piece.run_axis if iso.element.swaps_axes else piece.run_axis
-    other_axis = 3 - run_axis
-    offset = start.coord(other_axis) - center.coord(other_axis)
+    center, start, end = image(piece.center), image(piece.start), image(piece.end)
+    run_axis = 3 - piece.run_axis if swap else piece.run_axis
+    if run_axis == 1:
+        u_start, u_end, offset = start.x1, end.x1, start.x2 - center.x2
+    else:
+        u_start, u_end, offset = start.x2, end.x2, start.x1 - center.x1
     return HyperbolaArc(
         region=region,
         center=center,
         run_axis=run_axis,
         branch_dir=1 if offset > 0 else -1,
         radius=piece.radius,
-        u_start=start.coord(run_axis),
-        u_end=end.coord(run_axis),
+        u_start=u_start,
+        u_end=u_end,
         start=start,
         end=end,
     )
@@ -487,12 +513,11 @@ def _map_piece(piece: CurvePiece, iso: Isometry) -> CurvePiece:
 def _signed_area(pieces: list[CurvePiece]) -> float:
     pts = []
     for piece in pieces:
-        pts.append(piece.point_at(0.0))
-        pts.append(piece.point_at(0.5))
+        pts.append(piece.coords_at(0.0))
+        pts.append(piece.coords_at(0.5))
     total = 0.0
-    for i, u in enumerate(pts):
-        v = pts[(i + 1) % len(pts)]
-        total += u.x1 * v.x2 - v.x1 * u.x2
+    for (u1, u2), (v1, v2) in zip(pts, pts[1:] + pts[:1]):
+        total += u1 * v2 - v1 * u2
     return total / 2
 
 
@@ -506,19 +531,22 @@ def _validate_loop(spec: CassiniSpec, pieces: list[CurvePiece], samples_per_piec
     scale = max(1.0, taxicab_distance(spec.p, spec.q) + spec.r)
     target = spec.r * spec.r
     residual_tol = RESIDUAL_RTOL * max(1.0, target)
+    fractions = [k / samples_per_piece for k in range(samples_per_piece + 1)]
+    p, q = spec.p, spec.q
     for i, piece in enumerate(pieces):
         nxt = pieces[(i + 1) % len(pieces)]
-        gap = taxicab_distance(piece.point_at(1.0), nxt.point_at(0.0))
+        gap = taxicab_distance(piece.end, nxt.start)
         if gap > CLOSURE_RTOL * scale:
             raise AssemblyError(
                 f"pieces {i} and {(i + 1) % len(pieces)} leave a gap of {gap!r}"
             )
-        for k in range(samples_per_piece + 1):
-            x = piece.point_at(k / samples_per_piece)
-            residual = abs(product_value(spec, x) - target)
+        for f in fractions:
+            x1, x2 = piece.coords_at(f)
+            residual = abs(_product(p, q, x1, x2) - target)
             if residual > residual_tol:
+                # Point raises GeometryError if the sample is not finite.
                 raise AssemblyError(
-                    f"piece {i} sample {x} misses the level set by {residual!r}"
+                    f"piece {i} sample {Point(x1, x2)} misses the level set by {residual!r}"
                 )
 
 
@@ -573,7 +601,8 @@ def sample_curve(curve: ClosedCurve, n: int) -> list[Point]:
     for k in range(n):
         t = k * count / n
         i = min(int(t), count - 1)
-        points.append(pieces[i].point_at(t - i))
+        x1, x2 = pieces[i].coords_at(t - i)
+        points.append(Point(x1, x2))
     return points
 
 
@@ -584,5 +613,6 @@ def curve_polyline(curve: ClosedCurve, samples_per_piece: int = 64) -> list[Poin
     points = []
     for piece in curve.pieces:
         for k in range(samples_per_piece):
-            points.append(piece.point_at(k / samples_per_piece))
+            x1, x2 = piece.coords_at(k / samples_per_piece)
+            points.append(Point(x1, x2))
     return points

@@ -1,18 +1,28 @@
 """Analytic curve construction: pieces, loops, classification, topology."""
 
+import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from taxicassini.cassini import (
+    _REGION_UNDER_SWAP,
+    CLOSURE_RTOL,
+    RESIDUAL_RTOL,
+    ZERO_LENGTH_RTOL,
+    AssemblyError,
     CassiniSpec,
+    ClosedCurve,
     DegenerateInput,
     GuideSegment,
     HyperbolaArc,
     PointLocation,
     Topology,
+    _assemble_standard_loops,
+    _diamond_pieces,
+    _validate_loop,
     build_curves,
     classify_point,
     critical_radius,
@@ -24,7 +34,7 @@ from taxicassini.cassini import (
     sample_curve,
     topology,
 )
-from taxicassini.core import GeometryError, Point, RegionId, taxicab_distance
+from taxicassini.core import GeometryError, Point, RegionId, standardize, taxicab_distance
 
 dyadic = st.integers(-320, 320).map(lambda k: k / 16.0)
 dyadic_points = st.builds(Point, dyadic, dyadic)
@@ -359,3 +369,274 @@ class TestBuildCurves:
         for curve in build_curves(swapped):
             for x in sample_curve(curve, 16):
                 assert abs(product_value(spec, x) - spec.r * spec.r) <= tol
+
+
+# Reference construction: piece evaluation, mapping, orientation and
+# validation through one Point per sample, as build_curves did before it
+# moved to plain coordinates.  Assembly of the standard-frame pieces is
+# shared; everything after it must match the reference bit for bit.
+
+
+def reference_point_at(piece, f):
+    if f == 0.0:
+        return piece.start
+    if f == 1.0:
+        return piece.end
+    if isinstance(piece, GuideSegment):
+        return Point(
+            piece.start.x1 + f * (piece.end.x1 - piece.start.x1),
+            piece.start.x2 + f * (piece.end.x2 - piece.start.x2),
+        )
+    u = piece.u_start + f * (piece.u_end - piece.u_start)
+    run, center = piece.run_axis, piece.center
+    other = center.coord(3 - run) + piece.branch_dir * math.hypot(
+        u - center.coord(run), piece.radius
+    )
+    return Point(u, other) if run == 1 else Point(other, u)
+
+
+def reference_reversed(piece):
+    if isinstance(piece, GuideSegment):
+        return dataclasses.replace(piece, start=piece.end, end=piece.start)
+    return dataclasses.replace(
+        piece, u_start=piece.u_end, u_end=piece.u_start, start=piece.end, end=piece.start
+    )
+
+
+def reference_map_piece(piece, iso):
+    region = piece.region
+    if iso.element.swaps_axes:
+        region = _REGION_UNDER_SWAP.get(region, region)
+    if isinstance(piece, GuideSegment):
+        _, s1, s2 = iso.element.value
+        return GuideSegment(
+            region, iso.apply(piece.start), iso.apply(piece.end), piece.slope_sign * s1 * s2
+        )
+    center, start, end = iso.apply(piece.center), iso.apply(piece.start), iso.apply(piece.end)
+    run_axis = 3 - piece.run_axis if iso.element.swaps_axes else piece.run_axis
+    other_axis = 3 - run_axis
+    offset = start.coord(other_axis) - center.coord(other_axis)
+    return HyperbolaArc(
+        region=region,
+        center=center,
+        run_axis=run_axis,
+        branch_dir=1 if offset > 0 else -1,
+        radius=piece.radius,
+        u_start=start.coord(run_axis),
+        u_end=end.coord(run_axis),
+        start=start,
+        end=end,
+    )
+
+
+def reference_signed_area(pieces):
+    pts = []
+    for piece in pieces:
+        pts.append(reference_point_at(piece, 0.0))
+        pts.append(reference_point_at(piece, 0.5))
+    total = 0.0
+    for i, u in enumerate(pts):
+        v = pts[(i + 1) % len(pts)]
+        total += u.x1 * v.x2 - v.x1 * u.x2
+    return total / 2
+
+
+def reference_validate_loop(spec, pieces, samples_per_piece):
+    scale = max(1.0, taxicab_distance(spec.p, spec.q) + spec.r)
+    target = spec.r * spec.r
+    residual_tol = RESIDUAL_RTOL * max(1.0, target)
+    for i, piece in enumerate(pieces):
+        nxt = pieces[(i + 1) % len(pieces)]
+        gap = taxicab_distance(reference_point_at(piece, 1.0), reference_point_at(nxt, 0.0))
+        if gap > CLOSURE_RTOL * scale:
+            raise AssemblyError(f"pieces {i} and {(i + 1) % len(pieces)} leave a gap of {gap!r}")
+        for k in range(samples_per_piece + 1):
+            x = reference_point_at(piece, k / samples_per_piece)
+            residual = abs(taxicab_distance(x, spec.p) * taxicab_distance(x, spec.q) - target)
+            if residual > residual_tol:
+                raise AssemblyError(f"piece {i} sample {x} misses the level set by {residual!r}")
+
+
+def reference_build_curves(spec, samples_per_piece=16):
+    if spec.r == 0:
+        raise DegenerateInput("r = 0 yields the bare focus pair, not a curve")
+    if samples_per_piece < 1:
+        raise GeometryError("samples_per_piece must be positive")
+    iso, p_std, q_std = standardize(spec.p, spec.q)
+    inverse = iso.inverse()
+    if spec.p == spec.q:
+        raw_loops = [list(_diamond_pieces(spec.r))]
+    else:
+        raw_loops = _assemble_standard_loops(CassiniSpec(p_std, q_std, spec.r))
+    zero_tol = ZERO_LENGTH_RTOL * max(1.0, taxicab_distance(spec.p, spec.q) + spec.r)
+    curves = []
+    for raw in raw_loops:
+        mapped = [reference_map_piece(piece, inverse) for piece in raw]
+        kept = [piece for piece in mapped if piece.length_scale() > zero_tol]
+        if not kept:
+            raise AssemblyError("all pieces of a loop degenerated to points")
+        if reference_signed_area(kept) < 0:
+            kept = [reference_reversed(piece) for piece in reversed(kept)]
+        reference_validate_loop(spec, kept, samples_per_piece)
+        curves.append(ClosedCurve(spec=spec, pieces=tuple(kept)))
+    return curves
+
+
+def reference_sample_curve(curve, n):
+    count = len(curve.pieces)
+    points = []
+    for k in range(n):
+        t = k * count / n
+        i = min(int(t), count - 1)
+        points.append(reference_point_at(curve.pieces[i], t - i))
+    return points
+
+
+def reference_curve_polyline(curve, samples_per_piece):
+    return [
+        reference_point_at(piece, k / samples_per_piece)
+        for piece in curve.pieces
+        for k in range(samples_per_piece)
+    ]
+
+
+def _outcome(build, sample, polyline, spec, samples_per_piece):
+    """Everything a caller sees: pieces and point coordinates, or the error."""
+    try:
+        curves = build(spec, samples_per_piece)
+    except (AssemblyError, GeometryError) as exc:
+        return type(exc), str(exc)
+    return [
+        (
+            repr(curve.pieces),
+            repr([(x.x1, x.x2) for n in (8, 61) for x in sample(curve, n)]),
+            repr([(x.x1, x.x2) for x in polyline(curve, 5)]),
+        )
+        for curve in curves
+    ]
+
+
+def _stress_spec(signs, exponents, u):
+    # Signed coordinates log-uniform over 1e-6 .. 1e9 and r = r* * 10^u,
+    # u in [-3.3, -1]: the large-coordinate, r << r* regime.
+    coords = [sign * 10.0**e for sign, e in zip(signs, exponents)]
+    p, q = Point(coords[0], coords[1]), Point(coords[2], coords[3])
+    return CassiniSpec(p, q, critical_radius(p, q) * 10.0**u)
+
+
+_coordinate = st.floats(-20.0, 20.0)
+random_specs = st.builds(
+    lambda p1, p2, q1, q2, r: CassiniSpec(Point(p1, p2), Point(q1, q2), r),
+    _coordinate,
+    _coordinate,
+    _coordinate,
+    _coordinate,
+    st.floats(0.0, 40.0, exclude_min=True),
+)
+stress_specs = st.builds(
+    _stress_spec,
+    st.lists(st.sampled_from((-1.0, 1.0)), min_size=4, max_size=4),
+    st.lists(st.floats(-6.0, 9.0), min_size=4, max_size=4),
+    st.floats(-3.3, -1.0),
+)
+# A residual miss found among the perfbench scale-stress specs, and the
+# all-pieces-degenerate lobe of ROADMAP item 3.
+RESIDUAL_MISS_SPEC = CassiniSpec(
+    Point(0.0014966530639784724, 2945252.409567547),
+    Point(-8.725068365324634e-06, 2411666.2233538902),
+    319.55182061393936,
+)
+DEGENERATE_LOBE_SPEC = CassiniSpec(Point(4, 1), Point(-4, -1), 5e-6)
+# A tiny lobe whose polygon of piece starts winds the other way: only the
+# piece midpoints give the orientation test the right sign.
+MIDPOINT_ORIENTED_SPEC = CassiniSpec(
+    Point(1.7138933289400303e-06, -0.9954772549728785),
+    Point(0.0005011872336272725, -0.9954772549728785),
+    1.251648308473473e-07,
+)
+
+
+class TestFloatPathMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(random_specs, dyadic_specs(), stress_specs), st.integers(1, 24))
+    @example(RESIDUAL_MISS_SPEC, 16)
+    @example(DEGENERATE_LOBE_SPEC, 16)
+    @example(MIDPOINT_ORIENTED_SPEC, 16)
+    @example(CassiniSpec(Point(0, 0), Point(0, 0), 2.0), 3)
+    @example(CassiniSpec(Point(4, 1), Point(-4, -1), 5.0), 1)
+    def test_build_sample_and_errors_match_reference(self, spec, samples_per_piece):
+        got = _outcome(build_curves, sample_curve, curve_polyline, spec, samples_per_piece)
+        want = _outcome(
+            reference_build_curves,
+            reference_sample_curve,
+            reference_curve_polyline,
+            spec,
+            samples_per_piece,
+        )
+        assert got == want
+        if isinstance(got, list):
+            for curve in build_curves(spec, samples_per_piece):
+                for piece in curve.pieces:
+                    assert piece.reversed() == reference_reversed(piece)
+                    for f in (0.0, 0.5, 1.0):
+                        assert repr(piece.point_at(f)) == repr(reference_point_at(piece, f))
+
+
+def _diamond_side(start, end, slope_sign):
+    return GuideSegment(
+        RegionId.QUADRANT_P, Point(*map(float, start)), Point(*map(float, end)), slope_sign
+    )
+
+
+class TestAssemblyErrors:
+    def test_residual_miss_names_the_first_failing_sample(self):
+        with pytest.raises(AssemblyError) as info:
+            build_curves(RESIDUAL_MISS_SPEC)
+        assert str(info.value) == (
+            "piece 0 sample Point(x1=0.16894694566124557, x2=2945252.433489017)"
+            " misses the level set by 0.00010898271284531802"
+        )
+
+    def test_all_pieces_degenerate(self):
+        with pytest.raises(AssemblyError) as info:
+            build_curves(DEGENERATE_LOBE_SPEC)
+        assert str(info.value) == "all pieces of a loop degenerated to points"
+
+    def test_gap_is_checked_before_the_pieces_own_samples(self):
+        # Three sides of the unit diamond, the third running off the curve
+        # to (0, -3): the gap back to the first side is reported, not the
+        # third side's misses.
+        spec = CassiniSpec(Point(0, 0), Point(0, 0), 1.0)
+        pieces = [
+            _diamond_side((1, 0), (0, 1), -1),
+            _diamond_side((0, 1), (-1, 0), 1),
+            _diamond_side((-1, 0), (0, -3), -1),
+        ]
+        for validate in (_validate_loop, reference_validate_loop):
+            with pytest.raises(AssemblyError) as info:
+                validate(spec, pieces, 4)
+            assert str(info.value) == "pieces 2 and 0 leave a gap of 4.0"
+
+    def test_earlier_miss_is_reported_before_a_later_gap(self):
+        spec = CassiniSpec(Point(0, 0), Point(0, 0), 1.0)
+        pieces = [
+            _diamond_side((1, 0), (0, 1), -1),
+            _diamond_side((0, 1), (-2, 0), 1),
+            _diamond_side((-2, 0), (0, -3), -1),
+        ]
+        for validate in (_validate_loop, reference_validate_loop):
+            with pytest.raises(AssemblyError) as info:
+                validate(spec, pieces, 4)
+            assert str(info.value) == (
+                "piece 1 sample Point(x1=-0.5, x2=0.75) misses the level set by 0.5625"
+            )
+
+    def test_residual_equal_to_the_tolerance_passes(self):
+        # d(x, p) = 1e-9 and d(x, q) = 1 exactly, so the residual against
+        # r^2 = 0 is RESIDUAL_RTOL itself; one ulp further out it fails.
+        spec = CassiniSpec(Point(0.0, 0.0), Point(1.0, 1e-9), 0.0)
+        on_tol = Point(0.0, RESIDUAL_RTOL)
+        _validate_loop(spec, [GuideSegment(RegionId.QUADRANT_P, on_tol, on_tol, -1)], 4)
+        beyond = Point(0.0, math.nextafter(RESIDUAL_RTOL, 1.0))
+        with pytest.raises(AssemblyError, match="misses the level set"):
+            _validate_loop(spec, [GuideSegment(RegionId.QUADRANT_P, beyond, beyond, -1)], 4)
