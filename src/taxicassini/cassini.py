@@ -21,6 +21,7 @@ from .core import (
     Isometry,
     Point,
     RegionId,
+    distance_product,
     foci_frame,
     standardize,
     taxicab_distance,
@@ -61,14 +62,9 @@ def critical_radius(p: Point, q: Point) -> float:
     return taxicab_distance(p, q) / 2
 
 
-def _product(p: Point, q: Point, x1: float, x2: float) -> float:
-    # d(x, p) * d(x, q) on plain coordinates, with taxicab_distance's arithmetic.
-    return (abs(x1 - p.x1) + abs(x2 - p.x2)) * (abs(x1 - q.x1) + abs(x2 - q.x2))
-
-
 def product_value(spec: CassiniSpec, x: Point) -> float:
     """d(x, p) * d(x, q); zero exactly at the foci."""
-    return _product(spec.p, spec.q, x.x1, x.x2)
+    return distance_product(spec.p, spec.q, x.x1, x.x2)
 
 
 class PointLocation(Enum):
@@ -83,8 +79,8 @@ def classify_point(spec: CassiniSpec, x: Point, tol: float = 1e-9) -> PointLocat
     On iff |product - r^2| <= tol * max(1, r^2); Inside iff product falls
     below the band; Outside otherwise.  tol = 0 gives exact comparisons.
     """
-    if tol < 0:
-        raise GeometryError(f"tolerance must be nonnegative, got {tol!r}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise GeometryError(f"tolerance must be finite and nonnegative, got {tol!r}")
     f = product_value(spec, x)
     target = spec.r * spec.r
     band = tol * max(1.0, target)
@@ -542,7 +538,7 @@ def _validate_loop(spec: CassiniSpec, pieces: list[CurvePiece], samples_per_piec
             )
         for f in fractions:
             x1, x2 = piece.coords_at(f)
-            residual = abs(_product(p, q, x1, x2) - target)
+            residual = abs(distance_product(p, q, x1, x2) - target)
             if residual > residual_tol:
                 # Point raises GeometryError if the sample is not finite.
                 raise AssemblyError(

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .cassini import CassiniSpec, product_value
-from .core import GeometryError, Point, foci_frame, taxicab_distance
+from .core import GeometryError, Point, distance_product, foci_frame, taxicab_distance
 
 # Probe classifications treat |f - r^2| below this (relative) guard as "not
 # strictly inside": the open set is defined by a strict inequality that
@@ -57,18 +57,37 @@ def guide_family(p: Point, q: Point, r: float) -> GuideFamily:
     )
 
 
+# The guide-family combinations of the memberships in L(p,g+), L(p,g-),
+# L(q,g+), L(q,g-); & and | serve Python bools and NumPy bool arrays alike.
+def _union_of_intersections(pp, pm, qp, qm):
+    return (pp & pm) | (qp & qm)
+
+
+def _intersection_of_unions(pp, pm, qp, qm):
+    return (pp | qp) & (pm | qm)
+
+
+def _cross_union(pp, pm, qp, qm):
+    return (pp | qm) & (pm | qp)
+
+
+def _cross_intersection(pp, pm, qp, qm):
+    return (pp & qm) | (pm & qp)
+
+
+def _family_memberships(fam: GuideFamily, x: Point) -> list[bool]:
+    members = (fam.lp_plus, fam.lp_minus, fam.lq_plus, fam.lq_minus)
+    return [filled_contains(member, x) for member in members]
+
+
 def union_of_intersections_contains(fam: GuideFamily, x: Point) -> bool:
     """Membership in [L(p,g+) n L(p,g-)] u [L(q,g+) n L(q,g-)]."""
-    return (filled_contains(fam.lp_plus, x) and filled_contains(fam.lp_minus, x)) or (
-        filled_contains(fam.lq_plus, x) and filled_contains(fam.lq_minus, x)
-    )
+    return _union_of_intersections(*_family_memberships(fam, x))
 
 
 def intersection_of_unions_contains(fam: GuideFamily, x: Point) -> bool:
     """Membership in [L(p,g+) u L(q,g+)] n [L(p,g-) u L(q,g-)]."""
-    return (filled_contains(fam.lp_plus, x) or filled_contains(fam.lq_plus, x)) and (
-        filled_contains(fam.lp_minus, x) or filled_contains(fam.lq_minus, x)
-    )
+    return _intersection_of_unions(*_family_memberships(fam, x))
 
 
 def cross_family_contains(p: Point, q: Point, r: float, x: Point) -> tuple[bool, bool]:
@@ -79,14 +98,8 @@ def cross_family_contains(p: Point, q: Point, r: float, x: Point) -> tuple[bool,
     [L(p,g+) n L(q,g-)] u [L(p,g-) n L(q,g+)], a subset of L(p,q;r) equal
     to L(p,q;r) n L(g+,g-;r).
     """
-    fam = guide_family(p, q, r)
-    in_pp = filled_contains(fam.lp_plus, x)
-    in_pm = filled_contains(fam.lp_minus, x)
-    in_qp = filled_contains(fam.lq_plus, x)
-    in_qm = filled_contains(fam.lq_minus, x)
-    first = (in_pp or in_qm) and (in_pm or in_qp)
-    second = (in_pp and in_qm) or (in_pm and in_qp)
-    return first, second
+    members = _family_memberships(guide_family(p, q, r), x)
+    return _cross_union(*members), _cross_intersection(*members)
 
 
 class IdentityMode(Enum):
@@ -147,10 +160,6 @@ def random_points(p: Point, q: Point, r: float, count: int, seed: int) -> np.nda
     )
 
 
-def _distance_field(points: np.ndarray, a: Point) -> np.ndarray:
-    return np.abs(points[:, 0] - a.x1) + np.abs(points[:, 1] - a.x2)
-
-
 def verify_identity(
     p: Point,
     q: Point,
@@ -167,40 +176,31 @@ def verify_identity(
     CROSS_SUBSETS only violations of the two subset directions count as
     mismatches; the other modes demand equality.
     """
-    if band < 0:
-        raise GeometryError(f"band must be nonnegative, got {band!r}")
+    if not (math.isfinite(band) and band >= 0):
+        raise GeometryError(f"band must be finite and nonnegative, got {band!r}")
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    x1, x2 = pts[:, 0], pts[:, 1]
     frame = foci_frame(p, q)
     target = r * r
-
-    def field(a: Point, b: Point) -> np.ndarray:
-        return _distance_field(pts, a) * _distance_field(pts, b)
-
-    f_pq = field(p, q)
-    f_pp = field(p, frame.g_plus)
-    f_pm = field(p, frame.g_minus)
-    f_qp = field(q, frame.g_plus)
-    f_qm = field(q, frame.g_minus)
-    in_pq, in_pp, in_pm, in_qp, in_qm = (
-        f < target for f in (f_pq, f_pp, f_pm, f_qp, f_qm)
-    )
-    involved = [f_pq, f_pp, f_pm, f_qp, f_qm]
+    # L(p,q) first, then the guide family in the order the combinations take.
+    pairs = [(p, q), (p, frame.g_plus), (p, frame.g_minus), (q, frame.g_plus), (q, frame.g_minus)]
+    if mode is IdentityMode.CROSS_EQUALITIES:
+        pairs.append((frame.g_plus, frame.g_minus))
+    involved = [distance_product(a, b, x1, x2) for a, b in pairs]
+    inside = [f < target for f in involved]
+    in_pq, family = inside[0], inside[1:5]
 
     if mode is IdentityMode.UNION_OF_INTERSECTIONS:
-        bad = in_pq != ((in_pp & in_pm) | (in_qp & in_qm))
+        bad = in_pq != _union_of_intersections(*family)
     elif mode is IdentityMode.INTERSECTION_OF_UNIONS:
-        bad = in_pq != ((in_pp | in_qp) & (in_pm | in_qm))
+        bad = in_pq != _intersection_of_unions(*family)
     elif mode is IdentityMode.CROSS_SUBSETS:
-        first = (in_pp | in_qm) & (in_pm | in_qp)
-        second = (in_pp & in_qm) | (in_pm & in_qp)
-        bad = (in_pq & ~first) | (second & ~in_pq)
+        bad = (in_pq & ~_cross_union(*family)) | (_cross_intersection(*family) & ~in_pq)
     elif mode is IdentityMode.CROSS_EQUALITIES:
-        f_gg = field(frame.g_plus, frame.g_minus)
-        in_gg = f_gg < target
-        involved.append(f_gg)
-        first = (in_pp | in_qm) & (in_pm | in_qp)
-        second = (in_pp & in_qm) | (in_pm & in_qp)
-        bad = (first != (in_pq | in_gg)) | (second != (in_pq & in_gg))
+        in_gg = inside[5]
+        bad = (_cross_union(*family) != (in_pq | in_gg)) | (
+            _cross_intersection(*family) != (in_pq & in_gg)
+        )
     else:
         raise GeometryError(f"unknown identity mode {mode!r}")
 
@@ -248,8 +248,8 @@ def boundary_check(
     """
     if spec.r <= 0:
         raise GeometryError("boundary witnesses need r > 0")
-    if probe_radius <= 0:
-        raise GeometryError(f"probe radius must be positive, got {probe_radius!r}")
+    if not (math.isfinite(probe_radius) and probe_radius > 0):
+        raise GeometryError(f"probe radius must be positive and finite, got {probe_radius!r}")
     target = spec.r * spec.r
     guard = BOUNDARY_GUARD_RTOL * max(1.0, target)
     radii = (probe_radius, probe_radius / 2, probe_radius / 4)

@@ -250,8 +250,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise GeometryError("--trials must be at least 1")
     if args.grid < 16:
         raise GeometryError("--grid must be at least 16")
-    if args.band < 0:
-        raise GeometryError("--band must be nonnegative")
+    if not (math.isfinite(args.band) and args.band >= 0):
+        raise GeometryError(f"--band must be finite and nonnegative, got {args.band!r}")
     total_failures = 0
     for mode in modes:
         result = _run_mode(mode, args)

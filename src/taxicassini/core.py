@@ -1,9 +1,9 @@
 """Planar taxicab (L1) geometry primitives.
 
-Distances, per-coordinate sign pairs, the nine closed regions that the
-coordinate lines through two foci cut the plane into, a closeness predicate,
-and the isometry group of the taxicab plane (translations composed with the
-eight-element dihedral point group).
+Distances and the distance product d(x,a)·d(x,b), per-coordinate signs, the
+nine closed regions that the coordinate lines through two foci cut the plane
+into, a closeness predicate, and the isometry group of the taxicab plane
+(translations composed with the eight-element dihedral point group).
 """
 
 from __future__ import annotations
@@ -47,6 +47,13 @@ ORIGIN = Point(0.0, 0.0)
 def taxicab_distance(a: Point, b: Point) -> float:
     """L1 distance |a1 - b1| + |a2 - b2|."""
     return abs(a.x1 - b.x1) + abs(a.x2 - b.x2)
+
+
+def distance_product(a: Point, b: Point, x1, x2):
+    """d(x, a) * d(x, b) at x = (x1, x2), for floats or broadcasting arrays;
+    builtin abs serves both, so each array element equals the scalar call.
+    """
+    return (abs(x1 - a.x1) + abs(x2 - a.x2)) * (abs(x1 - b.x1) + abs(x2 - b.x2))
 
 
 class SignPair(NamedTuple):

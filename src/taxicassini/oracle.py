@@ -17,11 +17,12 @@ import numpy as np
 
 from .cassini import CassiniSpec
 from .characterization import sampling_box
-from .core import GeometryError, Point
+from .core import GeometryError, Point, distance_product
 
 _ZERO_NODE_RTOL = 1e-12
-# Rows of the field multiplied at once by grid_field; bounds its temporary.
-_FIELD_ROWS = 64
+# Nodes per kernel call in grid_field.  Each call makes three temporaries
+# of this size; much smaller blocks pay more in per-call overhead.
+_FIELD_NODES = 1 << 15
 
 
 class BoxTooSmall(GeometryError):
@@ -76,18 +77,14 @@ def grid_field(spec: CassiniSpec, half_width: Optional[float] = None, n: int = 2
         raise GeometryError(f"half_width must be positive and finite, got {half!r}")
     xs = np.linspace(center.x1 - half, center.x1 + half, n)
     ys = np.linspace(center.x2 - half, center.x2 + half, n)
-    # Each distance is a row term plus a column term, so the field is built
-    # by broadcasting two length-n vectors; IEEE + and * commute, so the
-    # values equal the node-by-node products bit for bit.  The q factor is
-    # formed a block of rows at a time, so no second n x n array exists.
-    values = np.abs(ys - spec.p.x2)[:, None] + np.abs(xs - spec.p.x1)[None, :]
-    qx = np.abs(xs - spec.q.x1)[None, :]
-    qy = np.abs(ys - spec.q.x2)[:, None]
+    # A block of rows at a time: the row vector xs broadcasts against a
+    # column of ys, so no meshgrid and no second n x n array is formed.
+    values = np.empty((n, n))
     target = spec.r * spec.r
-    for j in range(0, n, _FIELD_ROWS):
-        block = values[j : j + _FIELD_ROWS]
-        block *= qy[j : j + _FIELD_ROWS] + qx
-        block -= target
+    rows = max(1, _FIELD_NODES // n)
+    for j in range(0, n, rows):
+        block = distance_product(spec.p, spec.q, xs, ys[j : j + rows, None])
+        np.subtract(block, target, out=values[j : j + rows])
     edge_min = min(
         values[0, :].min(), values[-1, :].min(), values[:, 0].min(), values[:, -1].min()
     )
@@ -152,17 +149,14 @@ _CASE_SEGMENTS = np.array(
 def _saddle_inside(grid: ScalarGrid, vals: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Whether the centers of cells (i, j) lie inside the filled set.
 
-    With the spec kept, the true field at the center decides, evaluated as
-    (|x1 - p1| + |x2 - p2|) * (|x1 - q1| + |x2 - q2|); without it, the mean
-    of the four corner values.
+    With the spec kept, the true field at the center decides; without it,
+    the mean of the four corner values.
     """
     if grid.spec is not None:
         spec = grid.spec
         x1 = grid.origin.x1 + (i + 0.5) * grid.spacing
         x2 = grid.origin.x2 + (j + 0.5) * grid.spacing
-        dp = np.abs(x1 - spec.p.x1) + np.abs(x2 - spec.p.x2)
-        dq = np.abs(x1 - spec.q.x1) + np.abs(x2 - spec.q.x2)
-        return dp * dq - spec.r * spec.r < 0
+        return distance_product(spec.p, spec.q, x1, x2) - spec.r * spec.r < 0
     mean = (vals[j, i] + vals[j, i + 1] + vals[j + 1, i] + vals[j + 1, i + 1]) / 4
     return mean < 0
 

@@ -97,6 +97,11 @@ class TestClassifyPoint:
         with pytest.raises(GeometryError):
             classify_point(self.spec, Point(0, 0), tol=-1e-3)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tolerance_rejected(self, tol):
+        with pytest.raises(GeometryError, match="finite"):
+            classify_point(self.spec, Point(0, 0), tol=tol)
+
     def test_zero_radius(self):
         spec = CassiniSpec(Point(4, 1), Point(-4, -1), 0.0)
         assert classify_point(spec, Point(4, 1)) is PointLocation.ON

@@ -131,6 +131,14 @@ class TestVerifyIdentity:
         assert report.skipped_boundary_band == 400
         assert math.isinf(report.worst_residual)
 
+    @pytest.mark.parametrize("band", [-1e-9, math.nan, math.inf])
+    def test_bad_band_rejected(self, band):
+        # An infinite band would skip every point and report no mismatch.
+        pts = grid_points(Point(4, 1), Point(-4, -1), 6.0, 16)
+        for mode in IdentityMode:
+            with pytest.raises(GeometryError, match="band"):
+                verify_identity(Point(4, 1), Point(-4, -1), 6.0, mode, pts, band=band)
+
     def test_worst_residual_is_min_counted_margin(self):
         pts = grid_points(Point(4, 1), Point(-4, -1), 6.0, 40)
         report = verify_identity(
@@ -163,5 +171,6 @@ class TestBoundaryCheck:
         spec = CassiniSpec(Point(4, 1), Point(-4, -1), 6.0)
         with pytest.raises(GeometryError):
             boundary_check(CassiniSpec(Point(4, 1), Point(-4, -1), 0.0), [], 0.05)
-        with pytest.raises(GeometryError):
-            boundary_check(spec, [Point(0, 0)], 0.0)
+        for radius in (0.0, math.nan, math.inf):
+            with pytest.raises(GeometryError, match="probe radius"):
+                boundary_check(spec, [Point(0, 0)], radius)

@@ -72,6 +72,17 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "--p", "4,1", "--q", "-4,-1", "--r", "5")
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance_rejected(self, capsys, tol):
+        # The origin is Inside; a NaN band used to make it Outside and an
+        # infinite one made every point On.
+        code, out, err = run(
+            capsys, "classify", "--p", "4,1", "--q", "-4,-1", "--r", "6", "--x", "0,0", "--tol", tol
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: tolerance must be finite") and err.count("\n") == 1
+
 
 class TestRender:
     def test_writes_svg(self, capsys, tmp_path):
@@ -285,6 +296,53 @@ class TestVerify:
         assert run(capsys, "verify", "--modes", "residual", "--trials", "0")[0] == 2
         assert run(capsys, "verify", "--modes", "residual", "--grid", "8")[0] == 2
         assert run(capsys, "verify", "--modes", "residual", "--band", "-1")[0] == 2
+        # A NaN band skipped nothing and an infinite one skipped every point
+        # while still reporting a pass.
+        for band in ("nan", "inf"):
+            code, out, err = run(capsys, "verify", "--modes", "cross-subsets", "--band", band)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: --band must be finite") and err.count("\n") == 1
+
+
+# Full reports of two seeded campaigns, pinned so that any change to a
+# count, a skip or a worst margin shows.  The second run's band makes some
+# points fall in the skip band.
+GOLDEN_VERIFY = [
+    (
+        ["--seed", "7", "--trials", "20"],
+        """\
+mode=residual trials=20 failures=0 skipped=0 worst=2.638026e-14
+mode=union-of-intersections trials=200000 failures=0 skipped=0 worst=8.972222e-05
+mode=intersection-of-unions trials=200000 failures=0 skipped=0 worst=8.972222e-05
+mode=cross-subsets trials=200000 failures=0 skipped=0 worst=8.972222e-05
+mode=cross-equalities trials=200000 failures=0 skipped=0 worst=8.972222e-05
+mode=topology trials=20 failures=0 skipped=0 worst=inf
+mode=boundary trials=514 failures=0 skipped=0 worst=inf
+overall: pass
+""",
+    ),
+    (
+        [
+            "--seed", "7", "--trials", "20",
+            "--modes", "union-of-intersections,cross-equalities", "--band", "1e-4",
+        ],
+        """\
+mode=union-of-intersections trials=200000 failures=0 skipped=4 worst=1.311390e-04
+mode=cross-equalities trials=200000 failures=0 skipped=4 worst=1.311390e-04
+overall: pass
+""",
+    ),
+]
+
+
+class TestGoldenVerify:
+    @pytest.mark.parametrize("flags,report", GOLDEN_VERIFY)
+    def test_report(self, capsys, flags, report):
+        code, out, err = run(capsys, "verify", *flags)
+        assert code == 0
+        assert err == ""
+        assert out == report
 
 
 class TestEntrypoints:

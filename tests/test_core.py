@@ -3,8 +3,9 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taxicassini.core import (
@@ -18,6 +19,7 @@ from taxicassini.core import (
     classify_region,
     closer_to,
     coordinate_signs,
+    distance_product,
     foci_frame,
     standardize,
     taxicab_distance,
@@ -27,6 +29,13 @@ from taxicassini.core import (
 # so the property tests can assert equality without tolerances.
 dyadic = st.integers(-320, 320).map(lambda k: k / 16.0)
 dyadic_points = st.builds(Point, dyadic, dyadic)
+# Plain floats of the campaigns' range, and signed magnitudes 1e-6 .. 1e9 of
+# the scale-stress regime.
+kernel_coordinate = st.one_of(
+    st.floats(-20.0, 20.0),
+    st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from((-1.0, 1.0)), st.floats(-6.0, 9.0)),
+)
+kernel_points = st.builds(Point, kernel_coordinate, kernel_coordinate)
 
 
 class TestPoint:
@@ -72,6 +81,38 @@ class TestDistance:
             Point(a.x1 + t.x1, a.x2 + t.x2), Point(b.x1 + t.x1, b.x2 + t.x2)
         )
         assert shifted == taxicab_distance(a, b)
+
+
+class TestDistanceProduct:
+    def test_known_value(self):
+        assert distance_product(Point(4, 1), Point(-4, -1), 0.0, 0.0) == 25.0
+        assert distance_product(Point(4, 1), Point(-4, -1), 4.0, 1.0) == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kernel_points,
+        kernel_points,
+        st.lists(st.tuples(kernel_coordinate, kernel_coordinate), min_size=1, max_size=30),
+    )
+    def test_array_equals_scalar(self, a, b, coords):
+        # One kernel serves scalar and array callers, so each element of an
+        # array call must be the scalar call on that element's floats, in
+        # the elementwise and in the broadcast row-by-column layout.
+        x1 = np.array([c[0] for c in coords])
+        x2 = np.array([c[1] for c in coords])
+        elementwise = distance_product(a, b, x1, x2)
+        table = distance_product(a, b, x1, x2[:, None])
+        for k in range(x1.size):
+            scalar = distance_product(a, b, float(x1[k]), float(x2[k]))
+            assert isinstance(scalar, float)
+            assert repr(float(elementwise[k])) == repr(scalar)
+            for j in range(x2.size):
+                expected = distance_product(a, b, float(x1[k]), float(x2[j]))
+                assert repr(float(table[j, k])) == repr(expected)
+
+    @given(dyadic_points, dyadic_points, dyadic_points)
+    def test_matches_taxicab_distances(self, a, b, x):
+        assert distance_product(a, b, x.x1, x.x2) == taxicab_distance(x, a) * taxicab_distance(x, b)
 
 
 class TestSignsAndHalfPlanes:
