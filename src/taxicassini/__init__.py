@@ -9,8 +9,6 @@ and cross-checks everything against a grid-sampling oracle.
 
 from .campaign import (
     CampaignResult,
-    boundary_suite,
-    random_spec,
     run_boundary_campaign,
     run_identity_campaign,
     run_residual_campaign,
@@ -29,10 +27,7 @@ from .cassini import (
     classify_point,
     critical_radius,
     curve_polyline,
-    halfstrip_pieces,
     product_value,
-    quadrant_piece,
-    rectangle_pieces,
     sample_curve,
     topology,
 )
@@ -55,15 +50,11 @@ from .core import (
     FociFrame,
     GeometryError,
     Isometry,
-    ORIGIN,
     Point,
     PointGroup,
     RegionId,
-    SignPair,
-    apply_isometry,
     classify_region,
     closer_to,
-    coordinate_signs,
     distance_product,
     foci_frame,
     standardize,
@@ -81,70 +72,68 @@ from .oracle import (
 )
 from .svg import render_svg
 
+# The public API, by layer.  The standard-frame piece builders, the campaign
+# fixtures and ORIGIN stay importable from their submodules.
 __all__ = [
-    "AssemblyError",
-    "BoxTooSmall",
-    "CampaignResult",
-    "CassiniSpec",
-    "ClosedCurve",
-    "Contour",
-    "DegenerateInput",
+    # core: taxicab geometry, regions and isometries
     "FociFrame",
     "GeometryError",
-    "GuideFamily",
-    "GuideSegment",
-    "HyperbolaArc",
-    "IdentityMode",
-    "IdentityReport",
     "Isometry",
-    "ORIGIN",
     "Point",
     "PointGroup",
-    "PointLocation",
     "RegionId",
-    "ScalarGrid",
-    "SignPair",
-    "Topology",
-    "apply_isometry",
-    "boundary_check",
-    "boundary_suite",
-    "build_curves",
-    "classify_point",
     "classify_region",
     "closer_to",
-    "component_count",
-    "coordinate_signs",
-    "critical_radius",
-    "cross_family_contains",
-    "curve_polyline",
     "distance_product",
-    "extract_contour",
-    "filled_contains",
     "foci_frame",
-    "grid_field",
+    "standardize",
+    "taxicab_distance",
+    # cassini: curve construction, classification and topology
+    "AssemblyError",
+    "CassiniSpec",
+    "ClosedCurve",
+    "DegenerateInput",
+    "GuideSegment",
+    "HyperbolaArc",
+    "PointLocation",
+    "Topology",
+    "build_curves",
+    "classify_point",
+    "critical_radius",
+    "curve_polyline",
+    "product_value",
+    "sample_curve",
+    "topology",
+    # characterization: filled sets and the guide-family identities
+    "GuideFamily",
+    "IdentityMode",
+    "IdentityReport",
+    "boundary_check",
+    "cross_family_contains",
+    "filled_contains",
     "grid_points",
     "guide_family",
-    "halfstrip_pieces",
-    "hausdorff",
     "intersection_of_unions_contains",
-    "product_value",
-    "quadrant_piece",
     "random_points",
-    "random_spec",
-    "rectangle_pieces",
-    "render_svg",
+    "sampling_box",
+    "union_of_intersections_contains",
+    "verify_identity",
+    # oracle: grid sampling, marching squares and Hausdorff distance
+    "BoxTooSmall",
+    "Contour",
+    "ScalarGrid",
+    "component_count",
+    "extract_contour",
+    "grid_field",
+    "hausdorff",
     "ring_contains",
+    # campaign and svg: seeded verification and rendering
+    "CampaignResult",
     "run_boundary_campaign",
     "run_identity_campaign",
     "run_residual_campaign",
     "run_topology_campaign",
-    "sample_curve",
-    "sampling_box",
-    "standardize",
-    "taxicab_distance",
-    "topology",
-    "union_of_intersections_contains",
-    "verify_identity",
+    "render_svg",
 ]
 
 __version__ = "0.1.0"

@@ -46,10 +46,6 @@ class CampaignResult:
     skipped: int
     worst_residual: float
 
-    @property
-    def passed(self) -> bool:
-        return self.failures == 0
-
 
 def random_spec(rng: np.random.Generator) -> CassiniSpec:
     """Random instance with coordinates in [-20, 20] and r in (0, 40].

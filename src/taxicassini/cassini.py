@@ -135,9 +135,6 @@ class GuideSegment:
             return end.x1, end.x2
         return start.x1 + f * (end.x1 - start.x1), start.x2 + f * (end.x2 - start.x2)
 
-    def point_at(self, f: float) -> Point:
-        return Point(*self.coords_at(f))
-
     def reversed(self) -> "GuideSegment":
         return GuideSegment(self.region, self.end, self.start, self.slope_sign)
 
@@ -166,11 +163,6 @@ class HyperbolaArc:
     start: Point
     end: Point
 
-    @property
-    def equation_sign(self) -> int:
-        """Sign s in (x1 - c1)^2 - (x2 - c2)^2 = s * radius^2."""
-        return 1 if self.run_axis == 2 else -1
-
     def coords_at(self, f: float) -> tuple[float, float]:
         """Coordinates at parameter f in [0, 1]; exact at the endpoints."""
         if f == 0.0:
@@ -179,9 +171,6 @@ class HyperbolaArc:
             return self.end.x1, self.end.x2
         u = self.u_start + f * (self.u_end - self.u_start)
         return _arc_coords(self.center, self.run_axis, self.branch_dir, self.radius, u)
-
-    def point_at(self, f: float) -> Point:
-        return Point(*self.coords_at(f))
 
     def reversed(self) -> "HyperbolaArc":
         return HyperbolaArc(
@@ -209,10 +198,6 @@ def _arc_coords(
     if run_axis == 1:
         return u, center.x2 + branch_dir * math.hypot(u - center.x1, radius)
     return center.x1 + branch_dir * math.hypot(u - center.x2, radius), u
-
-
-def _arc_point(center: Point, run_axis: int, branch_dir: int, radius: float, u: float) -> Point:
-    return Point(*_arc_coords(center, run_axis, branch_dir, radius, u))
 
 
 @dataclass(frozen=True)
@@ -331,8 +316,8 @@ def _make_arc(
         radius=radius,
         u_start=u0,
         u_end=u1,
-        start=_arc_point(center, run_axis, branch, radius, u0),
-        end=_arc_point(center, run_axis, branch, radius, u1),
+        start=Point(*_arc_coords(center, run_axis, branch, radius, u0)),
+        end=Point(*_arc_coords(center, run_axis, branch, radius, u1)),
     )
 
 
@@ -474,20 +459,12 @@ _REGION_UNDER_SWAP = {
 
 def _map_piece(piece: CurvePiece, iso: Isometry) -> CurvePiece:
     swap, s1, s2 = iso.element.value
-    t1, t2 = iso.translation.x1, iso.translation.x2
-
-    def image(x: Point) -> Point:
-        # Isometry.apply, with the element's signed permutation written out.
-        if swap:
-            return Point(s1 * x.x2 + t1, s2 * x.x1 + t2)
-        return Point(s1 * x.x1 + t1, s2 * x.x2 + t2)
-
     region = _REGION_UNDER_SWAP.get(piece.region, piece.region) if swap else piece.region
     if isinstance(piece, GuideSegment):
         return GuideSegment(
-            region, image(piece.start), image(piece.end), piece.slope_sign * s1 * s2
+            region, iso.apply(piece.start), iso.apply(piece.end), piece.slope_sign * s1 * s2
         )
-    center, start, end = image(piece.center), image(piece.start), image(piece.end)
+    center, start, end = iso.apply(piece.center), iso.apply(piece.start), iso.apply(piece.end)
     run_axis = 3 - piece.run_axis if swap else piece.run_axis
     if run_axis == 1:
         u_start, u_end, offset = start.x1, end.x1, start.x2 - center.x2

@@ -2,8 +2,10 @@
 rendering, and seeded verification campaigns.
 
 Exit codes: 0 success, 1 verification found mismatches, 2 malformed
-input or flags, 3 output I/O failure.  Identical command lines produce
-byte-identical reports and images (no timestamps, fixed seeds).
+input or flags or a curve that fails to assemble (AssemblyError), 3 output
+I/O failure.  Errors print one line to stderr, never a traceback.
+Identical command lines produce byte-identical reports and images (no
+timestamps, fixed seeds).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .campaign import (
     run_topology_campaign,
 )
 from .cassini import (
+    AssemblyError,
     CassiniSpec,
     DegenerateInput,
     build_curves,
@@ -272,12 +275,12 @@ def _add_instance_flags(sub: argparse.ArgumentParser) -> None:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Parser that accepts values like -4,-1 after a flag instead of
-    mistaking them for option names."""
+    """Parser that accepts values like -4,-1, -.5,0 or -inf after a flag
+    instead of mistaking them for option names."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d")
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,7 +334,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (ValueError, AssemblyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,9 +1,9 @@
 """Planar taxicab (L1) geometry primitives.
 
-Distances and the distance product d(x,a)·d(x,b), per-coordinate signs, the
-nine closed regions that the coordinate lines through two foci cut the plane
-into, a closeness predicate, and the isometry group of the taxicab plane
-(translations composed with the eight-element dihedral point group).
+Distances and the distance product d(x,a)·d(x,b), the nine closed regions
+that the coordinate lines through two foci cut the plane into, a closeness
+predicate, and the isometry group of the taxicab plane (translations composed
+with the eight-element dihedral point group).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 
 class GeometryError(ValueError):
@@ -33,9 +33,6 @@ class Point:
         yield self.x1
         yield self.x2
 
-    def __neg__(self) -> "Point":
-        return Point(-self.x1, -self.x2)
-
     def coord(self, axis: int) -> float:
         """Coordinate by axis number, 1 or 2."""
         return self.x1 if axis == 1 else self.x2
@@ -54,29 +51,6 @@ def distance_product(a: Point, b: Point, x1, x2):
     builtin abs serves both, so each array element equals the scalar call.
     """
     return (abs(x1 - a.x1) + abs(x2 - a.x2)) * (abs(x1 - b.x1) + abs(x2 - b.x2))
-
-
-class SignPair(NamedTuple):
-    """Per-coordinate signs in {-1, 0, +1}."""
-
-    s1: int
-    s2: int
-
-
-def _sign(d: float) -> int:
-    if d > 0:
-        return 1
-    if d < 0:
-        return -1
-    return 0
-
-
-def coordinate_signs(p: Point, x: Point) -> SignPair:
-    """Sign of each coordinate of x relative to p; 0 on p's coordinate lines.
-
-    Constant on the interior of each of the nine regions induced by two foci.
-    """
-    return SignPair(_sign(x.x1 - p.x1), _sign(x.x2 - p.x2))
 
 
 def closer_to(a: Point, b: Point, x: Point) -> bool:
@@ -112,7 +86,7 @@ class FociFrame:
 
     c1/c2 are the coordinate complements, g_plus/g_minus the guide complements
     (intersections of the slope +1/-1 guide lines through p with the opposite
-    guide lines through q), mid the midpoint.
+    guide lines through q).
     """
 
     p: Point
@@ -121,11 +95,10 @@ class FociFrame:
     c2: Point
     g_plus: Point
     g_minus: Point
-    mid: Point
 
 
 def foci_frame(p: Point, q: Point) -> FociFrame:
-    """Compute the coordinate and guide complements plus midpoint for (p, q)."""
+    """Compute the coordinate and guide complements of (p, q)."""
     g_plus = Point(
         (p.x1 - p.x2 + q.x1 + q.x2) / 2,
         (-p.x1 + p.x2 + q.x1 + q.x2) / 2,
@@ -141,7 +114,6 @@ def foci_frame(p: Point, q: Point) -> FociFrame:
         c2=Point(q.x1, p.x2),
         g_plus=g_plus,
         g_minus=g_minus,
-        mid=Point((p.x1 + q.x1) / 2, (p.x2 + q.x2) / 2),
     )
 
 
@@ -207,44 +179,17 @@ class PointGroup(Enum):
     FLIP_DIAG = (True, 1, 1)  # reflect across the slope +1 guide line
     FLIP_ANTIDIAG = (True, -1, -1)  # reflect across the slope -1 guide line
 
-    @property
-    def swaps_axes(self) -> bool:
-        return self.value[0]
-
     def apply(self, x1: float, x2: float) -> tuple[float, float]:
         swap, s1, s2 = self.value
         if swap:
             return s1 * x2, s2 * x1
         return s1 * x1, s2 * x2
 
-    def compose(self, other: "PointGroup") -> "PointGroup":
-        """Element acting as self after other."""
-        return _COMPOSE[self, other]
-
     def inverse(self) -> "PointGroup":
-        return _INVERSE[self]
-
-
-_BY_VALUE = {g.value: g for g in PointGroup}
-
-
-def _from_basis_images(im1: tuple[float, float], im2: tuple[float, float]) -> PointGroup:
-    # Signed permutations are pinned down by the images of (1,0) and (0,1).
-    if im1[1] == 0:
-        key = (False, int(im1[0]), int(im2[1]))
-    else:
-        key = (True, int(im2[0]), int(im1[1]))
-    return _BY_VALUE[key]
-
-
-_COMPOSE = {
-    (g, h): _from_basis_images(g.apply(*h.apply(1, 0)), g.apply(*h.apply(0, 1)))
-    for g in PointGroup
-    for h in PointGroup
-}
-_INVERSE = {
-    g: next(h for h in PointGroup if _COMPOSE[g, h] is PointGroup.IDENTITY) for g in PointGroup
-}
+        # A swap sends (x1, x2) to (s1*x2, s2*x1), undone by (s2*x2, s1*x1);
+        # every other element is its own inverse.
+        swap, s1, s2 = self.value
+        return PointGroup((True, s2, s1)) if swap else self
 
 
 @dataclass(frozen=True)
@@ -258,23 +203,10 @@ class Isometry:
         y1, y2 = self.element.apply(x.x1, x.x2)
         return Point(y1 + self.translation.x1, y2 + self.translation.x2)
 
-    def compose(self, other: "Isometry") -> "Isometry":
-        """Isometry acting as self after other."""
-        return Isometry(self.element.compose(other.element), self.apply(other.translation))
-
     def inverse(self) -> "Isometry":
         g = self.element.inverse()
         t1, t2 = g.apply(self.translation.x1, self.translation.x2)
         return Isometry(g, Point(-t1, -t2))
-
-    @property
-    def is_identity(self) -> bool:
-        return self.element is PointGroup.IDENTITY and self.translation == ORIGIN
-
-
-def apply_isometry(iso: Isometry, x: Point) -> Point:
-    """Image of x under the isometry."""
-    return iso.apply(x)
 
 
 def standardize(p: Point, q: Point) -> tuple[Isometry, Point, Point]:

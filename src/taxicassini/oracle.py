@@ -34,8 +34,8 @@ class ScalarGrid:
     """Node samples of f(x) - r^2 on a uniform grid.
 
     values has shape (ny, nx), row-major: values[j, i] belongs to the node
-    origin + (i * spacing, j * spacing).  The originating spec, when kept,
-    lets the contour extractor resolve saddle cells from the true field.
+    origin + (i * spacing, j * spacing).  The originating spec lets the
+    contour extractor resolve saddle cells from the true field.
     """
 
     origin: Point
@@ -43,7 +43,7 @@ class ScalarGrid:
     nx: int
     ny: int
     values: np.ndarray
-    spec: Optional[CassiniSpec] = None
+    spec: CassiniSpec
 
     def __post_init__(self) -> None:
         if self.nx < 2 or self.ny < 2:
@@ -56,9 +56,6 @@ class ScalarGrid:
             )
         if not np.isfinite(self.values).all():
             raise GeometryError("grid values must be finite")
-
-    def node_point(self, i: int, j: int) -> Point:
-        return Point(self.origin.x1 + i * self.spacing, self.origin.x2 + j * self.spacing)
 
 
 def grid_field(spec: CassiniSpec, half_width: Optional[float] = None, n: int = 256) -> ScalarGrid:
@@ -146,19 +143,13 @@ _CASE_SEGMENTS = np.array(
 )
 
 
-def _saddle_inside(grid: ScalarGrid, vals: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Whether the centers of cells (i, j) lie inside the filled set.
-
-    With the spec kept, the true field at the center decides; without it,
-    the mean of the four corner values.
-    """
-    if grid.spec is not None:
-        spec = grid.spec
-        x1 = grid.origin.x1 + (i + 0.5) * grid.spacing
-        x2 = grid.origin.x2 + (j + 0.5) * grid.spacing
-        return distance_product(spec.p, spec.q, x1, x2) - spec.r * spec.r < 0
-    mean = (vals[j, i] + vals[j, i + 1] + vals[j + 1, i] + vals[j + 1, i + 1]) / 4
-    return mean < 0
+def _saddle_inside(grid: ScalarGrid, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Whether the centers of cells (i, j) lie inside the filled set, by the
+    true field at the center."""
+    spec = grid.spec
+    x1 = grid.origin.x1 + (i + 0.5) * grid.spacing
+    x2 = grid.origin.x2 + (j + 0.5) * grid.spacing
+    return distance_product(spec.p, spec.q, x1, x2) - spec.r * spec.r < 0
 
 
 def extract_contour(grid: ScalarGrid) -> Contour:
@@ -211,7 +202,7 @@ def extract_contour(grid: ScalarGrid) -> Contour:
         case |= flat_neg[base + step].astype(np.intp) << bit
     saddle = np.flatnonzero((case == 5) | (case == 10))
     if saddle.size:
-        inside = _saddle_inside(grid, vals, i[saddle], j[saddle])
+        inside = _saddle_inside(grid, i[saddle], j[saddle])
         case[saddle[inside]] = 15 - case[saddle[inside]]
 
     # Edge ids: j*nx + i for the horizontal edge from node (i, j), and

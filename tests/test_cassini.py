@@ -140,7 +140,7 @@ class TestQuadrantPieces:
         assert tuple(piece.start) == pytest.approx((8.0, sp - 8.0))
         assert tuple(piece.end) == pytest.approx((sp - 3.0, 3.0))
         for f in (0.0, 0.5, 1.0):
-            x = piece.point_at(f)
+            x = Point(*piece.coords_at(f))
             assert x.x1 + x.x2 == pytest.approx(sp)
             assert product_value(spec, x) == pytest.approx(256.0)
 
@@ -159,7 +159,8 @@ class TestQuadrantPieces:
         sc = math.hypot(8 - 3, 16.0)
         assert tuple(piece.start) == pytest.approx((sc - 3.0, -3.0))
         assert tuple(piece.end) == pytest.approx((8.0, 8.0 - sc))
-        assert product_value(CassiniSpec(p, q, 16.0), piece.point_at(0.5)) == pytest.approx(256.0)
+        mid = Point(*piece.coords_at(0.5))
+        assert product_value(CassiniSpec(p, q, 16.0), mid) == pytest.approx(256.0)
 
     def test_complement_quadrant_threshold_collapses_to_corner(self):
         # a=8, b=2: r^2 = 4ab exactly at r = 8; the piece is the corner point.
@@ -184,7 +185,7 @@ class TestRectanglePieces:
         ]
         spec = CassiniSpec(self.p, self.q, 3.0)
         for pc in pieces:
-            assert product_value(spec, pc.point_at(0.5)) == pytest.approx(9.0)
+            assert product_value(spec, Point(*pc.coords_at(0.5))) == pytest.approx(9.0)
 
     def test_at_critical_single_pinch_segment(self):
         pieces = rectangle_pieces(CassiniSpec(self.p, self.q, 5.0))
@@ -204,12 +205,14 @@ class TestHalfStripPieces:
         arc = arcs[0]
         assert arc.center == Point(-3.0, -8.0)
         assert arc.run_axis == 2
-        assert arc.equation_sign == 1
         # At x2 = 0 the arc equation (x1+3)^2 - (x2+8)^2 = 256 gives
         # x1 = sqrt(320) - 3.
-        mid = arc.point_at(0.5)
+        mid = Point(*arc.coords_at(0.5))
         assert mid.x2 == pytest.approx(0.0)
         assert mid.x1 == pytest.approx(math.sqrt(320.0) - 3.0)
+        for f in (0.0, 0.25, 1.0):
+            x1, x2 = arc.coords_at(f)
+            assert (x1 + 3.0) ** 2 - (x2 + 8.0) ** 2 == pytest.approx(256.0)
         assert {arc.start.x2, arc.end.x2} == {-3.0, 3.0}
 
     def test_bottom_strip_uses_other_guide_center(self):
@@ -228,7 +231,7 @@ class TestHalfStripPieces:
         assert (bottom[0].u_start, bottom[0].u_end) == (-4.0, -3.0)
         for arc in top + bottom:
             for f in (0.0, 0.5, 1.0):
-                assert product_value(spec, arc.point_at(f)) == pytest.approx(9.0)
+                assert product_value(spec, Point(*arc.coords_at(f))) == pytest.approx(9.0)
 
     def test_arc_residual_is_exact_on_samples(self):
         spec = CassiniSpec(Point(8, 3), Point(-8, -3), 16.0)
@@ -240,7 +243,7 @@ class TestHalfStripPieces:
         ):
             for arc in halfstrip_pieces(spec, strip):
                 for k in range(9):
-                    x = arc.point_at(k / 8)
+                    x = Point(*arc.coords_at(k / 8))
                     assert product_value(spec, x) == pytest.approx(256.0, rel=1e-12)
 
     def test_non_strip_region_rejected(self):
@@ -252,8 +255,8 @@ class TestHalfStripPieces:
 class TestPieceParametrization:
     def test_segment_point_at_endpoints_exact(self):
         seg = GuideSegment(RegionId.QUADRANT_P, Point(1, 2), Point(3, 0), -1)
-        assert seg.point_at(0.0) == Point(1, 2)
-        assert seg.point_at(1.0) == Point(3, 0)
+        assert Point(*seg.coords_at(0.0)) == Point(1, 2)
+        assert Point(*seg.coords_at(1.0)) == Point(3, 0)
         assert seg.reversed().start == Point(3, 0)
         assert seg.reversed().reversed() == seg
 
@@ -263,7 +266,7 @@ class TestPieceParametrization:
         rev = arc.reversed()
         assert rev.start == arc.end
         assert rev.end == arc.start
-        assert rev.point_at(0.25) == arc.point_at(0.75)
+        assert Point(*rev.coords_at(0.25)) == Point(*arc.coords_at(0.75))
 
 
 class TestBuildCurves:
@@ -409,16 +412,16 @@ def reference_reversed(piece):
 
 
 def reference_map_piece(piece, iso):
+    swap, s1, s2 = iso.element.value
     region = piece.region
-    if iso.element.swaps_axes:
+    if swap:
         region = _REGION_UNDER_SWAP.get(region, region)
     if isinstance(piece, GuideSegment):
-        _, s1, s2 = iso.element.value
         return GuideSegment(
             region, iso.apply(piece.start), iso.apply(piece.end), piece.slope_sign * s1 * s2
         )
     center, start, end = iso.apply(piece.center), iso.apply(piece.start), iso.apply(piece.end)
-    run_axis = 3 - piece.run_axis if iso.element.swaps_axes else piece.run_axis
+    run_axis = 3 - piece.run_axis if swap else piece.run_axis
     other_axis = 3 - run_axis
     offset = start.coord(other_axis) - center.coord(other_axis)
     return HyperbolaArc(
@@ -584,7 +587,7 @@ class TestFloatPathMatchesReference:
                 for piece in curve.pieces:
                     assert piece.reversed() == reference_reversed(piece)
                     for f in (0.0, 0.5, 1.0):
-                        assert repr(piece.point_at(f)) == repr(reference_point_at(piece, f))
+                        assert repr(Point(*piece.coords_at(f))) == repr(reference_point_at(piece, f))
 
 
 def _diamond_side(start, end, slope_sign):

@@ -50,6 +50,14 @@ class TestInfo:
         code, _, err = run(capsys, "info", "--p", "1,1")
         assert code == 2
 
+    def test_assembly_error_is_one_line(self, capsys):
+        # A valid spec whose lobes the construction cannot assemble yet: a
+        # one-line error and exit 2, not a traceback and the mismatch code 1.
+        code, out, err = run(capsys, "info", "--p", "1e6,0", "--q", "-1e6,0", "--r", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestClassify:
     @pytest.mark.parametrize(
@@ -82,6 +90,26 @@ class TestClassify:
         assert code == 2
         assert out == ""
         assert err.startswith("error: tolerance must be finite") and err.count("\n") == 1
+
+    def test_negative_value_without_leading_digit(self, capsys):
+        code, out, _ = run(
+            capsys, "classify", "--p", "4,1", "--q", "-4,-1", "--r", "6", "--x", "-.5,0"
+        )
+        assert code == 0
+        assert out.strip() == "Inside"
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--tol", "-inf"), ("--p", "-inf,0"), ("--x", "-NaN,0")],
+    )
+    def test_non_finite_negative_values_are_values(self, capsys, flag, value):
+        # Taken as values, not option names, so the error is the one-line
+        # rejection of the value rather than a usage message.
+        argv = {"--p": "4,1", "--q": "-4,-1", "--r": "6", "--x": "0,0", flag: value}
+        code, out, err = run(capsys, "classify", *(t for kv in argv.items() for t in kv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestRender:
@@ -166,6 +194,16 @@ class TestRender:
     def test_unknown_flag(self, capsys):
         code, _, _ = run(capsys, "render", "--p", "1,1", "--frobnicate")
         assert code == 2
+
+    def test_assembly_error_writes_nothing(self, capsys, tmp_path):
+        out_path = tmp_path / "lobe.svg"
+        code, out, err = run(
+            capsys, "render", "--p", "4,1", "--q", "-4,-1", "--r", "5e-6", "--out", str(out_path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_path.exists()
 
     def test_zero_radius_rejected(self, capsys):
         code, _, err = run(

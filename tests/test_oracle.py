@@ -131,14 +131,11 @@ def reference_extract_contour(grid):
         return grid.origin.x1 + i * grid.spacing, grid.origin.x2 + (j + t) * grid.spacing
 
     def center_inside(i, j):
-        if grid.spec is not None:
-            x = Point(
-                grid.origin.x1 + (i + 0.5) * grid.spacing,
-                grid.origin.x2 + (j + 0.5) * grid.spacing,
-            )
-            return product_value(grid.spec, x) - grid.spec.r * grid.spec.r < 0
-        mean = (vals[j, i] + vals[j, i + 1] + vals[j + 1, i] + vals[j + 1, i + 1]) / 4
-        return mean < 0
+        x = Point(
+            grid.origin.x1 + (i + 0.5) * grid.spacing,
+            grid.origin.x2 + (j + 0.5) * grid.spacing,
+        )
+        return product_value(grid.spec, x) - grid.spec.r * grid.spec.r < 0
 
     # Mixed cells in row-major order.
     mixed = ~(
@@ -208,6 +205,11 @@ def assert_same_contour(grid):
         assert line.tobytes() == ref_line.tobytes()
 
 
+# Specs for hand-built unit cells at the origin: the field at the cell center
+# (0.5, 0.5) is 0 < r^2 for the first and 1 > r^2 for the second.
+CENTER_INSIDE = CassiniSpec(Point(0.5, 0.5), Point(0.5, 0.5), 1.0)
+CENTER_OUTSIDE = CassiniSpec(Point(0, 0), Point(1, 1), 0.5)
+
 # Node values from a small set make zero nodes and saddle cells common.
 _NODE_VALUES = st.sampled_from([-2.0, -1.0, 0.0, 1.0, 3.0])
 
@@ -223,15 +225,14 @@ def small_grids(draw):
         values[0, :] = values[-1, :] = values[:, 0] = values[:, -1] = 1.0
     origin = Point(draw(st.sampled_from([0.0, -3.5, 1e3])), draw(st.sampled_from([0.0, 2.25, -7e2])))
     spacing = draw(st.sampled_from([1.0, 0.3, 17.0]))
-    spec = None
-    if draw(st.booleans()):
-        # Foci inside the grid's extent, so center signs vary from cell to cell.
-        def coordinate(lo, count):
-            return draw(st.floats(lo, lo + (count - 1) * spacing, allow_nan=False))
 
-        p = Point(coordinate(origin.x1, nx), coordinate(origin.x2, ny))
-        q = Point(coordinate(origin.x1, nx), coordinate(origin.x2, ny))
-        spec = CassiniSpec(p, q, draw(st.floats(0.0, 2.0 * max(nx, ny) * spacing)))
+    # Foci inside the grid's extent, so center signs vary from cell to cell.
+    def coordinate(lo, count):
+        return draw(st.floats(lo, lo + (count - 1) * spacing, allow_nan=False))
+
+    p = Point(coordinate(origin.x1, nx), coordinate(origin.x2, ny))
+    q = Point(coordinate(origin.x1, nx), coordinate(origin.x2, ny))
+    spec = CassiniSpec(p, q, draw(st.floats(0.0, 2.0 * max(nx, ny) * spacing)))
     return ScalarGrid(origin, spacing, nx, ny, values, spec)
 
 
@@ -270,8 +271,10 @@ class TestGridField:
         assert grid.values[10, 10] == -4.0
         # Node at world (5,5): f = (5+5)^2 = 100, so 100 - 4 = 96.
         assert grid.values[20, 20] == 96.0
-        assert grid.node_point(10, 10) == Point(0.0, 0.0)
-        assert grid.node_point(20, 20) == Point(5.0, 5.0)
+        # values[j, i] belongs to the node origin + (i, j) * spacing.
+        assert grid.origin == Point(-5.0, -5.0)
+        assert grid.origin.x1 + 10 * grid.spacing == 0.0
+        assert grid.origin.x2 + 20 * grid.spacing == 5.0
 
     def test_default_box_keeps_edges_positive(self):
         spec = CassiniSpec(Point(4, 1), Point(-4, -1), 6.0)
@@ -314,7 +317,8 @@ class TestGridField:
                 value = grid.values[iy, ix]
                 if abs(value) <= band:
                     continue
-                loc = classify_point(spec, grid.node_point(ix, iy))
+                node = Point(grid.origin.x1 + ix * grid.spacing, grid.origin.x2 + iy * grid.spacing)
+                loc = classify_point(spec, node)
                 assert loc is (PointLocation.INSIDE if value < 0 else PointLocation.OUTSIDE)
 
 
@@ -358,7 +362,7 @@ class TestExtractContour:
 
     def test_empty_contour_when_field_is_positive(self):
         values = np.full((16, 16), 5.0)
-        grid = ScalarGrid(Point(0, 0), 1.0, 16, 16, values)
+        grid = ScalarGrid(Point(0, 0), 1.0, 16, 16, values, CassiniSpec(Point(0, 0), Point(0, 0), 1.0))
         contour = extract_contour(grid)
         assert contour.polylines == ()
         assert component_count(contour) == 0
@@ -366,12 +370,12 @@ class TestExtractContour:
     def test_saddle_cell_resolved_by_center_sign(self):
         # Hand-built 2x2 grid: one cell whose diagonal corners are inside.
         values = np.array([[-1.0, 3.0], [3.0, -9.0]])
-        grid = ScalarGrid(Point(0, 0), 1.0, 2, 2, values)
+        grid = ScalarGrid(Point(0, 0), 1.0, 2, 2, values, CENTER_INSIDE)
         contour = extract_contour(grid)
         assert len(contour.polylines) == 2
         assert not any(contour.closed_flags)
-        # Center mean is -1: inside, so the inside corners join across
-        # south-east and north-west.
+        # The spec's field at the center is 0 < r^2: inside, so the inside
+        # corners join across south-east and north-west.
         joined = set()
         for polyline in contour.polylines:
             sides = set()
@@ -388,8 +392,10 @@ class TestExtractContour:
         assert joined == {frozenset({"S", "E"}), frozenset({"N", "W"})}
 
     def test_saddle_cell_outside_center(self):
+        # The spec's field is 1 > r^2 at the center and 0 at the two inside
+        # corners, so it agrees with the node signs.
         values = np.array([[-1.0, 3.0], [3.0, -1.0]])
-        grid = ScalarGrid(Point(0, 0), 1.0, 2, 2, values)
+        grid = ScalarGrid(Point(0, 0), 1.0, 2, 2, values, CENTER_OUTSIDE)
         contour = extract_contour(grid)
         joined = set()
         for polyline in contour.polylines:
@@ -409,8 +415,8 @@ class TestExtractContour:
 
     @settings(max_examples=400, deadline=None)
     @given(small_grids())
-    @example(ScalarGrid(Point(0, 0), 1.0, 2, 2, np.array([[-1.0, 3.0], [3.0, -9.0]])))
-    @example(ScalarGrid(Point(0, 0), 1.0, 2, 2, np.array([[3.0, -1.0], [-1.0, 3.0]])))
+    @example(ScalarGrid(Point(0, 0), 1.0, 2, 2, np.array([[-1.0, 3.0], [3.0, -9.0]]), CENTER_INSIDE))
+    @example(ScalarGrid(Point(0, 0), 1.0, 2, 2, np.array([[3.0, -1.0], [-1.0, 3.0]]), CENTER_OUTSIDE))
     # A saddle whose center lies exactly on the level set: f = 1 * 1 = r^2.
     @example(
         ScalarGrid(
