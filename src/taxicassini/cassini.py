@@ -7,6 +7,12 @@ glued into one or two simple closed curves depending on how r compares with
 the critical radius r* = d(p, q) / 2.  Construction happens in the standard
 frame (midpoint at the origin, one focus in the closed first octant) and is
 conjugated back through the standardizing isometry.
+
+Orientation needs no arithmetic: the standard-frame loops run clockwise by
+construction, and the map back keeps that orientation when its point-group
+element has determinant +1 and flips it when the determinant is -1.  A loop
+is reversed exactly when it would otherwise come out clockwise, so every
+returned curve runs counterclockwise.
 """
 
 from __future__ import annotations
@@ -208,242 +214,113 @@ class ClosedCurve:
     pieces: tuple[CurvePiece, ...]
 
 
-def _standard_params(spec: CassiniSpec) -> tuple[float, float]:
-    # Valid standard frame: q = -p exactly and p in the closed first octant.
-    p, q = spec.p, spec.q
-    if q.x1 != -p.x1 or q.x2 != -p.x2 or not (p.x1 >= p.x2 >= 0):
-        raise GeometryError(
-            f"spec is not in standard frame (need q = -p, p1 >= p2 >= 0): p={p}, q={q}"
-        )
-    return p.x1, p.x2
-
-
 def _rect_half_span(rstar: float, r: float) -> float:
     # Offset of the rectangle segments from the midpoint diagonal; exact 0 at r = r*.
     return math.sqrt(max((rstar - r) * (rstar + r), 0.0))
 
 
-def quadrant_piece(spec: CassiniSpec, quadrant: RegionId) -> Optional[GuideSegment]:
-    """Guide segment of the curve inside one quadrant of the standard frame.
-
-    Segments in the focus quadrants exist for every r >= 0.  Segments in the
-    complement quadrants exist iff r^2 >= 4 * p1 * p2; at exact equality the
-    segment degenerates to the corner point and is still returned.
-    """
-    a, b = _standard_params(spec)
-    r = spec.r
-    if quadrant is RegionId.QUADRANT_P or quadrant is RegionId.QUADRANT_Q:
-        sp = math.hypot(a + b, r)
-        if quadrant is RegionId.QUADRANT_P:
-            return GuideSegment(quadrant, Point(a, sp - a), Point(sp - b, b), -1)
-        return GuideSegment(quadrant, Point(-a, a - sp), Point(b - sp, -b), -1)
-    if quadrant is RegionId.QUADRANT_C1 or quadrant is RegionId.QUADRANT_C2:
-        if r * r < 4.0 * a * b:
-            return None
-        sc = math.hypot(a - b, r)
-        if quadrant is RegionId.QUADRANT_C1:
-            return GuideSegment(quadrant, Point(sc - b, -b), Point(a, a - sc), 1)
-        return GuideSegment(quadrant, Point(b - sc, b), Point(-a, sc - a), 1)
-    raise GeometryError(f"{quadrant} is not a quadrant")
-
-
-def rectangle_pieces(spec: CassiniSpec) -> list[GuideSegment]:
-    """Curve segments inside the central rectangle of the standard frame.
-
-    The curve meets the rectangle [-p1, p1] x [-p2, p2] in segments on the
-    two guide lines x1 + x2 = +-sqrt(r*^2 - r^2): two segments below the
-    critical radius, the single diagonal segment through the origin at it,
-    nothing above it.  When the foci share a coordinate line the segments
-    degenerate to points.
-    """
-    a, b = _standard_params(spec)
-    r = spec.r
-    rstar = a + b
-    if r > rstar:
-        return []
-    c = _rect_half_span(rstar, r)
-    hi = min(a, c + b)
-    lo = max(-a, c - b)
-    plus = GuideSegment(
-        RegionId.CENTRAL_RECTANGLE, Point(hi, c - hi), Point(lo, c - lo), -1
-    )
-    if r == rstar:
-        return [plus]
-    minus = GuideSegment(
-        RegionId.CENTRAL_RECTANGLE, Point(-hi, hi - c), Point(-lo, lo - c), -1
-    )
-    return [plus, minus]
-
-
-# Per half-strip: coordinate axis running along the strip, which guide
-# complement is the hyperbola center, and the side of the center the strip
-# occupies.  The sweep range is [-p1, p1] for the long-axis strips and
-# [-p2, p2] for the short-axis ones.
-_STRIP_TABLE = {
-    RegionId.STRIP_P_C2: (1, "g_plus", 1),
-    RegionId.STRIP_Q_C1: (1, "g_minus", -1),
-    RegionId.STRIP_P_C1: (2, "g_plus", 1),
-    RegionId.STRIP_Q_C2: (2, "g_minus", -1),
-}
-
-
-def _strip_geometry(spec: CassiniSpec, strip: RegionId):
-    if strip not in _STRIP_TABLE:
-        raise GeometryError(f"{strip} is not a half-strip")
-    if spec.r == 0:
-        raise GeometryError("half-strip arcs are undefined for r = 0")
-    a, b = _standard_params(spec)
-    run_axis, center_name, branch = _STRIP_TABLE[strip]
-    center = getattr(foci_frame(spec.p, spec.q), center_name)
-    half = a if run_axis == 1 else b
-    return run_axis, center, branch, -half, half
-
-
-def _make_arc(
-    strip: RegionId,
-    center: Point,
-    run_axis: int,
-    branch: int,
-    radius: float,
-    u0: float,
-    u1: float,
-) -> HyperbolaArc:
-    return HyperbolaArc(
-        region=strip,
-        center=center,
-        run_axis=run_axis,
-        branch_dir=branch,
-        radius=radius,
-        u_start=u0,
-        u_end=u1,
-        start=Point(*_arc_coords(center, run_axis, branch, radius, u0)),
-        end=Point(*_arc_coords(center, run_axis, branch, radius, u1)),
-    )
-
-
-def _strip_component_pair(
-    spec: CassiniSpec, strip: RegionId
-) -> tuple[Optional[HyperbolaArc], Optional[HyperbolaArc]]:
-    """The strip's two potential arc components for 0 < r <= r*, by u-slot.
-
-    The hyperbola leaves the strip over the window |u - c_run| <
-    sqrt(r*^2 - r^2) around the center's run-coordinate, cutting the sweep
-    range into a low-u and a high-u component; either may be empty.  Keeping
-    the slots positional matters: the low-u component always belongs to the
-    loop around q and the high-u one to the loop around p.
-    """
-    run_axis, center, branch, lo, hi = _strip_geometry(spec, strip)
-    a, b = _standard_params(spec)
-    rstar = a + b
-    if spec.r > rstar:
-        raise GeometryError("component split is defined only for r <= r*")
-    c = _rect_half_span(rstar, spec.r)
-    c_run = center.coord(run_axis)
-    first: Optional[HyperbolaArc] = None
-    second: Optional[HyperbolaArc] = None
-    first_hi = min(hi, c_run - c)
-    if first_hi > lo:
-        first = _make_arc(strip, center, run_axis, branch, spec.r, lo, first_hi)
-    second_lo = max(lo, c_run + c)
-    if hi > second_lo:
-        second = _make_arc(strip, center, run_axis, branch, spec.r, second_lo, hi)
-    return first, second
-
-
-def halfstrip_pieces(spec: CassiniSpec, strip: RegionId) -> list[HyperbolaArc]:
-    """Arcs of the curve inside one half-strip of the standard frame.
-
-    Returns 0, 1, or 2 arcs: above the critical radius the full sweep is a
-    single arc; at or below it the sweep may split into two components (the
-    long-axis strips carry both when r is between the complement-quadrant
-    threshold and r*), and collapsed strips carry none.
-    """
-    run_axis, center, branch, lo, hi = _strip_geometry(spec, strip)
-    a, b = _standard_params(spec)
-    if spec.r > a + b:
-        if hi > lo:
-            return [_make_arc(strip, center, run_axis, branch, spec.r, lo, hi)]
-        return []
-    return [arc for arc in _strip_component_pair(spec, strip) if arc is not None]
-
-
 def _diamond_pieces(r: float) -> list[GuideSegment]:
-    # Taxicab circle about the origin: the radius-r diamond, counterclockwise.
+    # Taxicab circle about the origin: the radius-r diamond, clockwise from
+    # the east vertex like the standard-frame loops.
     east, north = Point(r, 0.0), Point(0.0, r)
     west, south = Point(-r, 0.0), Point(0.0, -r)
     return [
-        GuideSegment(RegionId.QUADRANT_P, east, north, -1),
-        GuideSegment(RegionId.QUADRANT_C2, north, west, 1),
-        GuideSegment(RegionId.QUADRANT_Q, west, south, -1),
-        GuideSegment(RegionId.QUADRANT_C1, south, east, 1),
+        GuideSegment(RegionId.QUADRANT_C1, east, south, 1),
+        GuideSegment(RegionId.QUADRANT_Q, south, west, -1),
+        GuideSegment(RegionId.QUADRANT_C2, west, north, 1),
+        GuideSegment(RegionId.QUADRANT_P, north, east, -1),
     ]
 
 
-def _assemble_standard_loops(std: CassiniSpec) -> list[list[CurvePiece]]:
-    """Order the standard-frame pieces into closed loops, before cleanup.
+def _standard_loops(a: float, b: float, r: float) -> list[list[CurvePiece]]:
+    """The pieces of K(p, q; r) for p = (a, b) = -q, a >= b >= 0, in clockwise loops.
 
-    Adjacent entries share endpoints by construction; zero-length entries
-    are dropped later without opening gaps.
+    Each focus quadrant holds a guide segment; each complement quadrant holds
+    one iff r^2 >= 4ab (the corner point at equality).  Each half-strip holds
+    an arc of the taxicab hyperbola about a guide complement.  Above r* = a + b
+    the arcs span their strips and everything forms one loop.  At or below r*
+    each arc leaves its strip over the window |u - c_run| < c around the
+    center, c = sqrt(r*^2 - r^2): the part below the window belongs to the
+    loop about q, the part above it to the loop about p.  The central
+    rectangle then holds the waist segments on x1 + x2 = +-c, a single one
+    shared by both loops at r = r*.  Adjacent entries share endpoints; entries
+    of zero length are dropped later without opening gaps.
     """
-    a, b = _standard_params(std)
     rstar = a + b
-    qp = quadrant_piece(std, RegionId.QUADRANT_P)
-    qq = quadrant_piece(std, RegionId.QUADRANT_Q)
-    qc1 = quadrant_piece(std, RegionId.QUADRANT_C1)
-    qc2 = quadrant_piece(std, RegionId.QUADRANT_C2)
-    assert qp is not None and qq is not None
+    sp = math.hypot(rstar, r)
+    frame = foci_frame(Point(a, b), Point(-a, -b))
+    g_plus, g_minus = frame.g_plus, frame.g_minus
+    qp = GuideSegment(RegionId.QUADRANT_P, Point(a, sp - a), Point(sp - b, b), -1)
+    qq = GuideSegment(RegionId.QUADRANT_Q, Point(-a, a - sp), Point(b - sp, -b), -1)
+    qc1 = qc2 = None
+    if r * r >= 4.0 * a * b:
+        sc = math.hypot(a - b, r)
+        qc1 = GuideSegment(RegionId.QUADRANT_C1, Point(sc - b, -b), Point(a, a - sc), 1)
+        qc2 = GuideSegment(RegionId.QUADRANT_C2, Point(b - sc, b), Point(-a, sc - a), 1)
+    # Per half-strip: region, hyperbola center, run axis and branch side.
+    top = (RegionId.STRIP_P_C2, g_plus, 1, 1)
+    bottom = (RegionId.STRIP_Q_C1, g_minus, 1, -1)
+    right = (RegionId.STRIP_P_C1, g_plus, 2, 1)
+    left = (RegionId.STRIP_Q_C2, g_minus, 2, -1)
 
-    if std.r > rstar:
-        top = halfstrip_pieces(std, RegionId.STRIP_P_C2)
-        bottom = halfstrip_pieces(std, RegionId.STRIP_Q_C1)
-        right = halfstrip_pieces(std, RegionId.STRIP_P_C1)
-        left = halfstrip_pieces(std, RegionId.STRIP_Q_C2)
-        loop: list[CurvePiece] = [qp]
-        if right:
-            loop.append(right[0].reversed())
-        if qc1 is not None:
-            loop.append(qc1)
-        if bottom:
-            loop.append(bottom[0].reversed())
-        loop.append(qq)
-        if left:
-            loop.append(left[0])
-        if qc2 is not None:
-            loop.append(qc2)
-        if top:
-            loop.append(top[0])
+    def arc(strip, lo: float, hi: float, reverse: bool = False) -> Optional[HyperbolaArc]:
+        # The strip's arc over lo <= u <= hi, run from hi to lo if reverse.
+        if not hi > lo:
+            return None
+        region, center, run_axis, branch = strip
+        u0, u1 = (hi, lo) if reverse else (lo, hi)
+        return HyperbolaArc(
+            region=region,
+            center=center,
+            run_axis=run_axis,
+            branch_dir=branch,
+            radius=r,
+            u_start=u0,
+            u_end=u1,
+            start=Point(*_arc_coords(center, run_axis, branch, r, u0)),
+            end=Point(*_arc_coords(center, run_axis, branch, r, u1)),
+        )
+
+    def chain(*pieces: Optional[CurvePiece]) -> list[CurvePiece]:
+        return [piece for piece in pieces if piece is not None]
+
+    if r > rstar:
+        loop = chain(
+            qp,
+            arc(right, -b, b, True),
+            qc1,
+            arc(bottom, -a, a, True),
+            qq,
+            arc(left, -b, b),
+            qc2,
+            arc(top, -a, a),
+        )
         return [loop]
-
-    top_first, top_second = _strip_component_pair(std, RegionId.STRIP_P_C2)
-    bottom_first, bottom_second = _strip_component_pair(std, RegionId.STRIP_Q_C1)
-    _, right_second = _strip_component_pair(std, RegionId.STRIP_P_C1)
-    left_first, _ = _strip_component_pair(std, RegionId.STRIP_Q_C2)
-    rect = rectangle_pieces(std)
-    rect_plus = rect[0]
-    # At the pinch there is a single rectangle segment shared by both loops.
-    rect_minus = rect[1] if len(rect) > 1 else rect[0].reversed()
-
-    p_loop: list[CurvePiece] = [qp]
-    if right_second is not None:
-        p_loop.append(right_second.reversed())
-    if qc1 is not None:
-        p_loop.append(qc1)
-    if bottom_second is not None:
-        p_loop.append(bottom_second.reversed())
-    p_loop.append(rect_plus)
-    if top_second is not None:
-        p_loop.append(top_second)
-
-    q_loop: list[CurvePiece] = [qq]
-    if left_first is not None:
-        q_loop.append(left_first)
-    if qc2 is not None:
-        q_loop.append(qc2)
-    if top_first is not None:
-        q_loop.append(top_first)
-    q_loop.append(rect_minus)
-    if bottom_first is not None:
-        q_loop.append(bottom_first.reversed())
+    c = _rect_half_span(rstar, r)
+    hi, lo = min(a, c + b), max(-a, c - b)
+    rect_plus = GuideSegment(RegionId.CENTRAL_RECTANGLE, Point(hi, c - hi), Point(lo, c - lo), -1)
+    if r == rstar:
+        rect_minus = rect_plus.reversed()
+    else:
+        rect_minus = GuideSegment(
+            RegionId.CENTRAL_RECTANGLE, Point(-hi, hi - c), Point(-lo, lo - c), -1
+        )
+    p_loop = chain(
+        qp,
+        arc(right, max(-b, g_plus.x2 + c), b, True),
+        qc1,
+        arc(bottom, max(-a, g_minus.x1 + c), a, True),
+        rect_plus,
+        arc(top, max(-a, g_plus.x1 + c), a),
+    )
+    q_loop = chain(
+        qq,
+        arc(left, -b, min(b, g_minus.x2 - c)),
+        qc2,
+        arc(top, -a, min(a, g_plus.x1 - c)),
+        rect_minus,
+        arc(bottom, -a, min(a, g_minus.x1 - c), True),
+    )
     return [p_loop, q_loop]
 
 
@@ -483,19 +360,10 @@ def _map_piece(piece: CurvePiece, iso: Isometry) -> CurvePiece:
     )
 
 
-def _signed_area(pieces: list[CurvePiece]) -> float:
-    pts = []
-    for piece in pieces:
-        pts.append(piece.coords_at(0.0))
-        pts.append(piece.coords_at(0.5))
-    total = 0.0
-    for (u1, u2), (v1, v2) in zip(pts, pts[1:] + pts[:1]):
-        total += u1 * v2 - v1 * u2
-    return total / 2
-
-
-def _orient_ccw(pieces: list[CurvePiece]) -> list[CurvePiece]:
-    if _signed_area(pieces) < 0:
+def _counterclockwise(pieces: list[CurvePiece], iso: Isometry) -> list[CurvePiece]:
+    # The raw loops run clockwise.  Mapping them through iso keeps that when
+    # its point-group element has determinant +1 and flips it when -1.
+    if iso.element.determinant == 1:
         return [piece.reversed() for piece in reversed(pieces)]
     return pieces
 
@@ -537,13 +405,12 @@ def build_curves(spec: CassiniSpec, samples_per_piece: int = 16) -> list[ClosedC
         raise DegenerateInput("r = 0 yields the bare focus pair, not a curve")
     if samples_per_piece < 1:
         raise GeometryError("samples_per_piece must be positive")
-    iso, p_std, q_std = standardize(spec.p, spec.q)
+    iso, p_std, _ = standardize(spec.p, spec.q)
     inverse = iso.inverse()
-    std = CassiniSpec(p_std, q_std, spec.r)
     if spec.p == spec.q:
-        raw_loops = [list(_diamond_pieces(spec.r))]
+        raw_loops = [_diamond_pieces(spec.r)]
     else:
-        raw_loops = _assemble_standard_loops(std)
+        raw_loops = _standard_loops(p_std.x1, p_std.x2, spec.r)
 
     scale = max(1.0, taxicab_distance(spec.p, spec.q) + spec.r)
     zero_tol = ZERO_LENGTH_RTOL * scale
@@ -553,7 +420,7 @@ def build_curves(spec: CassiniSpec, samples_per_piece: int = 16) -> list[ClosedC
         kept = [piece for piece in mapped if piece.length_scale() > zero_tol]
         if not kept:
             raise AssemblyError("all pieces of a loop degenerated to points")
-        kept = _orient_ccw(kept)
+        kept = _counterclockwise(kept, inverse)
         _validate_loop(spec, kept, samples_per_piece)
         curves.append(ClosedCurve(spec=spec, pieces=tuple(kept)))
     return curves

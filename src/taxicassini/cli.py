@@ -28,6 +28,7 @@ from .cassini import (
     AssemblyError,
     CassiniSpec,
     DegenerateInput,
+    GuideSegment,
     build_curves,
     classify_point,
     critical_radius,
@@ -174,7 +175,7 @@ def cmd_info(args: argparse.Namespace) -> int:
     for ci, curve in enumerate(curves, start=1):
         lines.append(f"curve {ci} pieces: {len(curve.pieces)}")
         for pi, piece in enumerate(curve.pieces, start=1):
-            kind = "segment" if hasattr(piece, "slope_sign") else "arc"
+            kind = "segment" if isinstance(piece, GuideSegment) else "arc"
             lines.append(
                 f"curve {ci} piece {pi}: region={piece.region.value} kind={kind} "
                 f"start={_fmt_endpoint(piece.start)} end={_fmt_endpoint(piece.end)}"

@@ -185,6 +185,12 @@ class PointGroup(Enum):
             return s1 * x2, s2 * x1
         return s1 * x1, s2 * x2
 
+    @property
+    def determinant(self) -> int:
+        """+1 for the rotations, -1 for the reflections; a swap negates s1*s2."""
+        swap, s1, s2 = self.value
+        return -s1 * s2 if swap else s1 * s2
+
     def inverse(self) -> "PointGroup":
         # A swap sends (x1, x2) to (s1*x2, s2*x1), undone by (s2*x2, s1*x1);
         # every other element is its own inverse.

@@ -20,17 +20,15 @@ from taxicassini.cassini import (
     HyperbolaArc,
     PointLocation,
     Topology,
-    _assemble_standard_loops,
+    _counterclockwise,
     _diamond_pieces,
+    _standard_loops,
     _validate_loop,
     build_curves,
     classify_point,
     critical_radius,
     curve_polyline,
-    halfstrip_pieces,
     product_value,
-    quadrant_piece,
-    rectangle_pieces,
     sample_curve,
     topology,
 )
@@ -47,12 +45,59 @@ def dyadic_specs():
     )
 
 
-def polyline_area(points):
+def _tiny_lobe_spec(log_a, t, swap, s1, s2, m1, m2, u):
+    # Half-difference (a, b) with b = a * t on either axis, midpoint (m1, m2),
+    # r = (a + b) * 10^u well below r* = a + b.
+    a, b = 10.0**log_a, 10.0**log_a * t
+    if swap:
+        a, b = b, a
+    p, q = Point(m1 + s1 * a, m2 + s2 * b), Point(m1 - s1 * a, m2 - s2 * b)
+    return CassiniSpec(p, q, (a + b) * 10.0**u)
+
+
+_sign = st.sampled_from((-1.0, 1.0))
+tiny_lobe_specs = st.builds(
+    _tiny_lobe_spec,
+    st.floats(-3.0, 0.0),
+    st.floats(0.0, 1.0),
+    st.booleans(),
+    _sign,
+    _sign,
+    st.floats(-5.0, 5.0),
+    st.floats(-5.0, 5.0),
+    st.floats(-4.0, -0.5),
+)
+
+
+def winding_number(ring, center):
+    """How often the closed polyline ring winds counterclockwise about center."""
+    vectors = [(x.x1 - center.x1, x.x2 - center.x2) for x in ring]
     total = 0.0
-    for i, a in enumerate(points):
-        b = points[(i + 1) % len(points)]
-        total += a.x1 * b.x2 - b.x1 * a.x2
-    return total / 2
+    for (u1, u2), (v1, v2) in zip(vectors, vectors[1:] + vectors[:1]):
+        total += math.atan2(u1 * v2 - u2 * v1, u1 * v1 + u2 * v2)
+    return round(total / (2 * math.pi))
+
+
+def focus_windings(spec):
+    """Per loop of build_curves(spec), its winding numbers about p and about q."""
+    return [
+        tuple(winding_number(curve_polyline(curve, 64), focus) for focus in (spec.p, spec.q))
+        for curve in build_curves(spec)
+    ]
+
+
+def assert_counterclockwise(spec):
+    # One loop encloses both foci; two loops enclose one focus each.
+    windings = focus_windings(spec)
+    if len(windings) == 1:
+        assert windings == [(1, 1)]
+    else:
+        assert sorted(windings) == [(0, 1), (1, 0)]
+
+
+def standard_pieces(a, b, r, region):
+    """The pieces _standard_loops(a, b, r) places in one region, in loop order."""
+    return [piece for loop in _standard_loops(a, b, r) for piece in loop if piece.region is region]
 
 
 class TestSpecAndScalars:
@@ -134,9 +179,8 @@ class TestTopology:
 class TestQuadrantPieces:
     def test_focus_quadrant_segment(self):
         spec = CassiniSpec(Point(8, 3), Point(-8, -3), 16.0)
-        piece = quadrant_piece(spec, RegionId.QUADRANT_P)
+        [piece] = standard_pieces(8.0, 3.0, 16.0, RegionId.QUADRANT_P)
         sp = math.hypot(8 + 3, 16.0)
-        assert piece.region is RegionId.QUADRANT_P
         assert tuple(piece.start) == pytest.approx((8.0, sp - 8.0))
         assert tuple(piece.end) == pytest.approx((sp - 3.0, 3.0))
         for f in (0.0, 0.5, 1.0):
@@ -145,64 +189,52 @@ class TestQuadrantPieces:
             assert product_value(spec, x) == pytest.approx(256.0)
 
     def test_opposite_quadrant_mirrors(self):
-        spec = CassiniSpec(Point(8, 3), Point(-8, -3), 16.0)
-        piece = quadrant_piece(spec, RegionId.QUADRANT_Q)
+        [piece] = standard_pieces(8.0, 3.0, 16.0, RegionId.QUADRANT_Q)
         sp = math.hypot(11.0, 16.0)
         assert tuple(piece.start) == pytest.approx((-8.0, 8.0 - sp))
         assert tuple(piece.end) == pytest.approx((3.0 - sp, -3.0))
 
     def test_complement_quadrant_needs_large_radius(self):
-        p, q = Point(8, 3), Point(-8, -3)
         # The complement-quadrant branch exists only for r^2 >= 4ab = 96.
-        assert quadrant_piece(CassiniSpec(p, q, 9.0), RegionId.QUADRANT_C1) is None
-        piece = quadrant_piece(CassiniSpec(p, q, 16.0), RegionId.QUADRANT_C1)
+        assert standard_pieces(8.0, 3.0, 9.0, RegionId.QUADRANT_C1) == []
+        [piece] = standard_pieces(8.0, 3.0, 16.0, RegionId.QUADRANT_C1)
         sc = math.hypot(8 - 3, 16.0)
         assert tuple(piece.start) == pytest.approx((sc - 3.0, -3.0))
         assert tuple(piece.end) == pytest.approx((8.0, 8.0 - sc))
         mid = Point(*piece.coords_at(0.5))
-        assert product_value(CassiniSpec(p, q, 16.0), mid) == pytest.approx(256.0)
+        spec = CassiniSpec(Point(8, 3), Point(-8, -3), 16.0)
+        assert product_value(spec, mid) == pytest.approx(256.0)
 
     def test_complement_quadrant_threshold_collapses_to_corner(self):
         # a=8, b=2: r^2 = 4ab exactly at r = 8; the piece is the corner point.
-        spec = CassiniSpec(Point(8, 2), Point(-8, -2), 8.0)
-        piece = quadrant_piece(spec, RegionId.QUADRANT_C1)
+        [piece] = standard_pieces(8.0, 2.0, 8.0, RegionId.QUADRANT_C1)
         assert piece.start == piece.end == Point(8.0, -2.0)
-
-    def test_non_quadrant_region_rejected(self):
-        spec = CassiniSpec(Point(8, 3), Point(-8, -3), 16.0)
-        with pytest.raises(GeometryError):
-            quadrant_piece(spec, RegionId.CENTRAL_RECTANGLE)
 
 
 class TestRectanglePieces:
-    p, q = Point(4, 1), Point(-4, -1)
-
     def test_below_critical(self):
-        pieces = rectangle_pieces(CassiniSpec(self.p, self.q, 3.0))
+        pieces = standard_pieces(4.0, 1.0, 3.0, RegionId.CENTRAL_RECTANGLE)
         assert [(pc.start, pc.end) for pc in pieces] == [
             (Point(4.0, 0.0), Point(3.0, 1.0)),
             (Point(-4.0, 0.0), Point(-3.0, -1.0)),
         ]
-        spec = CassiniSpec(self.p, self.q, 3.0)
+        spec = CassiniSpec(Point(4, 1), Point(-4, -1), 3.0)
         for pc in pieces:
             assert product_value(spec, Point(*pc.coords_at(0.5))) == pytest.approx(9.0)
 
     def test_at_critical_single_pinch_segment(self):
-        pieces = rectangle_pieces(CassiniSpec(self.p, self.q, 5.0))
-        assert len(pieces) == 1
-        assert pieces[0].start == Point(1.0, -1.0)
-        assert pieces[0].end == Point(-1.0, 1.0)
+        # Both loops run along the one diagonal segment, in opposite directions.
+        plus, minus = standard_pieces(4.0, 1.0, 5.0, RegionId.CENTRAL_RECTANGLE)
+        assert (plus.start, plus.end) == (Point(1.0, -1.0), Point(-1.0, 1.0))
+        assert minus == plus.reversed()
 
     def test_above_critical_empty(self):
-        assert rectangle_pieces(CassiniSpec(self.p, self.q, 6.0)) == []
+        assert standard_pieces(4.0, 1.0, 6.0, RegionId.CENTRAL_RECTANGLE) == []
 
 
 class TestHalfStripPieces:
     def test_single_arc_above_critical(self):
-        spec = CassiniSpec(Point(8, 3), Point(-8, -3), 16.0)
-        arcs = halfstrip_pieces(spec, RegionId.STRIP_P_C1)
-        assert len(arcs) == 1
-        arc = arcs[0]
+        [arc] = standard_pieces(8.0, 3.0, 16.0, RegionId.STRIP_P_C1)
         assert arc.center == Point(-3.0, -8.0)
         assert arc.run_axis == 2
         # At x2 = 0 the arc equation (x1+3)^2 - (x2+8)^2 = 256 gives
@@ -216,19 +248,23 @@ class TestHalfStripPieces:
         assert {arc.start.x2, arc.end.x2} == {-3.0, 3.0}
 
     def test_bottom_strip_uses_other_guide_center(self):
-        spec = CassiniSpec(Point(8, 3), Point(-8, -3), 16.0)
-        arcs = halfstrip_pieces(spec, RegionId.STRIP_Q_C1)
-        assert len(arcs) == 1
-        assert arcs[0].center == Point(3.0, 8.0)
-        assert arcs[0].run_axis == 1
+        [arc] = standard_pieces(8.0, 3.0, 16.0, RegionId.STRIP_Q_C1)
+        assert arc.center == Point(3.0, 8.0)
+        assert arc.run_axis == 1
 
     def test_below_critical_keeps_one_slot_per_strip(self):
-        spec = CassiniSpec(Point(4, 1), Point(-4, -1), 3.0)
-        top = halfstrip_pieces(spec, RegionId.STRIP_P_C2)
-        bottom = halfstrip_pieces(spec, RegionId.STRIP_Q_C1)
+        # The top arc lies above the window about its center's u = -1 and
+        # belongs to the loop about p; the bottom arc lies below the window
+        # about u = 1 and belongs to the loop about q.
+        p_loop, q_loop = _standard_loops(4.0, 1.0, 3.0)
+        top = [pc for pc in p_loop + q_loop if pc.region is RegionId.STRIP_P_C2]
+        bottom = [pc for pc in p_loop + q_loop if pc.region is RegionId.STRIP_Q_C1]
+        assert top == [pc for pc in p_loop if pc.region is RegionId.STRIP_P_C2]
+        assert bottom == [pc for pc in q_loop if pc.region is RegionId.STRIP_Q_C1]
         assert len(top) == len(bottom) == 1
-        assert (top[0].u_start, top[0].u_end) == (3.0, 4.0)
-        assert (bottom[0].u_start, bottom[0].u_end) == (-4.0, -3.0)
+        assert sorted((top[0].u_start, top[0].u_end)) == [3.0, 4.0]
+        assert sorted((bottom[0].u_start, bottom[0].u_end)) == [-4.0, -3.0]
+        spec = CassiniSpec(Point(4, 1), Point(-4, -1), 3.0)
         for arc in top + bottom:
             for f in (0.0, 0.5, 1.0):
                 assert product_value(spec, Point(*arc.coords_at(f))) == pytest.approx(9.0)
@@ -241,15 +277,10 @@ class TestHalfStripPieces:
             RegionId.STRIP_Q_C1,
             RegionId.STRIP_Q_C2,
         ):
-            for arc in halfstrip_pieces(spec, strip):
-                for k in range(9):
-                    x = Point(*arc.coords_at(k / 8))
-                    assert product_value(spec, x) == pytest.approx(256.0, rel=1e-12)
-
-    def test_non_strip_region_rejected(self):
-        spec = CassiniSpec(Point(8, 3), Point(-8, -3), 16.0)
-        with pytest.raises(GeometryError):
-            halfstrip_pieces(spec, RegionId.QUADRANT_P)
+            [arc] = standard_pieces(8.0, 3.0, 16.0, strip)
+            for k in range(9):
+                x = Point(*arc.coords_at(k / 8))
+                assert product_value(spec, x) == pytest.approx(256.0, rel=1e-12)
 
 
 class TestPieceParametrization:
@@ -261,8 +292,7 @@ class TestPieceParametrization:
         assert seg.reversed().reversed() == seg
 
     def test_arc_reversal(self):
-        spec = CassiniSpec(Point(8, 3), Point(-8, -3), 16.0)
-        arc = halfstrip_pieces(spec, RegionId.STRIP_P_C1)[0]
+        [arc] = standard_pieces(8.0, 3.0, 16.0, RegionId.STRIP_P_C1)
         rev = arc.reversed()
         assert rev.start == arc.end
         assert rev.end == arc.start
@@ -309,11 +339,35 @@ class TestBuildCurves:
         for p, q, r in [
             (Point(4, 1), Point(-4, -1), 6.0),
             (Point(4, 1), Point(-4, -1), 3.0),
+            (Point(4, 1), Point(-4, -1), 5.0),
+            (Point(5, 0), Point(-5, 0), 5.0),
             (Point(1.5, -2.25), Point(-3.5, 4.0), 2.0),
+            (Point(-1, 3), Point(2, -1), 1.5),
             (Point(0, 0), Point(0, 0), 2.0),
         ]:
-            for curve in build_curves(CassiniSpec(p, q, r)):
-                assert polyline_area(curve_polyline(curve, 16)) > 0
+            assert_counterclockwise(CassiniSpec(p, q, r))
+
+    def test_tiny_lobes_wind_counterclockwise(self):
+        # On both specs a float shoelace sum of the loop is pure roundoff.
+        assert focus_windings(TINY_LOBE_SPEC) == [(1, 0), (0, 1)]
+        assert focus_windings(MIDPOINT_ORIENTED_SPEC) == [(1, 0), (0, 1)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(tiny_lobe_specs)
+    def test_random_tiny_lobes_wind_counterclockwise(self, spec):
+        assert_counterclockwise(spec)
+
+    def test_one_frame_per_build(self, monkeypatch):
+        # The guide complements of all four strips come from one foci_frame call.
+        import taxicassini.cassini as cassini
+
+        calls = []
+        real = cassini.foci_frame
+        monkeypatch.setattr(cassini, "foci_frame", lambda p, q: calls.append(1) or real(p, q))
+        for r in (3.0, 5.0, 6.0):
+            calls.clear()
+            build_curves(CassiniSpec(Point(4, 1), Point(-4, -1), r))
+            assert len(calls) == 1
 
     def test_pinched_edge_loops_share_the_flat_segment(self):
         curves = build_curves(CassiniSpec(Point(4, 1), Point(-4, -1), 5.0))
@@ -379,10 +433,10 @@ class TestBuildCurves:
                 assert abs(product_value(spec, x) - spec.r * spec.r) <= tol
 
 
-# Reference construction: piece evaluation, mapping, orientation and
-# validation through one Point per sample, as build_curves did before it
-# moved to plain coordinates.  Assembly of the standard-frame pieces is
-# shared; everything after it must match the reference bit for bit.
+# Reference construction: piece evaluation, mapping and validation through
+# one Point per sample, as build_curves did before it moved to plain
+# coordinates.  Assembly of the standard-frame pieces and the orientation
+# rule are shared; everything else must match the reference bit for bit.
 
 
 def reference_point_at(piece, f):
@@ -437,18 +491,6 @@ def reference_map_piece(piece, iso):
     )
 
 
-def reference_signed_area(pieces):
-    pts = []
-    for piece in pieces:
-        pts.append(reference_point_at(piece, 0.0))
-        pts.append(reference_point_at(piece, 0.5))
-    total = 0.0
-    for i, u in enumerate(pts):
-        v = pts[(i + 1) % len(pts)]
-        total += u.x1 * v.x2 - v.x1 * u.x2
-    return total / 2
-
-
 def reference_validate_loop(spec, pieces, samples_per_piece):
     scale = max(1.0, taxicab_distance(spec.p, spec.q) + spec.r)
     target = spec.r * spec.r
@@ -470,12 +512,12 @@ def reference_build_curves(spec, samples_per_piece=16):
         raise DegenerateInput("r = 0 yields the bare focus pair, not a curve")
     if samples_per_piece < 1:
         raise GeometryError("samples_per_piece must be positive")
-    iso, p_std, q_std = standardize(spec.p, spec.q)
+    iso, p_std, _ = standardize(spec.p, spec.q)
     inverse = iso.inverse()
     if spec.p == spec.q:
-        raw_loops = [list(_diamond_pieces(spec.r))]
+        raw_loops = [_diamond_pieces(spec.r)]
     else:
-        raw_loops = _assemble_standard_loops(CassiniSpec(p_std, q_std, spec.r))
+        raw_loops = _standard_loops(p_std.x1, p_std.x2, spec.r)
     zero_tol = ZERO_LENGTH_RTOL * max(1.0, taxicab_distance(spec.p, spec.q) + spec.r)
     curves = []
     for raw in raw_loops:
@@ -483,8 +525,7 @@ def reference_build_curves(spec, samples_per_piece=16):
         kept = [piece for piece in mapped if piece.length_scale() > zero_tol]
         if not kept:
             raise AssemblyError("all pieces of a loop degenerated to points")
-        if reference_signed_area(kept) < 0:
-            kept = [reference_reversed(piece) for piece in reversed(kept)]
+        kept = _counterclockwise(kept, inverse)
         reference_validate_loop(spec, kept, samples_per_piece)
         curves.append(ClosedCurve(spec=spec, pieces=tuple(kept)))
     return curves
@@ -541,6 +582,8 @@ random_specs = st.builds(
     _coordinate,
     st.floats(0.0, 40.0, exclude_min=True),
 )
+
+
 stress_specs = st.builds(
     _stress_spec,
     st.lists(st.sampled_from((-1.0, 1.0)), min_size=4, max_size=4),
@@ -555,8 +598,16 @@ RESIDUAL_MISS_SPEC = CassiniSpec(
     319.55182061393936,
 )
 DEGENERATE_LOBE_SPEC = CassiniSpec(Point(4, 1), Point(-4, -1), 5e-6)
-# A tiny lobe whose polygon of piece starts winds the other way: only the
-# piece midpoints give the orientation test the right sign.
+# Tiny lobes: the lobe area is near or below the roundoff of a float
+# shoelace sum at these coordinates, which then gives either sign.  On the
+# first the sum over piece starts and midpoints is -8.9e-16 while the exact
+# area of that polygon is +3.2e-19; on the second it has opposite signs on
+# the two loops.
+TINY_LOBE_SPEC = CassiniSpec(
+    Point(-4.335912401800746, -1.889080395257578),
+    Point(-4.318676099280427, -1.8896585327468522),
+    2.678320235843774e-06,
+)
 MIDPOINT_ORIENTED_SPEC = CassiniSpec(
     Point(1.7138933289400303e-06, -0.9954772549728785),
     Point(0.0005011872336272725, -0.9954772549728785),
@@ -570,6 +621,7 @@ class TestFloatPathMatchesReference:
     @example(RESIDUAL_MISS_SPEC, 16)
     @example(DEGENERATE_LOBE_SPEC, 16)
     @example(MIDPOINT_ORIENTED_SPEC, 16)
+    @example(TINY_LOBE_SPEC, 16)
     @example(CassiniSpec(Point(0, 0), Point(0, 0), 2.0), 3)
     @example(CassiniSpec(Point(4, 1), Point(-4, -1), 5.0), 1)
     def test_build_sample_and_errors_match_reference(self, spec, samples_per_piece):

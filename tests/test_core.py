@@ -220,6 +220,18 @@ class TestPointGroup:
             undo = [h for h in PointGroup if all(h.apply(*g.apply(*e)) == e for e in basis)]
             assert undo == [g.inverse()]
 
+    def test_determinant(self):
+        # The sign of the 2x2 matrix whose columns are the basis images.
+        for g in PointGroup:
+            (a11, a21), (a12, a22) = g.apply(1.0, 0.0), g.apply(0.0, 1.0)
+            assert g.determinant == a11 * a22 - a12 * a21
+        assert {g for g in PointGroup if g.determinant == 1} == {
+            PointGroup.IDENTITY,
+            PointGroup.ROT90,
+            PointGroup.ROT180,
+            PointGroup.ROT270,
+        }
+
     def test_rotation_order(self):
         def power(k, x):
             for _ in range(k):

@@ -1,8 +1,12 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+module-level private name is used somewhere in the package.
 
-A stand-in for a linter's unused-import rule.  A name counts as used when
-it appears anywhere else in the module: in code, in an annotation (quoted
-ones included), or, for the package's __init__, in __all__.
+A stand-in for a linter's unused-import and dead-code rules.  A name counts
+as used when it appears anywhere else in the module: in code, in an
+annotation (quoted ones included), or, for the package's __init__, in
+__all__.  A private name (one leading underscore) defined at module level
+counts as used when a package module mentions it outside the statement that
+defines it.
 """
 
 import ast
@@ -62,3 +66,51 @@ def test_no_unused_imports(path):
         if name not in used_names(tree)
     ]
     assert unused == []
+
+
+def defined_private_names(tree: ast.Module) -> dict[str, ast.stmt]:
+    # Module-level functions, classes and assignment targets named _x, but
+    # not dunders such as __all__.
+    names = {}
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            nodes = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            targets = [n.id for t in nodes for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                names[name] = stmt
+    return names
+
+
+def mentioned_names(tree: ast.Module) -> set[str]:
+    # used_names plus attribute names and imported names.
+    names = used_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_no_dead_private_names():
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")
+    }
+    # The names each module-level statement of the package mentions.
+    mentions = [
+        (stmt, mentioned_names(ast.Module(body=[stmt], type_ignores=[])))
+        for tree in trees.values()
+        for stmt in tree.body
+    ]
+    dead = [
+        f"{name}:{stmt.lineno} {private}"
+        for name, tree in sorted(trees.items())
+        for private, stmt in defined_private_names(tree).items()
+        if not any(private in names for other, names in mentions if other is not stmt)
+    ]
+    assert dead == []
