@@ -11,6 +11,7 @@ from .campaign import (
     CampaignResult,
     run_boundary_campaign,
     run_identity_campaign,
+    run_identity_campaigns,
     run_residual_campaign,
     run_topology_campaign,
 )
@@ -45,6 +46,7 @@ from .characterization import (
     sampling_box,
     union_of_intersections_contains,
     verify_identity,
+    verify_identities,
 )
 from .core import (
     FociFrame,
@@ -118,6 +120,7 @@ __all__ = [
     "sampling_box",
     "union_of_intersections_contains",
     "verify_identity",
+    "verify_identities",
     # oracle: grid sampling, marching squares and Hausdorff distance
     "BoxTooSmall",
     "Contour",
@@ -131,6 +134,7 @@ __all__ = [
     "CampaignResult",
     "run_boundary_campaign",
     "run_identity_campaign",
+    "run_identity_campaigns",
     "run_residual_campaign",
     "run_topology_campaign",
     "render_svg",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .characterization import (
     IdentityMode,
     boundary_check,
     grid_points,
-    verify_identity,
+    verify_identities,
 )
 from .core import Point, standardize, taxicab_distance
 from .oracle import component_count, extract_contour, grid_field
@@ -82,6 +83,40 @@ def run_residual_campaign(
     return CampaignResult("residual", trials, failures, 0, worst)
 
 
+def run_identity_campaigns(
+    modes: Sequence[IdentityMode],
+    trials: int = 200,
+    grid_n: int = 100,
+    seed: int = 42,
+    band: float = 1e-9,
+) -> tuple[CampaignResult, ...]:
+    """Check several set identities on a grid of points per random instance.
+
+    Each instance and its grid are drawn once and checked for every mode by
+    one verify_identities call.  Returns one result per entry of modes, in
+    order, each equal to the single-mode campaign of the same seed.
+    """
+    modes = tuple(modes)
+    rng = np.random.default_rng(seed)
+    mismatches = [0] * len(modes)
+    skipped = [0] * len(modes)
+    worst = [math.inf] * len(modes)
+    points_total = 0
+    for _ in range(trials):
+        spec = random_spec(rng)
+        pts = grid_points(spec.p, spec.q, spec.r, grid_n)
+        reports = verify_identities(spec.p, spec.q, spec.r, modes, pts, band)
+        for k, report in enumerate(reports):
+            mismatches[k] += report.mismatches
+            skipped[k] += report.skipped_boundary_band
+            worst[k] = min(worst[k], report.worst_residual)
+        points_total += pts.shape[0]
+    return tuple(
+        CampaignResult(mode.value, points_total, mismatches[k], skipped[k], worst[k])
+        for k, mode in enumerate(modes)
+    )
+
+
 def run_identity_campaign(
     mode: IdentityMode,
     trials: int = 200,
@@ -89,21 +124,9 @@ def run_identity_campaign(
     seed: int = 42,
     band: float = 1e-9,
 ) -> CampaignResult:
-    """Check one set identity on a grid of points per random instance."""
-    rng = np.random.default_rng(seed)
-    mismatches = 0
-    skipped = 0
-    points_total = 0
-    worst = math.inf
-    for _ in range(trials):
-        spec = random_spec(rng)
-        pts = grid_points(spec.p, spec.q, spec.r, grid_n)
-        report = verify_identity(spec.p, spec.q, spec.r, mode, pts, band)
-        mismatches += report.mismatches
-        skipped += report.skipped_boundary_band
-        points_total += report.trials
-        worst = min(worst, report.worst_residual)
-    return CampaignResult(mode.value, points_total, mismatches, skipped, worst)
+    """Check one set identity on a grid of points per random instance: the
+    one-mode case of run_identity_campaigns."""
+    return run_identity_campaigns((mode,), trials, grid_n, seed, band)[0]
 
 
 def _random_topology_spec(rng: np.random.Generator) -> CassiniSpec:

@@ -5,9 +5,9 @@ be rebuilt from the four guide Cassini sets pairing each focus with the two
 guide complements g+ and g-: a union of intersections, an intersection of
 unions, and two cross-pairings that sandwich L and hit it exactly after
 combining with the filled set of the complements themselves.  This module
-provides the pointwise predicates, a vectorized sampler-based verifier for
-each identity, and a probe-based witness that curve points are boundary
-points of L.
+provides the pointwise predicates, a vectorized sampler-based verifier that
+checks any of the identities on one sample at once, and a probe-based witness
+that curve points are boundary points of L.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -160,6 +160,97 @@ def random_points(p: Point, q: Point, r: float, count: int, seed: int) -> np.nda
     )
 
 
+def _violations(mode: IdentityMode, in_pq, family, in_gg):
+    """Points where the mode's identity fails: for CROSS_SUBSETS only the
+    two subset directions, for the other modes any inequality."""
+    if mode is IdentityMode.UNION_OF_INTERSECTIONS:
+        return in_pq != _union_of_intersections(*family)
+    if mode is IdentityMode.INTERSECTION_OF_UNIONS:
+        return in_pq != _intersection_of_unions(*family)
+    if mode is IdentityMode.CROSS_SUBSETS:
+        return (in_pq & ~_cross_union(*family)) | (_cross_intersection(*family) & ~in_pq)
+    return (_cross_union(*family) != (in_pq | in_gg)) | (
+        _cross_intersection(*family) != (in_pq & in_gg)
+    )
+
+
+def verify_identities(
+    p: Point,
+    q: Point,
+    r: float,
+    modes: Sequence[IdentityMode],
+    points: np.ndarray,
+    band: float = 1e-9,
+) -> tuple[IdentityReport, ...]:
+    """Check several guide-family identities on one finite point sample.
+
+    Returns one report per entry of modes, in order; a repeated mode gets
+    equal reports.  The products of L(p,q) and of the four guide sets are
+    evaluated once for all modes, and the product of L(g+,g-) once more only
+    when CROSS_EQUALITIES is requested.  Each report equals the one a
+    separate check of its mode would give.
+
+    Points whose product lies within band * max(1, r^2) of r^2 for any set
+    its mode involves are skipped: the sets are open, so strict-inequality
+    verdicts that close to a boundary are floating-point noise.  For
+    CROSS_SUBSETS only violations of the two subset directions count as
+    mismatches; the other modes demand equality.  Non-finite coordinates
+    raise GeometryError: no verdict about them is meaningful.
+    """
+    if not (math.isfinite(band) and band >= 0):
+        raise GeometryError(f"band must be finite and nonnegative, got {band!r}")
+    modes = tuple(modes)
+    for mode in modes:
+        if not isinstance(mode, IdentityMode):
+            raise GeometryError(f"unknown identity mode {mode!r}")
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    if not np.isfinite(pts).all():
+        raise GeometryError("identity sample coordinates must be finite")
+    x1, x2 = pts[:, 0], pts[:, 1]
+    frame = foci_frame(p, q)
+    target = r * r
+    # L(p,q) first, then the guide family in the order the combinations take.
+    pairs = [(p, q), (p, frame.g_plus), (p, frame.g_minus), (q, frame.g_plus), (q, frame.g_minus)]
+    with_gg = IdentityMode.CROSS_EQUALITIES in modes
+    if with_gg:
+        pairs.append((frame.g_plus, frame.g_minus))
+    involved = [distance_product(a, b, x1, x2) for a, b in pairs]
+    inside = [f < target for f in involved]
+    in_pq, family = inside[0], inside[1:5]
+    in_gg = inside[5] if with_gg else None
+
+    # A point's margin is its least relative gap |f - r^2| over the sets a
+    # mode involves: the five shared ones, and L(g+,g-) too for
+    # CROSS_EQUALITIES.  min is exact, so sharing the five-set minimum
+    # changes no margin.  Each margin array is tallied once: counted mask,
+    # skip count and worst counted margin.
+    scale = max(1.0, target)
+    gaps = np.abs(np.stack(involved) - target)
+    family_gap = np.min(gaps[:5], axis=0)
+    margins = {False: family_gap / scale}
+    if with_gg:
+        margins[True] = np.minimum(family_gap, gaps[5]) / scale
+    tallies = {}
+    for key, margin in margins.items():
+        counted = ~(margin <= band)
+        worst = float(margin[counted].min()) if counted.any() else math.inf
+        tallies[key] = (counted, int(np.count_nonzero(~counted)), worst)
+
+    reports = []
+    for mode in modes:
+        counted, skipped, worst = tallies[mode is IdentityMode.CROSS_EQUALITIES]
+        bad = _violations(mode, in_pq, family, in_gg)
+        reports.append(
+            IdentityReport(
+                trials=pts.shape[0],
+                mismatches=int(np.count_nonzero(bad & counted)),
+                skipped_boundary_band=skipped,
+                worst_residual=worst,
+            )
+        )
+    return tuple(reports)
+
+
 def verify_identity(
     p: Point,
     q: Point,
@@ -168,54 +259,9 @@ def verify_identity(
     points: np.ndarray,
     band: float = 1e-9,
 ) -> IdentityReport:
-    """Check one guide-family identity on a finite point sample.
-
-    Points whose product lies within band * max(1, r^2) of r^2 for any
-    involved filled set are skipped: the sets are open, so strict-inequality
-    verdicts that close to a boundary are floating-point noise.  For
-    CROSS_SUBSETS only violations of the two subset directions count as
-    mismatches; the other modes demand equality.
-    """
-    if not (math.isfinite(band) and band >= 0):
-        raise GeometryError(f"band must be finite and nonnegative, got {band!r}")
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    x1, x2 = pts[:, 0], pts[:, 1]
-    frame = foci_frame(p, q)
-    target = r * r
-    # L(p,q) first, then the guide family in the order the combinations take.
-    pairs = [(p, q), (p, frame.g_plus), (p, frame.g_minus), (q, frame.g_plus), (q, frame.g_minus)]
-    if mode is IdentityMode.CROSS_EQUALITIES:
-        pairs.append((frame.g_plus, frame.g_minus))
-    involved = [distance_product(a, b, x1, x2) for a, b in pairs]
-    inside = [f < target for f in involved]
-    in_pq, family = inside[0], inside[1:5]
-
-    if mode is IdentityMode.UNION_OF_INTERSECTIONS:
-        bad = in_pq != _union_of_intersections(*family)
-    elif mode is IdentityMode.INTERSECTION_OF_UNIONS:
-        bad = in_pq != _intersection_of_unions(*family)
-    elif mode is IdentityMode.CROSS_SUBSETS:
-        bad = (in_pq & ~_cross_union(*family)) | (_cross_intersection(*family) & ~in_pq)
-    elif mode is IdentityMode.CROSS_EQUALITIES:
-        in_gg = inside[5]
-        bad = (_cross_union(*family) != (in_pq | in_gg)) | (
-            _cross_intersection(*family) != (in_pq & in_gg)
-        )
-    else:
-        raise GeometryError(f"unknown identity mode {mode!r}")
-
-    scale = max(1.0, target)
-    margins = np.min(np.abs(np.stack(involved) - target), axis=0) / scale
-    skipped = margins <= band
-    counted = ~skipped
-    mismatches = int(np.count_nonzero(bad & counted))
-    worst = float(margins[counted].min()) if counted.any() else math.inf
-    return IdentityReport(
-        trials=pts.shape[0],
-        mismatches=mismatches,
-        skipped_boundary_band=int(np.count_nonzero(skipped)),
-        worst_residual=worst,
-    )
+    """Check one guide-family identity on a finite point sample: the
+    one-mode case of verify_identities, with the same skip band and errors."""
+    return verify_identities(p, q, r, (mode,), points, band)[0]
 
 
 def _star_directions(count: int = 16) -> tuple[tuple[float, float], ...]:

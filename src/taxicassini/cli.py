@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 from .campaign import (
     CampaignResult,
     run_boundary_campaign,
-    run_identity_campaign,
+    run_identity_campaigns,
     run_residual_campaign,
     run_topology_campaign,
 )
@@ -222,14 +222,6 @@ def _run_mode(mode: str, args: argparse.Namespace) -> CampaignResult:
             seed=args.seed,
             samples_per_curve=args.samples,
         )
-    if mode in _IDENTITY_TOKENS:
-        return run_identity_campaign(
-            IdentityMode(mode),
-            trials=args.trials if args.trials is not None else 200,
-            grid_n=args.grid,
-            seed=args.seed,
-            band=args.band,
-        )
     if mode == "topology":
         return run_topology_campaign(
             trials=args.trials if args.trials is not None else 100,
@@ -238,6 +230,24 @@ def _run_mode(mode: str, args: argparse.Namespace) -> CampaignResult:
     if mode == "boundary":
         return run_boundary_campaign(samples_per_curve=args.samples)
     raise GeometryError(f"unknown verify mode {mode!r}")
+
+
+def _run_identity_modes(
+    modes: Sequence[str], args: argparse.Namespace
+) -> dict[str, CampaignResult]:
+    """Every identity mode of the request from one campaign over shared
+    instances, grids and products, keyed by mode token."""
+    identity = tuple(
+        dict.fromkeys(IdentityMode(mode) for mode in modes if mode in _IDENTITY_TOKENS)
+    )
+    results = run_identity_campaigns(
+        identity,
+        trials=args.trials if args.trials is not None else 200,
+        grid_n=args.grid,
+        seed=args.seed,
+        band=args.band,
+    )
+    return {mode.value: result for mode, result in zip(identity, results)}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -257,8 +267,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not (math.isfinite(args.band) and args.band >= 0):
         raise GeometryError(f"--band must be finite and nonnegative, got {args.band!r}")
     total_failures = 0
+    identity_results = None
     for mode in modes:
-        result = _run_mode(mode, args)
+        if mode in _IDENTITY_TOKENS:
+            if identity_results is None:
+                identity_results = _run_identity_modes(modes, args)
+            result = identity_results[mode]
+        else:
+            result = _run_mode(mode, args)
         total_failures += result.failures
         print(
             f"mode={mode} trials={result.trials} failures={result.failures} "

@@ -14,7 +14,7 @@ import pytest
 from taxicassini.campaign import (
     boundary_suite,
     random_spec,
-    run_identity_campaign,
+    run_identity_campaigns,
     run_residual_campaign,
     run_topology_campaign,
 )
@@ -73,10 +73,13 @@ def test_criterion_1_curve_residuals(criterion_line):
 
 def test_criterion_2_guide_family_identities(criterion_line):
     start = time.perf_counter()
-    reports = [
-        run_identity_campaign(mode, trials=200, grid_n=100, seed=42, band=1e-9)
-        for mode in (IdentityMode.UNION_OF_INTERSECTIONS, IdentityMode.INTERSECTION_OF_UNIONS)
-    ]
+    reports = run_identity_campaigns(
+        (IdentityMode.UNION_OF_INTERSECTIONS, IdentityMode.INTERSECTION_OF_UNIONS),
+        trials=200,
+        grid_n=100,
+        seed=42,
+        band=1e-9,
+    )
     elapsed = time.perf_counter() - start
     mismatches = sum(rep.failures for rep in reports)
     points = sum(rep.trials for rep in reports)
@@ -92,10 +95,13 @@ def test_criterion_2_guide_family_identities(criterion_line):
 
 def test_criterion_3_cross_family_identities(criterion_line):
     start = time.perf_counter()
-    reports = [
-        run_identity_campaign(mode, trials=200, grid_n=100, seed=42, band=1e-9)
-        for mode in (IdentityMode.CROSS_SUBSETS, IdentityMode.CROSS_EQUALITIES)
-    ]
+    reports = run_identity_campaigns(
+        (IdentityMode.CROSS_SUBSETS, IdentityMode.CROSS_EQUALITIES),
+        trials=200,
+        grid_n=100,
+        seed=42,
+        band=1e-9,
+    )
     elapsed = time.perf_counter() - start
     mismatches = sum(rep.failures for rep in reports)
     ok = mismatches == 0 and all(rep.trials == 2_000_000 for rep in reports) and elapsed < 60.0

@@ -4,12 +4,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from taxicassini import characterization
+from taxicassini.campaign import (
+    CampaignResult,
+    random_spec,
+    run_identity_campaign,
+    run_identity_campaigns,
+)
 from taxicassini.cassini import CassiniSpec
 from taxicassini.characterization import (
     IdentityMode,
+    IdentityReport,
     boundary_check,
     cross_family_contains,
     filled_contains,
@@ -19,9 +27,16 @@ from taxicassini.characterization import (
     random_points,
     sampling_box,
     union_of_intersections_contains,
+    verify_identities,
     verify_identity,
 )
-from taxicassini.core import GeometryError, Point, foci_frame, taxicab_distance
+from taxicassini.core import (
+    GeometryError,
+    Point,
+    distance_product,
+    foci_frame,
+    taxicab_distance,
+)
 
 dyadic = st.integers(-320, 320).map(lambda k: k / 16.0)
 dyadic_points = st.builds(Point, dyadic, dyadic)
@@ -174,3 +189,191 @@ class TestBoundaryCheck:
         for radius in (0.0, math.nan, math.inf):
             with pytest.raises(GeometryError, match="probe radius"):
                 boundary_check(spec, [Point(0, 0)], radius)
+
+
+def reference_verify_identity(p, q, r, mode, points, band=1e-9):
+    """An independent one-mode identity check: its own five or six products,
+    the set combinations written out, margins over every set the mode
+    involves."""
+    if not (math.isfinite(band) and band >= 0):
+        raise GeometryError(f"band must be finite and nonnegative, got {band!r}")
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    x1, x2 = pts[:, 0], pts[:, 1]
+    frame = foci_frame(p, q)
+    target = r * r
+    pairs = [(p, q), (p, frame.g_plus), (p, frame.g_minus), (q, frame.g_plus), (q, frame.g_minus)]
+    if mode is IdentityMode.CROSS_EQUALITIES:
+        pairs.append((frame.g_plus, frame.g_minus))
+    involved = [distance_product(a, b, x1, x2) for a, b in pairs]
+    inside = [f < target for f in involved]
+    in_pq, pp, pm, qp, qm = inside[:5]
+    cross_union = (pp | qm) & (pm | qp)
+    cross_intersection = (pp & qm) | (pm & qp)
+    if mode is IdentityMode.UNION_OF_INTERSECTIONS:
+        bad = in_pq != ((pp & pm) | (qp & qm))
+    elif mode is IdentityMode.INTERSECTION_OF_UNIONS:
+        bad = in_pq != ((pp | qp) & (pm | qm))
+    elif mode is IdentityMode.CROSS_SUBSETS:
+        bad = (in_pq & ~cross_union) | (cross_intersection & ~in_pq)
+    else:
+        in_gg = inside[5]
+        bad = (cross_union != (in_pq | in_gg)) | (cross_intersection != (in_pq & in_gg))
+    scale = max(1.0, target)
+    margins = np.min(np.abs(np.stack(involved) - target), axis=0) / scale
+    skipped = margins <= band
+    counted = ~skipped
+    return IdentityReport(
+        trials=pts.shape[0],
+        mismatches=int(np.count_nonzero(bad & counted)),
+        skipped_boundary_band=int(np.count_nonzero(skipped)),
+        worst_residual=float(margins[counted].min()) if counted.any() else math.inf,
+    )
+
+
+def reference_identity_campaign(mode, trials=200, grid_n=100, seed=42, band=1e-9):
+    """One campaign per mode, each drawing its own specs and grids."""
+    rng = np.random.default_rng(seed)
+    mismatches = skipped = points_total = 0
+    worst = math.inf
+    for _ in range(trials):
+        spec = random_spec(rng)
+        pts = grid_points(spec.p, spec.q, spec.r, grid_n)
+        report = reference_verify_identity(spec.p, spec.q, spec.r, mode, pts, band)
+        mismatches += report.mismatches
+        skipped += report.skipped_boundary_band
+        points_total += report.trials
+        worst = min(worst, report.worst_residual)
+    return CampaignResult(mode.value, points_total, mismatches, skipped, worst)
+
+
+mode_tuples = st.lists(st.sampled_from(list(IdentityMode)), min_size=1, max_size=6).map(tuple)
+# Small coordinates, and signed magnitudes log-uniform over 1e-6..1e9.
+scaled = st.builds(
+    lambda sign, exponent: sign * 10.0**exponent, st.sampled_from([-1.0, 1.0]), st.floats(-6, 9)
+)
+coordinates = st.one_of(st.floats(-20, 20), scaled)
+spec_points = st.builds(Point, coordinates, coordinates)
+radii = st.one_of(st.floats(0, 40), scaled.map(abs))
+samples = st.one_of(
+    st.tuples(st.just("grid"), st.integers(2, 12)),
+    st.tuples(st.just("random"), st.integers(1, 150), st.integers(0, 2**32 - 1)),
+)
+bands = st.sampled_from([0.0, 1e-9, 1e-4, 1e30])
+
+# The product of L(g+,g-) equals one of the five other products at every
+# point in exact arithmetic, so its gap sets the worst margin of
+# CROSS_EQUALITIES only through roundoff.  Here it does, on the 3 x 3 grid:
+# 0.07658276605971634 against 0.07658276605971648 for the other modes.
+GG_SETS_WORST = (
+    Point(-3.7557140176565063, 1.162417502970512),
+    Point(-2.287933172380341, -1.1484767577372756),
+    1.820898948573911,
+)
+
+
+def sample_points(p, q, r, sample):
+    if sample[0] == "grid":
+        return grid_points(p, q, r, sample[1])
+    return random_points(p, q, r, sample[1], seed=sample[2])
+
+
+class TestVerifyIdentities:
+    @settings(max_examples=300, deadline=None)
+    @given(mode_tuples, spec_points, spec_points, radii, samples, bands)
+    @example(tuple(IdentityMode), *GG_SETS_WORST, ("grid", 3), 0.0)
+    @example(
+        (IdentityMode.CROSS_EQUALITIES, IdentityMode.CROSS_SUBSETS),
+        *GG_SETS_WORST,
+        ("grid", 3),
+        1e-9,
+    )
+    def test_matches_reference(self, modes, p, q, r, sample, band):
+        pts = sample_points(p, q, r, sample)
+        reports = verify_identities(p, q, r, modes, pts, band)
+        assert len(reports) == len(modes)
+        for mode, report in zip(modes, reports):
+            assert repr(report) == repr(reference_verify_identity(p, q, r, mode, pts, band))
+
+    def test_gg_gap_example_sets_cross_equalities_worst(self):
+        p, q, r = GG_SETS_WORST
+        reports = verify_identities(p, q, r, tuple(IdentityMode), grid_points(p, q, r, 3), 0.0)
+        worsts = [report.worst_residual for report in reports]
+        assert worsts[:3] == [0.07658276605971648] * 3
+        assert worsts[3] == 0.07658276605971634
+
+    @pytest.mark.parametrize(
+        "modes,products",
+        [
+            ((IdentityMode.UNION_OF_INTERSECTIONS,), 5),
+            (tuple(m for m in IdentityMode if m is not IdentityMode.CROSS_EQUALITIES), 5),
+            ((IdentityMode.CROSS_EQUALITIES,), 6),
+            (tuple(IdentityMode) * 2, 6),
+        ],
+    )
+    def test_one_product_per_involved_pair(self, monkeypatch, modes, products):
+        calls = []
+
+        def counting(a, b, x1, x2):
+            calls.append((a, b))
+            return distance_product(a, b, x1, x2)
+
+        monkeypatch.setattr(characterization, "distance_product", counting)
+        pts = grid_points(Point(4, 1), Point(-4, -1), 6.0, 16)
+        verify_identities(Point(4, 1), Point(-4, -1), 6.0, modes, pts)
+        assert len(calls) == len(set(calls)) == products
+
+    def test_repeated_mode_gets_equal_reports(self):
+        pts = grid_points(Point(4, 1), Point(-4, -1), 6.0, 30)
+        modes = (
+            IdentityMode.CROSS_SUBSETS,
+            IdentityMode.UNION_OF_INTERSECTIONS,
+            IdentityMode.CROSS_SUBSETS,
+        )
+        first, second, third = verify_identities(Point(4, 1), Point(-4, -1), 6.0, modes, pts)
+        assert first == third
+        assert first == verify_identity(Point(4, 1), Point(-4, -1), 6.0, modes[0], pts)
+
+    def test_unknown_mode_rejected(self):
+        pts = grid_points(Point(4, 1), Point(-4, -1), 6.0, 16)
+        with pytest.raises(GeometryError, match="unknown identity mode"):
+            verify_identities(
+                Point(4, 1), Point(-4, -1), 6.0, (IdentityMode.CROSS_SUBSETS, "residual"), pts
+            )
+
+    def test_mixed_non_finite_sample_rejected(self):
+        pts = [[0.0, 0.0], [math.nan, 0.0], [math.inf, 1.0], [1.0, 2.0]]
+        with pytest.raises(GeometryError, match="finite"):
+            verify_identity(Point(4, 1), Point(-4, -1), 6.0, IdentityMode.CROSS_SUBSETS, pts)
+
+    @pytest.mark.parametrize("mode", list(IdentityMode))
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinate_rejected(self, mode, axis, value):
+        # Such points used to count as agreements, with a nan worst residual.
+        pts = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, -1.0]])
+        pts[1, axis] = value
+        with pytest.raises(GeometryError, match="finite"):
+            verify_identities(Point(4, 1), Point(-4, -1), 6.0, (mode,), pts)
+        with pytest.raises(GeometryError, match="finite"):
+            verify_identity(Point(4, 1), Point(-4, -1), 6.0, mode, pts)
+
+
+class TestIdentityCampaigns:
+    def test_fused_campaign_matches_per_mode_reference(self):
+        modes = tuple(IdentityMode)
+        fused = run_identity_campaigns(modes, trials=20, seed=7)
+        reference = tuple(reference_identity_campaign(mode, trials=20, seed=7) for mode in modes)
+        assert repr(fused) == repr(reference)
+
+    def test_order_and_repeats_follow_the_request(self):
+        modes = (
+            IdentityMode.CROSS_EQUALITIES,
+            IdentityMode.CROSS_SUBSETS,
+            IdentityMode.CROSS_EQUALITIES,
+        )
+        results = run_identity_campaigns(modes, trials=3, grid_n=20, seed=3, band=1e-4)
+        assert [result.name for result in results] == [mode.value for mode in modes]
+        assert results[0] == results[2]
+        assert results[1] == run_identity_campaign(
+            IdentityMode.CROSS_SUBSETS, trials=3, grid_n=20, seed=3, band=1e-4
+        )

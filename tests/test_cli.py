@@ -371,6 +371,19 @@ mode=cross-equalities trials=200000 failures=0 skipped=4 worst=1.311390e-04
 overall: pass
 """,
     ),
+    (
+        [
+            "--seed", "7", "--trials", "5",
+            "--modes", "cross-equalities,residual,union-of-intersections,cross-equalities",
+        ],
+        """\
+mode=cross-equalities trials=50000 failures=0 skipped=0 worst=8.972222e-05
+mode=residual trials=5 failures=0 skipped=0 worst=2.638026e-14
+mode=union-of-intersections trials=50000 failures=0 skipped=0 worst=8.972222e-05
+mode=cross-equalities trials=50000 failures=0 skipped=0 worst=8.972222e-05
+overall: pass
+""",
+    ),
 ]
 
 
