@@ -58,6 +58,7 @@ from .core import (
     classify_region,
     closer_to,
     distance_product,
+    distance_products,
     foci_frame,
     standardize,
     taxicab_distance,
@@ -87,6 +88,7 @@ __all__ = [
     "classify_region",
     "closer_to",
     "distance_product",
+    "distance_products",
     "foci_frame",
     "standardize",
     "taxicab_distance",

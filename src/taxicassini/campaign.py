@@ -92,8 +92,9 @@ def run_identity_campaigns(
 ) -> tuple[CampaignResult, ...]:
     """Check several set identities on a grid of points per random instance.
 
-    Each instance and its grid are drawn once and checked for every mode by
-    one verify_identities call.  Returns one result per entry of modes, in
+    Each instance and its grid axes are drawn once and checked for every
+    mode by one verify_identities call, which shares four distance fields
+    among the instance's products.  Returns one result per entry of modes, in
     order, each equal to the single-mode campaign of the same seed.
     """
     modes = tuple(modes)
@@ -101,16 +102,15 @@ def run_identity_campaigns(
     mismatches = [0] * len(modes)
     skipped = [0] * len(modes)
     worst = [math.inf] * len(modes)
-    points_total = 0
     for _ in range(trials):
         spec = random_spec(rng)
-        pts = grid_points(spec.p, spec.q, spec.r, grid_n)
-        reports = verify_identities(spec.p, spec.q, spec.r, modes, pts, band)
+        x1, x2 = grid_points(spec.p, spec.q, spec.r, grid_n)
+        reports = verify_identities(spec.p, spec.q, spec.r, modes, x1, x2, band)
         for k, report in enumerate(reports):
             mismatches[k] += report.mismatches
             skipped[k] += report.skipped_boundary_band
             worst[k] = min(worst[k], report.worst_residual)
-        points_total += pts.shape[0]
+    points_total = trials * grid_n * grid_n
     return tuple(
         CampaignResult(mode.value, points_total, mismatches[k], skipped[k], worst[k])
         for k, mode in enumerate(modes)

@@ -61,6 +61,10 @@ class CassiniSpec:
     def __post_init__(self) -> None:
         if not math.isfinite(self.r) or self.r < 0:
             raise GeometryError(f"radius parameter must be finite and nonnegative, got {self.r!r}")
+        # Every product comparison is against r^2: an overflowed square would
+        # turn each residual and on-band into inf or NaN, which no check trips.
+        if not math.isfinite(self.r * self.r):
+            raise GeometryError(f"radius parameter squared must be finite, got r = {self.r!r}")
 
 
 def critical_radius(p: Point, q: Point) -> float:
@@ -83,7 +87,11 @@ def classify_point(spec: CassiniSpec, x: Point, tol: float = 1e-9) -> PointLocat
     """Locate x relative to the curve with a relative on-band of width tol.
 
     On iff |product - r^2| <= tol * max(1, r^2); Inside iff product falls
-    below the band; Outside otherwise.  tol = 0 gives exact comparisons.
+    below the band; Outside otherwise.  The comparisons take the rounded
+    product and the rounded r^2, so tol = 0 means On iff the two rounded
+    values are equal; it is not an exact predicate, and a point within a few
+    ulps of the curve can land on either side of it (ROADMAP open item 1
+    adds an exact sign predicate).
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise GeometryError(f"tolerance must be finite and nonnegative, got {tol!r}")

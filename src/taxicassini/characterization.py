@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .cassini import CassiniSpec, product_value
-from .core import GeometryError, Point, distance_product, foci_frame, taxicab_distance
+from .core import GeometryError, Point, distance_products, foci_frame, taxicab_distance
 
 # Probe classifications treat |f - r^2| below this (relative) guard as "not
 # strictly inside": the open set is defined by a strict inequality that
@@ -135,29 +135,33 @@ def sampling_box(p: Point, q: Point, r: float) -> tuple[Point, float]:
     return Point((p.x1 + q.x1) / 2, (p.x2 + q.x2) / 2), half
 
 
-def grid_points(p: Point, q: Point, r: float, n: int) -> np.ndarray:
-    """Uniform n x n point grid over the sampling box, as an (n*n, 2) array."""
+def grid_points(p: Point, q: Point, r: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform n x n grid over the sampling box, as broadcasting axes.
+
+    Returns x1 of shape (n,) and x2 of shape (n, 1); broadcast together they
+    give the n x n grid, row by row (x1 varies fastest), and a distance field
+    over it costs 2n subtractions plus one n x n add.
+    """
     if n < 2:
         raise GeometryError(f"grid needs at least 2 nodes per side, got {n}")
     center, half = sampling_box(p, q, r)
     xs = np.linspace(center.x1 - half, center.x1 + half, n)
     ys = np.linspace(center.x2 - half, center.x2 + half, n)
-    mx, my = np.meshgrid(xs, ys)
-    return np.column_stack([mx.ravel(), my.ravel()])
+    return xs, ys[:, None]
 
 
-def random_points(p: Point, q: Point, r: float, count: int, seed: int) -> np.ndarray:
-    """Seeded uniform random points over the sampling box, as (count, 2)."""
+def random_points(
+    p: Point, q: Point, r: float, count: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded uniform random points over the sampling box, as two (count,)
+    coordinate columns x1, x2."""
     if count < 1:
         raise GeometryError(f"need at least one point, got {count}")
     rng = np.random.default_rng(seed)
     center, half = sampling_box(p, q, r)
-    return np.column_stack(
-        [
-            rng.uniform(center.x1 - half, center.x1 + half, count),
-            rng.uniform(center.x2 - half, center.x2 + half, count),
-        ]
-    )
+    x1 = rng.uniform(center.x1 - half, center.x1 + half, count)
+    x2 = rng.uniform(center.x2 - half, center.x2 + half, count)
+    return x1, x2
 
 
 def _violations(mode: IdentityMode, in_pq, family, in_gg):
@@ -174,21 +178,38 @@ def _violations(mode: IdentityMode, in_pq, family, in_gg):
     )
 
 
+def _tally(margin: np.ndarray, band: float) -> tuple[np.ndarray, int, float]:
+    """Counted mask, skip count and worst counted margin of one margin array."""
+    skipped = margin <= band
+    skip_count = int(np.count_nonzero(skipped))
+    if skip_count == 0:
+        worst = float(margin.min())
+    elif skip_count < margin.size:
+        worst = float(margin[~skipped].min())
+    else:
+        worst = math.inf
+    return ~skipped, skip_count, worst
+
+
 def verify_identities(
     p: Point,
     q: Point,
     r: float,
     modes: Sequence[IdentityMode],
-    points: np.ndarray,
+    x1,
+    x2,
     band: float = 1e-9,
 ) -> tuple[IdentityReport, ...]:
     """Check several guide-family identities on one finite point sample.
 
+    The sample is the broadcast of the coordinates x1 and x2, as returned by
+    grid_points (axes) or random_points (columns); trials is its size.
     Returns one report per entry of modes, in order; a repeated mode gets
-    equal reports.  The products of L(p,q) and of the four guide sets are
-    evaluated once for all modes, and the product of L(g+,g-) once more only
-    when CROSS_EQUALITIES is requested.  Each report equals the one a
-    separate check of its mode would give.
+    equal reports.  The pairs (p,q), (p,g+), (p,g-), (q,g+), (q,g-) and,
+    only when CROSS_EQUALITIES is requested, (g+,g-) pair up the four points
+    p, q, g+, g-, so one distance_products call serves every mode with at
+    most four distance fields.  Each report equals the one a separate check
+    of its mode would give.
 
     Points whose product lies within band * max(1, r^2) of r^2 for any set
     its mode involves are skipped: the sets are open, so strict-inequality
@@ -203,10 +224,16 @@ def verify_identities(
     for mode in modes:
         if not isinstance(mode, IdentityMode):
             raise GeometryError(f"unknown identity mode {mode!r}")
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    if not np.isfinite(pts).all():
+    x1 = np.atleast_1d(np.asarray(x1, dtype=float))
+    x2 = np.atleast_1d(np.asarray(x2, dtype=float))
+    if not (np.isfinite(x1).all() and np.isfinite(x2).all()):
         raise GeometryError("identity sample coordinates must be finite")
-    x1, x2 = pts[:, 0], pts[:, 1]
+    try:
+        trials = np.broadcast(x1, x2).size
+    except ValueError:
+        raise GeometryError(
+            f"identity sample coordinates of shapes {x1.shape} and {x2.shape} do not broadcast"
+        ) from None
     frame = foci_frame(p, q)
     target = r * r
     # L(p,q) first, then the guide family in the order the combinations take.
@@ -214,27 +241,27 @@ def verify_identities(
     with_gg = IdentityMode.CROSS_EQUALITIES in modes
     if with_gg:
         pairs.append((frame.g_plus, frame.g_minus))
-    involved = [distance_product(a, b, x1, x2) for a, b in pairs]
-    inside = [f < target for f in involved]
+    products = distance_products(pairs, x1, x2)
+    inside = [f < target for f in products]
     in_pq, family = inside[0], inside[1:5]
     in_gg = inside[5] if with_gg else None
 
     # A point's margin is its least relative gap |f - r^2| over the sets a
     # mode involves: the five shared ones, and L(g+,g-) too for
     # CROSS_EQUALITIES.  min is exact, so sharing the five-set minimum
-    # changes no margin.  Each margin array is tallied once: counted mask,
-    # skip count and worst counted margin.
+    # changes no margin.  The gaps overwrite the products, which the masks
+    # above no longer need; each margin array is tallied once.
+    for f in products:
+        np.subtract(f, target, out=f)
+        np.abs(f, out=f)
+    gap = products[0]
+    for f in products[1:5]:
+        np.minimum(gap, f, out=gap)
     scale = max(1.0, target)
-    gaps = np.abs(np.stack(involved) - target)
-    family_gap = np.min(gaps[:5], axis=0)
-    margins = {False: family_gap / scale}
+    tallies = {False: _tally(gap / scale, band)}
     if with_gg:
-        margins[True] = np.minimum(family_gap, gaps[5]) / scale
-    tallies = {}
-    for key, margin in margins.items():
-        counted = ~(margin <= band)
-        worst = float(margin[counted].min()) if counted.any() else math.inf
-        tallies[key] = (counted, int(np.count_nonzero(~counted)), worst)
+        np.minimum(gap, products[5], out=gap)
+        tallies[True] = _tally(np.divide(gap, scale, out=gap), band)
 
     reports = []
     for mode in modes:
@@ -242,7 +269,7 @@ def verify_identities(
         bad = _violations(mode, in_pq, family, in_gg)
         reports.append(
             IdentityReport(
-                trials=pts.shape[0],
+                trials=trials,
                 mismatches=int(np.count_nonzero(bad & counted)),
                 skipped_boundary_band=skipped,
                 worst_residual=worst,
@@ -256,12 +283,14 @@ def verify_identity(
     q: Point,
     r: float,
     mode: IdentityMode,
-    points: np.ndarray,
+    x1,
+    x2,
     band: float = 1e-9,
 ) -> IdentityReport:
     """Check one guide-family identity on a finite point sample: the
-    one-mode case of verify_identities, with the same skip band and errors."""
-    return verify_identities(p, q, r, (mode,), points, band)[0]
+    one-mode case of verify_identities, with the same coordinates, skip band
+    and errors."""
+    return verify_identities(p, q, r, (mode,), x1, x2, band)[0]
 
 
 def _star_directions(count: int = 16) -> tuple[tuple[float, float], ...]:

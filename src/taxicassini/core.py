@@ -1,9 +1,10 @@
 """Planar taxicab (L1) geometry primitives.
 
-Distances and the distance product d(x,a)·d(x,b), the nine closed regions
-that the coordinate lines through two foci cut the plane into, a closeness
-predicate, and the isometry group of the taxicab plane (translations composed
-with the eight-element dihedral point group).
+Distances and the distance product d(x,a)·d(x,b), singly or for several
+pairs sharing their distance fields, the nine closed regions that the
+coordinate lines through two foci cut the plane into, a closeness predicate,
+and the isometry group of the taxicab plane (translations composed with the
+eight-element dihedral point group).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, Sequence
 
 
 class GeometryError(ValueError):
@@ -51,6 +52,28 @@ def distance_product(a: Point, b: Point, x1, x2):
     builtin abs serves both, so each array element equals the scalar call.
     """
     return (abs(x1 - a.x1) + abs(x2 - a.x2)) * (abs(x1 - b.x1) + abs(x2 - b.x2))
+
+
+def distance_products(pairs: Sequence[tuple[Point, Point]], x1, x2) -> list:
+    """distance_product(a, b, x1, x2) for each (a, b) in pairs, in order.
+
+    Each distinct focus's field d(x, a) is computed once and shared by every
+    pair naming it, so four foci paired six ways cost four fields and six
+    multiplies.  Foci are shared by value, and for float or float-array
+    coordinates each product equals the single-pair call element for element
+    and bit for bit.  On a grid given as axes x1 of shape (n,) and x2 of
+    shape (n, 1), a field is a row of n offsets plus a column of n offsets,
+    added by broadcasting.
+    """
+    fields: dict[Point, object] = {}
+
+    def distance_field(a: Point):
+        d = fields.get(a)
+        if d is None:
+            d = fields[a] = abs(x1 - a.x1) + abs(x2 - a.x2)
+        return d
+
+    return [distance_field(a) * distance_field(b) for a, b in pairs]
 
 
 def closer_to(a: Point, b: Point, x: Point) -> bool:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -115,6 +116,17 @@ class TestSpecAndScalars:
             CassiniSpec(Point(0, 0), Point(1, 1), -1.0)
         with pytest.raises(GeometryError):
             CassiniSpec(Point(0, 0), Point(1, 1), float("nan"))
+
+    def test_spec_rejects_radius_whose_square_overflows(self):
+        # r^2 = inf made every residual NaN, so build_curves validated its
+        # curves and the band of classify_point(tol=0) was NaN.
+        with pytest.raises(GeometryError, match="squared must be finite"):
+            CassiniSpec(Point(1e200, 0), Point(-1e200, 0), 1e200)
+        largest = math.sqrt(sys.float_info.max)
+        spec = CassiniSpec(Point(0, 0), Point(1, 1), largest)
+        assert math.isfinite(spec.r * spec.r)
+        with pytest.raises(GeometryError, match="squared must be finite"):
+            CassiniSpec(Point(0, 0), Point(1, 1), math.nextafter(largest, math.inf))
 
     @given(dyadic_points, dyadic_points)
     def test_critical_radius_is_half_distance(self, p, q):

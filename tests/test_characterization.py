@@ -34,6 +34,7 @@ from taxicassini.core import (
     GeometryError,
     Point,
     distance_product,
+    distance_products,
     foci_frame,
     taxicab_distance,
 )
@@ -112,10 +113,18 @@ class TestSamplers:
         assert half == taxicab_distance(Point(4, 1), Point(-4, -1)) + 6.0 + 1.0
 
     def test_grid_points_shape_and_corners(self):
-        pts = grid_points(Point(4, 1), Point(-4, -1), 6.0, 20)
-        assert pts.shape == (400, 2)
-        assert pts.min() == -17.0
-        assert pts.max() == 17.0
+        x1, x2 = grid_points(Point(4, 1), Point(-4, -1), 6.0, 20)
+        assert x1.shape == (20,)
+        assert x2.shape == (20, 1)
+        for axis in (x1, x2):
+            assert axis.min() == -17.0
+            assert axis.max() == 17.0
+
+    def test_grid_axes_broadcast_to_meshgrid_order(self):
+        # Row by row with x1 fastest: the order of the former (n*n, 2) array.
+        x1, x2 = grid_points(Point(4, 1), Point(-3, 2.5), 2.0, 7)
+        mx, my = np.meshgrid(x1, x2.ravel())
+        assert np.array_equal(materialise(x1, x2), np.column_stack([mx.ravel(), my.ravel()]))
 
     def test_random_points_deterministic(self):
         a = random_points(Point(4, 1), Point(-4, -1), 6.0, 100, seed=7)
@@ -123,24 +132,24 @@ class TestSamplers:
         c = random_points(Point(4, 1), Point(-4, -1), 6.0, 100, seed=8)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
-        assert a.shape == (100, 2)
+        assert [column.shape for column in a] == [(100,), (100,)]
         assert np.all(np.abs(a) <= 17.0)
 
 
 class TestVerifyIdentity:
     def test_zero_mismatches_on_reference_instances(self):
         for r in (3.0, 5.0, 6.0):
-            pts = grid_points(Point(4, 1), Point(-4, -1), r, 50)
+            x1, x2 = grid_points(Point(4, 1), Point(-4, -1), r, 50)
             for mode in IdentityMode:
-                report = verify_identity(Point(4, 1), Point(-4, -1), r, mode, pts)
+                report = verify_identity(Point(4, 1), Point(-4, -1), r, mode, x1, x2)
                 assert report.mismatches == 0
                 assert report.trials == 2500
                 assert report.skipped_boundary_band + report.trials >= 2500
 
     def test_wide_band_skips_everything(self):
-        pts = grid_points(Point(4, 1), Point(-4, -1), 6.0, 20)
+        x1, x2 = grid_points(Point(4, 1), Point(-4, -1), 6.0, 20)
         report = verify_identity(
-            Point(4, 1), Point(-4, -1), 6.0, IdentityMode.UNION_OF_INTERSECTIONS, pts, band=1e30
+            Point(4, 1), Point(-4, -1), 6.0, IdentityMode.UNION_OF_INTERSECTIONS, x1, x2, band=1e30
         )
         assert report.mismatches == 0
         assert report.skipped_boundary_band == 400
@@ -149,15 +158,15 @@ class TestVerifyIdentity:
     @pytest.mark.parametrize("band", [-1e-9, math.nan, math.inf])
     def test_bad_band_rejected(self, band):
         # An infinite band would skip every point and report no mismatch.
-        pts = grid_points(Point(4, 1), Point(-4, -1), 6.0, 16)
+        x1, x2 = grid_points(Point(4, 1), Point(-4, -1), 6.0, 16)
         for mode in IdentityMode:
             with pytest.raises(GeometryError, match="band"):
-                verify_identity(Point(4, 1), Point(-4, -1), 6.0, mode, pts, band=band)
+                verify_identity(Point(4, 1), Point(-4, -1), 6.0, mode, x1, x2, band=band)
 
     def test_worst_residual_is_min_counted_margin(self):
-        pts = grid_points(Point(4, 1), Point(-4, -1), 6.0, 40)
+        x1, x2 = grid_points(Point(4, 1), Point(-4, -1), 6.0, 40)
         report = verify_identity(
-            Point(4, 1), Point(-4, -1), 6.0, IdentityMode.CROSS_EQUALITIES, pts
+            Point(4, 1), Point(-4, -1), 6.0, IdentityMode.CROSS_EQUALITIES, x1, x2
         )
         assert report.worst_residual > 1e-9
 
@@ -191,10 +200,15 @@ class TestBoundaryCheck:
                 boundary_check(spec, [Point(0, 0)], radius)
 
 
+def materialise(x1, x2):
+    """The sample of broadcasting coordinates as an (N, 2) point array."""
+    return np.column_stack([axis.ravel() for axis in np.broadcast_arrays(x1, x2)])
+
+
 def reference_verify_identity(p, q, r, mode, points, band=1e-9):
-    """An independent one-mode identity check: its own five or six products,
-    the set combinations written out, margins over every set the mode
-    involves."""
+    """An independent one-mode identity check on an (N, 2) point array: its
+    own five or six products, the set combinations written out, margins over
+    every set the mode involves."""
     if not (math.isfinite(band) and band >= 0):
         raise GeometryError(f"band must be finite and nonnegative, got {band!r}")
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
@@ -237,7 +251,7 @@ def reference_identity_campaign(mode, trials=200, grid_n=100, seed=42, band=1e-9
     worst = math.inf
     for _ in range(trials):
         spec = random_spec(rng)
-        pts = grid_points(spec.p, spec.q, spec.r, grid_n)
+        pts = materialise(*grid_points(spec.p, spec.q, spec.r, grid_n))
         report = reference_verify_identity(spec.p, spec.q, spec.r, mode, pts, band)
         mismatches += report.mismatches
         skipped += report.skipped_boundary_band
@@ -259,6 +273,11 @@ samples = st.one_of(
     st.tuples(st.just("random"), st.integers(1, 150), st.integers(0, 2**32 - 1)),
 )
 bands = st.sampled_from([0.0, 1e-9, 1e-4, 1e30])
+# Grid property specs: the campaigns' range, exact dyadic inputs, and the
+# scale-stress magnitudes.
+grid_coordinates = st.one_of(st.floats(-20, 20), dyadic, scaled)
+grid_spec_points = st.builds(Point, grid_coordinates, grid_coordinates)
+grid_radii = st.one_of(st.floats(0, 40), dyadic_radius, scaled.map(abs))
 
 # The product of L(g+,g-) equals one of the five other products at every
 # point in exact arithmetic, so its gap sets the worst margin of
@@ -288,15 +307,35 @@ class TestVerifyIdentities:
         1e-9,
     )
     def test_matches_reference(self, modes, p, q, r, sample, band):
-        pts = sample_points(p, q, r, sample)
-        reports = verify_identities(p, q, r, modes, pts, band)
+        x1, x2 = sample_points(p, q, r, sample)
+        reports = verify_identities(p, q, r, modes, x1, x2, band)
         assert len(reports) == len(modes)
+        pts = materialise(x1, x2)
+        for mode, report in zip(modes, reports):
+            assert repr(report) == repr(reference_verify_identity(p, q, r, mode, pts, band))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        mode_tuples,
+        grid_spec_points,
+        grid_spec_points,
+        grid_radii,
+        st.integers(2, 64),
+        st.sampled_from([0.0, 1e-9, 1e-4]),
+    )
+    def test_grid_axes_match_reference_on_materialised_grid(self, modes, p, q, r, n, band):
+        # The verifier broadcasts the grid's axes; the reference gets the
+        # n*n points written out.
+        x1, x2 = grid_points(p, q, r, n)
+        reports = verify_identities(p, q, r, modes, x1, x2, band)
+        assert [report.trials for report in reports] == [n * n] * len(modes)
+        pts = materialise(x1, x2)
         for mode, report in zip(modes, reports):
             assert repr(report) == repr(reference_verify_identity(p, q, r, mode, pts, band))
 
     def test_gg_gap_example_sets_cross_equalities_worst(self):
         p, q, r = GG_SETS_WORST
-        reports = verify_identities(p, q, r, tuple(IdentityMode), grid_points(p, q, r, 3), 0.0)
+        reports = verify_identities(p, q, r, tuple(IdentityMode), *grid_points(p, q, r, 3), 0.0)
         worsts = [report.worst_residual for report in reports]
         assert worsts[:3] == [0.07658276605971648] * 3
         assert worsts[3] == 0.07658276605971634
@@ -311,39 +350,61 @@ class TestVerifyIdentities:
         ],
     )
     def test_one_product_per_involved_pair(self, monkeypatch, modes, products):
+        # One kernel call names every involved pair once; the pairs' foci
+        # are p, q, g+ and g-, so the kernel computes four distance fields.
         calls = []
 
-        def counting(a, b, x1, x2):
-            calls.append((a, b))
-            return distance_product(a, b, x1, x2)
+        def counting(pairs, x1, x2):
+            calls.append(list(pairs))
+            return distance_products(pairs, x1, x2)
 
-        monkeypatch.setattr(characterization, "distance_product", counting)
-        pts = grid_points(Point(4, 1), Point(-4, -1), 6.0, 16)
-        verify_identities(Point(4, 1), Point(-4, -1), 6.0, modes, pts)
-        assert len(calls) == len(set(calls)) == products
+        monkeypatch.setattr(characterization, "distance_products", counting)
+        p, q = Point(4, 1), Point(-4, -1)
+        frame = foci_frame(p, q)
+        verify_identities(p, q, 6.0, modes, *grid_points(p, q, 6.0, 16))
+        assert len(calls) == 1
+        pairs = calls[0]
+        assert len(pairs) == len(set(pairs)) == products
+        assert {focus for pair in pairs for focus in pair} == {p, q, frame.g_plus, frame.g_minus}
 
     def test_repeated_mode_gets_equal_reports(self):
-        pts = grid_points(Point(4, 1), Point(-4, -1), 6.0, 30)
+        x1, x2 = grid_points(Point(4, 1), Point(-4, -1), 6.0, 30)
         modes = (
             IdentityMode.CROSS_SUBSETS,
             IdentityMode.UNION_OF_INTERSECTIONS,
             IdentityMode.CROSS_SUBSETS,
         )
-        first, second, third = verify_identities(Point(4, 1), Point(-4, -1), 6.0, modes, pts)
+        first, second, third = verify_identities(Point(4, 1), Point(-4, -1), 6.0, modes, x1, x2)
         assert first == third
-        assert first == verify_identity(Point(4, 1), Point(-4, -1), 6.0, modes[0], pts)
+        assert first == verify_identity(Point(4, 1), Point(-4, -1), 6.0, modes[0], x1, x2)
 
     def test_unknown_mode_rejected(self):
-        pts = grid_points(Point(4, 1), Point(-4, -1), 6.0, 16)
+        x1, x2 = grid_points(Point(4, 1), Point(-4, -1), 6.0, 16)
         with pytest.raises(GeometryError, match="unknown identity mode"):
             verify_identities(
-                Point(4, 1), Point(-4, -1), 6.0, (IdentityMode.CROSS_SUBSETS, "residual"), pts
+                Point(4, 1), Point(-4, -1), 6.0, (IdentityMode.CROSS_SUBSETS, "residual"), x1, x2
             )
 
+    def test_coordinates_that_do_not_broadcast_rejected(self):
+        with pytest.raises(GeometryError, match="do not broadcast"):
+            verify_identity(
+                Point(4, 1), Point(-4, -1), 6.0, IdentityMode.CROSS_SUBSETS, np.zeros(3), np.zeros(4)
+            )
+
+    def test_single_point_as_scalars(self):
+        report = verify_identity(
+            Point(4, 1), Point(-4, -1), 6.0, IdentityMode.CROSS_EQUALITIES, 0.5, -0.25
+        )
+        reference = reference_verify_identity(
+            Point(4, 1), Point(-4, -1), 6.0, IdentityMode.CROSS_EQUALITIES, [[0.5, -0.25]]
+        )
+        assert repr(report) == repr(reference)
+        assert report.trials == 1
+
     def test_mixed_non_finite_sample_rejected(self):
-        pts = [[0.0, 0.0], [math.nan, 0.0], [math.inf, 1.0], [1.0, 2.0]]
+        x1, x2 = [0.0, math.nan, math.inf, 1.0], [0.0, 0.0, 1.0, 2.0]
         with pytest.raises(GeometryError, match="finite"):
-            verify_identity(Point(4, 1), Point(-4, -1), 6.0, IdentityMode.CROSS_SUBSETS, pts)
+            verify_identity(Point(4, 1), Point(-4, -1), 6.0, IdentityMode.CROSS_SUBSETS, x1, x2)
 
     @pytest.mark.parametrize("mode", list(IdentityMode))
     @pytest.mark.parametrize("axis", [0, 1])
@@ -352,10 +413,17 @@ class TestVerifyIdentities:
         # Such points used to count as agreements, with a nan worst residual.
         pts = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, -1.0]])
         pts[1, axis] = value
+        x1, x2 = pts[:, 0], pts[:, 1]
         with pytest.raises(GeometryError, match="finite"):
-            verify_identities(Point(4, 1), Point(-4, -1), 6.0, (mode,), pts)
+            verify_identities(Point(4, 1), Point(-4, -1), 6.0, (mode,), x1, x2)
         with pytest.raises(GeometryError, match="finite"):
-            verify_identity(Point(4, 1), Point(-4, -1), 6.0, mode, pts)
+            verify_identity(Point(4, 1), Point(-4, -1), 6.0, mode, x1, x2)
+        # A grid's axes are checked too, before any field is built.
+        gx1, gx2 = grid_points(Point(4, 1), Point(-4, -1), 6.0, 4)
+        axes = [gx1, gx2.copy()]
+        axes[axis].flat[2] = value
+        with pytest.raises(GeometryError, match="finite"):
+            verify_identities(Point(4, 1), Point(-4, -1), 6.0, (mode,), *axes)
 
 
 class TestIdentityCampaigns:

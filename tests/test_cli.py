@@ -58,6 +58,13 @@ class TestInfo:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_radius_whose_square_overflows_rejected(self, capsys):
+        # r^2 = inf used to pass validation with NaN residuals and exit 0.
+        code, out, err = run(capsys, "info", "--p", "1e200,0", "--q", "-1e200,0", "--r", "1e200")
+        assert code == 2
+        assert out == ""
+        assert err == "error: radius parameter squared must be finite, got r = 1e+200\n"
+
 
 class TestClassify:
     @pytest.mark.parametrize(
@@ -90,6 +97,18 @@ class TestClassify:
         assert code == 2
         assert out == ""
         assert err.startswith("error: tolerance must be finite") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("tol", ["0", "1e-9"])
+    def test_radius_whose_square_overflows_rejected(self, capsys, tol):
+        # With r^2 = inf, tol 0 made the band NaN and called the focus
+        # itself Outside; the default tol called it On.
+        code, out, err = run(
+            capsys, "classify", "--p", "1e200,0", "--q", "-1e200,0", "--r", "1e200",
+            "--x", "1e200,0", "--tol", tol,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: radius parameter squared must be finite, got r = 1e+200\n"
 
     def test_negative_value_without_leading_digit(self, capsys):
         code, out, _ = run(

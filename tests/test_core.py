@@ -18,6 +18,7 @@ from taxicassini.core import (
     classify_region,
     closer_to,
     distance_product,
+    distance_products,
     foci_frame,
     standardize,
     taxicab_distance,
@@ -110,6 +111,65 @@ class TestDistanceProduct:
     @given(dyadic_points, dyadic_points, dyadic_points)
     def test_matches_taxicab_distances(self, a, b, x):
         assert distance_product(a, b, x.x1, x.x2) == taxicab_distance(x, a) * taxicab_distance(x, b)
+
+
+def _bits(value) -> list[str]:
+    return [repr(float(v)) for v in np.ravel(value)]
+
+
+class TestDistanceProducts:
+    # Pairs drawn from a few foci, so foci repeat within and across pairs;
+    # equal-valued foci built separately are shared too.
+    pairs_of_foci = st.lists(kernel_points, min_size=1, max_size=4).flatmap(
+        lambda foci: st.lists(
+            st.tuples(st.sampled_from(foci), st.sampled_from(foci)).map(
+                lambda ab: (ab[0], Point(ab[1].x1, ab[1].x2))
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs_of_foci, kernel_coordinate, kernel_coordinate)
+    def test_python_floats_equal_single_pair_calls(self, pairs, x1, x2):
+        products = distance_products(pairs, x1, x2)
+        assert len(products) == len(pairs)
+        for (a, b), product in zip(pairs, products):
+            single = distance_product(a, b, x1, x2)
+            assert isinstance(product, float)
+            assert repr(product) == repr(single)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs_of_foci,
+        st.lists(st.tuples(kernel_coordinate, kernel_coordinate), min_size=1, max_size=20),
+    )
+    def test_arrays_equal_single_pair_calls(self, pairs, coords):
+        # Elementwise columns, and the grid layout: a row of x1 against a
+        # column of x2.
+        x1 = np.array([c[0] for c in coords])
+        x2 = np.array([c[1] for c in coords])
+        for c1, c2 in ((x1, x2), (x1, x2[:, None]), (x1[:3], x2[:, None])):
+            products = distance_products(pairs, c1, c2)
+            for (a, b), product in zip(pairs, products):
+                single = distance_product(a, b, c1, c2)
+                assert product.shape == single.shape == np.broadcast(c1, c2).shape
+                assert _bits(product) == _bits(single)
+
+    def test_each_distinct_focus_computed_once(self):
+        class CountingAxis(float):
+            subtractions = 0
+
+            def __sub__(self, other):
+                CountingAxis.subtractions += 1
+                return float(self) - other
+
+        p, q, g_plus, g_minus = Point(4, 1), Point(-4, -1), Point(-1, -4), Point(1, 4)
+        pairs = [(p, q), (p, g_plus), (p, g_minus), (q, g_plus), (q, g_minus), (g_plus, g_minus)]
+        products = distance_products(pairs, CountingAxis(0.5), 0.25)
+        assert CountingAxis.subtractions == 4
+        assert products == [distance_product(a, b, 0.5, 0.25) for a, b in pairs]
 
 
 class TestSignsAndHalfPlanes:
