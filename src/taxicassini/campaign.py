@@ -104,8 +104,8 @@ def run_identity_campaigns(
     worst = [math.inf] * len(modes)
     for _ in range(trials):
         spec = random_spec(rng)
-        x1, x2 = grid_points(spec.p, spec.q, spec.r, grid_n)
-        reports = verify_identities(spec.p, spec.q, spec.r, modes, x1, x2, band)
+        x1, x2 = grid_points(spec, grid_n)
+        reports = verify_identities(spec, modes, x1, x2, band)
         for k, report in enumerate(reports):
             mismatches[k] += report.mismatches
             skipped[k] += report.skipped_boundary_band

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,9 +33,9 @@ def filled_contains(spec: CassiniSpec, x: Point) -> bool:
     return product_value(spec, x) < spec.r * spec.r
 
 
-@dataclass(frozen=True)
-class GuideFamily:
-    """The four guide Cassini specs (focus, guide complement, r) of a pair.
+class GuideFamily(NamedTuple):
+    """The four guide Cassini specs (focus, guide complement, r) of a pair,
+    in the order the combinations take them.
 
     Each member's foci share a guide line, and all four share the radius
     parameter of the originating spec.
@@ -47,7 +47,9 @@ class GuideFamily:
     lq_minus: CassiniSpec
 
 
-def guide_family(p: Point, q: Point, r: float) -> GuideFamily:
+def guide_family(spec: CassiniSpec) -> GuideFamily:
+    """L(p,g+), L(p,g-), L(q,g+), L(q,g-) at the radius of spec."""
+    p, q, r = spec.p, spec.q, spec.r
     frame = foci_frame(p, q)
     return GuideFamily(
         lp_plus=CassiniSpec(p, frame.g_plus, r),
@@ -76,8 +78,9 @@ def _cross_intersection(pp, pm, qp, qm):
 
 
 def _family_memberships(fam: GuideFamily, x: Point) -> list[bool]:
-    members = (fam.lp_plus, fam.lp_minus, fam.lq_plus, fam.lq_minus)
-    return [filled_contains(member, x) for member in members]
+    # The four products share the fields of p, q, g+ and g-.
+    products = distance_products([(m.p, m.q) for m in fam], x.x1, x.x2)
+    return [f < m.r * m.r for f, m in zip(products, fam)]
 
 
 def union_of_intersections_contains(fam: GuideFamily, x: Point) -> bool:
@@ -90,7 +93,7 @@ def intersection_of_unions_contains(fam: GuideFamily, x: Point) -> bool:
     return _intersection_of_unions(*_family_memberships(fam, x))
 
 
-def cross_family_contains(p: Point, q: Point, r: float, x: Point) -> tuple[bool, bool]:
+def cross_family_contains(fam: GuideFamily, x: Point) -> tuple[bool, bool]:
     """Membership in the two cross-pairings of the guide family.
 
     First component: [L(p,g+) u L(q,g-)] n [L(p,g-) u L(q,g+)], a superset
@@ -98,7 +101,7 @@ def cross_family_contains(p: Point, q: Point, r: float, x: Point) -> tuple[bool,
     [L(p,g+) n L(q,g-)] u [L(p,g-) n L(q,g+)], a subset of L(p,q;r) equal
     to L(p,q;r) n L(g+,g-;r).
     """
-    members = _family_memberships(guide_family(p, q, r), x)
+    members = _family_memberships(fam, x)
     return _cross_union(*members), _cross_intersection(*members)
 
 
@@ -125,17 +128,18 @@ class IdentityReport:
     worst_residual: float
 
 
-def sampling_box(p: Point, q: Point, r: float) -> tuple[Point, float]:
+def sampling_box(spec: CassiniSpec) -> tuple[Point, float]:
     """Midpoint-centered square box that strictly contains the curve.
 
     Every curve point is within taxicab distance r + d/2 of the midpoint, so
     half-width d + r + 1 leaves a positive-margin frame around it.
     """
-    half = taxicab_distance(p, q) + r + 1.0
+    p, q = spec.p, spec.q
+    half = taxicab_distance(p, q) + spec.r + 1.0
     return Point((p.x1 + q.x1) / 2, (p.x2 + q.x2) / 2), half
 
 
-def grid_points(p: Point, q: Point, r: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+def grid_points(spec: CassiniSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Uniform n x n grid over the sampling box, as broadcasting axes.
 
     Returns x1 of shape (n,) and x2 of shape (n, 1); broadcast together they
@@ -144,21 +148,19 @@ def grid_points(p: Point, q: Point, r: float, n: int) -> tuple[np.ndarray, np.nd
     """
     if n < 2:
         raise GeometryError(f"grid needs at least 2 nodes per side, got {n}")
-    center, half = sampling_box(p, q, r)
+    center, half = sampling_box(spec)
     xs = np.linspace(center.x1 - half, center.x1 + half, n)
     ys = np.linspace(center.x2 - half, center.x2 + half, n)
     return xs, ys[:, None]
 
 
-def random_points(
-    p: Point, q: Point, r: float, count: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
+def random_points(spec: CassiniSpec, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Seeded uniform random points over the sampling box, as two (count,)
     coordinate columns x1, x2."""
     if count < 1:
         raise GeometryError(f"need at least one point, got {count}")
     rng = np.random.default_rng(seed)
-    center, half = sampling_box(p, q, r)
+    center, half = sampling_box(spec)
     x1 = rng.uniform(center.x1 - half, center.x1 + half, count)
     x2 = rng.uniform(center.x2 - half, center.x2 + half, count)
     return x1, x2
@@ -192,9 +194,7 @@ def _tally(margin: np.ndarray, band: float) -> tuple[np.ndarray, int, float]:
 
 
 def verify_identities(
-    p: Point,
-    q: Point,
-    r: float,
+    spec: CassiniSpec,
     modes: Sequence[IdentityMode],
     x1,
     x2,
@@ -205,8 +205,8 @@ def verify_identities(
     The sample is the broadcast of the coordinates x1 and x2, as returned by
     grid_points (axes) or random_points (columns); trials is its size.
     Returns one report per entry of modes, in order; a repeated mode gets
-    equal reports.  The pairs (p,q), (p,g+), (p,g-), (q,g+), (q,g-) and,
-    only when CROSS_EQUALITIES is requested, (g+,g-) pair up the four points
+    equal reports.  The foci of spec and of its guide family and, only when
+    CROSS_EQUALITIES is requested, the pair (g+,g-) pair up the four points
     p, q, g+, g-, so one distance_products call serves every mode with at
     most four distance fields.  Each report equals the one a separate check
     of its mode would give.
@@ -234,13 +234,14 @@ def verify_identities(
         raise GeometryError(
             f"identity sample coordinates of shapes {x1.shape} and {x2.shape} do not broadcast"
         ) from None
-    frame = foci_frame(p, q)
-    target = r * r
+    fam = guide_family(spec)
+    target = spec.r * spec.r
     # L(p,q) first, then the guide family in the order the combinations take.
-    pairs = [(p, q), (p, frame.g_plus), (p, frame.g_minus), (q, frame.g_plus), (q, frame.g_minus)]
+    pairs = [(m.p, m.q) for m in (spec, *fam)]
     with_gg = IdentityMode.CROSS_EQUALITIES in modes
     if with_gg:
-        pairs.append((frame.g_plus, frame.g_minus))
+        # L(g+,g-): the family's second foci are the guide complements.
+        pairs.append((fam.lp_plus.q, fam.lp_minus.q))
     products = distance_products(pairs, x1, x2)
     inside = [f < target for f in products]
     in_pq, family = inside[0], inside[1:5]
@@ -279,9 +280,7 @@ def verify_identities(
 
 
 def verify_identity(
-    p: Point,
-    q: Point,
-    r: float,
+    spec: CassiniSpec,
     mode: IdentityMode,
     x1,
     x2,
@@ -290,15 +289,16 @@ def verify_identity(
     """Check one guide-family identity on a finite point sample: the
     one-mode case of verify_identities, with the same coordinates, skip band
     and errors."""
-    return verify_identities(p, q, r, (mode,), x1, x2, band)[0]
+    return verify_identities(spec, (mode,), x1, x2, band)[0]
 
 
-def _star_directions(count: int = 16) -> tuple[tuple[float, float], ...]:
-    # Directions normalized to taxicab length 1, so a probe at radius rho is
-    # at taxicab distance exactly rho (up to roundoff) from the base point.
+def _star_directions() -> tuple[tuple[float, float], ...]:
+    # Sixteen directions normalized to taxicab length 1, so a probe at
+    # radius rho is at taxicab distance exactly rho (up to roundoff) from
+    # the base point.
     dirs = []
-    for k in range(count):
-        angle = 2 * math.pi * k / count
+    for k in range(16):
+        angle = 2 * math.pi * k / 16
         dx, dy = math.cos(angle), math.sin(angle)
         norm = abs(dx) + abs(dy)
         dirs.append((dx / norm, dy / norm))

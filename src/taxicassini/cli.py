@@ -215,18 +215,18 @@ def cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
+def _trials(args: argparse.Namespace) -> dict:
+    # --trials overrides each campaign's own default only when given.
+    return {} if args.trials is None else {"trials": args.trials}
+
+
 def _run_mode(mode: str, args: argparse.Namespace) -> CampaignResult:
     if mode == "residual":
         return run_residual_campaign(
-            trials=args.trials if args.trials is not None else 500,
-            seed=args.seed,
-            samples_per_curve=args.samples,
+            seed=args.seed, samples_per_curve=args.samples, **_trials(args)
         )
     if mode == "topology":
-        return run_topology_campaign(
-            trials=args.trials if args.trials is not None else 100,
-            seed=args.seed,
-        )
+        return run_topology_campaign(seed=args.seed, **_trials(args))
     if mode == "boundary":
         return run_boundary_campaign(samples_per_curve=args.samples)
     raise GeometryError(f"unknown verify mode {mode!r}")
@@ -241,11 +241,7 @@ def _run_identity_modes(
         dict.fromkeys(IdentityMode(mode) for mode in modes if mode in _IDENTITY_TOKENS)
     )
     results = run_identity_campaigns(
-        identity,
-        trials=args.trials if args.trials is not None else 200,
-        grid_n=args.grid,
-        seed=args.seed,
-        band=args.band,
+        identity, grid_n=args.grid, seed=args.seed, band=args.band, **_trials(args)
     )
     return {mode.value: result for mode, result in zip(identity, results)}
 

@@ -20,6 +20,8 @@ _CURVE_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b
 _REGION_LINE = "#b8b8b8"
 _GUIDE_LINE = "#8f8f8f"
 _ORACLE_LINE = "#111111"
+# Width and height of the image in pixels.
+_SIZE = 640
 
 
 def _fmt(value: float) -> str:
@@ -29,18 +31,17 @@ def _fmt(value: float) -> str:
 
 
 class _Viewport:
-    """World square centered at (cx, cy) mapped to a size x size pixel box."""
+    """World square centered at (cx, cy) mapped to the image's pixel box."""
 
-    def __init__(self, cx: float, cy: float, half: float, size: int) -> None:
+    def __init__(self, cx: float, cy: float, half: float) -> None:
         self.cx = cx
         self.cy = cy
         self.half = half
-        self.size = size
-        self.scale = size / (2.0 * half)
+        self.scale = _SIZE / (2.0 * half)
 
     def to_pixels(self, x: float, y: float) -> tuple[float, float]:
         px = (x - (self.cx - self.half)) * self.scale
-        py = self.size - (y - (self.cy - self.half)) * self.scale
+        py = _SIZE - (y - (self.cy - self.half)) * self.scale
         return px, py
 
 
@@ -69,7 +70,6 @@ def render_svg(
     samples_per_piece: int = 64,
     overlay_oracle: bool = False,
     oracle_n: int = 256,
-    size: int = 640,
 ) -> bytes:
     """Render the curves K(p, q; r) for each r in radii into SVG bytes."""
     radii = list(radii)
@@ -77,21 +77,19 @@ def render_svg(
         raise GeometryError("need at least one radius value")
     if any(r <= 0 for r in radii):
         raise GeometryError("rendering needs positive radius values")
-    if size < 16:
-        raise GeometryError(f"image size too small: {size}")
 
     cx = (p.x1 + q.x1) / 2
     cy = (p.x2 + q.x2) / 2
     half = taxicab_distance(p, q) / 2 + max(radii) + 1.5
-    view = _Viewport(cx, cy, half, size)
+    view = _Viewport(cx, cy, half)
     west, east = cx - half, cx + half
     south, north = cy - half, cy + half
 
     lines: list[str] = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
+        f'viewBox="0 0 {_SIZE} {_SIZE}">',
+        f'<rect width="{_SIZE}" height="{_SIZE}" fill="#ffffff"/>',
     ]
 
     region_style = f'stroke="{_REGION_LINE}" stroke-width="1" stroke-dasharray="2,4"'

@@ -42,6 +42,12 @@ from taxicassini.core import (
 dyadic = st.integers(-320, 320).map(lambda k: k / 16.0)
 dyadic_points = st.builds(Point, dyadic, dyadic)
 dyadic_radius = st.integers(1, 640).map(lambda k: k / 16.0)
+dyadic_specs = st.builds(CassiniSpec, dyadic_points, dyadic_points, dyadic_radius)
+
+SPEC = CassiniSpec(Point(4, 1), Point(-4, -1), 6.0)
+# The origin is at taxicab distance 5 from p, q, g+ and g-, so every product
+# there equals r^2 = 25: it lies in none of the open sets.
+ON_EVERY_SET = (CassiniSpec(Point(4, 1), Point(-4, -1), 5.0), Point(0, 0))
 
 
 class TestFilledContains:
@@ -60,7 +66,7 @@ class TestFilledContains:
 
 class TestGuideFamily:
     def test_members_share_radius_and_anchor_foci(self):
-        fam = guide_family(Point(4, 1), Point(-4, -1), 6.0)
+        fam = guide_family(SPEC)
         frame = foci_frame(Point(4, 1), Point(-4, -1))
         assert fam.lp_plus.p == Point(4, 1)
         assert fam.lp_plus.q == frame.g_plus == Point(-1, -4)
@@ -68,7 +74,11 @@ class TestGuideFamily:
         assert fam.lq_plus.p == Point(-4, -1)
         assert fam.lq_plus.q == frame.g_plus
         assert fam.lq_minus.q == frame.g_minus
-        assert {m.r for m in (fam.lp_plus, fam.lp_minus, fam.lq_plus, fam.lq_minus)} == {6.0}
+        assert {m.r for m in fam} == {6.0}
+
+    def test_members_in_the_order_the_combinations_take(self):
+        fam = guide_family(SPEC)
+        assert tuple(fam) == (fam.lp_plus, fam.lp_minus, fam.lq_plus, fam.lq_minus)
 
 
 class TestPointwiseIdentities:
@@ -77,43 +87,86 @@ class TestPointwiseIdentities:
     identities hold at machine level with no tolerance band."""
 
     @settings(max_examples=300, deadline=None)
-    @given(dyadic_points, dyadic_points, dyadic_radius, dyadic_points)
-    def test_union_of_intersections(self, p, q, r, x):
-        spec = CassiniSpec(p, q, r)
-        fam = guide_family(p, q, r)
+    @given(dyadic_specs, dyadic_points)
+    @example(*ON_EVERY_SET)
+    def test_union_of_intersections(self, spec, x):
+        fam = guide_family(spec)
         assert union_of_intersections_contains(fam, x) == filled_contains(spec, x)
 
     @settings(max_examples=300, deadline=None)
-    @given(dyadic_points, dyadic_points, dyadic_radius, dyadic_points)
-    def test_intersection_of_unions(self, p, q, r, x):
-        spec = CassiniSpec(p, q, r)
-        fam = guide_family(p, q, r)
+    @given(dyadic_specs, dyadic_points)
+    @example(*ON_EVERY_SET)
+    def test_intersection_of_unions(self, spec, x):
+        fam = guide_family(spec)
         assert intersection_of_unions_contains(fam, x) == filled_contains(spec, x)
 
     @settings(max_examples=300, deadline=None)
-    @given(dyadic_points, dyadic_points, dyadic_radius, dyadic_points)
-    def test_cross_family_sandwich_and_equalities(self, p, q, r, x):
-        spec = CassiniSpec(p, q, r)
-        first, second = cross_family_contains(p, q, r, x)
+    @given(dyadic_specs, dyadic_points)
+    @example(*ON_EVERY_SET)
+    def test_cross_family_sandwich_and_equalities(self, spec, x):
+        first, second = cross_family_contains(guide_family(spec), x)
         in_pq = filled_contains(spec, x)
         # Subset directions: second <= filled <= first.
         assert not (second and not in_pq)
         assert not (in_pq and not first)
         # Exact forms: the slack on either side is the guide-complement set.
-        frame = foci_frame(p, q)
-        in_gg = filled_contains(CassiniSpec(frame.g_plus, frame.g_minus, r), x)
-        assert first == (in_pq or in_gg)
-        assert second == (in_pq and in_gg)
+        assert first == (in_pq or guide_pair_contains(spec, x))
+        assert second == (in_pq and guide_pair_contains(spec, x))
+
+    @settings(max_examples=300, deadline=None)
+    @given(dyadic_specs, dyadic_points)
+    @example(*ON_EVERY_SET)
+    def test_scalar_predicates_match_one_point_sample(self, spec, x):
+        # The scalar predicates and verify_identities reach the kernel by
+        # different calls; on a one-point sample each mode counts a mismatch
+        # exactly when the matching predicate disagrees at a counted point.
+        fam = guide_family(spec)
+        in_pq = filled_contains(spec, x)
+        in_gg = guide_pair_contains(spec, x)
+        first, second = cross_family_contains(fam, x)
+        violated = {
+            IdentityMode.UNION_OF_INTERSECTIONS: union_of_intersections_contains(fam, x) != in_pq,
+            IdentityMode.INTERSECTION_OF_UNIONS: intersection_of_unions_contains(fam, x) != in_pq,
+            IdentityMode.CROSS_SUBSETS: (in_pq and not first) or (second and not in_pq),
+            IdentityMode.CROSS_EQUALITIES: first != (in_pq or in_gg) or second != (in_pq and in_gg),
+        }
+        modes = tuple(IdentityMode)
+        for mode, report in zip(modes, verify_identities(spec, modes, x.x1, x.x2, band=0.0)):
+            assert report.trials == 1
+            counted = report.skipped_boundary_band == 0
+            assert report.mismatches == int(counted and violated[mode])
+
+    @pytest.mark.parametrize(
+        "predicate",
+        [union_of_intersections_contains, intersection_of_unions_contains, cross_family_contains],
+    )
+    def test_one_kernel_call_over_the_family(self, monkeypatch, predicate):
+        calls = []
+
+        def counting(pairs, x1, x2):
+            calls.append(list(pairs))
+            return distance_products(pairs, x1, x2)
+
+        monkeypatch.setattr(characterization, "distance_products", counting)
+        fam = guide_family(SPEC)
+        predicate(fam, Point(0.5, -0.25))
+        assert calls == [[(m.p, m.q) for m in fam]]
+
+
+def guide_pair_contains(spec, x):
+    """Membership in L(g+, g-; r), built from foci_frame directly."""
+    frame = foci_frame(spec.p, spec.q)
+    return filled_contains(CassiniSpec(frame.g_plus, frame.g_minus, spec.r), x)
 
 
 class TestSamplers:
     def test_sampling_box(self):
-        center, half = sampling_box(Point(4, 1), Point(-4, -1), 6.0)
+        center, half = sampling_box(SPEC)
         assert center == Point(0, 0)
         assert half == taxicab_distance(Point(4, 1), Point(-4, -1)) + 6.0 + 1.0
 
     def test_grid_points_shape_and_corners(self):
-        x1, x2 = grid_points(Point(4, 1), Point(-4, -1), 6.0, 20)
+        x1, x2 = grid_points(SPEC, 20)
         assert x1.shape == (20,)
         assert x2.shape == (20, 1)
         for axis in (x1, x2):
@@ -122,14 +175,14 @@ class TestSamplers:
 
     def test_grid_axes_broadcast_to_meshgrid_order(self):
         # Row by row with x1 fastest: the order of the former (n*n, 2) array.
-        x1, x2 = grid_points(Point(4, 1), Point(-3, 2.5), 2.0, 7)
+        x1, x2 = grid_points(CassiniSpec(Point(4, 1), Point(-3, 2.5), 2.0), 7)
         mx, my = np.meshgrid(x1, x2.ravel())
         assert np.array_equal(materialise(x1, x2), np.column_stack([mx.ravel(), my.ravel()]))
 
     def test_random_points_deterministic(self):
-        a = random_points(Point(4, 1), Point(-4, -1), 6.0, 100, seed=7)
-        b = random_points(Point(4, 1), Point(-4, -1), 6.0, 100, seed=7)
-        c = random_points(Point(4, 1), Point(-4, -1), 6.0, 100, seed=8)
+        a = random_points(SPEC, 100, seed=7)
+        b = random_points(SPEC, 100, seed=7)
+        c = random_points(SPEC, 100, seed=8)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
         assert [column.shape for column in a] == [(100,), (100,)]
@@ -139,18 +192,17 @@ class TestSamplers:
 class TestVerifyIdentity:
     def test_zero_mismatches_on_reference_instances(self):
         for r in (3.0, 5.0, 6.0):
-            x1, x2 = grid_points(Point(4, 1), Point(-4, -1), r, 50)
+            spec = CassiniSpec(Point(4, 1), Point(-4, -1), r)
+            x1, x2 = grid_points(spec, 50)
             for mode in IdentityMode:
-                report = verify_identity(Point(4, 1), Point(-4, -1), r, mode, x1, x2)
+                report = verify_identity(spec, mode, x1, x2)
                 assert report.mismatches == 0
                 assert report.trials == 2500
                 assert report.skipped_boundary_band + report.trials >= 2500
 
     def test_wide_band_skips_everything(self):
-        x1, x2 = grid_points(Point(4, 1), Point(-4, -1), 6.0, 20)
-        report = verify_identity(
-            Point(4, 1), Point(-4, -1), 6.0, IdentityMode.UNION_OF_INTERSECTIONS, x1, x2, band=1e30
-        )
+        x1, x2 = grid_points(SPEC, 20)
+        report = verify_identity(SPEC, IdentityMode.UNION_OF_INTERSECTIONS, x1, x2, band=1e30)
         assert report.mismatches == 0
         assert report.skipped_boundary_band == 400
         assert math.isinf(report.worst_residual)
@@ -158,17 +210,32 @@ class TestVerifyIdentity:
     @pytest.mark.parametrize("band", [-1e-9, math.nan, math.inf])
     def test_bad_band_rejected(self, band):
         # An infinite band would skip every point and report no mismatch.
-        x1, x2 = grid_points(Point(4, 1), Point(-4, -1), 6.0, 16)
+        x1, x2 = grid_points(SPEC, 16)
         for mode in IdentityMode:
             with pytest.raises(GeometryError, match="band"):
-                verify_identity(Point(4, 1), Point(-4, -1), 6.0, mode, x1, x2, band=band)
+                verify_identity(SPEC, mode, x1, x2, band=band)
 
     def test_worst_residual_is_min_counted_margin(self):
-        x1, x2 = grid_points(Point(4, 1), Point(-4, -1), 6.0, 40)
-        report = verify_identity(
-            Point(4, 1), Point(-4, -1), 6.0, IdentityMode.CROSS_EQUALITIES, x1, x2
-        )
+        x1, x2 = grid_points(SPEC, 40)
+        report = verify_identity(SPEC, IdentityMode.CROSS_EQUALITIES, x1, x2)
         assert report.worst_residual > 1e-9
+
+    @pytest.mark.parametrize("r", [-3.0, 1e200])
+    def test_radius_outside_the_spec_domain_never_reaches_a_check(self, monkeypatch, r):
+        # Neither radius may reach a check: a negative r would be checked as
+        # |r|, and an r whose square overflows would give a nan worst
+        # residual.  The spec rejects both before any product is taken.
+        calls = []
+        monkeypatch.setattr(characterization, "distance_products", calls.append)
+        x1, x2 = grid_points(CassiniSpec(Point(1, 0), Point(-1, 0), 1.0), 4)
+        with pytest.raises(GeometryError, match="radius"):
+            verify_identity(
+                CassiniSpec(Point(1e200, 0), Point(-1e200, 0), r),
+                IdentityMode.CROSS_SUBSETS,
+                x1,
+                x2,
+            )
+        assert calls == []
 
 
 class TestBoundaryCheck:
@@ -205,16 +272,17 @@ def materialise(x1, x2):
     return np.column_stack([axis.ravel() for axis in np.broadcast_arrays(x1, x2)])
 
 
-def reference_verify_identity(p, q, r, mode, points, band=1e-9):
+def reference_verify_identity(spec, mode, points, band=1e-9):
     """An independent one-mode identity check on an (N, 2) point array: its
-    own five or six products, the set combinations written out, margins over
-    every set the mode involves."""
+    own five or six products from foci_frame, the set combinations written
+    out, margins over every set the mode involves."""
     if not (math.isfinite(band) and band >= 0):
         raise GeometryError(f"band must be finite and nonnegative, got {band!r}")
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     x1, x2 = pts[:, 0], pts[:, 1]
+    p, q = spec.p, spec.q
     frame = foci_frame(p, q)
-    target = r * r
+    target = spec.r * spec.r
     pairs = [(p, q), (p, frame.g_plus), (p, frame.g_minus), (q, frame.g_plus), (q, frame.g_minus)]
     if mode is IdentityMode.CROSS_EQUALITIES:
         pairs.append((frame.g_plus, frame.g_minus))
@@ -251,8 +319,8 @@ def reference_identity_campaign(mode, trials=200, grid_n=100, seed=42, band=1e-9
     worst = math.inf
     for _ in range(trials):
         spec = random_spec(rng)
-        pts = materialise(*grid_points(spec.p, spec.q, spec.r, grid_n))
-        report = reference_verify_identity(spec.p, spec.q, spec.r, mode, pts, band)
+        pts = materialise(*grid_points(spec, grid_n))
+        report = reference_verify_identity(spec, mode, pts, band)
         mismatches += report.mismatches
         skipped += report.skipped_boundary_band
         points_total += report.trials
@@ -268,6 +336,7 @@ scaled = st.builds(
 coordinates = st.one_of(st.floats(-20, 20), scaled)
 spec_points = st.builds(Point, coordinates, coordinates)
 radii = st.one_of(st.floats(0, 40), scaled.map(abs))
+specs = st.builds(CassiniSpec, spec_points, spec_points, radii)
 samples = st.one_of(
     st.tuples(st.just("grid"), st.integers(2, 12)),
     st.tuples(st.just("random"), st.integers(1, 150), st.integers(0, 2**32 - 1)),
@@ -278,64 +347,63 @@ bands = st.sampled_from([0.0, 1e-9, 1e-4, 1e30])
 grid_coordinates = st.one_of(st.floats(-20, 20), dyadic, scaled)
 grid_spec_points = st.builds(Point, grid_coordinates, grid_coordinates)
 grid_radii = st.one_of(st.floats(0, 40), dyadic_radius, scaled.map(abs))
+grid_specs = st.builds(CassiniSpec, grid_spec_points, grid_spec_points, grid_radii)
 
 # The product of L(g+,g-) equals one of the five other products at every
 # point in exact arithmetic, so its gap sets the worst margin of
 # CROSS_EQUALITIES only through roundoff.  Here it does, on the 3 x 3 grid:
 # 0.07658276605971634 against 0.07658276605971648 for the other modes.
-GG_SETS_WORST = (
+GG_SETS_WORST = CassiniSpec(
     Point(-3.7557140176565063, 1.162417502970512),
     Point(-2.287933172380341, -1.1484767577372756),
     1.820898948573911,
 )
 
 
-def sample_points(p, q, r, sample):
+def sample_points(spec, sample):
     if sample[0] == "grid":
-        return grid_points(p, q, r, sample[1])
-    return random_points(p, q, r, sample[1], seed=sample[2])
+        return grid_points(spec, sample[1])
+    return random_points(spec, sample[1], seed=sample[2])
 
 
 class TestVerifyIdentities:
     @settings(max_examples=300, deadline=None)
-    @given(mode_tuples, spec_points, spec_points, radii, samples, bands)
-    @example(tuple(IdentityMode), *GG_SETS_WORST, ("grid", 3), 0.0)
+    @given(mode_tuples, specs, samples, bands)
+    @example(tuple(IdentityMode), GG_SETS_WORST, ("grid", 3), 0.0)
     @example(
         (IdentityMode.CROSS_EQUALITIES, IdentityMode.CROSS_SUBSETS),
-        *GG_SETS_WORST,
+        GG_SETS_WORST,
         ("grid", 3),
         1e-9,
     )
-    def test_matches_reference(self, modes, p, q, r, sample, band):
-        x1, x2 = sample_points(p, q, r, sample)
-        reports = verify_identities(p, q, r, modes, x1, x2, band)
+    def test_matches_reference(self, modes, spec, sample, band):
+        x1, x2 = sample_points(spec, sample)
+        reports = verify_identities(spec, modes, x1, x2, band)
         assert len(reports) == len(modes)
         pts = materialise(x1, x2)
         for mode, report in zip(modes, reports):
-            assert repr(report) == repr(reference_verify_identity(p, q, r, mode, pts, band))
+            assert repr(report) == repr(reference_verify_identity(spec, mode, pts, band))
 
     @settings(max_examples=150, deadline=None)
     @given(
         mode_tuples,
-        grid_spec_points,
-        grid_spec_points,
-        grid_radii,
+        grid_specs,
         st.integers(2, 64),
         st.sampled_from([0.0, 1e-9, 1e-4]),
     )
-    def test_grid_axes_match_reference_on_materialised_grid(self, modes, p, q, r, n, band):
+    def test_grid_axes_match_reference_on_materialised_grid(self, modes, spec, n, band):
         # The verifier broadcasts the grid's axes; the reference gets the
         # n*n points written out.
-        x1, x2 = grid_points(p, q, r, n)
-        reports = verify_identities(p, q, r, modes, x1, x2, band)
+        x1, x2 = grid_points(spec, n)
+        reports = verify_identities(spec, modes, x1, x2, band)
         assert [report.trials for report in reports] == [n * n] * len(modes)
         pts = materialise(x1, x2)
         for mode, report in zip(modes, reports):
-            assert repr(report) == repr(reference_verify_identity(p, q, r, mode, pts, band))
+            assert repr(report) == repr(reference_verify_identity(spec, mode, pts, band))
 
     def test_gg_gap_example_sets_cross_equalities_worst(self):
-        p, q, r = GG_SETS_WORST
-        reports = verify_identities(p, q, r, tuple(IdentityMode), *grid_points(p, q, r, 3), 0.0)
+        spec = GG_SETS_WORST
+        reports = verify_identities(spec, tuple(IdentityMode), *grid_points(spec, 3), 0.0)
         worsts = [report.worst_residual for report in reports]
         assert worsts[:3] == [0.07658276605971648] * 3
         assert worsts[3] == 0.07658276605971634
@@ -359,52 +427,44 @@ class TestVerifyIdentities:
             return distance_products(pairs, x1, x2)
 
         monkeypatch.setattr(characterization, "distance_products", counting)
-        p, q = Point(4, 1), Point(-4, -1)
+        p, q = SPEC.p, SPEC.q
         frame = foci_frame(p, q)
-        verify_identities(p, q, 6.0, modes, *grid_points(p, q, 6.0, 16))
+        verify_identities(SPEC, modes, *grid_points(SPEC, 16))
         assert len(calls) == 1
         pairs = calls[0]
         assert len(pairs) == len(set(pairs)) == products
         assert {focus for pair in pairs for focus in pair} == {p, q, frame.g_plus, frame.g_minus}
 
     def test_repeated_mode_gets_equal_reports(self):
-        x1, x2 = grid_points(Point(4, 1), Point(-4, -1), 6.0, 30)
+        x1, x2 = grid_points(SPEC, 30)
         modes = (
             IdentityMode.CROSS_SUBSETS,
             IdentityMode.UNION_OF_INTERSECTIONS,
             IdentityMode.CROSS_SUBSETS,
         )
-        first, second, third = verify_identities(Point(4, 1), Point(-4, -1), 6.0, modes, x1, x2)
+        first, second, third = verify_identities(SPEC, modes, x1, x2)
         assert first == third
-        assert first == verify_identity(Point(4, 1), Point(-4, -1), 6.0, modes[0], x1, x2)
+        assert first == verify_identity(SPEC, modes[0], x1, x2)
 
     def test_unknown_mode_rejected(self):
-        x1, x2 = grid_points(Point(4, 1), Point(-4, -1), 6.0, 16)
+        x1, x2 = grid_points(SPEC, 16)
         with pytest.raises(GeometryError, match="unknown identity mode"):
-            verify_identities(
-                Point(4, 1), Point(-4, -1), 6.0, (IdentityMode.CROSS_SUBSETS, "residual"), x1, x2
-            )
+            verify_identities(SPEC, (IdentityMode.CROSS_SUBSETS, "residual"), x1, x2)
 
     def test_coordinates_that_do_not_broadcast_rejected(self):
         with pytest.raises(GeometryError, match="do not broadcast"):
-            verify_identity(
-                Point(4, 1), Point(-4, -1), 6.0, IdentityMode.CROSS_SUBSETS, np.zeros(3), np.zeros(4)
-            )
+            verify_identity(SPEC, IdentityMode.CROSS_SUBSETS, np.zeros(3), np.zeros(4))
 
     def test_single_point_as_scalars(self):
-        report = verify_identity(
-            Point(4, 1), Point(-4, -1), 6.0, IdentityMode.CROSS_EQUALITIES, 0.5, -0.25
-        )
-        reference = reference_verify_identity(
-            Point(4, 1), Point(-4, -1), 6.0, IdentityMode.CROSS_EQUALITIES, [[0.5, -0.25]]
-        )
+        report = verify_identity(SPEC, IdentityMode.CROSS_EQUALITIES, 0.5, -0.25)
+        reference = reference_verify_identity(SPEC, IdentityMode.CROSS_EQUALITIES, [[0.5, -0.25]])
         assert repr(report) == repr(reference)
         assert report.trials == 1
 
     def test_mixed_non_finite_sample_rejected(self):
         x1, x2 = [0.0, math.nan, math.inf, 1.0], [0.0, 0.0, 1.0, 2.0]
         with pytest.raises(GeometryError, match="finite"):
-            verify_identity(Point(4, 1), Point(-4, -1), 6.0, IdentityMode.CROSS_SUBSETS, x1, x2)
+            verify_identity(SPEC, IdentityMode.CROSS_SUBSETS, x1, x2)
 
     @pytest.mark.parametrize("mode", list(IdentityMode))
     @pytest.mark.parametrize("axis", [0, 1])
@@ -415,15 +475,15 @@ class TestVerifyIdentities:
         pts[1, axis] = value
         x1, x2 = pts[:, 0], pts[:, 1]
         with pytest.raises(GeometryError, match="finite"):
-            verify_identities(Point(4, 1), Point(-4, -1), 6.0, (mode,), x1, x2)
+            verify_identities(SPEC, (mode,), x1, x2)
         with pytest.raises(GeometryError, match="finite"):
-            verify_identity(Point(4, 1), Point(-4, -1), 6.0, mode, x1, x2)
+            verify_identity(SPEC, mode, x1, x2)
         # A grid's axes are checked too, before any field is built.
-        gx1, gx2 = grid_points(Point(4, 1), Point(-4, -1), 6.0, 4)
+        gx1, gx2 = grid_points(SPEC, 4)
         axes = [gx1, gx2.copy()]
         axes[axis].flat[2] = value
         with pytest.raises(GeometryError, match="finite"):
-            verify_identities(Point(4, 1), Point(-4, -1), 6.0, (mode,), *axes)
+            verify_identities(SPEC, (mode,), *axes)
 
 
 class TestIdentityCampaigns:

@@ -43,7 +43,7 @@ def closed_ring(curve, samples_per_piece=64):
 
 def meshgrid_field(spec, half_width, n):
     """Reference for grid_field: the product field node by node."""
-    center, default_half = sampling_box(spec.p, spec.q, spec.r)
+    center, default_half = sampling_box(spec)
     half = default_half if half_width is None else float(half_width)
     xs = np.linspace(center.x1 - half, center.x1 + half, n)
     ys = np.linspace(center.x2 - half, center.x2 + half, n)
