@@ -71,7 +71,6 @@ from .oracle import (
     extract_contour,
     grid_field,
     hausdorff,
-    ring_contains,
 )
 from .svg import render_svg
 
@@ -131,7 +130,6 @@ __all__ = [
     "extract_contour",
     "grid_field",
     "hausdorff",
-    "ring_contains",
     # campaign and svg: seeded verification and rendering
     "CampaignResult",
     "run_boundary_campaign",

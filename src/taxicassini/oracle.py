@@ -10,7 +10,7 @@ construction, so agreement between the two is meaningful evidence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,9 +20,11 @@ from .characterization import sampling_box
 from .core import GeometryError, Point, distance_product
 
 _ZERO_NODE_RTOL = 1e-12
-# Nodes per kernel call in grid_field.  Each call makes three temporaries
-# of this size; much smaller blocks pay more in per-call overhead.
-_FIELD_NODES = 1 << 15
+# Nodes per band of rows in extract_contour.  Each band's kernel call makes
+# three temporaries of this size; much smaller bands pay more in per-call
+# overhead, and at this size a topology-campaign grid (n = 181 to 423)
+# takes one or two bands.
+_FIELD_NODES = 1 << 17
 
 
 class BoxTooSmall(GeometryError):
@@ -31,40 +33,79 @@ class BoxTooSmall(GeometryError):
 
 @dataclass(frozen=True, eq=False)
 class ScalarGrid:
-    """Node samples of f(x) - r^2 on a uniform grid.
+    """A uniform grid of f(x) - r^2 samples, evaluated on demand.
 
-    values has shape (ny, nx), row-major: values[j, i] belongs to the node
-    origin + (i * spacing, j * spacing).  The originating spec lets the
-    contour extractor resolve saddle cells from the true field.
+    Node (i, j) lies at (xs[i], ys[j]).  origin is node (0, 0) and spacing
+    the step from xs[0] to xs[1]; extract_contour places crossings and
+    saddle centers with them.  No node values are stored: rows() evaluates
+    a block of nodes with the product kernel, and window() bounds the nodes
+    that can be nonpositive, so no caller needs the whole field at once.
     """
 
-    origin: Point
-    spacing: float
-    nx: int
-    ny: int
-    values: np.ndarray
     spec: CassiniSpec
+    xs: np.ndarray = field(repr=False)
+    ys: np.ndarray = field(repr=False)
 
-    def __post_init__(self) -> None:
-        if self.nx < 2 or self.ny < 2:
-            raise GeometryError("grid needs at least 2 nodes per side")
-        if self.spacing <= 0 or not math.isfinite(self.spacing):
-            raise GeometryError(f"bad grid spacing {self.spacing!r}")
-        if self.values.shape != (self.ny, self.nx):
-            raise GeometryError(
-                f"values shape {self.values.shape} != (ny, nx) = {(self.ny, self.nx)}"
-            )
-        if not np.isfinite(self.values).all():
-            raise GeometryError("grid values must be finite")
+    @property
+    def origin(self) -> Point:
+        return Point(self.xs[0], self.ys[0])
+
+    @property
+    def spacing(self) -> float:
+        return float(self.xs[1] - self.xs[0])
+
+    @property
+    def nx(self) -> int:
+        return self.xs.size
+
+    @property
+    def ny(self) -> int:
+        return self.ys.size
+
+    def rows(self, j0: int, j1: int, i0: int = 0, i1: Optional[int] = None) -> np.ndarray:
+        """f - r^2 at the nodes (i, j) with j0 <= j < j1 and i0 <= i < i1, as
+        an array of shape (j1 - j0, i1 - i0); i1 defaults to nx."""
+        spec = self.spec
+        block = distance_product(spec.p, spec.q, self.xs[i0:i1], self.ys[j0:j1, None])
+        block -= spec.r * spec.r
+        return block
+
+    def window(self, j0: int, j1: int) -> Optional[tuple[int, int, int, int]]:
+        """Bounds (k0, k1, i0, i1) such that every node of rows j0 .. j1 - 1
+        outside rows k0 .. k1 - 1 or columns i0 .. i1 - 1 is strictly
+        positive; None when every node of those rows is.
+
+        A node's value is fl(fl(X_p + Y_p) * fl(X_q + Y_q)) - fl(r^2), with
+        offsets X_a = fl|x1 - a1| and Y_a = fl|x2 - a2|.  Rounding is
+        monotone, so putting a smaller offset in place of X_a or Y_a cannot
+        raise the computed product.  A row whose Y offsets, with the least X
+        offsets of the grid, already give a product above fl(r^2) is strictly
+        positive, and so is a column whose X offsets do, with the least Y
+        offsets of the rows not shown positive that way.  The bound reads
+        only the field's definition, never the construction.
+        """
+        p, q = self.spec.p, self.spec.q
+        r2 = self.spec.r * self.spec.r
+        xp, xq = abs(self.xs - p.x1), abs(self.xs - q.x1)
+        yp, yq = abs(self.ys[j0:j1] - p.x2), abs(self.ys[j0:j1] - q.x2)
+        rows = np.flatnonzero((xp.min() + yp) * (xq.min() + yq) <= r2)
+        if rows.size == 0:
+            return None
+        cols = np.flatnonzero((xp + yp[rows].min()) * (xq + yq[rows].min()) <= r2)
+        if cols.size == 0:
+            return None
+        return j0 + int(rows[0]), j0 + int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
 
 
 def grid_field(spec: CassiniSpec, half_width: Optional[float] = None, n: int = 256) -> ScalarGrid:
-    """Sample f - r^2 on an n x n grid over a midpoint-centered square box.
+    """The n x n grid of f - r^2 over a midpoint-centered square box.
 
-    The default box (taxicab_distance(p, q) + r + 1 half-width) strictly
-    contains the curve, making every boundary node positive; BoxTooSmall is
-    raised if any edge node fails that, since a contour touching the frame
-    could not be extracted as closed polylines.
+    Only the four frame lines are evaluated here; extract_contour samples
+    the rest, a band of rows at a time.  The default box
+    (taxicab_distance(p, q) + r + 1 half-width) strictly contains the curve,
+    making every frame node positive; BoxTooSmall is raised if any frame
+    node fails that, since a contour touching the frame could not be
+    extracted as closed polylines.
     """
     if n < 16:
         raise GeometryError(f"grid resolution must be at least 16, got {n}")
@@ -72,31 +113,22 @@ def grid_field(spec: CassiniSpec, half_width: Optional[float] = None, n: int = 2
     half = default_half if half_width is None else float(half_width)
     if half <= 0 or not math.isfinite(half):
         raise GeometryError(f"half_width must be positive and finite, got {half!r}")
-    xs = np.linspace(center.x1 - half, center.x1 + half, n)
-    ys = np.linspace(center.x2 - half, center.x2 + half, n)
-    # A block of rows at a time: the row vector xs broadcasts against a
-    # column of ys, so no meshgrid and no second n x n array is formed.
-    values = np.empty((n, n))
-    target = spec.r * spec.r
-    rows = max(1, _FIELD_NODES // n)
-    for j in range(0, n, rows):
-        block = distance_product(spec.p, spec.q, xs, ys[j : j + rows, None])
-        np.subtract(block, target, out=values[j : j + rows])
-    edge_min = min(
-        values[0, :].min(), values[-1, :].min(), values[:, 0].min(), values[:, -1].min()
+    grid = ScalarGrid(
+        spec,
+        np.linspace(center.x1 - half, center.x1 + half, n),
+        np.linspace(center.x2 - half, center.x2 + half, n),
     )
+    frame = (grid.rows(0, 1), grid.rows(n - 1, n), grid.rows(0, n, 0, 1), grid.rows(0, n, n - 1, n))
+    edge_min = min(line.min() for line in frame)
     if edge_min <= 0:
         raise BoxTooSmall(
             f"level set reaches the sampling frame (worst edge node {edge_min!r})"
         )
-    return ScalarGrid(
-        origin=Point(xs[0], ys[0]),
-        spacing=float(xs[1] - xs[0]),
-        nx=n,
-        ny=n,
-        values=values,
-        spec=spec,
-    )
+    if not (grid.spacing > 0 and math.isfinite(grid.spacing)):
+        raise GeometryError(f"bad grid spacing {grid.spacing!r}")
+    if not all(np.isfinite(line).all() for line in frame):
+        raise GeometryError("grid values must be finite")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -152,54 +184,28 @@ def _saddle_inside(grid: ScalarGrid, i: np.ndarray, j: np.ndarray) -> np.ndarray
     return distance_product(spec.p, spec.q, x1, x2) - spec.r * spec.r < 0
 
 
-def extract_contour(grid: ScalarGrid) -> Contour:
-    """Marching-squares zero level set of the grid, stitched into polylines.
-
-    Nodes exactly at zero are nudged positive by 1e-12 of the value scale so
-    every cell edge has a well-defined crossing.  Each mixed cell's corner
-    signs index a 16-case table of segments between its edges (Lorensen and
-    Cline 1987, in two dimensions).  Cells whose four corners alternate in
-    sign are split according to the field sign at the cell center.  Every
-    edge has an integer id, and the segments are joined at shared edges in
-    the order cells are scanned, row by row.  Crossing points interpolate
-    linearly along their edge.
-
-    When every frame node is positive, as grid_field ensures, every polyline
-    closes.  A hand-built grid with negative frame nodes may give open
-    polylines, which end where they meet the frame.
-    """
-    vals = grid.values
-    if (vals == 0).any():
-        bump = _ZERO_NODE_RTOL * max(1.0, float(np.abs(vals).max()))
-        vals = np.where(vals == 0, bump, vals)
-
-    nx, ny = grid.nx, grid.ny
-    neg = vals < 0
-    rows = np.flatnonzero(neg.any(axis=1))
-    cols = np.flatnonzero(neg.any(axis=0))
-    if rows.size == 0:
-        return Contour(polylines=(), closed_flags=())
-    # Every mixed cell touches a negative node, so it lies in the window of
-    # negative nodes grown by one cell; scanning only that window keeps the
-    # row-major cell order of a full scan.
-    j0 = max(int(rows[0]) - 1, 0)
-    i0 = max(int(cols[0]) - 1, 0)
-    j1 = min(int(rows[-1]) + 2, ny)
-    i1 = min(int(cols[-1]) + 2, nx)
-    win = neg[j0:j1, i0:i1]
-    a = win[:-1, :-1]
-    b = win[:-1, 1:]
-    c = win[1:, 1:]
-    d = win[1:, :-1]
-    mixed = ~((a == b) & (b == c) & (c == d))
-    cells = np.argwhere(mixed)
-    j = cells[:, 0] + j0
-    i = cells[:, 1] + i0
-    base = j * nx + i
-    flat_neg = neg.ravel()
-    case = np.zeros(base.size, dtype=np.intp)
-    for bit, step in enumerate((0, 1, nx + 1, nx)):  # corners a, b, c, d
-        case |= flat_neg[base + step].astype(np.intp) << bit
+def _band_segments(grid: ScalarGrid, j0: int, j1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Segments of the cells between node rows j0 and j1 - 1, in row-major
+    cell order: their edge ids, and the values at the lower and upper node
+    of each id's edge."""
+    window = grid.window(j0, j1)
+    if window is None:
+        return np.empty(0, dtype=np.intp), np.empty((0, 2))
+    # Every mixed cell has a negative corner, so it lies in the window grown
+    # by one node; scanning only that block keeps the row-major cell order
+    # of a full scan.
+    k0, k1, i0, i1 = window
+    k0, k1 = max(k0 - 1, j0), min(k1 + 1, j1)
+    i0, i1 = max(i0 - 1, 0), min(i1 + 1, grid.nx)
+    vals = grid.rows(k0, k1, i0, i1)
+    neg = (vals < 0).view(np.uint8)
+    case = neg[:-1, :-1] | neg[:-1, 1:] << 1 | neg[1:, 1:] << 2 | neg[1:, :-1] << 3
+    cells = np.flatnonzero((case != 0) & (case != 15))
+    width = i1 - i0
+    cj, ci = np.divmod(cells, width - 1)
+    j = cj + k0
+    i = ci + i0
+    case = case.ravel()[cells].astype(np.intp)
     saddle = np.flatnonzero((case == 5) | (case == 10))
     if saddle.size:
         inside = _saddle_inside(grid, i[saddle], j[saddle])
@@ -208,12 +214,62 @@ def extract_contour(grid: ScalarGrid) -> Contour:
     # Edge ids: j*nx + i for the horizontal edge from node (i, j), and
     # nx*ny + j*nx + i for the vertical one.  Each segment is a pair of ids,
     # in cell order and, within a saddle cell, in table order.
-    horizontal = nx * ny
+    nx = grid.nx
+    horizontal = nx * grid.ny
     edge_offset = np.array([0, horizontal + 1, nx, horizontal], dtype=np.intp)  # S, E, N, W
     seg_edges = _CASE_SEGMENTS[case]
     present = seg_edges[:, :, 0] >= 0
     seg_cell = np.nonzero(present)[0]
-    keys = (base[seg_cell, None] + edge_offset[seg_edges[present]]).ravel()
+    edges = seg_edges[present]
+    keys = ((j * nx + i)[seg_cell, None] + edge_offset[edges]).ravel()
+    # The same edges in the block: the offset of an edge's lower node from
+    # its cell's corner (i, j), and of its upper node from the lower one.
+    lower = (cj * width + ci)[seg_cell, None] + np.array([0, 1, width, 0])[edges]
+    upper = lower + np.array([1, width, 1, width])[edges]
+    flat = vals.ravel()
+    return keys, np.stack((flat[lower.ravel()], flat[upper.ravel()]), axis=1)
+
+
+def _abs_max(grid: ScalarGrid) -> float:
+    """The largest |f - r^2| over every node, a band of rows at a time."""
+    band = max(1, _FIELD_NODES // grid.nx)
+    return max(float(np.abs(grid.rows(j, j + band)).max()) for j in range(0, grid.ny, band))
+
+
+def extract_contour(grid: ScalarGrid) -> Contour:
+    """Marching-squares zero level set of the grid, stitched into polylines.
+
+    The field is sampled a band of rows at a time, so the n x n field never
+    exists.  Only rows and columns that grid.window() cannot prove strictly
+    positive are evaluated, with one node more on each side; consecutive
+    bands share a node row, which each evaluates over its own columns.  A
+    band keeps only its segments' edge ids and the two node values of each
+    crossing edge.
+
+    Nodes exactly at zero are nudged positive by 1e-12 of the value scale,
+    the largest |f - r^2| over the whole grid, so every cell edge has a
+    well-defined crossing; the scale is taken in a second sweep, and only
+    when a crossing edge has a zero node.  Each mixed cell's corner signs
+    index a 16-case table of segments between its edges (Lorensen and Cline
+    1987, in two dimensions).  Cells whose four corners alternate in sign
+    are split according to the field sign at the cell center.  Every edge
+    has an integer id, and the segments are joined at shared edges in the
+    order cells are scanned, row by row.  Crossing points interpolate
+    linearly along their edge.
+
+    When every frame node is positive, as grid_field ensures, every polyline
+    closes.  A grid with negative frame nodes may give open polylines, which
+    end where they meet the frame.
+    """
+    nx, ny = grid.nx, grid.ny
+    window = grid.window(0, ny)
+    if window is None:
+        return Contour(polylines=(), closed_flags=())
+    k0, k1, i0, i1 = window
+    j0, j1 = max(k0 - 1, 0), min(k1 + 1, ny)
+    band = max(1, _FIELD_NODES // (i1 - i0 + 2))
+    parts = [_band_segments(grid, j, min(j + band, j1 - 1) + 1) for j in range(j0, j1 - 1, band)]
+    keys = np.concatenate([part[0] for part in parts])
     if keys.size == 0:
         return Contour(polylines=(), closed_flags=())
 
@@ -222,12 +278,8 @@ def extract_contour(grid: ScalarGrid) -> Contour:
     # is position k ^ 1.  Ids are ranked by first occurrence, the order a
     # walk over the segments meets them, and nb0 and nb1 hold the ranks of
     # the partners at an id's first and second occurrence (-1 when it
-    # occurs once).  Each position's group comes from searchsorted, not
-    # from np.unique's return_inverse: that gives the same array but left a
-    # heap layout that raised the peak RSS of repeated n = 4097 grids by
-    # about 10 MB.
-    edge_ids, first_pos = np.unique(keys, return_index=True)
-    group = np.searchsorted(edge_ids, keys)
+    # occurs once).
+    edge_ids, first_pos, group = np.unique(keys, return_index=True, return_inverse=True)
     by_appearance = np.argsort(first_pos)
     edge_ids = edge_ids[by_appearance]
     first_pos = first_pos[by_appearance]
@@ -243,11 +295,16 @@ def extract_contour(grid: ScalarGrid) -> Contour:
 
     # Crossing points of the ranked edges, with t = v0 / (v0 - v1) measured
     # from the edge's lower node.
+    ends = np.concatenate([part[1] for part in parts])[first_pos]
+    zero = ends == 0
+    if zero.any():
+        ends[zero] = _ZERO_NODE_RTOL * max(1.0, _abs_max(grid))
+    if not np.isfinite(ends).all():
+        raise GeometryError("grid values must be finite")
+    v0, v1 = ends[:, 0], ends[:, 1]
+    horizontal = nx * ny
     vertical = edge_ids >= horizontal
     local = edge_ids - np.where(vertical, horizontal, 0)
-    flat = vals.ravel()
-    v0 = flat[local]
-    v1 = flat[local + np.where(vertical, nx, 1)]
     t = v0 / (v0 - v1)
     points = np.empty((edge_ids.size, 2))
     points[:, 0] = grid.origin.x1 + (local % nx + np.where(vertical, 0.0, t)) * grid.spacing
@@ -427,19 +484,3 @@ def hausdorff(a: Sequence, b: Sequence) -> float:
     pa = _as_array(a)
     pb = _as_array(b)
     return max(_directed_hausdorff(pa, pb), _directed_hausdorff(pb, pa))
-
-
-def ring_contains(ring: Sequence, x: Point) -> bool:
-    """Even-odd test of x against a closed ring of points (no repeat needed)."""
-    pts = _as_array(ring)
-    if pts.shape[0] >= 2 and np.array_equal(pts[0], pts[-1]):
-        pts = pts[:-1]
-    x1 = np.asarray(pts[:, 0])
-    x2 = np.asarray(pts[:, 1])
-    y1 = np.roll(x1, -1)
-    y2 = np.roll(x2, -1)
-    straddles = (x2 > x.x2) != (y2 > x.x2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cross_x = x1 + (x.x2 - x2) / (y2 - x2) * (y1 - x1)
-    hits = straddles & (cross_x > x.x1)
-    return bool(np.count_nonzero(hits) % 2 == 1)

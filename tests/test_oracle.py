@@ -1,7 +1,10 @@
 """Grid sampling, marching squares, Hausdorff distance."""
 
 import ast
+import json
 import math
+import tracemalloc
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,17 +23,19 @@ from taxicassini.cassini import (
     product_value,
 )
 from taxicassini.characterization import sampling_box
-from taxicassini.core import GeometryError, Point
+from taxicassini.core import GeometryError, Point, PointGroup, distance_product
 from taxicassini.oracle import (
+    _CASE_SEGMENTS,
+    _ZERO_NODE_RTOL,
     BoxTooSmall,
     Contour,
     ScalarGrid,
     _directed_hausdorff,
+    _saddle_inside,
     component_count,
     extract_contour,
     grid_field,
     hausdorff,
-    ring_contains,
 )
 
 DIAMOND = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (1.0, 0.0)]
@@ -39,6 +44,176 @@ DIAMOND = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (1.0, 0.0)]
 def closed_ring(curve, samples_per_piece=64):
     ring = [(p.x1, p.x2) for p in curve_polyline(curve, samples_per_piece)]
     return ring + [ring[0]]
+
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "instances.jsonl"
+
+
+def fixture_spec(label):
+    for line in FIXTURES.read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        if record["label"] == label:
+            return CassiniSpec(Point(*map(float, record["p"])), Point(*map(float, record["q"])), float(record["r"]))
+    raise KeyError(label)
+
+
+def about_midpoint(spec, element):
+    """spec with both foci moved by a point-group element about their midpoint."""
+    mx, my = (spec.p.x1 + spec.q.x1) / 2, (spec.p.x2 + spec.q.x2) / 2
+
+    def move(x):
+        y1, y2 = element.apply(x.x1 - mx, x.x2 - my)
+        return Point(y1 + mx, y2 + my)
+
+    return CassiniSpec(move(spec.p), move(spec.q), spec.r)
+
+
+@dataclass(frozen=True, eq=False)
+class ValuesGrid:
+    """A grid whose node values are given, not sampled.
+
+    values[j, i] belongs to the node origin + (i, j) * spacing, and the spec
+    only resolves saddle cells.  It offers extract_contour the interface of
+    ScalarGrid, with a window that excludes no node.
+    """
+
+    origin: Point
+    spacing: float
+    nx: int
+    ny: int
+    values: np.ndarray
+    spec: CassiniSpec
+
+    def __post_init__(self):
+        assert self.values.shape == (self.ny, self.nx)
+
+    def rows(self, j0, j1, i0=0, i1=None):
+        return self.values[j0:j1, i0:i1]
+
+    def window(self, j0, j1):
+        return j0, j1, 0, self.nx
+
+
+def materialised_grid(spec, half_width=None, n=256):
+    """Reference for grid_field: the whole n x n field, filled a block of
+    rows per kernel call, with the same frame check."""
+    center, default_half = sampling_box(spec)
+    half = default_half if half_width is None else float(half_width)
+    xs = np.linspace(center.x1 - half, center.x1 + half, n)
+    ys = np.linspace(center.x2 - half, center.x2 + half, n)
+    values = np.empty((n, n))
+    target = spec.r * spec.r
+    rows = max(1, (1 << 15) // n)
+    for j in range(0, n, rows):
+        block = distance_product(spec.p, spec.q, xs, ys[j : j + rows, None])
+        np.subtract(block, target, out=values[j : j + rows])
+    edge_min = min(
+        values[0, :].min(), values[-1, :].min(), values[:, 0].min(), values[:, -1].min()
+    )
+    if edge_min <= 0:
+        raise BoxTooSmall(
+            f"level set reaches the sampling frame (worst edge node {edge_min!r})"
+        )
+    return ValuesGrid(Point(xs[0], ys[0]), float(xs[1] - xs[0]), n, n, values, spec)
+
+
+def whole_field_contour(grid):
+    """Reference for extract_contour: the same table-driven marching squares
+    and stitching, over the whole materialised field at once."""
+    vals = grid.values
+    if (vals == 0).any():
+        bump = _ZERO_NODE_RTOL * max(1.0, float(np.abs(vals).max()))
+        vals = np.where(vals == 0, bump, vals)
+
+    nx, ny = grid.nx, grid.ny
+    neg = vals < 0
+    rows = np.flatnonzero(neg.any(axis=1))
+    cols = np.flatnonzero(neg.any(axis=0))
+    if rows.size == 0:
+        return Contour(polylines=(), closed_flags=())
+    j0 = max(int(rows[0]) - 1, 0)
+    i0 = max(int(cols[0]) - 1, 0)
+    j1 = min(int(rows[-1]) + 2, ny)
+    i1 = min(int(cols[-1]) + 2, nx)
+    win = neg[j0:j1, i0:i1]
+    a = win[:-1, :-1]
+    b = win[:-1, 1:]
+    c = win[1:, 1:]
+    d = win[1:, :-1]
+    mixed = ~((a == b) & (b == c) & (c == d))
+    cells = np.argwhere(mixed)
+    j = cells[:, 0] + j0
+    i = cells[:, 1] + i0
+    base = j * nx + i
+    flat_neg = neg.ravel()
+    case = np.zeros(base.size, dtype=np.intp)
+    for bit, step in enumerate((0, 1, nx + 1, nx)):
+        case |= flat_neg[base + step].astype(np.intp) << bit
+    saddle = np.flatnonzero((case == 5) | (case == 10))
+    if saddle.size:
+        inside = _saddle_inside(grid, i[saddle], j[saddle])
+        case[saddle[inside]] = 15 - case[saddle[inside]]
+
+    horizontal = nx * ny
+    edge_offset = np.array([0, horizontal + 1, nx, horizontal], dtype=np.intp)
+    seg_edges = _CASE_SEGMENTS[case]
+    present = seg_edges[:, :, 0] >= 0
+    seg_cell = np.nonzero(present)[0]
+    keys = (base[seg_cell, None] + edge_offset[seg_edges[present]]).ravel()
+    if keys.size == 0:
+        return Contour(polylines=(), closed_flags=())
+
+    edge_ids, first_pos, group = np.unique(keys, return_index=True, return_inverse=True)
+    by_appearance = np.argsort(first_pos)
+    edge_ids = edge_ids[by_appearance]
+    first_pos = first_pos[by_appearance]
+    rank_of_group = np.empty(edge_ids.size, dtype=np.intp)
+    rank_of_group[by_appearance] = np.arange(edge_ids.size)
+    rank = rank_of_group[group]
+    nb0 = rank[first_pos ^ 1]
+    second = np.ones(keys.size, dtype=bool)
+    second[first_pos] = False
+    second_pos = np.flatnonzero(second)
+    nb1 = np.full(edge_ids.size, -1, dtype=np.intp)
+    nb1[rank[second_pos]] = rank[second_pos ^ 1]
+
+    vertical = edge_ids >= horizontal
+    local = edge_ids - np.where(vertical, horizontal, 0)
+    flat = vals.ravel()
+    v0 = flat[local]
+    v1 = flat[local + np.where(vertical, nx, 1)]
+    t = v0 / (v0 - v1)
+    points = np.empty((edge_ids.size, 2))
+    points[:, 0] = grid.origin.x1 + (local % nx + np.where(vertical, 0.0, t)) * grid.spacing
+    points[:, 1] = grid.origin.x2 + (local // nx + np.where(vertical, t, 0.0)) * grid.spacing
+
+    visited = bytearray(edge_ids.size)
+    polylines, closed_flags = [], []
+    for start in range(edge_ids.size):
+        if visited[start]:
+            continue
+        path = [start]
+        visited[start] = 1
+        prev, current, closed = -1, start, False
+        while True:
+            nxt = int(nb0[current])
+            if nxt == prev:
+                nxt = int(nb1[current])
+                if nxt < 0:
+                    break
+            if nxt == start:
+                closed = True
+                break
+            if visited[nxt]:
+                break
+            path.append(nxt)
+            visited[nxt] = 1
+            prev, current = current, nxt
+        if closed:
+            path.append(start)
+        polylines.append(points[path])
+        closed_flags.append(closed)
+    return Contour(polylines=tuple(polylines), closed_flags=tuple(closed_flags))
 
 
 def meshgrid_field(spec, half_width, n):
@@ -195,14 +370,25 @@ def reference_extract_contour(grid):
     return Contour(polylines=tuple(polylines), closed_flags=tuple(closed_flags))
 
 
-def assert_same_contour(grid):
-    got = extract_contour(grid)
-    want = reference_extract_contour(grid)
+def assert_equal_contours(got, want):
     assert got.closed_flags == want.closed_flags
     assert len(got.polylines) == len(want.polylines)
     for line, ref_line in zip(got.polylines, want.polylines):
         assert line.shape == ref_line.shape
         assert line.tobytes() == ref_line.tobytes()
+
+
+def assert_same_contour(grid):
+    assert_equal_contours(extract_contour(grid), reference_extract_contour(grid))
+
+
+def assert_banded_matches_references(spec, half_width=None, n=256):
+    """The banded contour of grid_field equals both references' contours of
+    the materialised field, bit for bit."""
+    got = extract_contour(grid_field(spec, half_width=half_width, n=n))
+    materialised = materialised_grid(spec, half_width, n)
+    assert_equal_contours(got, whole_field_contour(materialised))
+    assert_equal_contours(got, reference_extract_contour(materialised))
 
 
 # Specs for hand-built unit cells at the origin: the field at the cell center
@@ -233,7 +419,7 @@ def small_grids(draw):
     p = Point(coordinate(origin.x1, nx), coordinate(origin.x2, ny))
     q = Point(coordinate(origin.x1, nx), coordinate(origin.x2, ny))
     spec = CassiniSpec(p, q, draw(st.floats(0.0, 2.0 * max(nx, ny) * spacing)))
-    return ScalarGrid(origin, spacing, nx, ny, values, spec)
+    return ValuesGrid(origin, spacing, nx, ny, values, spec)
 
 
 def test_oracle_imports_no_construction():
@@ -266,11 +452,12 @@ class TestGridField:
     def test_circle_node_values(self):
         spec = CassiniSpec(Point(0, 0), Point(0, 0), 2.0)
         grid = grid_field(spec, half_width=5.0, n=21)
+        values = grid.rows(0, grid.ny)
         assert grid.spacing == 0.5
         # Node at world (0,0): f - r^2 = 0 - 4.
-        assert grid.values[10, 10] == -4.0
+        assert values[10, 10] == -4.0
         # Node at world (5,5): f = (5+5)^2 = 100, so 100 - 4 = 96.
-        assert grid.values[20, 20] == 96.0
+        assert values[20, 20] == 96.0
         # values[j, i] belongs to the node origin + (i, j) * spacing.
         assert grid.origin == Point(-5.0, -5.0)
         assert grid.origin.x1 + 10 * grid.spacing == 0.0
@@ -279,16 +466,32 @@ class TestGridField:
     def test_default_box_keeps_edges_positive(self):
         spec = CassiniSpec(Point(4, 1), Point(-4, -1), 6.0)
         grid = grid_field(spec, n=64)
+        values = grid.rows(0, grid.ny)
         assert grid.origin == Point(-17.0, -17.0)
-        edges = np.concatenate(
-            [grid.values[0, :], grid.values[-1, :], grid.values[:, 0], grid.values[:, -1]]
-        )
+        edges = np.concatenate([values[0, :], values[-1, :], values[:, 0], values[:, -1]])
         assert np.all(edges > 0)
 
     def test_too_small_box_rejected(self):
         spec = CassiniSpec(Point(4, 1), Point(-4, -1), 6.0)
         with pytest.raises(BoxTooSmall):
             grid_field(spec, half_width=3.0, n=32)
+
+    @pytest.mark.parametrize("half_width", [1.0, 3.0, 6.5])
+    def test_too_small_box_message_matches_reference(self, half_width):
+        # grid_field evaluates only the frame; its worst node is the one the
+        # whole field gives.
+        spec = CassiniSpec(Point(4, 1), Point(-4, -1), 6.0)
+        with pytest.raises(BoxTooSmall) as want:
+            materialised_grid(spec, half_width, 33)
+        with pytest.raises(BoxTooSmall) as got:
+            grid_field(spec, half_width=half_width, n=33)
+        assert str(got.value) == str(want.value)
+
+    def test_overflowing_field_rejected(self):
+        # Every frame product overflows to inf, on purpose.
+        spec = CassiniSpec(Point(1e155, 0), Point(-1e155, 0), 1.0)
+        with np.errstate(over="ignore"), pytest.raises(GeometryError, match="finite"):
+            grid_field(spec, n=16)
 
     def test_minimum_resolution(self):
         spec = CassiniSpec(Point(0, 0), Point(0, 0), 2.0)
@@ -305,16 +508,18 @@ class TestGridField:
             CassiniSpec(Point(8.3, 3.1), Point(-8.7, -2.9), 15.9),
             CassiniSpec(Point(0.1, 0.2), Point(0.1, 0.2), 1.7),
         ):
-            grid = grid_field(spec, half_width=half_width, n=n)
-            assert np.array_equal(grid.values, meshgrid_field(spec, half_width, n))
+            values = grid_field(spec, half_width=half_width, n=n).rows(0, n)
+            assert np.array_equal(values, meshgrid_field(spec, half_width, n))
+            assert np.array_equal(values, materialised_grid(spec, half_width, n).values)
 
     def test_node_signs_agree_with_classification(self):
         spec = CassiniSpec(Point(4, 1), Point(-4, -1), 6.0)
         grid = grid_field(spec, n=48)
+        values = grid.rows(0, grid.ny)
         band = 1e-9 * max(1.0, spec.r * spec.r)
         for iy in range(0, grid.ny, 5):
             for ix in range(0, grid.nx, 5):
-                value = grid.values[iy, ix]
+                value = values[iy, ix]
                 if abs(value) <= band:
                     continue
                 node = Point(grid.origin.x1 + ix * grid.spacing, grid.origin.x2 + iy * grid.spacing)
@@ -362,15 +567,23 @@ class TestExtractContour:
 
     def test_empty_contour_when_field_is_positive(self):
         values = np.full((16, 16), 5.0)
-        grid = ScalarGrid(Point(0, 0), 1.0, 16, 16, values, CassiniSpec(Point(0, 0), Point(0, 0), 1.0))
+        grid = ValuesGrid(Point(0, 0), 1.0, 16, 16, values, CassiniSpec(Point(0, 0), Point(0, 0), 1.0))
         contour = extract_contour(grid)
         assert contour.polylines == ()
         assert component_count(contour) == 0
 
+    def test_non_finite_crossing_value_rejected(self):
+        # Node (1, 1) is inside, and the products of its neighbours overflow
+        # to inf, on purpose.
+        spec = CassiniSpec(Point(0, 0), Point(0, 0), 1.0)
+        axis = np.array([-1e200, 0.0, 1e200])
+        with np.errstate(over="ignore"), pytest.raises(GeometryError, match="finite"):
+            extract_contour(ScalarGrid(spec, axis, axis))
+
     def test_saddle_cell_resolved_by_center_sign(self):
         # Hand-built 2x2 grid: one cell whose diagonal corners are inside.
         values = np.array([[-1.0, 3.0], [3.0, -9.0]])
-        grid = ScalarGrid(Point(0, 0), 1.0, 2, 2, values, CENTER_INSIDE)
+        grid = ValuesGrid(Point(0, 0), 1.0, 2, 2, values, CENTER_INSIDE)
         contour = extract_contour(grid)
         assert len(contour.polylines) == 2
         assert not any(contour.closed_flags)
@@ -395,7 +608,7 @@ class TestExtractContour:
         # The spec's field is 1 > r^2 at the center and 0 at the two inside
         # corners, so it agrees with the node signs.
         values = np.array([[-1.0, 3.0], [3.0, -1.0]])
-        grid = ScalarGrid(Point(0, 0), 1.0, 2, 2, values, CENTER_OUTSIDE)
+        grid = ValuesGrid(Point(0, 0), 1.0, 2, 2, values, CENTER_OUTSIDE)
         contour = extract_contour(grid)
         joined = set()
         for polyline in contour.polylines:
@@ -415,11 +628,11 @@ class TestExtractContour:
 
     @settings(max_examples=400, deadline=None)
     @given(small_grids())
-    @example(ScalarGrid(Point(0, 0), 1.0, 2, 2, np.array([[-1.0, 3.0], [3.0, -9.0]]), CENTER_INSIDE))
-    @example(ScalarGrid(Point(0, 0), 1.0, 2, 2, np.array([[3.0, -1.0], [-1.0, 3.0]]), CENTER_OUTSIDE))
+    @example(ValuesGrid(Point(0, 0), 1.0, 2, 2, np.array([[-1.0, 3.0], [3.0, -9.0]]), CENTER_INSIDE))
+    @example(ValuesGrid(Point(0, 0), 1.0, 2, 2, np.array([[3.0, -1.0], [-1.0, 3.0]]), CENTER_OUTSIDE))
     # A saddle whose center lies exactly on the level set: f = 1 * 1 = r^2.
     @example(
-        ScalarGrid(
+        ValuesGrid(
             Point(0, 0), 1.0, 2, 2, np.array([[-1.0, 3.0], [3.0, -9.0]]), CassiniSpec(Point(0, 0), Point(1, 1), 1.0)
         )
     )
@@ -432,7 +645,84 @@ class TestExtractContour:
         for _ in range(100):
             spec = _random_topology_spec(rng)
             half_width, n = _topology_grid(spec)
-            assert_same_contour(grid_field(spec, half_width=half_width, n=n))
+            assert_banded_matches_references(spec, half_width, n)
+
+    @pytest.mark.parametrize("element", list(PointGroup), ids=lambda g: g.name)
+    @pytest.mark.parametrize("label", ["strips-wide", "family-super"])
+    def test_refinement_fixtures_match_reference(self, label, element):
+        # Criterion 5's fixtures, moved as the refinement benchmark moves them.
+        spec = about_midpoint(fixture_spec(label), element)
+        for n in (257, 1025):
+            assert_banded_matches_references(spec, n=n)
+
+    def test_finest_refinement_matches_reference(self):
+        assert_banded_matches_references(fixture_spec("strips-wide"), n=4097)
+
+    def test_zero_node_nudged_by_the_whole_grid_scale(self):
+        # Nodes lie on the half-integers of [-8, 8].  f(0, 1) = 3 * 3 = r^2,
+        # so node (0, 1) is exactly zero, and its edge to the negative node
+        # (0, 0) crosses the level set.  The largest |f - r^2| sits in the
+        # frame rows, which the row window leaves out.
+        spec = CassiniSpec(Point(2, 0), Point(-2, 0), 3.0)
+        grid = grid_field(spec, n=33)
+        values = grid.rows(0, grid.ny)
+        assert values[18, 16] == 0.0 and values[16, 16] < 0
+        k0, k1, _, _ = grid.window(0, grid.ny)
+        peak_row = np.unravel_index(np.abs(values).argmax(), values.shape)[0]
+        assert not k0 - 1 <= peak_row <= k1
+        assert_banded_matches_references(spec, n=33)
+
+    def test_finest_grid_holds_no_field(self):
+        # The n = 4097 field alone would take 128 MiB.
+        spec = fixture_spec("strips-wide")
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            contour = extract_contour(grid_field(spec, n=4097))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert component_count(contour) == 1
+        assert peak < 16 * 2**20
+
+
+# Specs at scales 1e-6 to 1e9, with offsets up to 1e9 from the origin.
+_unit = st.one_of(st.integers(-20, 20).map(float), st.floats(-20.0, 20.0, allow_nan=False))
+
+
+@st.composite
+def scaled_specs(draw):
+    scale = draw(st.sampled_from([1e-6, 1e-3, 1.0, 7.0, 1e3, 1e6, 1e9]))
+    ox = draw(st.sampled_from([0.0, 0.5, -3.25e4, 6e8, -1e9]))
+    oy = draw(st.sampled_from([0.0, -0.5, 2.5e5, -6e8, 1e9]))
+    p = Point(ox + scale * draw(_unit), oy + scale * draw(_unit))
+    q = Point(ox + scale * draw(_unit), oy + scale * draw(_unit))
+    return CassiniSpec(p, q, scale * abs(draw(_unit)))
+
+
+class TestWindow:
+    @settings(max_examples=300, deadline=None)
+    @given(scaled_specs(), st.sampled_from([16, 17, 40]), st.data())
+    @example(CassiniSpec(Point(2, 0), Point(-2, 0), 3.0), 33, None)
+    # Node (0, 3) is exactly zero, on a row whose bound is exactly r^2.
+    @example(CassiniSpec(Point(0, 0), Point(0, 0), 3.0), 17, None)
+    @example(CassiniSpec(Point(8, 3), Point(-8, -3), 16.0), 40, None)
+    def test_nodes_outside_the_window_are_positive(self, spec, n, data):
+        # As the kernel evaluates them: for the whole grid and for a band.
+        grid = grid_field(spec, n=n)
+        bands = [(0, n)]
+        if data is not None:
+            j0 = data.draw(st.integers(0, n - 2))
+            bands.append((j0, data.draw(st.integers(j0 + 1, n))))
+        for j0, j1 in bands:
+            values = grid.rows(j0, j1)
+            outside = np.ones(values.shape, dtype=bool)
+            window = grid.window(j0, j1)
+            if window is not None:
+                k0, k1, i0, i1 = window
+                assert j0 <= k0 < k1 <= j1 and 0 <= i0 < i1 <= n
+                outside[k0 - j0 : k1 - j0, i0:i1] = False
+            assert (values[outside] > 0).all()
 
 
 class TestHausdorff:
@@ -480,30 +770,6 @@ class TestHausdorff:
         contour = extract_contour(grid)
         ring = closed_ring(build_curves(spec)[0], 128)
         assert hausdorff(ring, contour.polylines[0]) <= 2 * grid.spacing
-
-
-class TestRingContains:
-    def test_inside_outside(self):
-        assert ring_contains(DIAMOND, Point(0, 0))
-        assert ring_contains(DIAMOND, Point(0.5, 0.25))
-        assert not ring_contains(DIAMOND, Point(3, 0))
-        assert not ring_contains(DIAMOND, Point(0.9, 0.9))
-
-    def test_open_ring_accepted(self):
-        assert ring_contains(DIAMOND[:-1], Point(0, 0))
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_rejects_non_finite(self, bad):
-        with pytest.raises(GeometryError):
-            ring_contains(DIAMOND[:-1] + [(bad, 0.0)], Point(0, 0))
-
-    def test_contour_agrees_with_classification(self):
-        spec = CassiniSpec(Point(4, 1), Point(-4, -1), 6.0)
-        contour = extract_contour(grid_field(spec, n=257))
-        ring = contour.polylines[0]
-        assert ring_contains(ring, Point(0, 0))
-        assert ring_contains(ring, Point(4, 1))
-        assert not ring_contains(ring, Point(12, 0))
 
 
 class TestConvergence:
