@@ -31,6 +31,10 @@ from .characterization import (
 from .core import Point, standardize, taxicab_distance
 from .oracle import component_count, extract_contour, grid_field
 
+# Radius of the largest witness circle the boundary campaign probes around
+# each curve point (boundary_check then halves it twice).
+BOUNDARY_PROBE_RADIUS = 0.05
+
 
 @dataclass(frozen=True)
 class CampaignResult:
@@ -197,9 +201,7 @@ def boundary_suite() -> list[tuple[str, CassiniSpec, list[Point]]]:
     ]
 
 
-def run_boundary_campaign(
-    probe_radius: float = 0.05, samples_per_curve: int = 64
-) -> CampaignResult:
+def run_boundary_campaign(samples_per_curve: int = 64) -> CampaignResult:
     """Boundary witnesses on sampled curve points of every topology class."""
     failures = 0
     trials = 0
@@ -209,6 +211,6 @@ def run_boundary_campaign(
             points.extend(sample_curve(curve, samples_per_curve))
         trials += len(points)
         for point in points:
-            if not boundary_check(spec, [point], probe_radius):
+            if not boundary_check(spec, [point], BOUNDARY_PROBE_RADIUS):
                 failures += 1
     return CampaignResult("boundary", trials, failures, 0, math.inf)

@@ -18,7 +18,7 @@ returned curve runs counterclockwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Union
 
@@ -40,6 +40,8 @@ RESIDUAL_RTOL = 1e-9
 CLOSURE_RTOL = 1e-9
 # Pieces shorter than this (relative to instance scale) are dropped.
 ZERO_LENGTH_RTOL = 1e-12
+# Validation checks each piece at this many equal parameter steps.
+_VALIDATION_SAMPLES = 16
 
 
 class DegenerateInput(GeometryError):
@@ -138,7 +140,6 @@ class GuideSegment:
     region: RegionId
     start: Point
     end: Point
-    slope_sign: int
 
     def coords_at(self, f: float) -> tuple[float, float]:
         """Coordinates at parameter f in [0, 1]; exact at the endpoints."""
@@ -150,7 +151,7 @@ class GuideSegment:
         return start.x1 + f * (end.x1 - start.x1), start.x2 + f * (end.x2 - start.x2)
 
     def reversed(self) -> "GuideSegment":
-        return GuideSegment(self.region, self.end, self.start, self.slope_sign)
+        return replace(self, start=self.end, end=self.start)
 
     def length_scale(self) -> float:
         return taxicab_distance(self.start, self.end)
@@ -162,63 +163,56 @@ class HyperbolaArc:
 
     The arc satisfies (x_other - center_other)^2 - (x_run - center_run)^2 =
     radius^2 where "run" is the coordinate axis sweeping the strip and
-    "other" the remaining one; branch_dir picks the side of the center.  The
-    center is a guide complement of the foci.  Endpoints are stored so that
-    coords_at(0) and coords_at(1) are exact.
+    "other" the remaining one.  The center is a guide complement of the
+    foci.  The endpoints carry everything else: the run coordinate goes from
+    start's to end's, and the branch is the side of the center that start
+    lies on in the other coordinate.  coords_at(0) and coords_at(1) return
+    the endpoints exactly.
     """
 
     region: RegionId
     center: Point
     run_axis: int
-    branch_dir: int
     radius: float
-    u_start: float
-    u_end: float
     start: Point
     end: Point
 
     def coords_at(self, f: float) -> tuple[float, float]:
         """Coordinates at parameter f in [0, 1]; exact at the endpoints."""
+        start, end, center = self.start, self.end, self.center
         if f == 0.0:
-            return self.start.x1, self.start.x2
+            return start.x1, start.x2
         if f == 1.0:
-            return self.end.x1, self.end.x2
-        u = self.u_start + f * (self.u_end - self.u_start)
-        return _arc_coords(self.center, self.run_axis, self.branch_dir, self.radius, u)
+            return end.x1, end.x2
+        if self.run_axis == 1:
+            branch = 1 if start.x2 > center.x2 else -1
+            return _arc_coords(center, 1, branch, self.radius, start.x1 + f * (end.x1 - start.x1))
+        branch = 1 if start.x1 > center.x1 else -1
+        return _arc_coords(center, 2, branch, self.radius, start.x2 + f * (end.x2 - start.x2))
 
     def reversed(self) -> "HyperbolaArc":
-        return HyperbolaArc(
-            self.region,
-            self.center,
-            self.run_axis,
-            self.branch_dir,
-            self.radius,
-            self.u_end,
-            self.u_start,
-            self.end,
-            self.start,
-        )
+        return replace(self, start=self.end, end=self.start)
 
     def length_scale(self) -> float:
-        return abs(self.u_end - self.u_start)
+        return abs(self.end.coord(self.run_axis) - self.start.coord(self.run_axis))
 
 
 CurvePiece = Union[GuideSegment, HyperbolaArc]
 
 
 def _arc_coords(
-    center: Point, run_axis: int, branch_dir: int, radius: float, u: float
+    center: Point, run_axis: int, branch: int, radius: float, u: float
 ) -> tuple[float, float]:
+    # The point at run coordinate u on the given side (+1 or -1) of the center.
     if run_axis == 1:
-        return u, center.x2 + branch_dir * math.hypot(u - center.x1, radius)
-    return center.x1 + branch_dir * math.hypot(u - center.x2, radius), u
+        return u, center.x2 + branch * math.hypot(u - center.x1, radius)
+    return center.x1 + branch * math.hypot(u - center.x2, radius), u
 
 
 @dataclass(frozen=True)
 class ClosedCurve:
     """One simple closed curve of a Cassini set: cyclic counterclockwise pieces."""
 
-    spec: CassiniSpec
     pieces: tuple[CurvePiece, ...]
 
 
@@ -233,10 +227,10 @@ def _diamond_pieces(r: float) -> list[GuideSegment]:
     east, north = Point(r, 0.0), Point(0.0, r)
     west, south = Point(-r, 0.0), Point(0.0, -r)
     return [
-        GuideSegment(RegionId.QUADRANT_C1, east, south, 1),
-        GuideSegment(RegionId.QUADRANT_Q, south, west, -1),
-        GuideSegment(RegionId.QUADRANT_C2, west, north, 1),
-        GuideSegment(RegionId.QUADRANT_P, north, east, -1),
+        GuideSegment(RegionId.QUADRANT_C1, east, south),
+        GuideSegment(RegionId.QUADRANT_Q, south, west),
+        GuideSegment(RegionId.QUADRANT_C2, west, north),
+        GuideSegment(RegionId.QUADRANT_P, north, east),
     ]
 
 
@@ -258,13 +252,13 @@ def _standard_loops(a: float, b: float, r: float) -> list[list[CurvePiece]]:
     sp = math.hypot(rstar, r)
     frame = foci_frame(Point(a, b), Point(-a, -b))
     g_plus, g_minus = frame.g_plus, frame.g_minus
-    qp = GuideSegment(RegionId.QUADRANT_P, Point(a, sp - a), Point(sp - b, b), -1)
-    qq = GuideSegment(RegionId.QUADRANT_Q, Point(-a, a - sp), Point(b - sp, -b), -1)
+    qp = GuideSegment(RegionId.QUADRANT_P, Point(a, sp - a), Point(sp - b, b))
+    qq = GuideSegment(RegionId.QUADRANT_Q, Point(-a, a - sp), Point(b - sp, -b))
     qc1 = qc2 = None
     if r * r >= 4.0 * a * b:
         sc = math.hypot(a - b, r)
-        qc1 = GuideSegment(RegionId.QUADRANT_C1, Point(sc - b, -b), Point(a, a - sc), 1)
-        qc2 = GuideSegment(RegionId.QUADRANT_C2, Point(b - sc, b), Point(-a, sc - a), 1)
+        qc1 = GuideSegment(RegionId.QUADRANT_C1, Point(sc - b, -b), Point(a, a - sc))
+        qc2 = GuideSegment(RegionId.QUADRANT_C2, Point(b - sc, b), Point(-a, sc - a))
     # Per half-strip: region, hyperbola center, run axis and branch side.
     top = (RegionId.STRIP_P_C2, g_plus, 1, 1)
     bottom = (RegionId.STRIP_Q_C1, g_minus, 1, -1)
@@ -281,10 +275,7 @@ def _standard_loops(a: float, b: float, r: float) -> list[list[CurvePiece]]:
             region=region,
             center=center,
             run_axis=run_axis,
-            branch_dir=branch,
             radius=r,
-            u_start=u0,
-            u_end=u1,
             start=Point(*_arc_coords(center, run_axis, branch, r, u0)),
             end=Point(*_arc_coords(center, run_axis, branch, r, u1)),
         )
@@ -306,12 +297,12 @@ def _standard_loops(a: float, b: float, r: float) -> list[list[CurvePiece]]:
         return [loop]
     c = _rect_half_span(rstar, r)
     hi, lo = min(a, c + b), max(-a, c - b)
-    rect_plus = GuideSegment(RegionId.CENTRAL_RECTANGLE, Point(hi, c - hi), Point(lo, c - lo), -1)
+    rect_plus = GuideSegment(RegionId.CENTRAL_RECTANGLE, Point(hi, c - hi), Point(lo, c - lo))
     if r == rstar:
         rect_minus = rect_plus.reversed()
     else:
         rect_minus = GuideSegment(
-            RegionId.CENTRAL_RECTANGLE, Point(-hi, hi - c), Point(-lo, lo - c), -1
+            RegionId.CENTRAL_RECTANGLE, Point(-hi, hi - c), Point(-lo, lo - c)
         )
     p_loop = chain(
         qp,
@@ -343,29 +334,14 @@ _REGION_UNDER_SWAP = {
 
 
 def _map_piece(piece: CurvePiece, iso: Isometry) -> CurvePiece:
-    swap, s1, s2 = iso.element.value
+    # A swap of the coordinates also swaps the run axis and the strip labels.
+    swap = iso.element.value[0]
     region = _REGION_UNDER_SWAP.get(piece.region, piece.region) if swap else piece.region
+    start, end = iso.apply(piece.start), iso.apply(piece.end)
     if isinstance(piece, GuideSegment):
-        return GuideSegment(
-            region, iso.apply(piece.start), iso.apply(piece.end), piece.slope_sign * s1 * s2
-        )
-    center, start, end = iso.apply(piece.center), iso.apply(piece.start), iso.apply(piece.end)
+        return GuideSegment(region, start, end)
     run_axis = 3 - piece.run_axis if swap else piece.run_axis
-    if run_axis == 1:
-        u_start, u_end, offset = start.x1, end.x1, start.x2 - center.x2
-    else:
-        u_start, u_end, offset = start.x2, end.x2, start.x1 - center.x1
-    return HyperbolaArc(
-        region=region,
-        center=center,
-        run_axis=run_axis,
-        branch_dir=1 if offset > 0 else -1,
-        radius=piece.radius,
-        u_start=u_start,
-        u_end=u_end,
-        start=start,
-        end=end,
-    )
+    return HyperbolaArc(region, iso.apply(piece.center), run_axis, piece.radius, start, end)
 
 
 def _counterclockwise(pieces: list[CurvePiece], iso: Isometry) -> list[CurvePiece]:
@@ -399,7 +375,7 @@ def _validate_loop(spec: CassiniSpec, pieces: list[CurvePiece], samples_per_piec
                 )
 
 
-def build_curves(spec: CassiniSpec, samples_per_piece: int = 16) -> list[ClosedCurve]:
+def build_curves(spec: CassiniSpec) -> list[ClosedCurve]:
     """Assemble K(p, q; r) into its closed curves, counterclockwise.
 
     Returns one curve above the critical radius, two below it, and two
@@ -411,8 +387,6 @@ def build_curves(spec: CassiniSpec, samples_per_piece: int = 16) -> list[ClosedC
     """
     if spec.r == 0:
         raise DegenerateInput("r = 0 yields the bare focus pair, not a curve")
-    if samples_per_piece < 1:
-        raise GeometryError("samples_per_piece must be positive")
     iso, p_std, _ = standardize(spec.p, spec.q)
     inverse = iso.inverse()
     if spec.p == spec.q:
@@ -429,8 +403,8 @@ def build_curves(spec: CassiniSpec, samples_per_piece: int = 16) -> list[ClosedC
         if not kept:
             raise AssemblyError("all pieces of a loop degenerated to points")
         kept = _counterclockwise(kept, inverse)
-        _validate_loop(spec, kept, samples_per_piece)
-        curves.append(ClosedCurve(spec=spec, pieces=tuple(kept)))
+        _validate_loop(spec, kept, _VALIDATION_SAMPLES)
+        curves.append(ClosedCurve(tuple(kept)))
     return curves
 
 
@@ -455,7 +429,10 @@ def sample_curve(curve: ClosedCurve, n: int) -> list[Point]:
 
 
 def curve_polyline(curve: ClosedCurve, samples_per_piece: int = 64) -> list[Point]:
-    """Closed ring of points tracing the curve; the last point joins the first."""
+    """Closed ring of samples_per_piece points per piece tracing the curve.
+
+    The ring does not repeat its first point: the last point joins the first.
+    """
     if samples_per_piece < 1:
         raise GeometryError("samples_per_piece must be positive")
     points = []

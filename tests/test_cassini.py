@@ -274,8 +274,10 @@ class TestHalfStripPieces:
         assert top == [pc for pc in p_loop if pc.region is RegionId.STRIP_P_C2]
         assert bottom == [pc for pc in q_loop if pc.region is RegionId.STRIP_Q_C1]
         assert len(top) == len(bottom) == 1
-        assert sorted((top[0].u_start, top[0].u_end)) == [3.0, 4.0]
-        assert sorted((bottom[0].u_start, bottom[0].u_end)) == [-4.0, -3.0]
+        # Both strips run along x1, so the endpoints' x1 give the run range.
+        assert top[0].run_axis == bottom[0].run_axis == 1
+        assert sorted((top[0].start.x1, top[0].end.x1)) == [3.0, 4.0]
+        assert sorted((bottom[0].start.x1, bottom[0].end.x1)) == [-4.0, -3.0]
         spec = CassiniSpec(Point(4, 1), Point(-4, -1), 3.0)
         for arc in top + bottom:
             for f in (0.0, 0.5, 1.0):
@@ -297,7 +299,7 @@ class TestHalfStripPieces:
 
 class TestPieceParametrization:
     def test_segment_point_at_endpoints_exact(self):
-        seg = GuideSegment(RegionId.QUADRANT_P, Point(1, 2), Point(3, 0), -1)
+        seg = GuideSegment(RegionId.QUADRANT_P, Point(1, 2), Point(3, 0))
         assert Point(*seg.coords_at(0.0)) == Point(1, 2)
         assert Point(*seg.coords_at(1.0)) == Point(3, 0)
         assert seg.reversed().start == Point(3, 0)
@@ -446,9 +448,10 @@ class TestBuildCurves:
 
 
 # Reference construction: piece evaluation, mapping and validation through
-# one Point per sample, as build_curves did before it moved to plain
-# coordinates.  Assembly of the standard-frame pieces and the orientation
-# rule are shared; everything else must match the reference bit for bit.
+# one Point per sample, with each arc's run range and branch worked out here
+# from its endpoints.  Assembly of the standard-frame pieces and the
+# orientation rule are shared; everything else must match the reference bit
+# for bit.
 
 
 def reference_point_at(piece, f):
@@ -461,43 +464,35 @@ def reference_point_at(piece, f):
             piece.start.x1 + f * (piece.end.x1 - piece.start.x1),
             piece.start.x2 + f * (piece.end.x2 - piece.start.x2),
         )
-    u = piece.u_start + f * (piece.u_end - piece.u_start)
     run, center = piece.run_axis, piece.center
-    other = center.coord(3 - run) + piece.branch_dir * math.hypot(
-        u - center.coord(run), piece.radius
-    )
-    return Point(u, other) if run == 1 else Point(other, u)
+    other = 3 - run
+    # The run coordinate goes from start's to end's; the branch is the sign
+    # of start's offset from the center in the other coordinate.
+    u_start, u_end = piece.start.coord(run), piece.end.coord(run)
+    offset = piece.start.coord(other) - center.coord(other)
+    branch = 1 if offset > 0 else -1
+    u = u_start + f * (u_end - u_start)
+    x_other = center.coord(other) + branch * math.hypot(u - center.coord(run), piece.radius)
+    return Point(u, x_other) if run == 1 else Point(x_other, u)
 
 
 def reference_reversed(piece):
-    if isinstance(piece, GuideSegment):
-        return dataclasses.replace(piece, start=piece.end, end=piece.start)
-    return dataclasses.replace(
-        piece, u_start=piece.u_end, u_end=piece.u_start, start=piece.end, end=piece.start
-    )
+    return dataclasses.replace(piece, start=piece.end, end=piece.start)
 
 
 def reference_map_piece(piece, iso):
-    swap, s1, s2 = iso.element.value
+    swap = iso.element.value[0]
     region = piece.region
     if swap:
         region = _REGION_UNDER_SWAP.get(region, region)
+    start, end = iso.apply(piece.start), iso.apply(piece.end)
     if isinstance(piece, GuideSegment):
-        return GuideSegment(
-            region, iso.apply(piece.start), iso.apply(piece.end), piece.slope_sign * s1 * s2
-        )
-    center, start, end = iso.apply(piece.center), iso.apply(piece.start), iso.apply(piece.end)
-    run_axis = 3 - piece.run_axis if swap else piece.run_axis
-    other_axis = 3 - run_axis
-    offset = start.coord(other_axis) - center.coord(other_axis)
+        return GuideSegment(region, start, end)
     return HyperbolaArc(
         region=region,
-        center=center,
-        run_axis=run_axis,
-        branch_dir=1 if offset > 0 else -1,
+        center=iso.apply(piece.center),
+        run_axis=3 - piece.run_axis if swap else piece.run_axis,
         radius=piece.radius,
-        u_start=start.coord(run_axis),
-        u_end=end.coord(run_axis),
         start=start,
         end=end,
     )
@@ -520,10 +515,9 @@ def reference_validate_loop(spec, pieces, samples_per_piece):
 
 
 def reference_build_curves(spec, samples_per_piece=16):
+    """The reference curves of spec; samples_per_piece=None skips validation."""
     if spec.r == 0:
         raise DegenerateInput("r = 0 yields the bare focus pair, not a curve")
-    if samples_per_piece < 1:
-        raise GeometryError("samples_per_piece must be positive")
     iso, p_std, _ = standardize(spec.p, spec.q)
     inverse = iso.inverse()
     if spec.p == spec.q:
@@ -538,8 +532,9 @@ def reference_build_curves(spec, samples_per_piece=16):
         if not kept:
             raise AssemblyError("all pieces of a loop degenerated to points")
         kept = _counterclockwise(kept, inverse)
-        reference_validate_loop(spec, kept, samples_per_piece)
-        curves.append(ClosedCurve(spec=spec, pieces=tuple(kept)))
+        if samples_per_piece is not None:
+            reference_validate_loop(spec, kept, samples_per_piece)
+        curves.append(ClosedCurve(tuple(kept)))
     return curves
 
 
@@ -561,10 +556,10 @@ def reference_curve_polyline(curve, samples_per_piece):
     ]
 
 
-def _outcome(build, sample, polyline, spec, samples_per_piece):
+def _outcome(build, sample, polyline, spec):
     """Everything a caller sees: pieces and point coordinates, or the error."""
     try:
-        curves = build(spec, samples_per_piece)
+        curves = build(spec)
     except (AssemblyError, GeometryError) as exc:
         return type(exc), str(exc)
     return [
@@ -577,9 +572,17 @@ def _outcome(build, sample, polyline, spec, samples_per_piece):
     ]
 
 
+def _validation_outcome(validate, spec, pieces, samples_per_piece):
+    try:
+        validate(spec, pieces, samples_per_piece)
+    except (AssemblyError, GeometryError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
 def _stress_spec(signs, exponents, u):
-    # Signed coordinates log-uniform over 1e-6 .. 1e9 and r = r* * 10^u,
-    # u in [-3.3, -1]: the large-coordinate, r << r* regime.
+    # Signed coordinates log-uniform over 1e-6 .. 1e9 and r = r* * 10^u:
+    # the large-coordinate, r << r* regime.
     coords = [sign * 10.0**e for sign, e in zip(signs, exponents)]
     p, q = Point(coords[0], coords[1]), Point(coords[2], coords[3])
     return CassiniSpec(p, q, critical_radius(p, q) * 10.0**u)
@@ -601,6 +604,13 @@ stress_specs = st.builds(
     st.lists(st.sampled_from((-1.0, 1.0)), min_size=4, max_size=4),
     st.lists(st.floats(-6.0, 9.0), min_size=4, max_size=4),
     st.floats(-3.3, -1.0),
+)
+# The same regime down to r = 1e-6 r*, where many lobes fail to assemble.
+deep_stress_specs = st.builds(
+    _stress_spec,
+    st.lists(st.sampled_from((-1.0, 1.0)), min_size=4, max_size=4),
+    st.lists(st.floats(-6.0, 9.0), min_size=4, max_size=4),
+    st.floats(-6.0, -1.0),
 )
 # A residual miss found among the perfbench scale-stress specs, and the
 # all-pieces-degenerate lobe of ROADMAP item 3.
@@ -637,27 +647,56 @@ class TestFloatPathMatchesReference:
     @example(CassiniSpec(Point(0, 0), Point(0, 0), 2.0), 3)
     @example(CassiniSpec(Point(4, 1), Point(-4, -1), 5.0), 1)
     def test_build_sample_and_errors_match_reference(self, spec, samples_per_piece):
-        got = _outcome(build_curves, sample_curve, curve_polyline, spec, samples_per_piece)
+        got = _outcome(build_curves, sample_curve, curve_polyline, spec)
         want = _outcome(
-            reference_build_curves,
-            reference_sample_curve,
-            reference_curve_polyline,
-            spec,
-            samples_per_piece,
+            reference_build_curves, reference_sample_curve, reference_curve_polyline, spec
         )
         assert got == want
         if isinstance(got, list):
-            for curve in build_curves(spec, samples_per_piece):
+            for curve in build_curves(spec):
                 for piece in curve.pieces:
                     assert piece.reversed() == reference_reversed(piece)
                     for f in (0.0, 0.5, 1.0):
-                        assert repr(Point(*piece.coords_at(f))) == repr(reference_point_at(piece, f))
+                        got_point = Point(*piece.coords_at(f))
+                        assert repr(got_point) == repr(reference_point_at(piece, f))
+        # Validation at other sample counts, on the loops before validation.
+        try:
+            loops = [curve.pieces for curve in reference_build_curves(spec, None)]
+        except (AssemblyError, GeometryError):
+            loops = []
+        for pieces in loops:
+            assert _validation_outcome(
+                _validate_loop, spec, pieces, samples_per_piece
+            ) == _validation_outcome(reference_validate_loop, spec, pieces, samples_per_piece)
 
 
-def _diamond_side(start, end, slope_sign):
-    return GuideSegment(
-        RegionId.QUADRANT_P, Point(*map(float, start)), Point(*map(float, end)), slope_sign
-    )
+class TestArcEndpoints:
+    # An arc stores no branch and no run range: coords_at reads the branch
+    # off start and the run range off both endpoints.  That branch is the
+    # arc's own only if end lies strictly on the same side of the center,
+    # and the samples run along the arc only if their run coordinates are
+    # monotone.
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(random_specs, dyadic_specs(), stress_specs, deep_stress_specs))
+    def test_endpoints_share_a_side_and_the_run_is_monotone(self, spec):
+        try:
+            curves = build_curves(spec)
+        except (AssemblyError, DegenerateInput):
+            return
+        for curve in curves:
+            for arc in curve.pieces:
+                if not isinstance(arc, HyperbolaArc):
+                    continue
+                run, other = arc.run_axis, 3 - arc.run_axis
+                center = arc.center.coord(other)
+                offsets = (arc.start.coord(other) - center, arc.end.coord(other) - center)
+                assert min(offsets) > 0 or max(offsets) < 0
+                runs = [arc.coords_at(k / 16)[run - 1] for k in range(17)]
+                assert runs in (sorted(runs), sorted(runs, reverse=True))
+
+
+def _diamond_side(start, end):
+    return GuideSegment(RegionId.QUADRANT_P, Point(*map(float, start)), Point(*map(float, end)))
 
 
 class TestAssemblyErrors:
@@ -680,9 +719,9 @@ class TestAssemblyErrors:
         # third side's misses.
         spec = CassiniSpec(Point(0, 0), Point(0, 0), 1.0)
         pieces = [
-            _diamond_side((1, 0), (0, 1), -1),
-            _diamond_side((0, 1), (-1, 0), 1),
-            _diamond_side((-1, 0), (0, -3), -1),
+            _diamond_side((1, 0), (0, 1)),
+            _diamond_side((0, 1), (-1, 0)),
+            _diamond_side((-1, 0), (0, -3)),
         ]
         for validate in (_validate_loop, reference_validate_loop):
             with pytest.raises(AssemblyError) as info:
@@ -692,9 +731,9 @@ class TestAssemblyErrors:
     def test_earlier_miss_is_reported_before_a_later_gap(self):
         spec = CassiniSpec(Point(0, 0), Point(0, 0), 1.0)
         pieces = [
-            _diamond_side((1, 0), (0, 1), -1),
-            _diamond_side((0, 1), (-2, 0), 1),
-            _diamond_side((-2, 0), (0, -3), -1),
+            _diamond_side((1, 0), (0, 1)),
+            _diamond_side((0, 1), (-2, 0)),
+            _diamond_side((-2, 0), (0, -3)),
         ]
         for validate in (_validate_loop, reference_validate_loop):
             with pytest.raises(AssemblyError) as info:
@@ -708,7 +747,7 @@ class TestAssemblyErrors:
         # r^2 = 0 is RESIDUAL_RTOL itself; one ulp further out it fails.
         spec = CassiniSpec(Point(0.0, 0.0), Point(1.0, 1e-9), 0.0)
         on_tol = Point(0.0, RESIDUAL_RTOL)
-        _validate_loop(spec, [GuideSegment(RegionId.QUADRANT_P, on_tol, on_tol, -1)], 4)
+        _validate_loop(spec, [GuideSegment(RegionId.QUADRANT_P, on_tol, on_tol)], 4)
         beyond = Point(0.0, math.nextafter(RESIDUAL_RTOL, 1.0))
         with pytest.raises(AssemblyError, match="misses the level set"):
-            _validate_loop(spec, [GuideSegment(RegionId.QUADRANT_P, beyond, beyond, -1)], 4)
+            _validate_loop(spec, [GuideSegment(RegionId.QUADRANT_P, beyond, beyond)], 4)

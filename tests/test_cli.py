@@ -415,6 +415,27 @@ class TestGoldenVerify:
         assert out == report
 
 
+# SHA-256 of the full info report of each fixture: the frame, the
+# standardizing isometry and every curve piece's region, kind and endpoints.
+GOLDEN_INFO = [
+    ("family-sub", "378febc40054e95d188b53e6f84cbfc0e866eb9235195945742ce21dbf9e33ca"),
+    ("family-critical", "28fb531dfa6e3e381888702228c44cdaf5d68156424c92a8ffc96fe557b749a6"),
+    ("family-super", "0393f0d3504ef8e1d534c6fe11acf7f1dbee87843c48557bf1f0db5c7fb92365"),
+    ("strips-wide", "5a6f8e2ece9fbe40208720edda3caf53365f7b5bf9255b7cb84cc1bcab370d31"),
+    ("shared-line-pinch", "1eeefa0ecb7ddb3265ad655a7688c0f89263c93f3d1e20a685bd2e707dc8cc5e"),
+    ("circle", "d2fbc64f5eb23246d0df5b8d883ea02c6e8c08734494fb9fd57a275b56ee0be6"),
+]
+
+
+class TestGoldenInfo:
+    @pytest.mark.parametrize("label,digest", GOLDEN_INFO)
+    def test_report(self, capsys, label, digest):
+        code, out, err = run(capsys, "info", "--instances", FIXTURES, "--label", label)
+        assert code == 0
+        assert err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestEntrypoints:
     def test_no_subcommand(self, capsys):
         assert main([]) == 2
