@@ -349,19 +349,24 @@ def extract_contour(grid: ScalarGrid) -> Contour:
 
 
 def _as_array(points: Sequence) -> np.ndarray:
-    arr = np.asarray(
-        [(pt.x1, pt.x2) if isinstance(pt, Point) else tuple(pt) for pt in points],
-        dtype=float,
-    )
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] == 0:
+    try:
+        if not isinstance(points, np.ndarray):
+            points = [(pt.x1, pt.x2) if isinstance(pt, Point) else tuple(pt) for pt in points]
+        arr = np.asarray(points, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] == 0:
         raise GeometryError("polyline must be a nonempty sequence of planar points")
     if not np.isfinite(arr).all():
         raise GeometryError("polyline coordinates must be finite")
     return arr
 
 
-# Vertex-segment pairs evaluated at once; bounds the working arrays.
-_PAIR_CHUNK = 2_000_000
+# Vertex-segment pairs evaluated at once.  Every working array of the
+# Hausdorff search spans at most this many pairs or vertex-to-block box
+# distances (or one vertex's row of boxes, if that is longer), so one
+# float64 value per pair takes 128 KiB and the working set stays in cache.
+_PAIR_CHUNK = 1 << 14
 
 
 def _pair_distance(px, py, ax, ay, ux, uy) -> np.ndarray:
@@ -369,16 +374,25 @@ def _pair_distance(px, py, ax, ay, ux, uy) -> np.ndarray:
 
     The distance along a segment is piecewise linear in t; its minimum sits
     at an endpoint or where one coordinate difference vanishes.  Arguments
-    broadcast elementwise, and each pair gets the same operations whatever
-    the shapes, so a pair's value never depends on how pairs are grouped.
+    broadcast elementwise to one shape for both coordinates, and each pair
+    gets the same operations whatever the shapes, so a pair's value never
+    depends on how pairs are grouped.
+    The endpoints t = 0 and t = 1 broadcast as scalars, and tx, ty and the
+    running minimum are updated in place, so besides its arguments a call
+    holds at most six pair-sized float64 arrays at once: tx, ty, the
+    minimum, one candidate and two terms of the candidate's expression
+    (tracemalloc reads 6.5 arrays' worth for 2**14 pairs).
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        tx = np.clip(np.nan_to_num((px - ax) / ux), 0.0, 1.0)
-        ty = np.clip(np.nan_to_num((py - ay) / uy), 0.0, 1.0)
+        tx = np.nan_to_num((px - ax) / ux, copy=False)
+        ty = np.nan_to_num((py - ay) / uy, copy=False)
+    np.clip(tx, 0.0, 1.0, out=tx)
+    np.clip(ty, 0.0, 1.0, out=ty)
     best = None
-    for t in (np.zeros_like(tx), np.ones_like(tx), tx, ty):
-        dist = np.abs(px - (ax + t * ux)) + np.abs(py - (ay + t * uy))
-        best = dist if best is None else np.minimum(best, dist)
+    for t in (0.0, 1.0, tx, ty):
+        dist = np.abs(px - (ax + t * ux))
+        dist += np.abs(py - (ay + t * uy))
+        best = dist if best is None else np.minimum(best, dist, out=best)
     return best
 
 
@@ -441,6 +455,7 @@ def _directed_hausdorff(points: np.ndarray, polyline: np.ndarray) -> float:
     batch = 1
     pos = 0
     max_batch = max(1, _PAIR_CHUNK // (nblocks * size))
+    step = max(1, _PAIR_CHUNK // size)
     while pos < order.size and sorted_upper[pos] > worst:
         stop = min(pos + min(batch, max_batch), order.size)
         idx = order[pos:stop]
@@ -448,7 +463,11 @@ def _directed_hausdorff(points: np.ndarray, polyline: np.ndarray) -> float:
         near = box_distance(pts) <= (upper[idx] + slack)[:, None]
         owner, blocks = np.nonzero(near)
         best = upper[idx].copy()
-        np.minimum.at(best, owner, block_minimum(pts[owner], blocks))
+        # A point near many blocks can exceed the budget alone, so the
+        # (point, block) pairs go in slices of at most _PAIR_CHUNK pairs.
+        for lo in range(0, owner.size, step):
+            sel = owner[lo : lo + step]
+            np.minimum.at(best, sel, block_minimum(pts[sel], blocks[lo : lo + step]))
         worst = max(worst, float(best.max()))
         pos = stop
         batch *= 2
@@ -478,8 +497,9 @@ def hausdorff(a: Sequence, b: Sequence) -> float:
     lies between them because rounding is monotone, so each computed pair
     distance is at least its block's computed box distance, and the slack
     is a margin on top.  Every evaluated pair uses the same floating-point
-    operations as an all-pairs sweep, and min and max are exact, so the
-    result is bit-identical to that sweep.
+    operations as an all-pairs sweep, whatever tile of _PAIR_CHUNK pairs
+    it falls in, and min and max are exact, so the result is bit-identical
+    to that sweep.
     """
     pa = _as_array(a)
     pb = _as_array(b)

@@ -229,27 +229,35 @@ def meshgrid_field(spec, half_width, n):
 
 
 def brute_directed(points, polyline):
-    """Reference for the pruned search: every vertex against every segment."""
+    """Reference for the pruned search: every vertex against every segment.
+
+    Vertices go a few rows at a time, so a contour of thousands of vertices
+    fits in memory; each row's minimum still covers every segment.
+    """
     if polyline.shape[0] == 1:
         seg_a = polyline
         seg_u = np.zeros_like(polyline)
     else:
         seg_a = polyline[:-1]
         seg_u = polyline[1:] - polyline[:-1]
-    px = points[:, 0:1]
-    py = points[:, 1:2]
     ax = seg_a[None, :, 0]
     ay = seg_a[None, :, 1]
     ux = seg_u[None, :, 0]
     uy = seg_u[None, :, 1]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        tx = np.clip(np.nan_to_num((px - ax) / ux), 0.0, 1.0)
-        ty = np.clip(np.nan_to_num((py - ay) / uy), 0.0, 1.0)
-    best = None
-    for t in (np.zeros_like(tx), np.ones_like(tx), tx, ty):
-        dist = np.abs(px - (ax + t * ux)) + np.abs(py - (ay + t * uy))
-        best = dist if best is None else np.minimum(best, dist)
-    return max(0.0, float(best.min(axis=1).max()))
+    rows = max(1, (1 << 16) // seg_a.shape[0])
+    worst = 0.0
+    for lo in range(0, points.shape[0], rows):
+        px = points[lo : lo + rows, 0:1]
+        py = points[lo : lo + rows, 1:2]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            tx = np.clip(np.nan_to_num((px - ax) / ux), 0.0, 1.0)
+            ty = np.clip(np.nan_to_num((py - ay) / uy), 0.0, 1.0)
+        best = None
+        for t in (np.zeros_like(tx), np.ones_like(tx), tx, ty):
+            dist = np.abs(px - (ax + t * ux)) + np.abs(py - (ay + t * uy))
+            best = dist if best is None else np.minimum(best, dist)
+        worst = max(worst, float(best.min(axis=1).max()))
+    return worst
 
 
 def assert_matches_brute_force(a, b):
@@ -259,6 +267,7 @@ def assert_matches_brute_force(a, b):
     assert _directed_hausdorff(pa, pb) == forward
     assert _directed_hausdorff(pb, pa) == backward
     assert hausdorff(a, b) == max(forward, backward)
+    assert hausdorff(pa, pb) == max(forward, backward)
 
 
 # Lattice values make axis-parallel segments (u = 0 in one coordinate) and
@@ -725,6 +734,20 @@ class TestWindow:
             assert (values[outside] > 0).all()
 
 
+@pytest.fixture(scope="module")
+def criterion_5_ladder():
+    """(ring, contour, brute-force distance) for each level of criterion 5."""
+    levels = []
+    for spec in (CassiniSpec(Point(8, 3), Point(-8, -3), 16.0), CassiniSpec(Point(4, 1), Point(-4, -1), 6.0)):
+        ring = closed_ring(build_curves(spec)[0], 128)
+        pa = np.asarray(ring)
+        for n in (257, 1025, 4097):
+            contour = extract_contour(grid_field(spec, n=n)).polylines[0]
+            expected = max(brute_directed(pa, contour), brute_directed(contour, pa))
+            levels.append((ring, contour, expected))
+    return levels
+
+
 class TestHausdorff:
     def test_identical_polylines(self):
         assert hausdorff(DIAMOND, DIAMOND) == 0.0
@@ -763,6 +786,56 @@ class TestHausdorff:
         for n in (65, 257):
             contour = extract_contour(grid_field(spec, n=n))
             assert_matches_brute_force(ring, contour.polylines[0])
+
+    # One pair per tile, odd tiles, the default, and the whole search in one.
+    @pytest.mark.parametrize("chunk", [1, 3, 1 << 14, 2_000_000])
+    @settings(max_examples=60, deadline=None)
+    @given(polyline_pairs())
+    def test_pair_tiling_cannot_change_the_result(self, chunk, pair):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_PAIR_CHUNK", chunk)
+            assert_matches_brute_force(*pair)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 1 << 14, 2_000_000])
+    def test_pair_tiling_keeps_the_criterion_5_ladder(self, chunk, criterion_5_ladder, monkeypatch):
+        monkeypatch.setattr(oracle, "_PAIR_CHUNK", chunk)
+        for ring, contour, expected in criterion_5_ladder:
+            assert hausdorff(ring, contour) == expected
+
+    def test_finest_level_fits_the_pair_budget(self):
+        # Whole pair blocks at n = 4097 took 20.9 MiB.
+        spec = fixture_spec("strips-wide")
+        ring = closed_ring(build_curves(spec)[0], 128)
+        contour = extract_contour(grid_field(spec, n=4097)).polylines[0]
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            d = hausdorff(ring, contour)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d == 0.0074148141658660904
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [(0.0, 0.0), (1.0, 2.0, 3.0)],
+            [(0.0, 0.0), "ab"],
+            [(0.0, 0.0), 5.0],
+            [(0.0, 0.0), None],
+            np.zeros((3, 3)),
+            np.zeros(4),
+            np.array([["0", "0"], ["a", "b"]]),
+        ],
+        ids=["ragged", "string-row", "scalar-row", "none-row", "three-columns", "flat-array", "string-array"],
+    )
+    def test_rejects_malformed(self, bad):
+        message = "polyline must be a nonempty sequence of planar points"
+        with pytest.raises(GeometryError, match=message):
+            hausdorff(bad, DIAMOND)
+        with pytest.raises(GeometryError, match=message):
+            hausdorff(DIAMOND, bad)
 
     def test_analytic_vs_contour_is_tight(self):
         spec = CassiniSpec(Point(4, 1), Point(-4, -1), 6.0)
