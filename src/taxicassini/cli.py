@@ -258,6 +258,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             )
     if args.trials is not None and args.trials < 1:
         raise GeometryError("--trials must be at least 1")
+    if args.seed < 0:
+        raise GeometryError(f"--seed must be nonnegative, got {args.seed}")
+    if args.samples < 8:
+        raise GeometryError(f"--samples must be at least 8, got {args.samples}")
     if args.grid < 16:
         raise GeometryError("--grid must be at least 16")
     if not (math.isfinite(args.band) and args.band >= 0):

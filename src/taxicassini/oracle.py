@@ -411,22 +411,28 @@ def _directed_hausdorff(points: np.ndarray, polyline: np.ndarray) -> float:
     size = max(1, math.isqrt(m))
     nblocks = -(-m // size)
     block_segs = np.minimum(np.arange(nblocks * size).reshape(nblocks, size), m - 1)
-    # The boxes span a and the rounded a + u, the two points that t = 0 and
-    # t = 1 reach in _pair_distance; every rounded a + t*u lies between
-    # them, because rounding is monotone.  So a computed pair distance is
-    # never below its block's computed box distance.  The slack of a few
-    # ulps of the largest coordinate is a margin on top of that bound.
+    # seg_lo[k, j] and seg_hi[k, j] bound segment j of block k: its box
+    # spans a and the rounded a + u, the two points that t = 0 and t = 1
+    # reach in _pair_distance, and every rounded a + t*u lies between them,
+    # because rounding is monotone.  A block's box spans its segments'
+    # boxes, so a computed pair distance is never below its block's computed
+    # box distance.  The slack of a few ulps of the largest coordinate is a
+    # margin on top of that bound.
     ends = seg_a + seg_u
-    box_lo = np.minimum(seg_a, ends)[block_segs].min(axis=1)
-    box_hi = np.maximum(seg_a, ends)[block_segs].max(axis=1)
+    seg_lo = np.minimum(seg_a, ends)[block_segs]
+    seg_hi = np.maximum(seg_a, ends)[block_segs]
+    box_lo = seg_lo.min(axis=1)
+    box_hi = seg_hi.max(axis=1)
     scale = max(float(np.abs(points).max()), float(np.abs(polyline).max()))
     slack = 4 * np.finfo(float).eps * scale
 
-    def box_distance(pts: np.ndarray) -> np.ndarray:
-        # L1 distance from each point to each block box: a lower bound on
-        # its distance to every segment in the block.
-        gap_x = np.maximum(box_lo[None, :, 0] - pts[:, 0:1], pts[:, 0:1] - box_hi[None, :, 0])
-        gap_y = np.maximum(box_lo[None, :, 1] - pts[:, 1:2], pts[:, 1:2] - box_hi[None, :, 1])
+    def box_distance(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        # L1 distance from pts[k] to the boxes lo[j] .. hi[j], or to the
+        # boxes lo[k, j] .. hi[k, j] of its own row: a lower bound on its
+        # distance to every segment inside.
+        px, py = pts[:, 0:1], pts[:, 1:2]
+        gap_x = np.maximum(lo[..., 0] - px, px - hi[..., 0])
+        gap_y = np.maximum(lo[..., 1] - py, py - hi[..., 1])
         return np.maximum(gap_x, 0.0) + np.maximum(gap_y, 0.0)
 
     def block_minimum(pts: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -437,13 +443,21 @@ def _directed_hausdorff(points: np.ndarray, polyline: np.ndarray) -> float:
         dist = _pair_distance(pts[:, 0:1], pts[:, 1:2], a[..., 0], a[..., 1], u[..., 0], u[..., 1])
         return dist.min(axis=1)
 
-    # Upper bound per point: its distance to the block nearest by box.
+    # Upper bound per point: its distance to one segment, the one whose box
+    # is nearest within the block whose box is nearest.  The distance to any
+    # segment bounds the minimum from above, so one pair per point is
+    # enough, however loose; the visit phase makes every minimum it uses
+    # exact.
     chunk = max(1, _PAIR_CHUNK // max(nblocks, size))
     upper = np.empty(points.shape[0])
     for lo in range(0, points.shape[0], chunk):
         pts = points[lo : lo + chunk]
-        nearest = box_distance(pts).argmin(axis=1)
-        upper[lo : lo + chunk] = block_minimum(pts, nearest)
+        block = box_distance(pts, box_lo, box_hi).argmin(axis=1)
+        nearest = box_distance(pts, seg_lo[block], seg_hi[block]).argmin(axis=1)
+        seg = block_segs[block, nearest]
+        a = seg_a[seg]
+        u = seg_u[seg]
+        upper[lo : lo + chunk] = _pair_distance(pts[:, 0], pts[:, 1], a[:, 0], a[:, 1], u[:, 0], u[:, 1])
 
     # Taha-Hanbury early break: visit points by descending upper bound and
     # stop once no remaining point can raise the running maximum.  A visited
@@ -460,7 +474,7 @@ def _directed_hausdorff(points: np.ndarray, polyline: np.ndarray) -> float:
         stop = min(pos + min(batch, max_batch), order.size)
         idx = order[pos:stop]
         pts = points[idx]
-        near = box_distance(pts) <= (upper[idx] + slack)[:, None]
+        near = box_distance(pts, box_lo, box_hi) <= (upper[idx] + slack)[:, None]
         owner, blocks = np.nonzero(near)
         best = upper[idx].copy()
         # A point near many blocks can exceed the budget alone, so the
@@ -486,10 +500,12 @@ def hausdorff(a: Sequence, b: Sequence) -> float:
     The search is exact, not approximate.  Segments are grouped into blocks
     of consecutive segments; the L1 distance from a vertex to a block's
     bounding box bounds its distance to every segment inside from below.
-    Each vertex first gets an upper bound, its distance to the block whose
-    box is nearest.  Vertices are then visited by descending upper bound,
-    and the search stops once the next bound cannot exceed the running
-    maximum (Taha and Hanbury, IEEE TPAMI 2015).  A visited vertex is
+    Each vertex first gets an upper bound from one pair: its distance to
+    the segment whose own bounding box is nearest, within the block whose
+    box is nearest.  Any segment gives a valid bound, so a loose one costs
+    time, never exactness.  Vertices are then visited by descending upper
+    bound, and the search stops once the next bound cannot exceed the
+    running maximum (Taha and Hanbury, IEEE TPAMI 2015).  A visited vertex is
     measured against every block whose box distance is within its upper
     bound plus a slack of a few ulps of the largest coordinate magnitude.
     Rounding cannot prune the segment that gives the computed minimum: a

@@ -361,6 +361,20 @@ class TestVerify:
             assert out == ""
             assert err.startswith("error: --band must be finite") and err.count("\n") == 1
 
+    # Checked before any campaign runs, so a bad value prints no partial
+    # report and the message names the flag.
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--modes", "topology,boundary", "--samples", "4"], "error: --samples must be at least 8, got 4\n"),
+            (["--seed", "-3"], "error: --seed must be nonnegative, got -3\n"),
+        ],
+        ids=["samples", "seed"],
+    )
+    def test_rejected_before_any_campaign(self, capsys, flags, message):
+        code, out, err = run(capsys, "verify", *flags)
+        assert (code, out, err) == (2, "", message)
+
 
 # Full reports of two seeded campaigns, pinned so that any change to a
 # count, a skip or a worst margin shows.  The second run's band makes some

@@ -734,6 +734,20 @@ class TestWindow:
             assert (values[outside] > 0).all()
 
 
+# A vertex inside the box of a long segment that passes 2 away, beside a
+# short segment whose box is farther but which is 1 away: the nearest box
+# gives a loose upper bound that the search must not return.
+LOOSE_BOUND = ([(0.0, 0.0)], [(-10.0, -8.0), (10.0, 12.0), (0.5, 0.5), (0.6, 0.5)])
+
+
+@pytest.fixture(scope="module")
+def strips_wide_finest():
+    """The 128-sample ring of strips-wide and its n = 4097 contour."""
+    spec = fixture_spec("strips-wide")
+    ring = closed_ring(build_curves(spec)[0], 128)
+    return ring, extract_contour(grid_field(spec, n=4097)).polylines[0]
+
+
 @pytest.fixture(scope="module")
 def criterion_5_ladder():
     """(ring, contour, brute-force distance) for each level of criterion 5."""
@@ -777,6 +791,8 @@ class TestHausdorff:
     @example(([(3.0, -2.0)], [(1e9, 1e9)]))
     @example(([(0.0, 0.0), (0.0, 0.0), (0.0, 5.0)], [(1.0, 1.0), (1.0, 1.0)]))
     @example(([(0.0, 0.0), (4.0, 0.0), (4.0, 3.0)], [(1.0, 2.0), (1.0, -2.0), (6.0, -2.0)]))
+    @example(LOOSE_BOUND)
+    @example(LOOSE_BOUND[::-1])
     def test_matches_brute_force(self, pair):
         assert_matches_brute_force(*pair)
 
@@ -791,6 +807,8 @@ class TestHausdorff:
     @pytest.mark.parametrize("chunk", [1, 3, 1 << 14, 2_000_000])
     @settings(max_examples=60, deadline=None)
     @given(polyline_pairs())
+    @example(LOOSE_BOUND)
+    @example(LOOSE_BOUND[::-1])
     def test_pair_tiling_cannot_change_the_result(self, chunk, pair):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oracle, "_PAIR_CHUNK", chunk)
@@ -802,11 +820,9 @@ class TestHausdorff:
         for ring, contour, expected in criterion_5_ladder:
             assert hausdorff(ring, contour) == expected
 
-    def test_finest_level_fits_the_pair_budget(self):
+    def test_finest_level_fits_the_pair_budget(self, strips_wide_finest):
         # Whole pair blocks at n = 4097 took 20.9 MiB.
-        spec = fixture_spec("strips-wide")
-        ring = closed_ring(build_curves(spec)[0], 128)
-        contour = extract_contour(grid_field(spec, n=4097)).polylines[0]
+        ring, contour = strips_wide_finest
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -816,6 +832,23 @@ class TestHausdorff:
             tracemalloc.stop()
         assert d == 0.0074148141658660904
         assert peak < 4 * 2**20
+
+    def test_finest_level_evaluates_few_pairs(self, strips_wide_finest, monkeypatch):
+        # Bounding each vertex by its nearest block's every segment took
+        # 271,226 pairs here; one segment per vertex takes 7,171.
+        ring, contour = strips_wide_finest
+        pairs = 0
+        pair_distance = oracle._pair_distance
+
+        def counting(*args):
+            nonlocal pairs
+            pairs += np.broadcast(*args).size
+            return pair_distance(*args)
+
+        monkeypatch.setattr(oracle, "_pair_distance", counting)
+        d = hausdorff(ring, contour)
+        assert d == 0.0074148141658660904
+        assert pairs <= 2 * (len(ring) + len(contour))
 
     @pytest.mark.parametrize(
         "bad",
