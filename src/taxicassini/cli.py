@@ -128,9 +128,16 @@ def _resolve_instance(args: argparse.Namespace) -> tuple[Point, Point, float]:
         if args.p is not None or args.q is not None or args.r is not None:
             raise GeometryError("--instances conflicts with --p/--q/--r")
         return _load_instance(args.instances, args.label)
+    _require_explicit_instance(args)
+    return _parse_point(args.p), _parse_point(args.q), float(args.r)
+
+
+def _require_explicit_instance(args: argparse.Namespace) -> None:
+    """Check the flags of an instance given by --p, --q and --r."""
+    if args.label is not None:
+        raise GeometryError("--label needs --instances")
     if args.p is None or args.q is None or args.r is None:
         raise GeometryError("need --p, --q and --r (or --instances)")
-    return _parse_point(args.p), _parse_point(args.q), float(args.r)
 
 
 def _fmt_num(value: float) -> str:
@@ -198,8 +205,7 @@ def cmd_render(args: argparse.Namespace) -> int:
         p, q, r = _resolve_instance(args)
         radii = [r]
     else:
-        if args.p is None or args.q is None or args.r is None:
-            raise GeometryError("need --p, --q and --r (or --instances)")
+        _require_explicit_instance(args)
         p, q = _parse_point(args.p), _parse_point(args.q)
         radii = _parse_radii(args.r)
     payload = render_svg(
@@ -251,6 +257,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         modes = list(_ALL_MODES)
     else:
         modes = [token.strip() for token in args.modes.split(",") if token.strip()]
+        if not modes:
+            raise GeometryError(f"--modes names no mode; choose from {', '.join(_ALL_MODES)}")
         unknown = [token for token in modes if token not in _ALL_MODES]
         if unknown:
             raise GeometryError(

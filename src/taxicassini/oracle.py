@@ -19,7 +19,6 @@ from .cassini import CassiniSpec
 from .characterization import sampling_box
 from .core import GeometryError, Point, distance_product
 
-_ZERO_NODE_RTOL = 1e-12
 # Nodes per band of rows in extract_contour.  Each band's kernel call makes
 # three temporaries of this size; much smaller bands pay more in per-call
 # overhead, and at this size a topology-campaign grid (n = 181 to 423)
@@ -230,12 +229,6 @@ def _band_segments(grid: ScalarGrid, j0: int, j1: int) -> tuple[np.ndarray, np.n
     return keys, np.stack((flat[lower.ravel()], flat[upper.ravel()]), axis=1)
 
 
-def _abs_max(grid: ScalarGrid) -> float:
-    """The largest |f - r^2| over every node, a band of rows at a time."""
-    band = max(1, _FIELD_NODES // grid.nx)
-    return max(float(np.abs(grid.rows(j, j + band)).max()) for j in range(0, grid.ny, band))
-
-
 def extract_contour(grid: ScalarGrid) -> Contour:
     """Marching-squares zero level set of the grid, stitched into polylines.
 
@@ -246,16 +239,16 @@ def extract_contour(grid: ScalarGrid) -> Contour:
     band keeps only its segments' edge ids and the two node values of each
     crossing edge.
 
-    Nodes exactly at zero are nudged positive by 1e-12 of the value scale,
-    the largest |f - r^2| over the whole grid, so every cell edge has a
-    well-defined crossing; the scale is taken in a second sweep, and only
-    when a crossing edge has a zero node.  Each mixed cell's corner signs
-    index a 16-case table of segments between its edges (Lorensen and Cline
-    1987, in two dimensions).  Cells whose four corners alternate in sign
-    are split according to the field sign at the cell center.  Every edge
-    has an integer id, and the segments are joined at shared edges in the
-    order cells are scanned, row by row.  Crossing points interpolate
-    linearly along their edge.
+    A node is inside when its value is negative, so a node exactly at zero
+    is outside, and a crossing edge always has one negative node.  Each
+    mixed cell's corner signs index a 16-case table of segments between its
+    edges (Lorensen and Cline 1987, in two dimensions).  Cells whose four
+    corners alternate in sign are split according to the field sign at the
+    cell center.  Crossing points interpolate linearly along their edge, so
+    the crossing of an edge with a zero node is that node, which the field
+    puts on the level set.  Every edge has an integer id, shared by the at
+    most two segment ends on it, and the segments are joined at shared
+    edges in the order cells are scanned, row by row.
 
     When every frame node is positive, as grid_field ensures, every polyline
     closes.  A grid with negative frame nodes may give open polylines, which
@@ -273,74 +266,57 @@ def extract_contour(grid: ScalarGrid) -> Contour:
     if keys.size == 0:
         return Contour(polylines=(), closed_flags=())
 
-    # An edge is shared by at most two cells and appears once in each, so
-    # every id occurs once or twice in keys, and the partner of position k
-    # is position k ^ 1.  Ids are ranked by first occurrence, the order a
-    # walk over the segments meets them, and nb0 and nb1 hold the ranks of
-    # the partners at an id's first and second occurrence (-1 when it
-    # occurs once).
-    edge_ids, first_pos, group = np.unique(keys, return_index=True, return_inverse=True)
-    by_appearance = np.argsort(first_pos)
-    edge_ids = edge_ids[by_appearance]
-    first_pos = first_pos[by_appearance]
-    rank_of_group = np.empty(edge_ids.size, dtype=np.intp)
-    rank_of_group[by_appearance] = np.arange(edge_ids.size)
-    rank = rank_of_group[group]
-    nb0 = rank[first_pos ^ 1]
-    second = np.ones(keys.size, dtype=bool)
-    second[first_pos] = False
-    second_pos = np.flatnonzero(second)
-    nb1 = np.full(edge_ids.size, -1, dtype=np.intp)
-    nb1[rank[second_pos]] = rank[second_pos ^ 1]
-
-    # Crossing points of the ranked edges, with t = v0 / (v0 - v1) measured
-    # from the edge's lower node.
-    ends = np.concatenate([part[1] for part in parts])[first_pos]
-    zero = ends == 0
-    if zero.any():
-        ends[zero] = _ZERO_NODE_RTOL * max(1.0, _abs_max(grid))
+    # Crossing points of every segment end, with t = v0 / (v0 - v1)
+    # measured from the edge's lower node.
+    ends = np.concatenate([part[1] for part in parts])
     if not np.isfinite(ends).all():
         raise GeometryError("grid values must be finite")
     v0, v1 = ends[:, 0], ends[:, 1]
     horizontal = nx * ny
-    vertical = edge_ids >= horizontal
-    local = edge_ids - np.where(vertical, horizontal, 0)
+    vertical = keys >= horizontal
+    local = keys - np.where(vertical, horizontal, 0)
     t = v0 / (v0 - v1)
-    points = np.empty((edge_ids.size, 2))
+    points = np.empty((keys.size, 2))
     points[:, 0] = grid.origin.x1 + (local % nx + np.where(vertical, 0.0, t)) * grid.spacing
     points[:, 1] = grid.origin.x2 + (local // nx + np.where(vertical, t, 0.0)) * grid.spacing
 
-    # Walk from each unvisited edge in rank order, always to the neighbour
-    # that is not the previous edge (-1 before the first step), until the
-    # walk returns to its start, leaves an edge with one neighbour, or meets
-    # an edge an earlier walk took.
-    next0 = nb0.tolist()
-    next1 = nb1.tolist()
-    visited = bytearray(edge_ids.size)
+    # Position k of keys holds one end of segment k // 2, whose other end is
+    # position k ^ 1.  An edge is shared by at most two cells and appears
+    # once in each, so every id occurs once or twice, and twin[k] is the
+    # other position of k's id, or -1.
+    order = np.argsort(keys)
+    same = keys[order[1:]] == keys[order[:-1]]
+    twin = np.full(keys.size, -1, dtype=np.intp)
+    twin[order[:-1][same]] = order[1:][same]
+    twin[order[1:][same]] = order[:-1][same]
+
+    # Walk from each untaken position in increasing order, the order of the
+    # edges' first occurrences, across its segment and on through the twin,
+    # until the walk returns to its start's edge, reaches an edge with one
+    # segment end, or meets an edge an earlier walk took.  taken has one
+    # byte more than keys, which absorbs the marks of missing twins (-1).
+    twins = twin.tolist()
+    taken = bytearray(keys.size + 1)
     polylines: list[np.ndarray] = []
     closed_flags: list[bool] = []
-    for start in range(edge_ids.size):
-        if visited[start]:
+    for start in range(keys.size):
+        if taken[start]:
             continue
         path = [start]
-        visited[start] = 1
-        prev = -1
-        current = start
+        taken[start] = taken[twins[start]] = 1
+        pos = start ^ 1
         closed = False
         while True:
-            nxt = next0[current]
-            if nxt == prev:
-                nxt = next1[current]
-                if nxt < 0:
-                    break
-            if nxt == start:
+            if pos == twins[start]:
                 closed = True
                 break
-            if visited[nxt]:
+            if taken[pos]:
                 break
-            path.append(nxt)
-            visited[nxt] = 1
-            prev, current = current, nxt
+            path.append(pos)
+            taken[pos] = taken[twins[pos]] = 1
+            if twins[pos] < 0:
+                break
+            pos = twins[pos] ^ 1
         if closed:
             path.append(start)
         polylines.append(points[path])

@@ -1,11 +1,16 @@
-"""The public API: the README library example and the package's __all__."""
+"""The public API: the README's library and CLI examples and the package's
+__all__."""
 
 import ast
 import re
+import shlex
 from pathlib import Path
+
+import pytest
 
 import taxicassini
 from taxicassini import PointLocation, Topology
+from taxicassini.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -32,6 +37,25 @@ def test_readme_library_example_runs_as_written():
     curves = namespace["curves"]
     assert len(curves) == 1
     assert len(curves[0].pieces) == 8
+
+
+def cli_examples() -> list[list[str]]:
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## CLI", 1)[1]
+    match = re.search(r"```sh\n(.*?)```", section, re.DOTALL)
+    assert match, "README has no sh block under 'CLI'"
+    commands = [shlex.split(line) for line in match.group(1).splitlines()]
+    commands = [argv for argv in commands if argv and not argv[0].startswith("#")]
+    assert all(argv[0] == "taxicassini" for argv in commands)
+    return [argv[1:] for argv in commands]
+
+
+@pytest.mark.parametrize("argv", cli_examples(), ids=" ".join)
+def test_readme_cli_example_runs_as_written(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    assert capsys.readouterr().err == ""
+    assert code == 0
 
 
 def test_all_names_resolve_once():

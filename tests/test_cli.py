@@ -190,12 +190,18 @@ class TestRender:
                 ["--p", "8,3", "--q", "-8,-3", "--r", "16", "--overlay-oracle"],
                 "e51a3063aaefeaa6160b8676607dc9bc610a11029cdcafed64e70adf40b66fcd",
             ),
+            (
+                ["--p", "4,1", "--q", "-4,-1", "--r", "5", "--overlay-oracle"],
+                "5ab46329af5d6d2b592e7e9f322a0c520bac79eb6cef0e4527c92c861ba0be60",
+            ),
         ],
-        ids=["family", "wide", "single", "wide-oracle"],
+        ids=["family", "wide", "single", "wide-oracle", "pinch-oracle"],
     )
     def test_golden_digest(self, capsys, tmp_path, flags, digest):
         # The criterion-9 figures and the wide one with the oracle overlay,
-        # pinned byte for byte (the digests of perfbench/svg_digests.json).
+        # pinned byte for byte (the digests of perfbench/svg_digests.json),
+        # and the pinch at r = r* with its overlay, whose grid has nodes
+        # exactly on the curve.
         out_path = tmp_path / "figure.svg"
         code, _, _ = run(capsys, "render", *flags, "--out", str(out_path))
         assert code == 0
@@ -268,6 +274,23 @@ class TestInstanceFiles:
             capsys, "info", "--instances", FIXTURES, "--label", "circle", "--p", "0,0"
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["info"],
+            ["classify", "--x", "0,0"],
+            ["render", "--out", "unwritten.svg"],
+        ],
+        ids=["info", "classify", "render"],
+    )
+    def test_label_without_instances_rejected(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(
+            capsys, *command, "--p", "4,1", "--q", "-4,-1", "--r", "6", "--label", "circle"
+        )
+        assert (code, out, err) == (2, "", "error: --label needs --instances\n")
+        assert not (tmp_path / "unwritten.svg").exists()
 
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -348,6 +371,14 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--modes", "bogus")
         assert code == 2
         assert "bogus" in err
+
+    @pytest.mark.parametrize("flags", [["--modes", ","], ["--modes="]], ids=["comma", "empty"])
+    def test_no_mode_rejected(self, capsys, flags):
+        # No mode would run no campaign and still report a pass.
+        code, out, err = run(capsys, "verify", *flags)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --modes names no mode") and err.count("\n") == 1
+        assert "residual" in err and "boundary" in err
 
     def test_bad_config_values(self, capsys):
         assert run(capsys, "verify", "--modes", "residual", "--trials", "0")[0] == 2

@@ -26,7 +26,6 @@ from taxicassini.characterization import sampling_box
 from taxicassini.core import GeometryError, Point, PointGroup, distance_product
 from taxicassini.oracle import (
     _CASE_SEGMENTS,
-    _ZERO_NODE_RTOL,
     BoxTooSmall,
     Contour,
     ScalarGrid,
@@ -121,10 +120,6 @@ def whole_field_contour(grid):
     """Reference for extract_contour: the same table-driven marching squares
     and stitching, over the whole materialised field at once."""
     vals = grid.values
-    if (vals == 0).any():
-        bump = _ZERO_NODE_RTOL * max(1.0, float(np.abs(vals).max()))
-        vals = np.where(vals == 0, bump, vals)
-
     nx, ny = grid.nx, grid.ny
     neg = vals < 0
     rows = np.flatnonzero(neg.any(axis=1))
@@ -298,9 +293,6 @@ def reference_extract_contour(grid):
     of neighbour lists; saddles are resolved by product_value at the center.
     """
     vals = grid.values
-    if (vals == 0).any():
-        bump = 1e-12 * max(1.0, float(np.abs(vals).max()))
-        vals = np.where(vals == 0, bump, vals)
     neg = vals < 0
 
     def edge_point(key):
@@ -667,19 +659,38 @@ class TestExtractContour:
     def test_finest_refinement_matches_reference(self):
         assert_banded_matches_references(fixture_spec("strips-wide"), n=4097)
 
-    def test_zero_node_nudged_by_the_whole_grid_scale(self):
+    def test_zero_node_is_its_own_crossing(self):
         # Nodes lie on the half-integers of [-8, 8].  f(0, 1) = 3 * 3 = r^2,
-        # so node (0, 1) is exactly zero, and its edge to the negative node
-        # (0, 0) crosses the level set.  The largest |f - r^2| sits in the
-        # frame rows, which the row window leaves out.
+        # so node (16, 18) at (0, 1) is exactly zero, and its edge to the
+        # negative node (16, 17) crosses the level set at the node itself.
         spec = CassiniSpec(Point(2, 0), Point(-2, 0), 3.0)
         grid = grid_field(spec, n=33)
         values = grid.rows(0, grid.ny)
-        assert values[18, 16] == 0.0 and values[16, 16] < 0
-        k0, k1, _, _ = grid.window(0, grid.ny)
-        peak_row = np.unravel_index(np.abs(values).argmax(), values.shape)[0]
-        assert not k0 - 1 <= peak_row <= k1
+        assert values[18, 16] == 0.0 and values[17, 16] < 0
+        node = (grid.origin.x1 + 16 * grid.spacing, grid.origin.x2 + 18 * grid.spacing)
+        contour = extract_contour(grid)
+        assert any((line == node).all(axis=1).any() for line in contour.polylines)
         assert_banded_matches_references(spec, n=33)
+
+    @pytest.mark.parametrize("label", ["family-critical", "shared-line-pinch"])
+    def test_pinch_evaluates_only_the_window(self, label, monkeypatch):
+        # Many nodes of a pinch spec lie exactly on K.  Their crossings need
+        # no value scale, so no row outside the window is evaluated; the
+        # whole n = 4097 grid is 16.8 M nodes.
+        n = 4097
+        nodes = 0
+        rows = ScalarGrid.rows
+
+        def counting(self, *args):
+            nonlocal nodes
+            block = rows(self, *args)
+            nodes += block.size
+            return block
+
+        monkeypatch.setattr(ScalarGrid, "rows", counting)
+        contour = extract_contour(grid_field(fixture_spec(label), n=n))
+        assert contour.polylines and all(contour.closed_flags)
+        assert nodes <= n * n // 10
 
     def test_finest_grid_holds_no_field(self):
         # The n = 4097 field alone would take 128 MiB.
