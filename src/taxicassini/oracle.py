@@ -19,10 +19,11 @@ from .cassini import CassiniSpec
 from .characterization import sampling_box
 from .core import GeometryError, Point, distance_product
 
-# Nodes per band of rows in extract_contour.  Each band's kernel call makes
-# three temporaries of this size; much smaller bands pay more in per-call
-# overhead, and at this size a topology-campaign grid (n = 181 to 423)
-# takes one or two bands.
+# Values in extract_contour's work buffer, 1 MiB of float64.  A kernel call
+# fills at most a quarter of it, since the call makes two temporaries of its
+# own size.  The buffer keeps the whole 1 MiB because freeing a block that
+# large lifts glibc's dynamic trim threshold: with a 256 KiB buffer, a later
+# `verify` pass ran about 12% slower, most of it in the identity campaign.
 _FIELD_NODES = 1 << 17
 
 
@@ -36,9 +37,9 @@ class ScalarGrid:
 
     Node (i, j) lies at (xs[i], ys[j]).  origin is node (0, 0) and spacing
     the step from xs[0] to xs[1]; extract_contour places crossings and
-    saddle centers with them.  No node values are stored: rows() evaluates
-    a block of nodes with the product kernel, and window() bounds the nodes
-    that can be nonpositive, so no caller needs the whole field at once.
+    saddle centers with them.  No node values are stored: nodes() evaluates
+    any set of nodes with the product kernel, and tile_signs() bounds the
+    nodes of each square tile of cells, so no caller needs the whole field.
     """
 
     spec: CassiniSpec
@@ -61,49 +62,47 @@ class ScalarGrid:
     def ny(self) -> int:
         return self.ys.size
 
-    def rows(self, j0: int, j1: int, i0: int = 0, i1: Optional[int] = None) -> np.ndarray:
-        """f - r^2 at the nodes (i, j) with j0 <= j < j1 and i0 <= i < i1, as
-        an array of shape (j1 - j0, i1 - i0); i1 defaults to nx."""
+    def nodes(self, i, j, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """f - r^2 at the nodes (i, j) of integer index arrays that broadcast
+        together, written into out when it is given."""
         spec = self.spec
-        block = distance_product(spec.p, spec.q, self.xs[i0:i1], self.ys[j0:j1, None])
-        block -= spec.r * spec.r
-        return block
+        return np.subtract(distance_product(spec.p, spec.q, self.xs[i], self.ys[j]), spec.r * spec.r, out=out)
 
-    def window(self, j0: int, j1: int) -> Optional[tuple[int, int, int, int]]:
-        """Bounds (k0, k1, i0, i1) such that every node of rows j0 .. j1 - 1
-        outside rows k0 .. k1 - 1 or columns i0 .. i1 - 1 is strictly
-        positive; None when every node of those rows is.
+    def tile_signs(self, side: int) -> np.ndarray:
+        """Per tile of side x side cells, at [j // side, i // side] for its
+        cells (i, j): 1 if a bound proves that none of its nodes (the cells'
+        corners) is negative, -1 if it proves that all are, else 0.
 
         A node's value is fl(fl(X_p + Y_p) * fl(X_q + Y_q)) - fl(r^2), with
         offsets X_a = fl|x1 - a1| and Y_a = fl|x2 - a2|.  Rounding is
-        monotone, so putting a smaller offset in place of X_a or Y_a cannot
-        raise the computed product.  A row whose Y offsets, with the least X
-        offsets of the grid, already give a product above fl(r^2) is strictly
-        positive, and so is a column whose X offsets do, with the least Y
-        offsets of the rows not shown positive that way.  The bound reads
-        only the field's definition, never the construction.
+        monotone, so the least offsets over a tile's node columns and rows
+        give a product no larger than any node's, and the largest offsets
+        one no smaller.  The bound reads only the field's definition.
         """
-        p, q = self.spec.p, self.spec.q
-        r2 = self.spec.r * self.spec.r
-        xp, xq = abs(self.xs - p.x1), abs(self.xs - q.x1)
-        yp, yq = abs(self.ys[j0:j1] - p.x2), abs(self.ys[j0:j1] - q.x2)
-        rows = np.flatnonzero((xp.min() + yp) * (xq.min() + yq) <= r2)
-        if rows.size == 0:
-            return None
-        cols = np.flatnonzero((xp + yp[rows].min()) * (xq + yq[rows].min()) <= r2)
-        if cols.size == 0:
-            return None
-        return j0 + int(rows[0]), j0 + int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+        spec = self.spec
+
+        def spans(axis: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray]:
+            # Least and largest offset |axis - a| over each tile's nodes.
+            offset = abs(axis - a)
+            starts = np.arange(0, axis.size - 1, side)
+            lo, hi = np.minimum(offset[:-1], offset[1:]), np.maximum(offset[:-1], offset[1:])
+            return np.minimum.reduceat(lo, starts), np.maximum.reduceat(hi, starts)
+
+        (xp0, xp1), (xq0, xq1) = spans(self.xs, spec.p.x1), spans(self.xs, spec.q.x1)
+        (yp0, yp1), (yq0, yq1) = spans(self.ys, spec.p.x2), spans(self.ys, spec.q.x2)
+        r2 = spec.r * spec.r
+        outside = (xp0 + yp0[:, None]) * (xq0 + yq0[:, None]) >= r2
+        return outside.view(np.int8) - ((xp1 + yp1[:, None]) * (xq1 + yq1[:, None]) < r2)
 
 
 def grid_field(spec: CassiniSpec, half_width: Optional[float] = None, n: int = 256) -> ScalarGrid:
     """The n x n grid of f - r^2 over a midpoint-centered square box.
 
     Only the four frame lines are evaluated here; extract_contour samples
-    the rest, a band of rows at a time.  The default box
-    (taxicab_distance(p, q) + r + 1 half-width) strictly contains the curve,
-    making every frame node positive; BoxTooSmall is raised if any frame
-    node fails that, since a contour touching the frame could not be
+    the rest, in the tiles whose bound leaves the sign open.  The default
+    box (taxicab_distance(p, q) + r + 1 half-width) strictly contains the
+    curve, making every frame node positive; BoxTooSmall is raised if any
+    frame node fails that, since a contour touching the frame could not be
     extracted as closed polylines.
     """
     if n < 16:
@@ -117,7 +116,8 @@ def grid_field(spec: CassiniSpec, half_width: Optional[float] = None, n: int = 2
         np.linspace(center.x1 - half, center.x1 + half, n),
         np.linspace(center.x2 - half, center.x2 + half, n),
     )
-    frame = (grid.rows(0, 1), grid.rows(n - 1, n), grid.rows(0, n, 0, 1), grid.rows(0, n, n - 1, n))
+    ends, every = np.array([0, n - 1]), np.arange(n)
+    frame = (grid.nodes(every, ends[:, None]), grid.nodes(ends, every[:, None]))
     edge_min = min(line.min() for line in frame)
     if edge_min <= 0:
         raise BoxTooSmall(
@@ -183,61 +183,49 @@ def _saddle_inside(grid: ScalarGrid, i: np.ndarray, j: np.ndarray) -> np.ndarray
     return distance_product(spec.p, spec.q, x1, x2) - spec.r * spec.r < 0
 
 
-def _band_segments(grid: ScalarGrid, j0: int, j1: int) -> tuple[np.ndarray, np.ndarray]:
-    """Segments of the cells between node rows j0 and j1 - 1, in row-major
-    cell order: their edge ids, and the values at the lower and upper node
-    of each id's edge."""
-    window = grid.window(j0, j1)
-    if window is None:
-        return np.empty(0, dtype=np.intp), np.empty((0, 2))
-    # Every mixed cell has a negative corner, so it lies in the window grown
-    # by one node; scanning only that block keeps the row-major cell order
-    # of a full scan.
-    k0, k1, i0, i1 = window
-    k0, k1 = max(k0 - 1, j0), min(k1 + 1, j1)
-    i0, i1 = max(i0 - 1, 0), min(i1 + 1, grid.nx)
-    vals = grid.rows(k0, k1, i0, i1)
-    neg = (vals < 0).view(np.uint8)
-    case = neg[:-1, :-1] | neg[:-1, 1:] << 1 | neg[1:, 1:] << 2 | neg[1:, :-1] << 3
-    cells = np.flatnonzero((case != 0) & (case != 15))
-    width = i1 - i0
-    cj, ci = np.divmod(cells, width - 1)
-    j = cj + k0
-    i = ci + i0
-    case = case.ravel()[cells].astype(np.intp)
-    saddle = np.flatnonzero((case == 5) | (case == 10))
-    if saddle.size:
-        inside = _saddle_inside(grid, i[saddle], j[saddle])
-        case[saddle[inside]] = 15 - case[saddle[inside]]
+def _mixed_cells(grid: ScalarGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The mixed cells of the grid in row-major order: their ids j*nx + i,
+    and the values at their corners a, b, c, d, the nodes (i, j), (i+1, j),
+    (i+1, j+1) and (i, j+1).
 
-    # Edge ids: j*nx + i for the horizontal edge from node (i, j), and
-    # nx*ny + j*nx + i for the vertical one.  Each segment is a pair of ids,
-    # in cell order and, within a saddle cell, in table order.
-    nx = grid.nx
-    horizontal = nx * grid.ny
-    edge_offset = np.array([0, horizontal + 1, nx, horizontal], dtype=np.intp)  # S, E, N, W
-    seg_edges = _CASE_SEGMENTS[case]
-    present = seg_edges[:, :, 0] >= 0
-    seg_cell = np.nonzero(present)[0]
-    edges = seg_edges[present]
-    keys = ((j * nx + i)[seg_cell, None] + edge_offset[edges]).ravel()
-    # The same edges in the block: the offset of an edge's lower node from
-    # its cell's corner (i, j), and of its upper node from the lower one.
-    lower = (cj * width + ci)[seg_cell, None] + np.array([0, 1, width, 0])[edges]
-    upper = lower + np.array([1, width, 1, width])[edges]
-    flat = vals.ravel()
-    return keys, np.stack((flat[lower.ravel()], flat[upper.ravel()]), axis=1)
+    Only the tiles of 16 x 16 cells whose bound (grid.tile_signs) leaves the
+    sign open can hold a mixed cell.  Their nodes are evaluated in kernel
+    calls of at most _FIELD_NODES // 4 nodes into one work buffer, and one
+    argsort puts the cells of all calls in row-major order.
+    """
+    nx, ny = grid.nx, grid.ny
+    # Node k along a tile's side is node side*u + k, clamped to the last
+    # node; the cells that clamping adds past the last node are dropped.
+    side = 16
+    tile_v, tile_u = np.nonzero(grid.tile_signs(side) == 0)
+    span = np.arange(side + 1)
+    per_call = _FIELD_NODES // 4 // span.size**2
+    work = np.empty(_FIELD_NODES)
+    cells, corners = [np.empty(0, dtype=np.intp)], [np.empty((0, 4))]
+    for lo in range(0, tile_u.size, per_call):
+        u, v = tile_u[lo : lo + per_call], tile_v[lo : lo + per_call]
+        cols = np.minimum(u[:, None] * side + span, nx - 1)[:, None, :]
+        rows = np.minimum(v[:, None] * side + span, ny - 1)[:, :, None]
+        vals = grid.nodes(cols, rows, out=work[: u.size * span.size**2].reshape(-1, span.size, span.size))
+        neg = (vals < 0).view(np.uint8)
+        case = neg[:, :-1, :-1] | neg[:, :-1, 1:] << 1 | neg[:, 1:, 1:] << 2 | neg[:, 1:, :-1] << 3
+        tile, dj, di = np.unravel_index(np.flatnonzero((case != 0) & (case != 15)), case.shape)
+        i, j = u[tile] * side + di, v[tile] * side + dj
+        keep = (i < nx - 1) & (j < ny - 1)
+        base = np.ravel_multi_index((tile, dj, di), vals.shape)[keep, None]
+        corners.append(vals.reshape(-1)[base + [0, 1, side + 2, side + 1]])  # a, b, c, d
+        cells.append((j * nx + i)[keep])
+    cell = np.concatenate(cells)
+    order = np.argsort(cell)
+    return cell[order], np.concatenate(corners)[order]
 
 
 def extract_contour(grid: ScalarGrid) -> Contour:
     """Marching-squares zero level set of the grid, stitched into polylines.
 
-    The field is sampled a band of rows at a time, so the n x n field never
-    exists.  Only rows and columns that grid.window() cannot prove strictly
-    positive are evaluated, with one node more on each side; consecutive
-    bands share a node row, which each evaluates over its own columns.  A
-    band keeps only its segments' edge ids and the two node values of each
-    crossing edge.
+    Only the tiles of cells that a bound cannot decide are sampled
+    (_mixed_cells), so the work grows with the curve, not with the box; the
+    mixed cells come in row-major order, as a scan of the whole grid gives.
 
     A node is inside when its value is negative, so a node exactly at zero
     is outside, and a crossing edge always has one negative node.  Each
@@ -248,31 +236,39 @@ def extract_contour(grid: ScalarGrid) -> Contour:
     the crossing of an edge with a zero node is that node, which the field
     puts on the level set.  Every edge has an integer id, shared by the at
     most two segment ends on it, and the segments are joined at shared
-    edges in the order cells are scanned, row by row.
+    edges in the order cells are scanned, row by row; a vertex equal to its
+    predecessor, as at a zero node between two crossing edges, is dropped.
 
     When every frame node is positive, as grid_field ensures, every polyline
     closes.  A grid with negative frame nodes may give open polylines, which
     end where they meet the frame.
     """
     nx, ny = grid.nx, grid.ny
-    window = grid.window(0, ny)
-    if window is None:
-        return Contour(polylines=(), closed_flags=())
-    k0, k1, i0, i1 = window
-    j0, j1 = max(k0 - 1, 0), min(k1 + 1, ny)
-    band = max(1, _FIELD_NODES // (i1 - i0 + 2))
-    parts = [_band_segments(grid, j, min(j + band, j1 - 1) + 1) for j in range(j0, j1 - 1, band)]
-    keys = np.concatenate([part[0] for part in parts])
-    if keys.size == 0:
-        return Contour(polylines=(), closed_flags=())
+    cell, corner = _mixed_cells(grid)
+    case = (corner < 0) @ np.array([1, 2, 4, 8], dtype=np.intp)
+    saddle = np.flatnonzero((case == 5) | (case == 10))
+    if saddle.size:
+        inside = _saddle_inside(grid, cell[saddle] % nx, cell[saddle] // nx)
+        case[saddle[inside]] = 15 - case[saddle[inside]]
+
+    # Edge ids: j*nx + i for the horizontal edge from node (i, j), and
+    # nx*ny + j*nx + i for the vertical one.  Each segment is a pair of ids,
+    # in cell order and, within a saddle cell, in table order.  An edge's
+    # values are the corners at its lower and upper node.
+    horizontal = nx * ny
+    edge_offset = np.array([0, horizontal + 1, nx, horizontal], dtype=np.intp)  # S, E, N, W
+    seg_edges = _CASE_SEGMENTS[case]
+    present = seg_edges[:, :, 0] >= 0
+    seg_cell = np.nonzero(present)[0]
+    edges = seg_edges[present]
+    keys = (cell[seg_cell, None] + edge_offset[edges]).ravel()
+    ends = corner[seg_cell[:, None, None], np.array([[0, 1], [1, 2], [3, 2], [0, 3]])[edges]].reshape(-1, 2)
 
     # Crossing points of every segment end, with t = v0 / (v0 - v1)
     # measured from the edge's lower node.
-    ends = np.concatenate([part[1] for part in parts])
     if not np.isfinite(ends).all():
         raise GeometryError("grid values must be finite")
     v0, v1 = ends[:, 0], ends[:, 1]
-    horizontal = nx * ny
     vertical = keys >= horizontal
     local = keys - np.where(vertical, horizontal, 0)
     t = v0 / (v0 - v1)
@@ -295,7 +291,10 @@ def extract_contour(grid: ScalarGrid) -> Contour:
     # until the walk returns to its start's edge, reaches an edge with one
     # segment end, or meets an edge an earlier walk took.  taken has one
     # byte more than keys, which absorbs the marks of missing twins (-1).
+    # A position reached across a zero-length segment would repeat the
+    # point of its predecessor, so it is not added.
     twins = twin.tolist()
+    zero_length = (points[0::2] == points[1::2]).all(axis=1).tolist()
     taken = bytearray(keys.size + 1)
     polylines: list[np.ndarray] = []
     closed_flags: list[bool] = []
@@ -312,12 +311,13 @@ def extract_contour(grid: ScalarGrid) -> Contour:
                 break
             if taken[pos]:
                 break
-            path.append(pos)
+            if not zero_length[pos >> 1]:
+                path.append(pos)
             taken[pos] = taken[twins[pos]] = 1
             if twins[pos] < 0:
                 break
             pos = twins[pos] ^ 1
-        if closed:
+        if closed and not zero_length[pos >> 1]:
             path.append(start)
         polylines.append(points[path])
         closed_flags.append(closed)

@@ -192,7 +192,7 @@ class TestRender:
             ),
             (
                 ["--p", "4,1", "--q", "-4,-1", "--r", "5", "--overlay-oracle"],
-                "5ab46329af5d6d2b592e7e9f322a0c520bac79eb6cef0e4527c92c861ba0be60",
+                "f69f0be428f1a7df218b156a2754eb3a9fe16d60fb05ba0ad372901f9a19c0b3",
             ),
         ],
         ids=["family", "wide", "single", "wide-oracle", "pinch-oracle"],

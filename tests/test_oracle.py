@@ -73,7 +73,7 @@ class ValuesGrid:
 
     values[j, i] belongs to the node origin + (i, j) * spacing, and the spec
     only resolves saddle cells.  It offers extract_contour the interface of
-    ScalarGrid, with a window that excludes no node.
+    ScalarGrid, with a bound that decides no tile.
     """
 
     origin: Point
@@ -86,11 +86,21 @@ class ValuesGrid:
     def __post_init__(self):
         assert self.values.shape == (self.ny, self.nx)
 
-    def rows(self, j0, j1, i0=0, i1=None):
-        return self.values[j0:j1, i0:i1]
+    def nodes(self, i, j, out=None):
+        return np.subtract(self.values[j, i], 0.0, out=out)
 
-    def window(self, j0, j1):
-        return j0, j1, 0, self.nx
+    def tile_signs(self, side):
+        return np.zeros((-(-(self.ny - 1) // side), -(-(self.nx - 1) // side)), dtype=np.int8)
+
+
+def every_node(grid):
+    """The whole field of a grid, as an (ny, nx) array."""
+    return grid.nodes(np.arange(grid.nx), np.arange(grid.ny)[:, None])
+
+
+def without_repeats(line):
+    """A polyline without the vertices equal to their predecessor."""
+    return line[np.r_[True, (line[1:] != line[:-1]).any(axis=1)]]
 
 
 def materialised_grid(spec, half_width=None, n=256):
@@ -118,7 +128,8 @@ def materialised_grid(spec, half_width=None, n=256):
 
 def whole_field_contour(grid):
     """Reference for extract_contour: the same table-driven marching squares
-    and stitching, over the whole materialised field at once."""
+    and stitching, over the whole materialised field at once, with repeated
+    vertices dropped afterwards."""
     vals = grid.values
     nx, ny = grid.nx, grid.ny
     neg = vals < 0
@@ -206,7 +217,7 @@ def whole_field_contour(grid):
             prev, current = current, nxt
         if closed:
             path.append(start)
-        polylines.append(points[path])
+        polylines.append(without_repeats(points[path]))
         closed_flags.append(closed)
     return Contour(polylines=tuple(polylines), closed_flags=tuple(closed_flags))
 
@@ -290,7 +301,8 @@ def reference_extract_contour(grid):
     """Reference for extract_contour: marching squares one cell at a time.
 
     Edges are keyed by ("h" | "v", i, j) tuples and stitched through a dict
-    of neighbour lists; saddles are resolved by product_value at the center.
+    of neighbour lists; saddles are resolved by product_value at the center,
+    and vertices equal to their predecessor are dropped afterwards.
     """
     vals = grid.values
     neg = vals < 0
@@ -366,7 +378,7 @@ def reference_extract_contour(grid):
         pts = [edge_point(key) for key in path]
         if closed:
             pts.append(pts[0])
-        polylines.append(np.asarray(pts, dtype=float))
+        polylines.append(without_repeats(np.asarray(pts, dtype=float)))
         closed_flags.append(closed)
     return Contour(polylines=tuple(polylines), closed_flags=tuple(closed_flags))
 
@@ -384,7 +396,7 @@ def assert_same_contour(grid):
 
 
 def assert_banded_matches_references(spec, half_width=None, n=256):
-    """The banded contour of grid_field equals both references' contours of
+    """The tiled contour of grid_field equals both references' contours of
     the materialised field, bit for bit."""
     got = extract_contour(grid_field(spec, half_width=half_width, n=n))
     materialised = materialised_grid(spec, half_width, n)
@@ -453,7 +465,7 @@ class TestGridField:
     def test_circle_node_values(self):
         spec = CassiniSpec(Point(0, 0), Point(0, 0), 2.0)
         grid = grid_field(spec, half_width=5.0, n=21)
-        values = grid.rows(0, grid.ny)
+        values = every_node(grid)
         assert grid.spacing == 0.5
         # Node at world (0,0): f - r^2 = 0 - 4.
         assert values[10, 10] == -4.0
@@ -467,7 +479,7 @@ class TestGridField:
     def test_default_box_keeps_edges_positive(self):
         spec = CassiniSpec(Point(4, 1), Point(-4, -1), 6.0)
         grid = grid_field(spec, n=64)
-        values = grid.rows(0, grid.ny)
+        values = every_node(grid)
         assert grid.origin == Point(-17.0, -17.0)
         edges = np.concatenate([values[0, :], values[-1, :], values[:, 0], values[:, -1]])
         assert np.all(edges > 0)
@@ -509,14 +521,14 @@ class TestGridField:
             CassiniSpec(Point(8.3, 3.1), Point(-8.7, -2.9), 15.9),
             CassiniSpec(Point(0.1, 0.2), Point(0.1, 0.2), 1.7),
         ):
-            values = grid_field(spec, half_width=half_width, n=n).rows(0, n)
+            values = every_node(grid_field(spec, half_width=half_width, n=n))
             assert np.array_equal(values, meshgrid_field(spec, half_width, n))
             assert np.array_equal(values, materialised_grid(spec, half_width, n).values)
 
     def test_node_signs_agree_with_classification(self):
         spec = CassiniSpec(Point(4, 1), Point(-4, -1), 6.0)
         grid = grid_field(spec, n=48)
-        values = grid.rows(0, grid.ny)
+        values = every_node(grid)
         band = 1e-9 * max(1.0, spec.r * spec.r)
         for iy in range(0, grid.ny, 5):
             for ix in range(0, grid.nx, 5):
@@ -640,6 +652,16 @@ class TestExtractContour:
     def test_matches_reference(self, grid):
         assert_same_contour(grid)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_many_tiles_match_reference(self, seed):
+        # Several tiles across, with a narrower last tile row and column, and
+        # zero nodes and saddle cells on the tile seams.
+        rng = np.random.default_rng(seed)
+        values = rng.choice([-2.0, -1.0, 0.0, 1.0, 3.0], size=(37, 50))
+        values[0, :] = values[-1, :] = values[:, 0] = values[:, -1] = 1.0
+        spec = CassiniSpec(Point(10.0, 20.0), Point(40.0, 5.0), 20.0)
+        assert_same_contour(ValuesGrid(Point(0.0, 0.0), 1.0, 50, 37, values, spec))
+
     def test_topology_campaign_grids_match_reference(self):
         # The 100 grids of run_topology_campaign at its default seed.
         rng = np.random.default_rng(42)
@@ -665,32 +687,45 @@ class TestExtractContour:
         # negative node (16, 17) crosses the level set at the node itself.
         spec = CassiniSpec(Point(2, 0), Point(-2, 0), 3.0)
         grid = grid_field(spec, n=33)
-        values = grid.rows(0, grid.ny)
+        values = every_node(grid)
         assert values[18, 16] == 0.0 and values[17, 16] < 0
         node = (grid.origin.x1 + 16 * grid.spacing, grid.origin.x2 + 18 * grid.spacing)
         contour = extract_contour(grid)
         assert any((line == node).all(axis=1).any() for line in contour.polylines)
         assert_banded_matches_references(spec, n=33)
 
-    @pytest.mark.parametrize("label", ["family-critical", "shared-line-pinch"])
-    def test_pinch_evaluates_only_the_window(self, label, monkeypatch):
-        # Many nodes of a pinch spec lie exactly on K.  Their crossings need
-        # no value scale, so no row outside the window is evaluated; the
-        # whole n = 4097 grid is 16.8 M nodes.
-        n = 4097
+    @pytest.mark.parametrize("n, share", [(4097, 50), (16385, 100)])
+    @pytest.mark.parametrize("label", ["strips-wide", "family-critical"])
+    def test_work_grows_with_the_curve(self, label, n, share, monkeypatch):
+        # Only the tiles whose bound leaves the sign open are evaluated.  The
+        # rectangle of rows and columns that a row-then-column bound could
+        # not prove positive held 1,508,990 nodes on strips-wide and 840,080
+        # on family-critical at n = 4097; the tiles hold 136,986 and 199,988.
+        grid = grid_field(fixture_spec(label), n=n)
         nodes = 0
-        rows = ScalarGrid.rows
+        evaluate = ScalarGrid.nodes
 
-        def counting(self, *args):
+        def counting(self, *args, **kwargs):
             nonlocal nodes
-            block = rows(self, *args)
+            block = evaluate(self, *args, **kwargs)
             nodes += block.size
             return block
 
-        monkeypatch.setattr(ScalarGrid, "rows", counting)
-        contour = extract_contour(grid_field(fixture_spec(label), n=n))
+        monkeypatch.setattr(ScalarGrid, "nodes", counting)
+        contour = extract_contour(grid)
         assert contour.polylines and all(contour.closed_flags)
-        assert nodes <= n * n // 10
+        assert nodes <= n * n // share
+
+    @pytest.mark.parametrize("label", ["family-critical", "shared-line-pinch"])
+    def test_pinch_contour_has_no_zero_length_steps(self, label):
+        # Where a zero node has several negative neighbours, each crossing
+        # edge ends at that node; family-critical at n = 4097 had 524 such
+        # steps among 6,134 vertices.
+        contour = extract_contour(grid_field(fixture_spec(label), n=4097))
+        assert contour.polylines and all(contour.closed_flags)
+        for line in contour.polylines:
+            assert np.abs(np.diff(line, axis=0)).sum(axis=1).min() > 0
+            assert np.array_equal(line[0], line[-1])
 
     def test_finest_grid_holds_no_field(self):
         # The n = 4097 field alone would take 128 MiB.
@@ -720,29 +755,31 @@ def scaled_specs(draw):
     return CassiniSpec(p, q, scale * abs(draw(_unit)))
 
 
-class TestWindow:
+class TestTileSigns:
     @settings(max_examples=300, deadline=None)
-    @given(scaled_specs(), st.sampled_from([16, 17, 40]), st.data())
-    @example(CassiniSpec(Point(2, 0), Point(-2, 0), 3.0), 33, None)
-    # Node (0, 3) is exactly zero, on a row whose bound is exactly r^2.
-    @example(CassiniSpec(Point(0, 0), Point(0, 0), 3.0), 17, None)
-    @example(CassiniSpec(Point(8, 3), Point(-8, -3), 16.0), 40, None)
-    def test_nodes_outside_the_window_are_positive(self, spec, n, data):
-        # As the kernel evaluates them: for the whole grid and for a band.
+    @given(scaled_specs(), st.sampled_from([16, 17, 40]))
+    @example(CassiniSpec(Point(2, 0), Point(-2, 0), 3.0), 33)
+    # Node (0, 3) is exactly zero, and one-cell tiles beside it have a least
+    # product of exactly r^2.
+    @example(CassiniSpec(Point(0, 0), Point(0, 0), 3.0), 17)
+    @example(CassiniSpec(Point(8, 3), Point(-8, -3), 16.0), 40)
+    def test_decided_tiles_have_the_predicted_sign(self, spec, n):
+        # As the kernel evaluates the nodes: none negative in a tile marked
+        # 1, all negative in a tile marked -1.
         grid = grid_field(spec, n=n)
-        bands = [(0, n)]
-        if data is not None:
-            j0 = data.draw(st.integers(0, n - 2))
-            bands.append((j0, data.draw(st.integers(j0 + 1, n))))
-        for j0, j1 in bands:
-            values = grid.rows(j0, j1)
-            outside = np.ones(values.shape, dtype=bool)
-            window = grid.window(j0, j1)
-            if window is not None:
-                k0, k1, i0, i1 = window
-                assert j0 <= k0 < k1 <= j1 and 0 <= i0 < i1 <= n
-                outside[k0 - j0 : k1 - j0, i0:i1] = False
-            assert (values[outside] > 0).all()
+        values = every_node(grid)
+        for side in (1, 2, 5, 16):
+            signs = grid.tile_signs(side)
+            assert signs.shape == (-(-(n - 1) // side),) * 2
+            for v, u in np.argwhere(signs != 0):
+                tile = values[v * side : (v + 1) * side + 1, u * side : (u + 1) * side + 1]
+                assert (tile >= 0).all() if signs[v, u] > 0 else (tile < 0).all()
+
+    def test_bound_decides_both_signs(self):
+        # A taxicab circle of radius 40 at n = 257: the tiles deep inside and
+        # far outside are decided, and those on the curve are not.
+        signs = grid_field(CassiniSpec(Point(0, 0), Point(0, 0), 40.0), n=257).tile_signs(16)
+        assert set(np.unique(signs)) == {-1, 0, 1}
 
 
 # A vertex inside the box of a long segment that passes 2 away, beside a
