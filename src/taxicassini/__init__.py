@@ -37,14 +37,9 @@ from .characterization import (
     IdentityMode,
     IdentityReport,
     boundary_check,
-    cross_family_contains,
-    filled_contains,
     grid_points,
     guide_family,
-    intersection_of_unions_contains,
-    random_points,
     sampling_box,
-    union_of_intersections_contains,
     verify_identity,
     verify_identities,
 )
@@ -55,8 +50,6 @@ from .core import (
     Point,
     PointGroup,
     RegionId,
-    classify_region,
-    closer_to,
     distance_product,
     distance_products,
     foci_frame,
@@ -84,8 +77,6 @@ __all__ = [
     "Point",
     "PointGroup",
     "RegionId",
-    "classify_region",
-    "closer_to",
     "distance_product",
     "distance_products",
     "foci_frame",
@@ -112,14 +103,9 @@ __all__ = [
     "IdentityMode",
     "IdentityReport",
     "boundary_check",
-    "cross_family_contains",
-    "filled_contains",
     "grid_points",
     "guide_family",
-    "intersection_of_unions_contains",
-    "random_points",
     "sampling_box",
-    "union_of_intersections_contains",
     "verify_identity",
     "verify_identities",
     # oracle: grid sampling, marching squares and Hausdorff distance

@@ -5,9 +5,9 @@ be rebuilt from the four guide Cassini sets pairing each focus with the two
 guide complements g+ and g-: a union of intersections, an intersection of
 unions, and two cross-pairings that sandwich L and hit it exactly after
 combining with the filled set of the complements themselves.  This module
-provides the pointwise predicates, a vectorized sampler-based verifier that
-checks any of the identities on one sample at once, and a probe-based witness
-that curve points are boundary points of L.
+provides the guide family, a vectorized verifier that checks any of the
+identities on one point sample at once, and a probe-based witness that curve
+points are boundary points of L.
 """
 
 from __future__ import annotations
@@ -26,11 +26,6 @@ from .core import GeometryError, Point, distance_products, foci_frame, taxicab_d
 # strictly inside": the open set is defined by a strict inequality that
 # cannot be certified closer than roundoff.
 BOUNDARY_GUARD_RTOL = 1e-12
-
-
-def filled_contains(spec: CassiniSpec, x: Point) -> bool:
-    """Strict membership in the open filled set L(p, q; r); empty for r = 0."""
-    return product_value(spec, x) < spec.r * spec.r
 
 
 class GuideFamily(NamedTuple):
@@ -57,52 +52,6 @@ def guide_family(spec: CassiniSpec) -> GuideFamily:
         lq_plus=CassiniSpec(q, frame.g_plus, r),
         lq_minus=CassiniSpec(q, frame.g_minus, r),
     )
-
-
-# The guide-family combinations of the memberships in L(p,g+), L(p,g-),
-# L(q,g+), L(q,g-); & and | serve Python bools and NumPy bool arrays alike.
-def _union_of_intersections(pp, pm, qp, qm):
-    return (pp & pm) | (qp & qm)
-
-
-def _intersection_of_unions(pp, pm, qp, qm):
-    return (pp | qp) & (pm | qm)
-
-
-def _cross_union(pp, pm, qp, qm):
-    return (pp | qm) & (pm | qp)
-
-
-def _cross_intersection(pp, pm, qp, qm):
-    return (pp & qm) | (pm & qp)
-
-
-def _family_memberships(fam: GuideFamily, x: Point) -> list[bool]:
-    # The four products share the fields of p, q, g+ and g-.
-    products = distance_products([(m.p, m.q) for m in fam], x.x1, x.x2)
-    return [f < m.r * m.r for f, m in zip(products, fam)]
-
-
-def union_of_intersections_contains(fam: GuideFamily, x: Point) -> bool:
-    """Membership in [L(p,g+) n L(p,g-)] u [L(q,g+) n L(q,g-)]."""
-    return _union_of_intersections(*_family_memberships(fam, x))
-
-
-def intersection_of_unions_contains(fam: GuideFamily, x: Point) -> bool:
-    """Membership in [L(p,g+) u L(q,g+)] n [L(p,g-) u L(q,g-)]."""
-    return _intersection_of_unions(*_family_memberships(fam, x))
-
-
-def cross_family_contains(fam: GuideFamily, x: Point) -> tuple[bool, bool]:
-    """Membership in the two cross-pairings of the guide family.
-
-    First component: [L(p,g+) u L(q,g-)] n [L(p,g-) u L(q,g+)], a superset
-    of L(p,q;r) equal to L(p,q;r) u L(g+,g-;r).  Second component:
-    [L(p,g+) n L(q,g-)] u [L(p,g-) n L(q,g+)], a subset of L(p,q;r) equal
-    to L(p,q;r) n L(g+,g-;r).
-    """
-    members = _family_memberships(fam, x)
-    return _cross_union(*members), _cross_intersection(*members)
 
 
 class IdentityMode(Enum):
@@ -154,30 +103,20 @@ def grid_points(spec: CassiniSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys[:, None]
 
 
-def random_points(spec: CassiniSpec, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded uniform random points over the sampling box, as two (count,)
-    coordinate columns x1, x2."""
-    if count < 1:
-        raise GeometryError(f"need at least one point, got {count}")
-    rng = np.random.default_rng(seed)
-    center, half = sampling_box(spec)
-    x1 = rng.uniform(center.x1 - half, center.x1 + half, count)
-    x2 = rng.uniform(center.x2 - half, center.x2 + half, count)
-    return x1, x2
-
-
 def _violations(mode: IdentityMode, in_pq, family, in_gg):
     """Points where the mode's identity fails: for CROSS_SUBSETS only the
     two subset directions, for the other modes any inequality."""
+    # Memberships in L(p,g+), L(p,g-), L(q,g+) and L(q,g-).
+    pp, pm, qp, qm = family
     if mode is IdentityMode.UNION_OF_INTERSECTIONS:
-        return in_pq != _union_of_intersections(*family)
+        return in_pq != ((pp & pm) | (qp & qm))
     if mode is IdentityMode.INTERSECTION_OF_UNIONS:
-        return in_pq != _intersection_of_unions(*family)
+        return in_pq != ((pp | qp) & (pm | qm))
+    cross_union = (pp | qm) & (pm | qp)
+    cross_intersection = (pp & qm) | (pm & qp)
     if mode is IdentityMode.CROSS_SUBSETS:
-        return (in_pq & ~_cross_union(*family)) | (_cross_intersection(*family) & ~in_pq)
-    return (_cross_union(*family) != (in_pq | in_gg)) | (
-        _cross_intersection(*family) != (in_pq & in_gg)
-    )
+        return (in_pq & ~cross_union) | (cross_intersection & ~in_pq)
+    return (cross_union != (in_pq | in_gg)) | (cross_intersection != (in_pq & in_gg))
 
 
 def _tally(margin: np.ndarray, band: float) -> tuple[np.ndarray, int, float]:
@@ -202,8 +141,8 @@ def verify_identities(
 ) -> tuple[IdentityReport, ...]:
     """Check several guide-family identities on one finite point sample.
 
-    The sample is the broadcast of the coordinates x1 and x2, as returned by
-    grid_points (axes) or random_points (columns); trials is its size.
+    The sample is the broadcast of the coordinates x1 and x2, such as the
+    axes grid_points returns or two (N,) columns; trials is its size.
     Returns one report per entry of modes, in order; a repeated mode gets
     equal reports.  The foci of spec and of its guide family and, only when
     CROSS_EQUALITIES is requested, the pair (g+,g-) pair up the four points

@@ -2,8 +2,9 @@
 rendering, and seeded verification campaigns.
 
 Exit codes: 0 success, 1 verification found mismatches, 2 malformed
-input or flags or a curve that fails to assemble (AssemblyError), 3 output
-I/O failure.  Errors print one line to stderr, never a traceback.
+input or flags, a curve that fails to assemble (AssemblyError) or a request
+too large for memory, 3 output I/O failure.  Errors print one line to
+stderr, never a traceback.
 Identical command lines produce byte-identical reports and images (no
 timestamps, fixed seeds).
 """
@@ -301,11 +302,16 @@ def _add_instance_flags(sub: argparse.ArgumentParser) -> None:
 
 class _ArgumentParser(argparse.ArgumentParser):
     """Parser that accepts values like -4,-1, -.5,0 or -inf after a flag
-    instead of mistaking them for option names."""
+    instead of mistaking them for option names, and rejects a command line
+    with one error line instead of a usage block.  Subparsers share the
+    class."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -361,6 +367,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
     except (ValueError, AssemblyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
 
 

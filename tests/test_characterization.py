@@ -1,5 +1,6 @@
 """Filled-set predicates, guide-family identities, boundary witnesses."""
 
+import itertools
 import math
 
 import numpy as np
@@ -19,14 +20,9 @@ from taxicassini.characterization import (
     IdentityMode,
     IdentityReport,
     boundary_check,
-    cross_family_contains,
-    filled_contains,
     grid_points,
     guide_family,
-    intersection_of_unions_contains,
-    random_points,
     sampling_box,
-    union_of_intersections_contains,
     verify_identities,
     verify_identity,
 )
@@ -48,6 +44,64 @@ SPEC = CassiniSpec(Point(4, 1), Point(-4, -1), 6.0)
 # The origin is at taxicab distance 5 from p, q, g+ and g-, so every product
 # there equals r^2 = 25: it lies in none of the open sets.
 ON_EVERY_SET = (CassiniSpec(Point(4, 1), Point(-4, -1), 5.0), Point(0, 0))
+
+
+def filled_contains(spec, x):
+    """Strict membership in the open filled set L(p, q; r); empty for r = 0."""
+    return taxicab_distance(x, spec.p) * taxicab_distance(x, spec.q) < spec.r * spec.r
+
+
+def family_memberships(spec, x):
+    """Memberships in L(p,g+), L(p,g-), L(q,g+) and L(q,g-), in that order,
+    with the guide complements from foci_frame."""
+    frame = foci_frame(spec.p, spec.q)
+    return [
+        filled_contains(CassiniSpec(focus, complement, spec.r), x)
+        for focus in (spec.p, spec.q)
+        for complement in (frame.g_plus, frame.g_minus)
+    ]
+
+
+# The guide-family combinations, on the memberships pp, pm, qp and qm of one
+# point in L(p,g+), L(p,g-), L(q,g+) and L(q,g-).
+def union_of_intersections(pp, pm, qp, qm):
+    """Membership in [L(p,g+) n L(p,g-)] u [L(q,g+) n L(q,g-)]."""
+    return (pp and pm) or (qp and qm)
+
+
+def intersection_of_unions(pp, pm, qp, qm):
+    """Membership in [L(p,g+) u L(q,g+)] n [L(p,g-) u L(q,g-)]."""
+    return (pp or qp) and (pm or qm)
+
+
+def cross_families(pp, pm, qp, qm):
+    """Membership in the two cross-pairings of the guide family.
+
+    First component: [L(p,g+) u L(q,g-)] n [L(p,g-) u L(q,g+)], a superset
+    of L(p,q;r) equal to L(p,q;r) u L(g+,g-;r).  Second component:
+    [L(p,g+) n L(q,g-)] u [L(p,g-) n L(q,g+)], a subset of L(p,q;r) equal
+    to L(p,q;r) n L(g+,g-;r).
+    """
+    return (pp or qm) and (pm or qp), (pp and qm) or (pm and qp)
+
+
+def violated(in_pq, members, in_gg):
+    """Whether each mode's identity fails at a point with these memberships
+    in L(p,q), the guide family and L(g+,g-): for CROSS_SUBSETS only the two
+    subset directions, for the other modes any inequality."""
+    first, second = cross_families(*members)
+    return {
+        IdentityMode.UNION_OF_INTERSECTIONS: union_of_intersections(*members) != in_pq,
+        IdentityMode.INTERSECTION_OF_UNIONS: intersection_of_unions(*members) != in_pq,
+        IdentityMode.CROSS_SUBSETS: (in_pq and not first) or (second and not in_pq),
+        IdentityMode.CROSS_EQUALITIES: first != (in_pq or in_gg) or second != (in_pq and in_gg),
+    }
+
+
+def guide_pair_contains(spec, x):
+    """Membership in L(g+, g-; r), built from foci_frame directly."""
+    frame = foci_frame(spec.p, spec.q)
+    return filled_contains(CassiniSpec(frame.g_plus, frame.g_minus, spec.r), x)
 
 
 class TestFilledContains:
@@ -90,21 +144,21 @@ class TestPointwiseIdentities:
     @given(dyadic_specs, dyadic_points)
     @example(*ON_EVERY_SET)
     def test_union_of_intersections(self, spec, x):
-        fam = guide_family(spec)
-        assert union_of_intersections_contains(fam, x) == filled_contains(spec, x)
+        members = family_memberships(spec, x)
+        assert union_of_intersections(*members) == filled_contains(spec, x)
 
     @settings(max_examples=300, deadline=None)
     @given(dyadic_specs, dyadic_points)
     @example(*ON_EVERY_SET)
     def test_intersection_of_unions(self, spec, x):
-        fam = guide_family(spec)
-        assert intersection_of_unions_contains(fam, x) == filled_contains(spec, x)
+        members = family_memberships(spec, x)
+        assert intersection_of_unions(*members) == filled_contains(spec, x)
 
     @settings(max_examples=300, deadline=None)
     @given(dyadic_specs, dyadic_points)
     @example(*ON_EVERY_SET)
     def test_cross_family_sandwich_and_equalities(self, spec, x):
-        first, second = cross_family_contains(guide_family(spec), x)
+        first, second = cross_families(*family_memberships(spec, x))
         in_pq = filled_contains(spec, x)
         # Subset directions: second <= filled <= first.
         assert not (second and not in_pq)
@@ -117,46 +171,34 @@ class TestPointwiseIdentities:
     @given(dyadic_specs, dyadic_points)
     @example(*ON_EVERY_SET)
     def test_scalar_predicates_match_one_point_sample(self, spec, x):
-        # The scalar predicates and verify_identities reach the kernel by
-        # different calls; on a one-point sample each mode counts a mismatch
-        # exactly when the matching predicate disagrees at a counted point.
-        fam = guide_family(spec)
-        in_pq = filled_contains(spec, x)
-        in_gg = guide_pair_contains(spec, x)
-        first, second = cross_family_contains(fam, x)
-        violated = {
-            IdentityMode.UNION_OF_INTERSECTIONS: union_of_intersections_contains(fam, x) != in_pq,
-            IdentityMode.INTERSECTION_OF_UNIONS: intersection_of_unions_contains(fam, x) != in_pq,
-            IdentityMode.CROSS_SUBSETS: (in_pq and not first) or (second and not in_pq),
-            IdentityMode.CROSS_EQUALITIES: first != (in_pq or in_gg) or second != (in_pq and in_gg),
-        }
+        # The pointwise references share no code with verify_identities; on
+        # a one-point sample each mode counts a mismatch exactly when the
+        # references find its identity violated at a counted point.
+        expected = violated(
+            filled_contains(spec, x), family_memberships(spec, x), guide_pair_contains(spec, x)
+        )
         modes = tuple(IdentityMode)
         for mode, report in zip(modes, verify_identities(spec, modes, x.x1, x.x2, band=0.0)):
             assert report.trials == 1
             counted = report.skipped_boundary_band == 0
-            assert report.mismatches == int(counted and violated[mode])
+            assert report.mismatches == int(counted and expected[mode])
 
-    @pytest.mark.parametrize(
-        "predicate",
-        [union_of_intersections_contains, intersection_of_unions_contains, cross_family_contains],
-    )
-    def test_one_kernel_call_over_the_family(self, monkeypatch, predicate):
-        calls = []
-
-        def counting(pairs, x1, x2):
-            calls.append(list(pairs))
-            return distance_products(pairs, x1, x2)
-
-        monkeypatch.setattr(characterization, "distance_products", counting)
-        fam = guide_family(SPEC)
-        predicate(fam, Point(0.5, -0.25))
-        assert calls == [[(m.p, m.q) for m in fam]]
-
-
-def guide_pair_contains(spec, x):
-    """Membership in L(g+, g-; r), built from foci_frame directly."""
-    frame = foci_frame(spec.p, spec.q)
-    return filled_contains(CassiniSpec(frame.g_plus, frame.g_minus, spec.r), x)
+    def test_every_membership_pattern(self, monkeypatch):
+        # The identities hold at every real point, so real samples cannot
+        # tell one mode's combination from another's.  Stand-in products put
+        # a one-point sample in each pattern of membership in the six sets,
+        # L(p,q), the guide family and L(g+,g-), at least r^2/2 from r^2.
+        target = SPEC.r * SPEC.r
+        modes = tuple(IdentityMode)
+        for pattern in itertools.product((False, True), repeat=6):
+            products = [np.array([target / 2 if bit else 2 * target]) for bit in pattern]
+            monkeypatch.setattr(
+                characterization, "distance_products", lambda pairs, x1, x2: products[: len(pairs)]
+            )
+            in_pq, *members, in_gg = pattern
+            expected = violated(in_pq, members, in_gg)
+            for mode, report in zip(modes, verify_identities(SPEC, modes, 0.0, 0.0, band=0.0)):
+                assert (report.mismatches, report.skipped_boundary_band) == (int(expected[mode]), 0)
 
 
 class TestSamplers:
@@ -178,15 +220,6 @@ class TestSamplers:
         x1, x2 = grid_points(CassiniSpec(Point(4, 1), Point(-3, 2.5), 2.0), 7)
         mx, my = np.meshgrid(x1, x2.ravel())
         assert np.array_equal(materialise(x1, x2), np.column_stack([mx.ravel(), my.ravel()]))
-
-    def test_random_points_deterministic(self):
-        a = random_points(SPEC, 100, seed=7)
-        b = random_points(SPEC, 100, seed=7)
-        c = random_points(SPEC, 100, seed=8)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
-        assert [column.shape for column in a] == [(100,), (100,)]
-        assert np.all(np.abs(a) <= 17.0)
 
 
 class TestVerifyIdentity:
@@ -363,7 +396,11 @@ GG_SETS_WORST = CassiniSpec(
 def sample_points(spec, sample):
     if sample[0] == "grid":
         return grid_points(spec, sample[1])
-    return random_points(spec, sample[1], seed=sample[2])
+    # Seeded uniform (count,) columns x1 and x2 over the sampling box.
+    _, count, seed = sample
+    rng = np.random.default_rng(seed)
+    center, half = sampling_box(spec)
+    return tuple(rng.uniform(c - half, c + half, count) for c in center)
 
 
 class TestVerifyIdentities:

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from taxicassini import cli
 from taxicassini.cli import main
 
 FIXTURES = "fixtures/instances.jsonl"
@@ -215,10 +216,6 @@ class TestRender:
         )
         assert code == 3
         assert "error" in err
-
-    def test_unknown_flag(self, capsys):
-        code, _, _ = run(capsys, "render", "--p", "1,1", "--frobnicate")
-        assert code == 2
 
     def test_assembly_error_writes_nothing(self, capsys, tmp_path):
         out_path = tmp_path / "lobe.svg"
@@ -482,9 +479,6 @@ class TestGoldenInfo:
 
 
 class TestEntrypoints:
-    def test_no_subcommand(self, capsys):
-        assert main([]) == 2
-
     def test_module_execution(self):
         proc = subprocess.run(
             [sys.executable, "-m", "taxicassini.cli", "classify",
@@ -494,3 +488,54 @@ class TestEntrypoints:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "Inside"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--p", "4,1", "--q", "-4,-1", "--r", "6", "--x", "0,0", "--tol", "abc"],
+            ["verify", "--seed", "x"],
+            ["verify", "--grid", "1.5"],
+            ["render", "--p", "4,1", "--q", "-4,-1", "--r", "6"],
+            ["frobnicate"],
+            ["render", "--p", "1,1", "--frobnicate"],
+            [],
+        ],
+        ids=["tol", "seed", "grid", "no-out", "unknown-command", "unknown-option", "no-command"],
+    )
+    def test_rejected_command_line_is_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_help_keeps_its_output(self, capsys):
+        code, out, err = run(capsys, "verify", "-h")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: taxicassini verify")
+
+
+class TestOutOfMemory:
+    # A request too large for memory is an input error, not a mismatch (1).
+    # The allocations are stood in for: the tests allocate nothing large.
+    @staticmethod
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 26.8 GiB for an array")
+
+    def test_verify(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_identity_campaigns", self.out_of_memory)
+        code, out, err = run(
+            capsys, "verify", "--modes", "union-of-intersections", "--trials", "1", "--grid", "60000"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: out of memory: Unable to allocate 26.8 GiB for an array\n"
+
+    def test_render_writes_nothing(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "render_svg", self.out_of_memory)
+        out_path = tmp_path / "x.svg"
+        code, out, err = run(
+            capsys,
+            "render", "--p", "1,0", "--q", "-1,0", "--r", "2", "--overlay-oracle",
+            "--grid", "2000000", "--out", str(out_path),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+        assert not out_path.exists()

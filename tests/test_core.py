@@ -15,14 +15,13 @@ from taxicassini.core import (
     Point,
     PointGroup,
     RegionId,
-    classify_region,
-    closer_to,
     distance_product,
     distance_products,
     foci_frame,
     standardize,
     taxicab_distance,
 )
+from references import classify_region, closer_to
 
 # Dyadic rationals keep every sum, difference, and halving exact in floats,
 # so the property tests can assert equality without tolerances.
@@ -214,7 +213,7 @@ class TestFociFrame:
 
 
 class TestClassifyRegion:
-    frame = foci_frame(Point(4, 1), Point(-4, -1))
+    foci = Point(4, 1), Point(-4, -1)
 
     @pytest.mark.parametrize(
         "x,region",
@@ -231,10 +230,10 @@ class TestClassifyRegion:
         ],
     )
     def test_interior_points_get_one_region(self, x, region):
-        assert classify_region(self.frame, x) == frozenset({region})
+        assert classify_region(*self.foci, x) == frozenset({region})
 
     def test_focus_is_a_four_corner(self):
-        regions = classify_region(self.frame, Point(4, 1))
+        regions = classify_region(*self.foci, Point(4, 1))
         assert regions == frozenset(
             {
                 RegionId.QUADRANT_P,
@@ -245,8 +244,7 @@ class TestClassifyRegion:
         )
 
     def test_collapsed_frame_keeps_identities(self):
-        frame = foci_frame(Point(5, 0), Point(-5, 0))
-        regions = classify_region(frame, Point(0, 0))
+        regions = classify_region(Point(5, 0), Point(-5, 0), Point(0, 0))
         assert regions == frozenset(
             {
                 RegionId.STRIP_P_C2,
@@ -257,7 +255,7 @@ class TestClassifyRegion:
 
     @given(dyadic_points, dyadic_points, dyadic_points)
     def test_every_point_is_covered(self, p, q, x):
-        assert classify_region(foci_frame(p, q), x)
+        assert classify_region(p, q, x)
 
 
 class TestPointGroup:
