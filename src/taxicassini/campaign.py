@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -30,10 +29,6 @@ from .characterization import (
 )
 from .core import Point, standardize, taxicab_distance
 from .oracle import component_count, extract_contour, grid_field
-
-# Radius of the largest witness circle the boundary campaign probes around
-# each curve point (boundary_check then halves it twice).
-BOUNDARY_PROBE_RADIUS = 0.05
 
 
 @dataclass(frozen=True)
@@ -88,37 +83,34 @@ def run_residual_campaign(
 
 
 def run_identity_campaigns(
-    modes: Sequence[IdentityMode],
     trials: int = 200,
     grid_n: int = 100,
     seed: int = 42,
     band: float = 1e-9,
-) -> tuple[CampaignResult, ...]:
-    """Check several set identities on a grid of points per random instance.
+) -> dict[IdentityMode, CampaignResult]:
+    """Check the four set identities on a grid of points per random instance.
 
     Each instance and its grid axes are drawn once and checked for every
     mode by one verify_identities call, which shares four distance fields
-    among the instance's products.  Returns one result per entry of modes, in
-    order, each equal to the single-mode campaign of the same seed.
+    among the instance's products.  Returns one result per IdentityMode, in
+    declaration order.
     """
-    modes = tuple(modes)
     rng = np.random.default_rng(seed)
-    mismatches = [0] * len(modes)
-    skipped = [0] * len(modes)
-    worst = [math.inf] * len(modes)
+    mismatches = dict.fromkeys(IdentityMode, 0)
+    skipped = dict.fromkeys(IdentityMode, 0)
+    worst = dict.fromkeys(IdentityMode, math.inf)
     for _ in range(trials):
         spec = random_spec(rng)
         x1, x2 = grid_points(spec, grid_n)
-        reports = verify_identities(spec, modes, x1, x2, band)
-        for k, report in enumerate(reports):
-            mismatches[k] += report.mismatches
-            skipped[k] += report.skipped_boundary_band
-            worst[k] = min(worst[k], report.worst_residual)
+        for mode, report in verify_identities(spec, x1, x2, band).items():
+            mismatches[mode] += report.mismatches
+            skipped[mode] += report.skipped_boundary_band
+            worst[mode] = min(worst[mode], report.worst_residual)
     points_total = trials * grid_n * grid_n
-    return tuple(
-        CampaignResult(mode.value, points_total, mismatches[k], skipped[k], worst[k])
-        for k, mode in enumerate(modes)
-    )
+    return {
+        mode: CampaignResult(mode.value, points_total, mismatches[mode], skipped[mode], worst[mode])
+        for mode in IdentityMode
+    }
 
 
 def run_identity_campaign(
@@ -129,8 +121,8 @@ def run_identity_campaign(
     band: float = 1e-9,
 ) -> CampaignResult:
     """Check one set identity on a grid of points per random instance: the
-    one-mode case of run_identity_campaigns."""
-    return run_identity_campaigns((mode,), trials, grid_n, seed, band)[0]
+    result of mode from run_identity_campaigns."""
+    return run_identity_campaigns(trials, grid_n, seed, band)[mode]
 
 
 def _random_topology_spec(rng: np.random.Generator) -> CassiniSpec:
@@ -211,6 +203,6 @@ def run_boundary_campaign(samples_per_curve: int = 64) -> CampaignResult:
             points.extend(sample_curve(curve, samples_per_curve))
         trials += len(points)
         for point in points:
-            if not boundary_check(spec, [point], BOUNDARY_PROBE_RADIUS):
+            if not boundary_check(spec, point):
                 failures += 1
     return CampaignResult("boundary", trials, failures, 0, math.inf)

@@ -5,9 +5,9 @@ be rebuilt from the four guide Cassini sets pairing each focus with the two
 guide complements g+ and g-: a union of intersections, an intersection of
 unions, and two cross-pairings that sandwich L and hit it exactly after
 combining with the filled set of the complements themselves.  This module
-provides the guide family, a vectorized verifier that checks any of the
-identities on one point sample at once, and a probe-based witness that curve
-points are boundary points of L.
+provides the guide family, a vectorized verifier that checks all four
+identities on one point sample at once, and a probe-based witness that a
+curve point is a boundary point of L.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +26,10 @@ from .core import GeometryError, Point, distance_products, foci_frame, taxicab_d
 # strictly inside": the open set is defined by a strict inequality that
 # cannot be certified closer than roundoff.
 BOUNDARY_GUARD_RTOL = 1e-12
+
+# Radius of the largest witness circle boundary_check probes around a point
+# (it then halves it twice).
+BOUNDARY_PROBE_RADIUS = 0.05
 
 
 class GuideFamily(NamedTuple):
@@ -81,10 +85,13 @@ def sampling_box(spec: CassiniSpec) -> tuple[Point, float]:
     """Midpoint-centered square box that strictly contains the curve.
 
     Every curve point is within taxicab distance r + d/2 of the midpoint, so
-    half-width d + r + 1 leaves a positive-margin frame around it.
+    half-width s + max(1, s * 2^-40), with s = d + r, leaves a positive-margin
+    frame around it.  The margin is 1 up to s = 2^40 and grows with s beyond,
+    so it never rounds away, as a fixed 1 would once ulp(s) reaches 1.
     """
     p, q = spec.p, spec.q
-    half = taxicab_distance(p, q) + spec.r + 1.0
+    s = taxicab_distance(p, q) + spec.r
+    half = s + max(1.0, s * 2.0**-40)
     return Point((p.x1 + q.x1) / 2, (p.x2 + q.x2) / 2), half
 
 
@@ -103,66 +110,37 @@ def grid_points(spec: CassiniSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys[:, None]
 
 
-def _violations(mode: IdentityMode, in_pq, family, in_gg):
-    """Points where the mode's identity fails: for CROSS_SUBSETS only the
-    two subset directions, for the other modes any inequality."""
-    # Memberships in L(p,g+), L(p,g-), L(q,g+) and L(q,g-).
-    pp, pm, qp, qm = family
-    if mode is IdentityMode.UNION_OF_INTERSECTIONS:
-        return in_pq != ((pp & pm) | (qp & qm))
-    if mode is IdentityMode.INTERSECTION_OF_UNIONS:
-        return in_pq != ((pp | qp) & (pm | qm))
-    cross_union = (pp | qm) & (pm | qp)
-    cross_intersection = (pp & qm) | (pm & qp)
-    if mode is IdentityMode.CROSS_SUBSETS:
-        return (in_pq & ~cross_union) | (cross_intersection & ~in_pq)
-    return (cross_union != (in_pq | in_gg)) | (cross_intersection != (in_pq & in_gg))
-
-
 def _tally(margin: np.ndarray, band: float) -> tuple[np.ndarray, int, float]:
-    """Counted mask, skip count and worst counted margin of one margin array."""
-    skipped = margin <= band
-    skip_count = int(np.count_nonzero(skipped))
-    if skip_count == 0:
-        worst = float(margin.min())
-    elif skip_count < margin.size:
-        worst = float(margin[~skipped].min())
-    else:
-        worst = math.inf
-    return ~skipped, skip_count, worst
+    """Counted mask, skip count and worst counted margin of one margin array.
+
+    A nan margin is counted, and makes the worst margin nan."""
+    counted = ~(margin <= band)
+    worst = float(margin.min(initial=math.inf, where=counted))
+    return counted, margin.size - int(np.count_nonzero(counted)), worst
 
 
 def verify_identities(
-    spec: CassiniSpec,
-    modes: Sequence[IdentityMode],
-    x1,
-    x2,
-    band: float = 1e-9,
-) -> tuple[IdentityReport, ...]:
-    """Check several guide-family identities on one finite point sample.
+    spec: CassiniSpec, x1, x2, band: float = 1e-9
+) -> dict[IdentityMode, IdentityReport]:
+    """Check the four guide-family identities on one finite point sample.
 
     The sample is the broadcast of the coordinates x1 and x2, such as the
     axes grid_points returns or two (N,) columns; trials is its size.
-    Returns one report per entry of modes, in order; a repeated mode gets
-    equal reports.  The foci of spec and of its guide family and, only when
-    CROSS_EQUALITIES is requested, the pair (g+,g-) pair up the four points
-    p, q, g+, g-, so one distance_products call serves every mode with at
-    most four distance fields.  Each report equals the one a separate check
-    of its mode would give.
+    Returns one report per IdentityMode, in declaration order.  The six sets
+    involved, L(p,q), the guide family and L(g+,g-), pair up the four points
+    p, q, g+, g-, so one distance_products call computes four distance fields
+    and six products.
 
     Points whose product lies within band * max(1, r^2) of r^2 for any set
-    its mode involves are skipped: the sets are open, so strict-inequality
-    verdicts that close to a boundary are floating-point noise.  For
-    CROSS_SUBSETS only violations of the two subset directions count as
+    a mode involves are skipped: the sets are open, so strict-inequality
+    verdicts that close to a boundary are floating-point noise.
+    CROSS_EQUALITIES involves all six sets, the other modes the first five.
+    For CROSS_SUBSETS only violations of the two subset directions count as
     mismatches; the other modes demand equality.  Non-finite coordinates
     raise GeometryError: no verdict about them is meaningful.
     """
     if not (math.isfinite(band) and band >= 0):
         raise GeometryError(f"band must be finite and nonnegative, got {band!r}")
-    modes = tuple(modes)
-    for mode in modes:
-        if not isinstance(mode, IdentityMode):
-            raise GeometryError(f"unknown identity mode {mode!r}")
     x1 = np.atleast_1d(np.asarray(x1, dtype=float))
     x2 = np.atleast_1d(np.asarray(x2, dtype=float))
     if not (np.isfinite(x1).all() and np.isfinite(x2).all()):
@@ -175,22 +153,17 @@ def verify_identities(
         ) from None
     fam = guide_family(spec)
     target = spec.r * spec.r
-    # L(p,q) first, then the guide family in the order the combinations take.
-    pairs = [(m.p, m.q) for m in (spec, *fam)]
-    with_gg = IdentityMode.CROSS_EQUALITIES in modes
-    if with_gg:
-        # L(g+,g-): the family's second foci are the guide complements.
-        pairs.append((fam.lp_plus.q, fam.lp_minus.q))
+    # L(p,q), the guide family in the order the combinations take, then
+    # L(g+,g-): the family's second foci are the guide complements.
+    pairs = [(m.p, m.q) for m in (spec, *fam)] + [(fam.lp_plus.q, fam.lp_minus.q)]
     products = distance_products(pairs, x1, x2)
-    inside = [f < target for f in products]
-    in_pq, family = inside[0], inside[1:5]
-    in_gg = inside[5] if with_gg else None
+    # Memberships in L(p,q), L(p,g+), L(p,g-), L(q,g+), L(q,g-) and L(g+,g-).
+    in_pq, pp, pm, qp, qm, in_gg = [f < target for f in products]
 
     # A point's margin is its least relative gap |f - r^2| over the sets a
-    # mode involves: the five shared ones, and L(g+,g-) too for
-    # CROSS_EQUALITIES.  min is exact, so sharing the five-set minimum
-    # changes no margin.  The gaps overwrite the products, which the masks
-    # above no longer need; each margin array is tallied once.
+    # mode involves.  min is exact, so the six-set margin extends the
+    # five-set one.  The gaps overwrite the products, which the masks above
+    # no longer need.
     for f in products:
         np.subtract(f, target, out=f)
         np.abs(f, out=f)
@@ -198,24 +171,33 @@ def verify_identities(
     for f in products[1:5]:
         np.minimum(gap, f, out=gap)
     scale = max(1.0, target)
-    tallies = {False: _tally(gap / scale, band)}
-    if with_gg:
-        np.minimum(gap, products[5], out=gap)
-        tallies[True] = _tally(np.divide(gap, scale, out=gap), band)
+    five_sets = _tally(gap / scale, band)
+    np.minimum(gap, products[5], out=gap)
+    six_sets = _tally(np.divide(gap, scale, out=gap), band)
 
-    reports = []
-    for mode in modes:
-        counted, skipped, worst = tallies[mode is IdentityMode.CROSS_EQUALITIES]
-        bad = _violations(mode, in_pq, family, in_gg)
-        reports.append(
-            IdentityReport(
-                trials=trials,
-                mismatches=int(np.count_nonzero(bad & counted)),
-                skipped_boundary_band=skipped,
-                worst_residual=worst,
-            )
+    cross_union = (pp | qm) & (pm | qp)
+    cross_intersection = (pp & qm) | (pm & qp)
+    violations = {
+        IdentityMode.UNION_OF_INTERSECTIONS: (in_pq != ((pp & pm) | (qp & qm)), five_sets),
+        IdentityMode.INTERSECTION_OF_UNIONS: (in_pq != ((pp | qp) & (pm | qm)), five_sets),
+        IdentityMode.CROSS_SUBSETS: (
+            (in_pq & ~cross_union) | (cross_intersection & ~in_pq),
+            five_sets,
+        ),
+        IdentityMode.CROSS_EQUALITIES: (
+            (cross_union != (in_pq | in_gg)) | (cross_intersection != (in_pq & in_gg)),
+            six_sets,
+        ),
+    }
+    return {
+        mode: IdentityReport(
+            trials=trials,
+            mismatches=int(np.count_nonzero(bad & counted)),
+            skipped_boundary_band=skipped,
+            worst_residual=worst,
         )
-    return tuple(reports)
+        for mode, (bad, (counted, skipped, worst)) in violations.items()
+    }
 
 
 def verify_identity(
@@ -225,10 +207,10 @@ def verify_identity(
     x2,
     band: float = 1e-9,
 ) -> IdentityReport:
-    """Check one guide-family identity on a finite point sample: the
-    one-mode case of verify_identities, with the same coordinates, skip band
-    and errors."""
-    return verify_identities(spec, (mode,), x1, x2, band)[0]
+    """Check one guide-family identity on a finite point sample: the report
+    of mode from verify_identities, with the same coordinates, skip band and
+    errors."""
+    return verify_identities(spec, x1, x2, band)[mode]
 
 
 def _star_directions() -> tuple[tuple[float, float], ...]:
@@ -247,40 +229,29 @@ def _star_directions() -> tuple[tuple[float, float], ...]:
 _STAR = _star_directions()
 
 
-def boundary_check(
-    spec: CassiniSpec, curve_points: Iterable[Point], probe_radius: float
-) -> bool:
-    """Witness that each curve point lies on the boundary of the filled set.
+def boundary_check(spec: CassiniSpec, x: Point) -> bool:
+    """Witness that the point x lies on the boundary of the filled set.
 
-    For every given point, probes on a 16-direction taxicab-unit star at
-    radii probe_radius * {1, 1/2, 1/4} must find (a) a point strictly inside
-    L, beyond the roundoff guard, and (b) a point not inside L up to the
-    guard.  The latter allows probes landing back on the level set itself:
-    across the flat segment the curve traces inside the central rectangle at
-    the critical radius, every nearby non-inside point is on the set, so a
-    strictly-greater product cannot be required there.
+    Probes on a 16-direction taxicab-unit star at radii
+    BOUNDARY_PROBE_RADIUS * {1, 1/2, 1/4} must find (a) a point strictly
+    inside L, beyond the roundoff guard, and (b) a point not inside L up to
+    the guard.  The latter allows probes landing back on the level set
+    itself: across the flat segment the curve traces inside the central
+    rectangle at the critical radius, every nearby non-inside point is on the
+    set, so a strictly-greater product cannot be required there.
     """
     if spec.r <= 0:
         raise GeometryError("boundary witnesses need r > 0")
-    if not (math.isfinite(probe_radius) and probe_radius > 0):
-        raise GeometryError(f"probe radius must be positive and finite, got {probe_radius!r}")
     target = spec.r * spec.r
     guard = BOUNDARY_GUARD_RTOL * max(1.0, target)
-    radii = (probe_radius, probe_radius / 2, probe_radius / 4)
-    for x in curve_points:
-        found_inside = False
-        found_outside = False
-        for rho in radii:
-            for dx, dy in _STAR:
-                f = product_value(spec, Point(x.x1 + rho * dx, x.x2 + rho * dy))
-                if f < target - guard:
-                    found_inside = True
-                else:
-                    found_outside = True
-                if found_inside and found_outside:
-                    break
+    found_inside = found_outside = False
+    for rho in (BOUNDARY_PROBE_RADIUS, BOUNDARY_PROBE_RADIUS / 2, BOUNDARY_PROBE_RADIUS / 4):
+        for dx, dy in _STAR:
+            f = product_value(spec, Point(x.x1 + rho * dx, x.x2 + rho * dy))
+            if f < target - guard:
+                found_inside = True
+            else:
+                found_outside = True
             if found_inside and found_outside:
-                break
-        if not (found_inside and found_outside):
-            return False
-    return True
+                return True
+    return False

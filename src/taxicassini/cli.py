@@ -228,29 +228,14 @@ def _trials(args: argparse.Namespace) -> dict:
 
 
 def _run_mode(mode: str, args: argparse.Namespace) -> CampaignResult:
+    """The residual, topology or boundary campaign of a verify request."""
     if mode == "residual":
         return run_residual_campaign(
             seed=args.seed, samples_per_curve=args.samples, **_trials(args)
         )
     if mode == "topology":
         return run_topology_campaign(seed=args.seed, **_trials(args))
-    if mode == "boundary":
-        return run_boundary_campaign(samples_per_curve=args.samples)
-    raise GeometryError(f"unknown verify mode {mode!r}")
-
-
-def _run_identity_modes(
-    modes: Sequence[str], args: argparse.Namespace
-) -> dict[str, CampaignResult]:
-    """Every identity mode of the request from one campaign over shared
-    instances, grids and products, keyed by mode token."""
-    identity = tuple(
-        dict.fromkeys(IdentityMode(mode) for mode in modes if mode in _IDENTITY_TOKENS)
-    )
-    results = run_identity_campaigns(
-        identity, grid_n=args.grid, seed=args.seed, band=args.band, **_trials(args)
-    )
-    return {mode.value: result for mode, result in zip(identity, results)}
+    return run_boundary_campaign(samples_per_curve=args.samples)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -280,8 +265,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for mode in modes:
         if mode in _IDENTITY_TOKENS:
             if identity_results is None:
-                identity_results = _run_identity_modes(modes, args)
-            result = identity_results[mode]
+                identity_results = run_identity_campaigns(
+                    grid_n=args.grid, seed=args.seed, band=args.band, **_trials(args)
+                )
+            result = identity_results[IdentityMode(mode)]
         else:
             result = _run_mode(mode, args)
         total_failures += result.failures

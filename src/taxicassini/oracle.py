@@ -100,10 +100,11 @@ def grid_field(spec: CassiniSpec, half_width: Optional[float] = None, n: int = 2
 
     Only the four frame lines are evaluated here; extract_contour samples
     the rest, in the tiles whose bound leaves the sign open.  The default
-    box (taxicab_distance(p, q) + r + 1 half-width) strictly contains the
-    curve, making every frame node positive; BoxTooSmall is raised if any
-    frame node fails that, since a contour touching the frame could not be
-    extracted as closed polylines.
+    box, sampling_box's (half-width s + max(1, s * 2^-40) for
+    s = taxicab_distance(p, q) + r), strictly contains the curve, making
+    every frame node positive; BoxTooSmall is raised if any frame node fails
+    that, since a contour touching the frame could not be extracted as
+    closed polylines.
     """
     if n < 16:
         raise GeometryError(f"grid resolution must be at least 16, got {n}")

@@ -5,11 +5,9 @@ pass/fail line through the criterion_line fixture; the lines are replayed
 in the terminal summary.
 """
 
-import math
 import time
 
 import numpy as np
-import pytest
 
 from taxicassini.campaign import (
     boundary_suite,
@@ -24,7 +22,6 @@ from taxicassini.cassini import (
     Topology,
     build_curves,
     classify_point,
-    critical_radius,
     curve_polyline,
     sample_curve,
     topology,
@@ -71,13 +68,11 @@ def test_criterion_1_curve_residuals(criterion_line):
 
 def test_criterion_2_guide_family_identities(criterion_line):
     start = time.perf_counter()
-    reports = run_identity_campaigns(
-        (IdentityMode.UNION_OF_INTERSECTIONS, IdentityMode.INTERSECTION_OF_UNIONS),
-        trials=200,
-        grid_n=100,
-        seed=42,
-        band=1e-9,
-    )
+    results = run_identity_campaigns(trials=200, grid_n=100, seed=42, band=1e-9)
+    reports = [
+        results[IdentityMode.UNION_OF_INTERSECTIONS],
+        results[IdentityMode.INTERSECTION_OF_UNIONS],
+    ]
     elapsed = time.perf_counter() - start
     mismatches = sum(rep.failures for rep in reports)
     points = sum(rep.trials for rep in reports)
@@ -93,13 +88,8 @@ def test_criterion_2_guide_family_identities(criterion_line):
 
 def test_criterion_3_cross_family_identities(criterion_line):
     start = time.perf_counter()
-    reports = run_identity_campaigns(
-        (IdentityMode.CROSS_SUBSETS, IdentityMode.CROSS_EQUALITIES),
-        trials=200,
-        grid_n=100,
-        seed=42,
-        band=1e-9,
-    )
+    results = run_identity_campaigns(trials=200, grid_n=100, seed=42, band=1e-9)
+    reports = [results[IdentityMode.CROSS_SUBSETS], results[IdentityMode.CROSS_EQUALITIES]]
     elapsed = time.perf_counter() - start
     mismatches = sum(rep.failures for rep in reports)
     ok = mismatches == 0 and all(rep.trials == 2_000_000 for rep in reports) and elapsed < 60.0
@@ -205,7 +195,7 @@ def test_criterion_6_boundary_witnesses(criterion_line):
         for curve in build_curves(spec):
             points.extend(sample_curve(curve, 64))
         checked += len(points)
-        if not boundary_check(spec, points, probe_radius=0.05):
+        if not all(boundary_check(spec, x) for x in points):
             failures += 1
     ok = failures == 0
     criterion_line(

@@ -177,8 +177,7 @@ class TestPointwiseIdentities:
         expected = violated(
             filled_contains(spec, x), family_memberships(spec, x), guide_pair_contains(spec, x)
         )
-        modes = tuple(IdentityMode)
-        for mode, report in zip(modes, verify_identities(spec, modes, x.x1, x.x2, band=0.0)):
+        for mode, report in verify_identities(spec, x.x1, x.x2, band=0.0).items():
             assert report.trials == 1
             counted = report.skipped_boundary_band == 0
             assert report.mismatches == int(counted and expected[mode])
@@ -189,15 +188,14 @@ class TestPointwiseIdentities:
         # a one-point sample in each pattern of membership in the six sets,
         # L(p,q), the guide family and L(g+,g-), at least r^2/2 from r^2.
         target = SPEC.r * SPEC.r
-        modes = tuple(IdentityMode)
         for pattern in itertools.product((False, True), repeat=6):
             products = [np.array([target / 2 if bit else 2 * target]) for bit in pattern]
             monkeypatch.setattr(
-                characterization, "distance_products", lambda pairs, x1, x2: products[: len(pairs)]
+                characterization, "distance_products", lambda pairs, x1, x2: products
             )
             in_pq, *members, in_gg = pattern
             expected = violated(in_pq, members, in_gg)
-            for mode, report in zip(modes, verify_identities(SPEC, modes, 0.0, 0.0, band=0.0)):
+            for mode, report in verify_identities(SPEC, 0.0, 0.0, band=0.0).items():
                 assert (report.mismatches, report.skipped_boundary_band) == (int(expected[mode]), 0)
 
 
@@ -274,30 +272,26 @@ class TestVerifyIdentity:
 class TestBoundaryCheck:
     def test_interior_point_has_no_outside_witness(self):
         spec = CassiniSpec(Point(4, 1), Point(-4, -1), 6.0)
-        assert not boundary_check(spec, [Point(0, 0)], probe_radius=0.05)
+        assert not boundary_check(spec, Point(0, 0))
 
     def test_far_point_has_no_inside_witness(self):
         spec = CassiniSpec(Point(4, 1), Point(-4, -1), 6.0)
-        assert not boundary_check(spec, [Point(50, 50)], probe_radius=0.05)
+        assert not boundary_check(spec, Point(50, 50))
 
     def test_curve_point_passes(self):
         spec = CassiniSpec(Point(4, 1), Point(-4, -1), 3.0)
-        assert boundary_check(spec, [Point(3.5, 0.5)], probe_radius=0.05)
+        assert boundary_check(spec, Point(3.5, 0.5))
 
     def test_pinch_segment_point_passes(self):
         # On the flat segment at the critical radius every nearby
         # non-inside probe lies on the set itself, which must count as an
         # outside witness.
         spec = CassiniSpec(Point(4, 1), Point(-4, -1), 5.0)
-        assert boundary_check(spec, [Point(0, 0)], probe_radius=0.05)
+        assert boundary_check(spec, Point(0, 0))
 
     def test_invalid_inputs(self):
-        spec = CassiniSpec(Point(4, 1), Point(-4, -1), 6.0)
         with pytest.raises(GeometryError):
-            boundary_check(CassiniSpec(Point(4, 1), Point(-4, -1), 0.0), [], 0.05)
-        for radius in (0.0, math.nan, math.inf):
-            with pytest.raises(GeometryError, match="probe radius"):
-                boundary_check(spec, [Point(0, 0)], radius)
+            boundary_check(CassiniSpec(Point(4, 1), Point(-4, -1), 0.0), Point(0, 0))
 
 
 def materialise(x1, x2):
@@ -361,7 +355,6 @@ def reference_identity_campaign(mode, trials=200, grid_n=100, seed=42, band=1e-9
     return CampaignResult(mode.value, points_total, mismatches, skipped, worst)
 
 
-mode_tuples = st.lists(st.sampled_from(list(IdentityMode)), min_size=1, max_size=6).map(tuple)
 # Small coordinates, and signed magnitudes log-uniform over 1e-6..1e9.
 scaled = st.builds(
     lambda sign, exponent: sign * 10.0**exponent, st.sampled_from([-1.0, 1.0]), st.floats(-6, 9)
@@ -405,57 +398,38 @@ def sample_points(spec, sample):
 
 class TestVerifyIdentities:
     @settings(max_examples=300, deadline=None)
-    @given(mode_tuples, specs, samples, bands)
-    @example(tuple(IdentityMode), GG_SETS_WORST, ("grid", 3), 0.0)
-    @example(
-        (IdentityMode.CROSS_EQUALITIES, IdentityMode.CROSS_SUBSETS),
-        GG_SETS_WORST,
-        ("grid", 3),
-        1e-9,
-    )
-    def test_matches_reference(self, modes, spec, sample, band):
+    @given(specs, samples, bands)
+    @example(GG_SETS_WORST, ("grid", 3), 0.0)
+    @example(GG_SETS_WORST, ("grid", 3), 1e-9)
+    def test_matches_reference(self, spec, sample, band):
         x1, x2 = sample_points(spec, sample)
-        reports = verify_identities(spec, modes, x1, x2, band)
-        assert len(reports) == len(modes)
+        reports = verify_identities(spec, x1, x2, band)
+        assert list(reports) == list(IdentityMode)
         pts = materialise(x1, x2)
-        for mode, report in zip(modes, reports):
+        for mode, report in reports.items():
             assert repr(report) == repr(reference_verify_identity(spec, mode, pts, band))
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        mode_tuples,
-        grid_specs,
-        st.integers(2, 64),
-        st.sampled_from([0.0, 1e-9, 1e-4]),
-    )
-    def test_grid_axes_match_reference_on_materialised_grid(self, modes, spec, n, band):
+    @given(grid_specs, st.integers(2, 64), st.sampled_from([0.0, 1e-9, 1e-4]))
+    def test_grid_axes_match_reference_on_materialised_grid(self, spec, n, band):
         # The verifier broadcasts the grid's axes; the reference gets the
         # n*n points written out.
         x1, x2 = grid_points(spec, n)
-        reports = verify_identities(spec, modes, x1, x2, band)
-        assert [report.trials for report in reports] == [n * n] * len(modes)
+        reports = verify_identities(spec, x1, x2, band)
+        assert [report.trials for report in reports.values()] == [n * n] * len(IdentityMode)
         pts = materialise(x1, x2)
-        for mode, report in zip(modes, reports):
+        for mode, report in reports.items():
             assert repr(report) == repr(reference_verify_identity(spec, mode, pts, band))
 
     def test_gg_gap_example_sets_cross_equalities_worst(self):
         spec = GG_SETS_WORST
-        reports = verify_identities(spec, tuple(IdentityMode), *grid_points(spec, 3), 0.0)
-        worsts = [report.worst_residual for report in reports]
+        reports = verify_identities(spec, *grid_points(spec, 3), 0.0)
+        worsts = [report.worst_residual for report in reports.values()]
         assert worsts[:3] == [0.07658276605971648] * 3
         assert worsts[3] == 0.07658276605971634
 
-    @pytest.mark.parametrize(
-        "modes,products",
-        [
-            ((IdentityMode.UNION_OF_INTERSECTIONS,), 5),
-            (tuple(m for m in IdentityMode if m is not IdentityMode.CROSS_EQUALITIES), 5),
-            ((IdentityMode.CROSS_EQUALITIES,), 6),
-            (tuple(IdentityMode) * 2, 6),
-        ],
-    )
-    def test_one_product_per_involved_pair(self, monkeypatch, modes, products):
-        # One kernel call names every involved pair once; the pairs' foci
+    def test_one_product_per_involved_pair(self, monkeypatch):
+        # One kernel call names each of the six sets' pairs once; their foci
         # are p, q, g+ and g-, so the kernel computes four distance fields.
         calls = []
 
@@ -466,27 +440,20 @@ class TestVerifyIdentities:
         monkeypatch.setattr(characterization, "distance_products", counting)
         p, q = SPEC.p, SPEC.q
         frame = foci_frame(p, q)
-        verify_identities(SPEC, modes, *grid_points(SPEC, 16))
-        assert len(calls) == 1
-        pairs = calls[0]
-        assert len(pairs) == len(set(pairs)) == products
-        assert {focus for pair in pairs for focus in pair} == {p, q, frame.g_plus, frame.g_minus}
+        g_plus, g_minus = frame.g_plus, frame.g_minus
+        verify_identities(SPEC, *grid_points(SPEC, 16))
+        assert calls == [
+            [(p, q), (p, g_plus), (p, g_minus), (q, g_plus), (q, g_minus), (g_plus, g_minus)]
+        ]
 
-    def test_repeated_mode_gets_equal_reports(self):
-        x1, x2 = grid_points(SPEC, 30)
-        modes = (
-            IdentityMode.CROSS_SUBSETS,
-            IdentityMode.UNION_OF_INTERSECTIONS,
-            IdentityMode.CROSS_SUBSETS,
-        )
-        first, second, third = verify_identities(SPEC, modes, x1, x2)
-        assert first == third
-        assert first == verify_identity(SPEC, modes[0], x1, x2)
-
-    def test_unknown_mode_rejected(self):
-        x1, x2 = grid_points(SPEC, 16)
-        with pytest.raises(GeometryError, match="unknown identity mode"):
-            verify_identities(SPEC, (IdentityMode.CROSS_SUBSETS, "residual"), x1, x2)
+    def test_empty_sample_counts_nothing(self):
+        # Every point of an empty sample is "skipped", so no margin is
+        # counted and the worst residual is inf, as for a fully skipped one.
+        for mode in IdentityMode:
+            report = verify_identity(SPEC, mode, np.empty(0), np.empty(0))
+            assert report == IdentityReport(
+                trials=0, mismatches=0, skipped_boundary_band=0, worst_residual=math.inf
+            )
 
     def test_coordinates_that_do_not_broadcast_rejected(self):
         with pytest.raises(GeometryError, match="do not broadcast"):
@@ -512,7 +479,7 @@ class TestVerifyIdentities:
         pts[1, axis] = value
         x1, x2 = pts[:, 0], pts[:, 1]
         with pytest.raises(GeometryError, match="finite"):
-            verify_identities(SPEC, (mode,), x1, x2)
+            verify_identities(SPEC, x1, x2)
         with pytest.raises(GeometryError, match="finite"):
             verify_identity(SPEC, mode, x1, x2)
         # A grid's axes are checked too, before any field is built.
@@ -520,25 +487,13 @@ class TestVerifyIdentities:
         axes = [gx1, gx2.copy()]
         axes[axis].flat[2] = value
         with pytest.raises(GeometryError, match="finite"):
-            verify_identities(SPEC, (mode,), *axes)
+            verify_identities(SPEC, *axes)
 
 
 class TestIdentityCampaigns:
     def test_fused_campaign_matches_per_mode_reference(self):
-        modes = tuple(IdentityMode)
-        fused = run_identity_campaigns(modes, trials=20, seed=7)
-        reference = tuple(reference_identity_campaign(mode, trials=20, seed=7) for mode in modes)
+        fused = run_identity_campaigns(trials=20, seed=7)
+        reference = {mode: reference_identity_campaign(mode, 20, seed=7) for mode in IdentityMode}
         assert repr(fused) == repr(reference)
-
-    def test_order_and_repeats_follow_the_request(self):
-        modes = (
-            IdentityMode.CROSS_EQUALITIES,
-            IdentityMode.CROSS_SUBSETS,
-            IdentityMode.CROSS_EQUALITIES,
-        )
-        results = run_identity_campaigns(modes, trials=3, grid_n=20, seed=3, band=1e-4)
-        assert [result.name for result in results] == [mode.value for mode in modes]
-        assert results[0] == results[2]
-        assert results[1] == run_identity_campaign(
-            IdentityMode.CROSS_SUBSETS, trials=3, grid_n=20, seed=3, band=1e-4
-        )
+        for mode in IdentityMode:
+            assert run_identity_campaign(mode, trials=20, seed=7) == fused[mode]

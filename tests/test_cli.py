@@ -208,6 +208,16 @@ class TestRender:
         assert code == 0
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
+    def test_overlay_oracle_beyond_2_53(self, capsys, tmp_path):
+        out_path = tmp_path / "huge.svg"
+        code, _, err = run(
+            capsys,
+            "render", "--p", "0,0", "--q", "0,0", "--r", "1e16",
+            "--overlay-oracle", "--grid", "257", "--out", str(out_path),
+        )
+        assert (code, err) == (0, "")
+        assert 'id="oracle"' in out_path.read_text()
+
     def test_io_failure_exit_code(self, capsys):
         code, _, err = run(
             capsys,

@@ -1,7 +1,6 @@
 """Metric, region, and symmetry primitives."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest

@@ -1,4 +1,4 @@
-"""Every name a package module imports is used in that module, every
+"""Every name a package or test module imports is used in that module, every
 module-level private name is used somewhere in the package, and every public
 module-level function or class is called by the package itself.
 
@@ -16,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "taxicassini"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "taxicassini"
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -59,7 +60,11 @@ def used_names(tree: ast.Module) -> set[str]:
     return used
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}",
+)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     unused = [

@@ -484,6 +484,20 @@ class TestGridField:
         edges = np.concatenate([values[0, :], values[-1, :], values[:, 0], values[:, -1]])
         assert np.all(edges > 0)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            CassiniSpec(Point(0.5, 0), Point(-0.5, 0), 1e16),
+            CassiniSpec(Point(0, 0), Point(0, 0), 1e16),
+        ],
+        ids=["unit-foci", "circle"],
+    )
+    def test_default_box_contains_curves_beyond_2_53(self, spec):
+        # A fixed margin of 1 rounds away once ulp(d + r) reaches 1, and the
+        # curve then reaches the frame.
+        contour = extract_contour(grid_field(spec, n=33))
+        assert contour.closed_flags == (True,)
+
     def test_too_small_box_rejected(self):
         spec = CassiniSpec(Point(4, 1), Point(-4, -1), 6.0)
         with pytest.raises(BoxTooSmall):
