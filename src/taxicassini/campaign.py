@@ -25,6 +25,7 @@ from .characterization import (
     IdentityMode,
     boundary_check,
     grid_points,
+    sampling_box,
     verify_identities,
 )
 from .core import Point, standardize, taxicab_distance
@@ -140,18 +141,18 @@ def _random_topology_spec(rng: np.random.Generator) -> CassiniSpec:
         return CassiniSpec(p, q, ratio * critical_radius(p, q))
 
 
-def _topology_grid(spec: CassiniSpec) -> tuple[float, int]:
-    """Box half-width and resolution that resolve the instance's features.
+def _topology_grid(spec: CassiniSpec) -> int:
+    """Resolution of a sampling-box grid that resolves the instance's features.
 
-    The returned spacing is at most r*/64 and also at most a quarter of the
-    smallest geometric feature: the lobe depth and inter-lobe channel below
-    the critical radius, the waist width above it.
+    The grid's spacing over the sampling box is at most r*/64 and also at
+    most a quarter of the smallest geometric feature: the lobe depth and
+    inter-lobe channel below the critical radius, the waist width above it.
     """
     rstar = critical_radius(spec.p, spec.q)
     r = spec.r
     _, p_std, _ = standardize(spec.p, spec.q)
     a, b = p_std.x1, p_std.x2
-    half_width = rstar + r + 1.0
+    _, half_width = sampling_box(spec)
     if r < rstar:
         channel = math.sqrt((rstar - r) * (rstar + r))
         lobe_depth = rstar - channel
@@ -159,8 +160,7 @@ def _topology_grid(spec: CassiniSpec) -> tuple[float, int]:
     else:
         waist = 2.0 * (math.hypot(b, r) - a)
         spacing = min(rstar / 64, waist / 4)
-    n = max(16, math.ceil(2.0 * half_width / spacing) + 1)
-    return half_width, n
+    return max(16, math.ceil(2.0 * half_width / spacing) + 1)
 
 
 def run_topology_campaign(trials: int = 100, seed: int = 42) -> CampaignResult:
@@ -170,8 +170,7 @@ def run_topology_campaign(trials: int = 100, seed: int = 42) -> CampaignResult:
     for _ in range(trials):
         spec = _random_topology_spec(rng)
         expected = 2 if spec.r < critical_radius(spec.p, spec.q) else 1
-        half_width, n = _topology_grid(spec)
-        contour = extract_contour(grid_field(spec, half_width=half_width, n=n))
+        contour = extract_contour(grid_field(spec, n=_topology_grid(spec)))
         if component_count(contour) != expected:
             failures += 1
     return CampaignResult("topology", trials, failures, 0, math.inf)

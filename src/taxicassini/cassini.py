@@ -397,13 +397,17 @@ def build_curves(spec: CassiniSpec) -> list[ClosedCurve]:
     scale = max(1.0, taxicab_distance(spec.p, spec.q) + spec.r)
     zero_tol = ZERO_LENGTH_RTOL * scale
     curves = []
-    for raw in raw_loops:
+    for k, raw in enumerate(raw_loops, 1):
         mapped = [_map_piece(piece, inverse) for piece in raw]
         kept = [piece for piece in mapped if piece.length_scale() > zero_tol]
+        where = f"loop {k} of {len(raw_loops)}"
         if not kept:
-            raise AssemblyError("all pieces of a loop degenerated to points")
+            raise AssemblyError(f"{spec}, {where}: all pieces of a loop degenerated to points")
         kept = _counterclockwise(kept, inverse)
-        _validate_loop(spec, kept, _VALIDATION_SAMPLES)
+        try:
+            _validate_loop(spec, kept, _VALIDATION_SAMPLES)
+        except AssemblyError as exc:
+            raise AssemblyError(f"{spec}, {where}: {exc}") from None
         curves.append(ClosedCurve(tuple(kept)))
     return curves
 

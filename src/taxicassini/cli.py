@@ -84,12 +84,15 @@ def _load_instance(path: str, label: Optional[str]) -> tuple[Point, Point, float
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            raw_lines = [line for line in handle if line.strip()]
+            raw_lines = [(k, line) for k, line in enumerate(handle, 1) if line.strip()]
     except OSError as exc:
         raise GeometryError(f"cannot read instance file {path!r}: {exc}") from None
     records = {}
-    for line in raw_lines:
-        rec = json.loads(line)
+    for k, line in raw_lines:
+        try:
+            rec = json.loads(line)
+        except (RecursionError, ValueError) as exc:
+            raise GeometryError(f"bad instance record on line {k} of {path!r}: {exc}") from None
         if not isinstance(rec, dict):
             raise GeometryError(f"instance record is not an object: {line.strip()!r}")
         missing = {"label", "p", "q", "r"} - set(rec)

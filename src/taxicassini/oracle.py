@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cassini import CassiniSpec
-from .characterization import sampling_box
+from .characterization import grid_points
 from .core import GeometryError, Point, distance_product
 
 # Values in extract_contour's work buffer, 1 MiB of float64.  A kernel call
@@ -95,28 +95,19 @@ class ScalarGrid:
         return outside.view(np.int8) - ((xp1 + yp1[:, None]) * (xq1 + yq1[:, None]) < r2)
 
 
-def grid_field(spec: CassiniSpec, half_width: Optional[float] = None, n: int = 256) -> ScalarGrid:
-    """The n x n grid of f - r^2 over a midpoint-centered square box.
+def grid_field(spec: CassiniSpec, n: int = 256) -> ScalarGrid:
+    """The n x n grid of f - r^2 on grid_points' axes over the sampling box.
 
     Only the four frame lines are evaluated here; extract_contour samples
-    the rest, in the tiles whose bound leaves the sign open.  The default
-    box, sampling_box's (half-width s + max(1, s * 2^-40) for
-    s = taxicab_distance(p, q) + r), strictly contains the curve, making
-    every frame node positive; BoxTooSmall is raised if any frame node fails
-    that, since a contour touching the frame could not be extracted as
-    closed polylines.
+    the rest, in the tiles whose bound leaves the sign open.  The sampling
+    box strictly contains the curve, so every frame node is positive and
+    every contour is a set of closed loops; BoxTooSmall is raised if any
+    frame node fails that.
     """
     if n < 16:
         raise GeometryError(f"grid resolution must be at least 16, got {n}")
-    center, default_half = sampling_box(spec)
-    half = default_half if half_width is None else float(half_width)
-    if half <= 0 or not math.isfinite(half):
-        raise GeometryError(f"half_width must be positive and finite, got {half!r}")
-    grid = ScalarGrid(
-        spec,
-        np.linspace(center.x1 - half, center.x1 + half, n),
-        np.linspace(center.x2 - half, center.x2 + half, n),
-    )
+    xs, ys = grid_points(spec, n)
+    grid = ScalarGrid(spec, xs, ys.ravel())
     ends, every = np.array([0, n - 1]), np.arange(n)
     frame = (grid.nodes(every, ends[:, None]), grid.nodes(ends, every[:, None]))
     edge_min = min(line.min() for line in frame)
@@ -133,15 +124,14 @@ def grid_field(spec: CassiniSpec, half_width: Optional[float] = None, n: int = 2
 
 @dataclass(frozen=True)
 class Contour:
-    """Extracted level-set polylines; closed ones repeat their first point."""
+    """Extracted level-set loops; each polyline repeats its first point."""
 
     polylines: tuple[np.ndarray, ...]
-    closed_flags: tuple[bool, ...]
 
 
 def component_count(contour: Contour) -> int:
-    """Number of closed polylines."""
-    return sum(1 for flag in contour.closed_flags if flag)
+    """Number of closed loops."""
+    return len(contour.polylines)
 
 
 # Marching-squares cases.  A cell's case is a | b<<1 | c<<2 | d<<3, where a,
@@ -196,7 +186,8 @@ def _mixed_cells(grid: ScalarGrid) -> tuple[np.ndarray, np.ndarray]:
     """
     nx, ny = grid.nx, grid.ny
     # Node k along a tile's side is node side*u + k, clamped to the last
-    # node; the cells that clamping adds past the last node are dropped.
+    # node.  A cell that clamping adds has only frame nodes, so it is mixed
+    # only beside a negative frame node, which extract_contour rejects.
     side = 16
     tile_v, tile_u = np.nonzero(grid.tile_signs(side) == 0)
     span = np.arange(side + 1)
@@ -212,10 +203,9 @@ def _mixed_cells(grid: ScalarGrid) -> tuple[np.ndarray, np.ndarray]:
         case = neg[:, :-1, :-1] | neg[:, :-1, 1:] << 1 | neg[:, 1:, 1:] << 2 | neg[:, 1:, :-1] << 3
         tile, dj, di = np.unravel_index(np.flatnonzero((case != 0) & (case != 15)), case.shape)
         i, j = u[tile] * side + di, v[tile] * side + dj
-        keep = (i < nx - 1) & (j < ny - 1)
-        base = np.ravel_multi_index((tile, dj, di), vals.shape)[keep, None]
+        base = np.ravel_multi_index((tile, dj, di), vals.shape)[:, None]
         corners.append(vals.reshape(-1)[base + [0, 1, side + 2, side + 1]])  # a, b, c, d
-        cells.append((j * nx + i)[keep])
+        cells.append(j * nx + i)
     cell = np.concatenate(cells)
     order = np.argsort(cell)
     return cell[order], np.concatenate(corners)[order]
@@ -240,9 +230,10 @@ def extract_contour(grid: ScalarGrid) -> Contour:
     edges in the order cells are scanned, row by row; a vertex equal to its
     predecessor, as at a zero node between two crossing edges, is dropped.
 
-    When every frame node is positive, as grid_field ensures, every polyline
-    closes.  A grid with negative frame nodes may give open polylines, which
-    end where they meet the frame.
+    Every frame node of grid_field's grids is positive, so every crossing
+    edge is interior and shared by two mixed cells, and every polyline is a
+    closed loop.  A grid whose level set reaches its frame raises
+    GeometryError.
     """
     nx, ny = grid.nx, grid.ny
     cell, corner = _mixed_cells(grid)
@@ -278,51 +269,41 @@ def extract_contour(grid: ScalarGrid) -> Contour:
     points[:, 1] = grid.origin.x2 + (local // nx + np.where(vertical, t, 0.0)) * grid.spacing
 
     # Position k of keys holds one end of segment k // 2, whose other end is
-    # position k ^ 1.  An edge is shared by at most two cells and appears
-    # once in each, so every id occurs once or twice, and twin[k] is the
-    # other position of k's id, or -1.
+    # position k ^ 1.  An interior edge appears once in each of its two
+    # cells, and twin[k] is the other position of k's id.  A level set that
+    # reaches the frame leaves an id once (twin -1) or, in cells added past
+    # the frame, thrice, so twin is no involution and a walk may not close.
     order = np.argsort(keys)
     same = keys[order[1:]] == keys[order[:-1]]
     twin = np.full(keys.size, -1, dtype=np.intp)
     twin[order[:-1][same]] = order[1:][same]
     twin[order[1:][same]] = order[:-1][same]
+    if (twin[twin] != np.arange(keys.size)).any():
+        raise GeometryError("the level set reaches the grid frame")
 
     # Walk from each untaken position in increasing order, the order of the
     # edges' first occurrences, across its segment and on through the twin,
-    # until the walk returns to its start's edge, reaches an edge with one
-    # segment end, or meets an edge an earlier walk took.  taken has one
-    # byte more than keys, which absorbs the marks of missing twins (-1).
-    # A position reached across a zero-length segment would repeat the
-    # point of its predecessor, so it is not added.
+    # back to its start's edge.  A position reached across a zero-length
+    # segment would repeat its predecessor's point, so it is not added.
     twins = twin.tolist()
     zero_length = (points[0::2] == points[1::2]).all(axis=1).tolist()
-    taken = bytearray(keys.size + 1)
+    taken = bytearray(keys.size)
     polylines: list[np.ndarray] = []
-    closed_flags: list[bool] = []
     for start in range(keys.size):
         if taken[start]:
             continue
         path = [start]
         taken[start] = taken[twins[start]] = 1
         pos = start ^ 1
-        closed = False
-        while True:
-            if pos == twins[start]:
-                closed = True
-                break
-            if taken[pos]:
-                break
+        while pos != twins[start]:
             if not zero_length[pos >> 1]:
                 path.append(pos)
             taken[pos] = taken[twins[pos]] = 1
-            if twins[pos] < 0:
-                break
             pos = twins[pos] ^ 1
-        if closed and not zero_length[pos >> 1]:
+        if not zero_length[pos >> 1]:
             path.append(start)
         polylines.append(points[path])
-        closed_flags.append(closed)
-    return Contour(polylines=tuple(polylines), closed_flags=tuple(closed_flags))
+    return Contour(polylines=tuple(polylines))
 
 
 def _as_array(points: Sequence) -> np.ndarray:

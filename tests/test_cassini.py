@@ -526,14 +526,18 @@ def reference_build_curves(spec, samples_per_piece=16):
         raw_loops = _standard_loops(p_std.x1, p_std.x2, spec.r)
     zero_tol = ZERO_LENGTH_RTOL * max(1.0, taxicab_distance(spec.p, spec.q) + spec.r)
     curves = []
-    for raw in raw_loops:
+    for k, raw in enumerate(raw_loops, 1):
         mapped = [reference_map_piece(piece, inverse) for piece in raw]
         kept = [piece for piece in mapped if piece.length_scale() > zero_tol]
+        where = f"loop {k} of {len(raw_loops)}"
         if not kept:
-            raise AssemblyError("all pieces of a loop degenerated to points")
+            raise AssemblyError(f"{spec}, {where}: all pieces of a loop degenerated to points")
         kept = _counterclockwise(kept, inverse)
         if samples_per_piece is not None:
-            reference_validate_loop(spec, kept, samples_per_piece)
+            try:
+                reference_validate_loop(spec, kept, samples_per_piece)
+            except AssemblyError as exc:
+                raise AssemblyError(f"{spec}, {where}: {exc}") from None
         curves.append(ClosedCurve(tuple(kept)))
     return curves
 
@@ -704,6 +708,7 @@ class TestAssemblyErrors:
         with pytest.raises(AssemblyError) as info:
             build_curves(RESIDUAL_MISS_SPEC)
         assert str(info.value) == (
+            f"{RESIDUAL_MISS_SPEC}, loop 1 of 2: "
             "piece 0 sample Point(x1=0.16894694566124557, x2=2945252.433489017)"
             " misses the level set by 0.00010898271284531802"
         )
@@ -711,7 +716,10 @@ class TestAssemblyErrors:
     def test_all_pieces_degenerate(self):
         with pytest.raises(AssemblyError) as info:
             build_curves(DEGENERATE_LOBE_SPEC)
-        assert str(info.value) == "all pieces of a loop degenerated to points"
+        assert str(info.value) == (
+            "CassiniSpec(p=Point(x1=4, x2=1), q=Point(x1=-4, x2=-1), r=5e-06), loop 1 of 2: "
+            "all pieces of a loop degenerated to points"
+        )
 
     def test_gap_is_checked_before_the_pieces_own_samples(self):
         # Three sides of the unit diamond, the third running off the curve

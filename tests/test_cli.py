@@ -59,6 +59,14 @@ class TestInfo:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_assembly_error_names_the_spec_and_the_loop(self, capsys):
+        code, out, err = run(capsys, "info", "--p", "4,1", "--q", "-4,-1", "--r", "5e-6")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: CassiniSpec(p=Point(x1=4.0, x2=1.0), q=Point(x1=-4.0, x2=-1.0), r=5e-06),"
+            " loop 1 of 2: all pieces of a loop degenerated to points\n"
+        )
+
     def test_radius_whose_square_overflows_rejected(self, capsys):
         # r^2 = inf used to pass validation with NaN residuals and exit 0.
         code, out, err = run(capsys, "info", "--p", "1e200,0", "--q", "-1e200,0", "--r", "1e200")
@@ -300,10 +308,24 @@ class TestInstanceFiles:
         assert not (tmp_path / "unwritten.svg").exists()
 
     def test_malformed_json(self, capsys, tmp_path):
+        # The error names the record's line in the file, blank lines counted.
         path = tmp_path / "bad.jsonl"
-        path.write_text("{not json}\n")
-        code, _, err = run(capsys, "info", "--instances", str(path))
+        path.write_text("\n\n{not json}\n")
+        code, out, err = run(capsys, "info", "--instances", str(path))
         assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: bad instance record on line 3 of {str(path)!r}: ")
+        assert err.count("\n") == 1
+
+    def test_deeply_nested_record(self, capsys, tmp_path):
+        # json.loads raises RecursionError on nesting this deep.
+        path = tmp_path / "deep.jsonl"
+        path.write_text("[" * 200_000 + "]" * 200_000 + "\n")
+        code, out, err = run(capsys, "info", "--instances", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: bad instance record on line 1 of {str(path)!r}: ")
+        assert err.count("\n") == 1
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "info", "--instances", "/no/such/file.jsonl")

@@ -19,11 +19,12 @@ from taxicassini.cassini import (
     PointLocation,
     build_curves,
     classify_point,
+    critical_radius,
     curve_polyline,
     product_value,
 )
 from taxicassini.characterization import sampling_box
-from taxicassini.core import GeometryError, Point, PointGroup, distance_product
+from taxicassini.core import GeometryError, Point, PointGroup, distance_product, standardize
 from taxicassini.oracle import (
     _CASE_SEGMENTS,
     BoxTooSmall,
@@ -103,13 +104,12 @@ def without_repeats(line):
     return line[np.r_[True, (line[1:] != line[:-1]).any(axis=1)]]
 
 
-def materialised_grid(spec, half_width=None, n=256):
-    """Reference for grid_field: the whole n x n field, filled a block of
+def materialised_grid(spec, n=256):
+    """Reference for grid_field: the whole n x n field on the axes of
+    oracle.grid_points (so a patched box applies to both), filled a block of
     rows per kernel call, with the same frame check."""
-    center, default_half = sampling_box(spec)
-    half = default_half if half_width is None else float(half_width)
-    xs = np.linspace(center.x1 - half, center.x1 + half, n)
-    ys = np.linspace(center.x2 - half, center.x2 + half, n)
+    xs, ys = oracle.grid_points(spec, n)
+    ys = ys.ravel()
     values = np.empty((n, n))
     target = spec.r * spec.r
     rows = max(1, (1 << 15) // n)
@@ -126,6 +126,19 @@ def materialised_grid(spec, half_width=None, n=256):
     return ValuesGrid(Point(xs[0], ys[0]), float(xs[1] - xs[0]), n, n, values, spec)
 
 
+def box_of_half_width(half):
+    """A stand-in for grid_points: the axes of the midpoint-centered square
+    box of the given half-width."""
+
+    def axes(spec, n):
+        center, _ = sampling_box(spec)
+        xs = np.linspace(center.x1 - half, center.x1 + half, n)
+        ys = np.linspace(center.x2 - half, center.x2 + half, n)
+        return xs, ys[:, None]
+
+    return axes
+
+
 def whole_field_contour(grid):
     """Reference for extract_contour: the same table-driven marching squares
     and stitching, over the whole materialised field at once, with repeated
@@ -136,7 +149,7 @@ def whole_field_contour(grid):
     rows = np.flatnonzero(neg.any(axis=1))
     cols = np.flatnonzero(neg.any(axis=0))
     if rows.size == 0:
-        return Contour(polylines=(), closed_flags=())
+        return Contour(polylines=())
     j0 = max(int(rows[0]) - 1, 0)
     i0 = max(int(cols[0]) - 1, 0)
     j1 = min(int(rows[-1]) + 2, ny)
@@ -167,7 +180,7 @@ def whole_field_contour(grid):
     seg_cell = np.nonzero(present)[0]
     keys = (base[seg_cell, None] + edge_offset[seg_edges[present]]).ravel()
     if keys.size == 0:
-        return Contour(polylines=(), closed_flags=())
+        return Contour(polylines=())
 
     edge_ids, first_pos, group = np.unique(keys, return_index=True, return_inverse=True)
     by_appearance = np.argsort(first_pos)
@@ -194,7 +207,7 @@ def whole_field_contour(grid):
     points[:, 1] = grid.origin.x2 + (local // nx + np.where(vertical, t, 0.0)) * grid.spacing
 
     visited = bytearray(edge_ids.size)
-    polylines, closed_flags = [], []
+    polylines = []
     for start in range(edge_ids.size):
         if visited[start]:
             continue
@@ -218,14 +231,13 @@ def whole_field_contour(grid):
         if closed:
             path.append(start)
         polylines.append(without_repeats(points[path]))
-        closed_flags.append(closed)
-    return Contour(polylines=tuple(polylines), closed_flags=tuple(closed_flags))
+    return Contour(polylines=tuple(polylines))
 
 
-def meshgrid_field(spec, half_width, n):
-    """Reference for grid_field: the product field node by node."""
-    center, default_half = sampling_box(spec)
-    half = default_half if half_width is None else float(half_width)
+def meshgrid_field(spec, n):
+    """Reference for grid_field: the product field node by node over the
+    sampling box."""
+    center, half = sampling_box(spec)
     xs = np.linspace(center.x1 - half, center.x1 + half, n)
     ys = np.linspace(center.x2 - half, center.x2 + half, n)
     mx, my = np.meshgrid(xs, ys)
@@ -356,7 +368,7 @@ def reference_extract_contour(grid):
         adjacency.setdefault(k1, []).append(k2)
         adjacency.setdefault(k2, []).append(k1)
     visited = set()
-    polylines, closed_flags = [], []
+    polylines = []
     for start in adjacency:
         if start in visited:
             continue
@@ -379,12 +391,10 @@ def reference_extract_contour(grid):
         if closed:
             pts.append(pts[0])
         polylines.append(without_repeats(np.asarray(pts, dtype=float)))
-        closed_flags.append(closed)
-    return Contour(polylines=tuple(polylines), closed_flags=tuple(closed_flags))
+    return Contour(polylines=tuple(polylines))
 
 
 def assert_equal_contours(got, want):
-    assert got.closed_flags == want.closed_flags
     assert len(got.polylines) == len(want.polylines)
     for line, ref_line in zip(got.polylines, want.polylines):
         assert line.shape == ref_line.shape
@@ -395,11 +405,19 @@ def assert_same_contour(grid):
     assert_equal_contours(extract_contour(grid), reference_extract_contour(grid))
 
 
-def assert_banded_matches_references(spec, half_width=None, n=256):
+def assert_closed_loops(contour):
+    """Every polyline ends on its first vertex, bit for bit, and each is one
+    component."""
+    for line in contour.polylines:
+        assert line[0].tobytes() == line[-1].tobytes()
+    assert component_count(contour) == len(contour.polylines)
+
+
+def assert_banded_matches_references(spec, n=256):
     """The tiled contour of grid_field equals both references' contours of
     the materialised field, bit for bit."""
-    got = extract_contour(grid_field(spec, half_width=half_width, n=n))
-    materialised = materialised_grid(spec, half_width, n)
+    got = extract_contour(grid_field(spec, n=n))
+    materialised = materialised_grid(spec, n)
     assert_equal_contours(got, whole_field_contour(materialised))
     assert_equal_contours(got, reference_extract_contour(materialised))
 
@@ -409,19 +427,47 @@ def assert_banded_matches_references(spec, half_width=None, n=256):
 CENTER_INSIDE = CassiniSpec(Point(0.5, 0.5), Point(0.5, 0.5), 1.0)
 CENTER_OUTSIDE = CassiniSpec(Point(0, 0), Point(1, 1), 0.5)
 
+
+def framed_cell(corners, spec):
+    """A 4 x 4 grid whose middle cell, the unit cell at the origin, has the
+    2 x 2 node values corners, inside a frame of positive nodes."""
+    values = np.full((4, 4), 3.0)
+    values[1:3, 1:3] = corners
+    return ValuesGrid(Point(-1.0, -1.0), 1.0, 4, 4, values, spec)
+
+
+def saddle_joins(contour):
+    """The pairs of sides of the unit cell at the origin that the contour's
+    steps join across it, each side named by its letter: S, E, N or W."""
+
+    def side(x, y):
+        if 0 < x < 1 and y in (0.0, 1.0):
+            return "S" if y == 0.0 else "N"
+        if 0 < y < 1 and x in (0.0, 1.0):
+            return "W" if x == 0.0 else "E"
+        return None
+
+    joins = set()
+    for line in contour.polylines:
+        for (x0, y0), (x1, y1) in zip(line[:-1], line[1:]):
+            ends = {side(x0, y0), side(x1, y1)}
+            if None not in ends:
+                joins.add(frozenset(ends))
+    return joins
+
+
 # Node values from a small set make zero nodes and saddle cells common.
 _NODE_VALUES = st.sampled_from([-2.0, -1.0, 0.0, 1.0, 3.0])
 
 
 @st.composite
 def small_grids(draw):
-    nx = draw(st.integers(2, 12))
-    ny = draw(st.integers(2, 12))
+    nx = draw(st.integers(3, 12))
+    ny = draw(st.integers(3, 12))
     values = np.array(draw(st.lists(_NODE_VALUES, min_size=nx * ny, max_size=nx * ny)))
     values = values.reshape(ny, nx)
-    if draw(st.booleans()):
-        # A positive frame, as grid_field makes: every polyline closes.
-        values[0, :] = values[-1, :] = values[:, 0] = values[:, -1] = 1.0
+    # A positive frame, as grid_field makes: every polyline closes.
+    values[0, :] = values[-1, :] = values[:, 0] = values[:, -1] = 1.0
     origin = Point(draw(st.sampled_from([0.0, -3.5, 1e3])), draw(st.sampled_from([0.0, 2.25, -7e2])))
     spacing = draw(st.sampled_from([1.0, 0.3, 17.0]))
 
@@ -438,11 +484,11 @@ def small_grids(draw):
 def test_oracle_imports_no_construction():
     # The oracle is evidence only while it shares no code with the piecewise
     # construction: from cassini it may take the spec type, and from
-    # characterization the sampling box.  Everything else, the product
+    # characterization the sampling-box grid.  Everything else, the product
     # kernel included, comes from core.
     allowed = {
         "taxicassini.cassini": {"CassiniSpec"},
-        "taxicassini.characterization": {"sampling_box"},
+        "taxicassini.characterization": {"grid_points"},
     }
     source = Path(oracle.__file__).read_text(encoding="utf-8")
     for node in ast.walk(ast.parse(source)):
@@ -463,18 +509,19 @@ def test_oracle_imports_no_construction():
 
 class TestGridField:
     def test_circle_node_values(self):
+        # The sampling box of the circle has half-width 2 + 1 = 3.
         spec = CassiniSpec(Point(0, 0), Point(0, 0), 2.0)
-        grid = grid_field(spec, half_width=5.0, n=21)
+        grid = grid_field(spec, n=25)
         values = every_node(grid)
-        assert grid.spacing == 0.5
+        assert grid.spacing == 0.25
         # Node at world (0,0): f - r^2 = 0 - 4.
-        assert values[10, 10] == -4.0
-        # Node at world (5,5): f = (5+5)^2 = 100, so 100 - 4 = 96.
-        assert values[20, 20] == 96.0
+        assert values[12, 12] == -4.0
+        # Node at world (3,3): f = (3+3)^2 = 36, so 36 - 4 = 32.
+        assert values[24, 24] == 32.0
         # values[j, i] belongs to the node origin + (i, j) * spacing.
-        assert grid.origin == Point(-5.0, -5.0)
-        assert grid.origin.x1 + 10 * grid.spacing == 0.0
-        assert grid.origin.x2 + 20 * grid.spacing == 5.0
+        assert grid.origin == Point(-3.0, -3.0)
+        assert grid.origin.x1 + 12 * grid.spacing == 0.0
+        assert grid.origin.x2 + 24 * grid.spacing == 3.0
 
     def test_default_box_keeps_edges_positive(self):
         spec = CassiniSpec(Point(4, 1), Point(-4, -1), 6.0)
@@ -496,22 +543,25 @@ class TestGridField:
         # A fixed margin of 1 rounds away once ulp(d + r) reaches 1, and the
         # curve then reaches the frame.
         contour = extract_contour(grid_field(spec, n=33))
-        assert contour.closed_flags == (True,)
+        assert len(contour.polylines) == 1
+        assert_closed_loops(contour)
 
-    def test_too_small_box_rejected(self):
+    def test_too_small_box_rejected(self, monkeypatch):
         spec = CassiniSpec(Point(4, 1), Point(-4, -1), 6.0)
+        monkeypatch.setattr(oracle, "grid_points", box_of_half_width(3.0))
         with pytest.raises(BoxTooSmall):
-            grid_field(spec, half_width=3.0, n=32)
+            grid_field(spec, n=32)
 
     @pytest.mark.parametrize("half_width", [1.0, 3.0, 6.5])
-    def test_too_small_box_message_matches_reference(self, half_width):
+    def test_too_small_box_message_matches_reference(self, half_width, monkeypatch):
         # grid_field evaluates only the frame; its worst node is the one the
         # whole field gives.
         spec = CassiniSpec(Point(4, 1), Point(-4, -1), 6.0)
+        monkeypatch.setattr(oracle, "grid_points", box_of_half_width(half_width))
         with pytest.raises(BoxTooSmall) as want:
-            materialised_grid(spec, half_width, 33)
+            materialised_grid(spec, 33)
         with pytest.raises(BoxTooSmall) as got:
-            grid_field(spec, half_width=half_width, n=33)
+            grid_field(spec, n=33)
         assert str(got.value) == str(want.value)
 
     def test_overflowing_field_rejected(self):
@@ -522,22 +572,21 @@ class TestGridField:
 
     def test_minimum_resolution(self):
         spec = CassiniSpec(Point(0, 0), Point(0, 0), 2.0)
-        grid = grid_field(spec, half_width=5.0, n=16)
+        grid = grid_field(spec, n=16)
         assert grid.nx == grid.ny == 16
         with pytest.raises(GeometryError):
-            grid_field(spec, half_width=5.0, n=15)
+            grid_field(spec, n=15)
 
     @pytest.mark.parametrize("n", [16, 257])
-    @pytest.mark.parametrize("half_width", [None, 23.5])
-    def test_matches_meshgrid_reference(self, n, half_width):
+    def test_matches_meshgrid_reference(self, n):
         for spec in (
             CassiniSpec(Point(4, 1), Point(-4, -1), 6.0),
             CassiniSpec(Point(8.3, 3.1), Point(-8.7, -2.9), 15.9),
             CassiniSpec(Point(0.1, 0.2), Point(0.1, 0.2), 1.7),
         ):
-            values = every_node(grid_field(spec, half_width=half_width, n=n))
-            assert np.array_equal(values, meshgrid_field(spec, half_width, n))
-            assert np.array_equal(values, materialised_grid(spec, half_width, n).values)
+            values = every_node(grid_field(spec, n=n))
+            assert np.array_equal(values, meshgrid_field(spec, n))
+            assert np.array_equal(values, materialised_grid(spec, n).values)
 
     def test_node_signs_agree_with_classification(self):
         spec = CassiniSpec(Point(4, 1), Point(-4, -1), 6.0)
@@ -559,7 +608,7 @@ class TestExtractContour:
         spec = CassiniSpec(Point(0, 0), Point(0, 0), 2.0)
         contour = extract_contour(grid_field(spec, n=129))
         assert component_count(contour) == 1
-        assert all(contour.closed_flags)
+        assert_closed_loops(contour)
 
     def test_two_lobes_below_critical(self):
         spec = CassiniSpec(Point(4, 1), Point(-4, -1), 3.0)
@@ -575,8 +624,7 @@ class TestExtractContour:
         spec = CassiniSpec(Point(4, 1), Point(-4, -1), 6.0)
         grid = grid_field(spec, n=129)
         contour = extract_contour(grid)
-        for polyline, closed in zip(contour.polylines, contour.closed_flags):
-            assert closed
+        for polyline in contour.polylines:
             assert np.array_equal(polyline[0], polyline[-1])
             steps = np.abs(np.diff(polyline, axis=0)).sum(axis=1)
             assert steps.max() <= 2 * grid.spacing
@@ -608,61 +656,53 @@ class TestExtractContour:
             extract_contour(ScalarGrid(spec, axis, axis))
 
     def test_saddle_cell_resolved_by_center_sign(self):
-        # Hand-built 2x2 grid: one cell whose diagonal corners are inside.
-        values = np.array([[-1.0, 3.0], [3.0, -9.0]])
-        grid = ValuesGrid(Point(0, 0), 1.0, 2, 2, values, CENTER_INSIDE)
-        contour = extract_contour(grid)
-        assert len(contour.polylines) == 2
-        assert not any(contour.closed_flags)
+        # One cell whose diagonal corners are inside, in a positive frame.
         # The spec's field at the center is 0 < r^2: inside, so the inside
-        # corners join across south-east and north-west.
-        joined = set()
-        for polyline in contour.polylines:
-            sides = set()
-            for x, y in polyline:
-                if y == 0.0:
-                    sides.add("S")
-                if y == 1.0:
-                    sides.add("N")
-                if x == 0.0:
-                    sides.add("W")
-                if x == 1.0:
-                    sides.add("E")
-            joined.add(frozenset(sides))
-        assert joined == {frozenset({"S", "E"}), frozenset({"N", "W"})}
+        # corners join across south-east and north-west, into one loop
+        # around both.
+        contour = extract_contour(framed_cell([[-1.0, 3.0], [3.0, -9.0]], CENTER_INSIDE))
+        assert component_count(contour) == 1
+        assert_closed_loops(contour)
+        assert saddle_joins(contour) == {frozenset("SE"), frozenset("NW")}
 
     def test_saddle_cell_outside_center(self):
         # The spec's field is 1 > r^2 at the center and 0 at the two inside
-        # corners, so it agrees with the node signs.
-        values = np.array([[-1.0, 3.0], [3.0, -1.0]])
-        grid = ValuesGrid(Point(0, 0), 1.0, 2, 2, values, CENTER_OUTSIDE)
-        contour = extract_contour(grid)
-        joined = set()
-        for polyline in contour.polylines:
-            sides = set()
-            for x, y in polyline:
-                if y == 0.0:
-                    sides.add("S")
-                if y == 1.0:
-                    sides.add("N")
-                if x == 0.0:
-                    sides.add("W")
-                if x == 1.0:
-                    sides.add("E")
-            joined.add(frozenset(sides))
-        assert joined == {frozenset({"S", "W"}), frozenset({"N", "E"})}
+        # corners, so it agrees with the node signs: each inside corner gets
+        # its own loop, crossing the cell's south and west or north and east.
+        contour = extract_contour(framed_cell([[-1.0, 3.0], [3.0, -1.0]], CENTER_OUTSIDE))
+        assert component_count(contour) == 2
+        assert_closed_loops(contour)
+        assert saddle_joins(contour) == {frozenset("SW"), frozenset("NE")}
 
+    @pytest.mark.parametrize(
+        "node", [(0, 2), (3, 0), (5, 3), (2, 6), (5, 6)], ids=["west", "south", "east", "north", "corner"]
+    )
+    def test_negative_frame_node_rejected(self, node):
+        # An inside block away from the frame, and one inside frame node.
+        values = np.full((7, 6), 3.0)
+        values[2:5, 2:4] = -1.0
+        values[node[1], node[0]] = -1.0
+        grid = ValuesGrid(Point(0.0, 0.0), 1.0, 6, 7, values, CENTER_OUTSIDE)
+        with pytest.raises(GeometryError, match="reaches the grid frame"):
+            extract_contour(grid)
+
+    def test_cells_past_the_frame_cannot_hang_the_walk(self):
+        # Every node is a frame node, and all but one are inside.  The cells
+        # that tiling adds past the last column repeat its nodes, so they
+        # are mixed and give some edge id three times; with no check for
+        # that, the walk never returned to its start.
+        values = np.full((5, 2), -1.0)
+        values[4, 1] = 1.0
+        grid = ValuesGrid(Point(0.0, 0.0), 1.0, 2, 5, values, CENTER_OUTSIDE)
+        with pytest.raises(GeometryError, match="reaches the grid frame"):
+            extract_contour(grid)
 
     @settings(max_examples=400, deadline=None)
     @given(small_grids())
-    @example(ValuesGrid(Point(0, 0), 1.0, 2, 2, np.array([[-1.0, 3.0], [3.0, -9.0]]), CENTER_INSIDE))
-    @example(ValuesGrid(Point(0, 0), 1.0, 2, 2, np.array([[3.0, -1.0], [-1.0, 3.0]]), CENTER_OUTSIDE))
+    @example(framed_cell([[-1.0, 3.0], [3.0, -9.0]], CENTER_INSIDE))
+    @example(framed_cell([[3.0, -1.0], [-1.0, 3.0]], CENTER_OUTSIDE))
     # A saddle whose center lies exactly on the level set: f = 1 * 1 = r^2.
-    @example(
-        ValuesGrid(
-            Point(0, 0), 1.0, 2, 2, np.array([[-1.0, 3.0], [3.0, -9.0]]), CassiniSpec(Point(0, 0), Point(1, 1), 1.0)
-        )
-    )
+    @example(framed_cell([[-1.0, 3.0], [3.0, -9.0]], CassiniSpec(Point(0, 0), Point(1, 1), 1.0)))
     def test_matches_reference(self, grid):
         assert_same_contour(grid)
 
@@ -681,8 +721,28 @@ class TestExtractContour:
         rng = np.random.default_rng(42)
         for _ in range(100):
             spec = _random_topology_spec(rng)
-            half_width, n = _topology_grid(spec)
-            assert_banded_matches_references(spec, half_width, n)
+            assert_banded_matches_references(spec, n=_topology_grid(spec))
+
+    def test_topology_grid_resolves_the_features(self):
+        # Over the sampling box, the spacing is at most r*/64 and a quarter
+        # of the smallest feature: the lobe depth and the channel between
+        # the lobes, 2 sqrt(r*^2 - r^2) wide across the midpoint, below r*,
+        # and the waist above it.
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            spec = _random_topology_spec(rng)
+            n = _topology_grid(spec)
+            assert isinstance(n, int)
+            spacing = 2 * sampling_box(spec)[1] / (n - 1)
+            rstar = critical_radius(spec.p, spec.q)
+            assert spacing <= rstar / 64
+            _, p_std, _ = standardize(spec.p, spec.q)
+            if spec.r < rstar:
+                channel = 2 * math.sqrt(rstar**2 - spec.r**2)
+                assert spacing <= (rstar - channel / 2) / 4
+                assert spacing <= channel / 4
+            else:
+                assert spacing <= 2 * (math.hypot(p_std.x2, spec.r) - p_std.x1) / 4
 
     @pytest.mark.parametrize("element", list(PointGroup), ids=lambda g: g.name)
     @pytest.mark.parametrize("label", ["strips-wide", "family-super"])
@@ -727,7 +787,8 @@ class TestExtractContour:
 
         monkeypatch.setattr(ScalarGrid, "nodes", counting)
         contour = extract_contour(grid)
-        assert contour.polylines and all(contour.closed_flags)
+        assert contour.polylines
+        assert_closed_loops(contour)
         assert nodes <= n * n // share
 
     @pytest.mark.parametrize("label", ["family-critical", "shared-line-pinch"])
@@ -736,10 +797,10 @@ class TestExtractContour:
         # edge ends at that node; family-critical at n = 4097 had 524 such
         # steps among 6,134 vertices.
         contour = extract_contour(grid_field(fixture_spec(label), n=4097))
-        assert contour.polylines and all(contour.closed_flags)
+        assert contour.polylines
+        assert_closed_loops(contour)
         for line in contour.polylines:
             assert np.abs(np.diff(line, axis=0)).sum(axis=1).min() > 0
-            assert np.array_equal(line[0], line[-1])
 
     def test_finest_grid_holds_no_field(self):
         # The n = 4097 field alone would take 128 MiB.
@@ -767,6 +828,13 @@ def scaled_specs(draw):
     p = Point(ox + scale * draw(_unit), oy + scale * draw(_unit))
     q = Point(ox + scale * draw(_unit), oy + scale * draw(_unit))
     return CassiniSpec(p, q, scale * abs(draw(_unit)))
+
+
+class TestClosedLoops:
+    @settings(max_examples=300, deadline=None)
+    @given(scaled_specs(), st.sampled_from([16, 17, 40]))
+    def test_every_polyline_is_a_closed_loop(self, spec, n):
+        assert_closed_loops(extract_contour(grid_field(spec, n=n)))
 
 
 class TestTileSigns:
