@@ -18,7 +18,6 @@ from .campaign import (
 from .cassini import (
     AssemblyError,
     CassiniSpec,
-    ClosedCurve,
     DegenerateInput,
     GuideSegment,
     HyperbolaArc,
@@ -85,7 +84,6 @@ __all__ = [
     # cassini: curve construction, classification and topology
     "AssemblyError",
     "CassiniSpec",
-    "ClosedCurve",
     "DegenerateInput",
     "GuideSegment",
     "HyperbolaArc",

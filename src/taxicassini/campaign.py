@@ -150,7 +150,7 @@ def _topology_grid(spec: CassiniSpec) -> int:
     """
     rstar = critical_radius(spec.p, spec.q)
     r = spec.r
-    _, p_std, _ = standardize(spec.p, spec.q)
+    _, p_std = standardize(spec.p, spec.q)
     a, b = p_std.x1, p_std.x2
     _, half_width = sampling_box(spec)
     if r < rstar:

@@ -10,15 +10,15 @@ conjugated back through the standardizing isometry.
 
 Orientation needs no arithmetic: the standard-frame loops run clockwise by
 construction, and the map back keeps that orientation when its point-group
-element has determinant +1 and flips it when the determinant is -1.  A loop
-is reversed exactly when it would otherwise come out clockwise, so every
-returned curve runs counterclockwise.
+element has determinant +1 and flips it when the determinant is -1.  Under
+determinant +1 each loop is mapped back to front with the ends of every
+piece swapped, so every returned curve runs counterclockwise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
@@ -150,9 +150,6 @@ class GuideSegment:
             return end.x1, end.x2
         return start.x1 + f * (end.x1 - start.x1), start.x2 + f * (end.x2 - start.x2)
 
-    def reversed(self) -> "GuideSegment":
-        return replace(self, start=self.end, end=self.start)
-
     def length_scale(self) -> float:
         return taxicab_distance(self.start, self.end)
 
@@ -190,9 +187,6 @@ class HyperbolaArc:
         branch = 1 if start.x1 > center.x1 else -1
         return _arc_coords(center, 2, branch, self.radius, start.x2 + f * (end.x2 - start.x2))
 
-    def reversed(self) -> "HyperbolaArc":
-        return replace(self, start=self.end, end=self.start)
-
     def length_scale(self) -> float:
         return abs(self.end.coord(self.run_axis) - self.start.coord(self.run_axis))
 
@@ -207,18 +201,6 @@ def _arc_coords(
     if run_axis == 1:
         return u, center.x2 + branch * math.hypot(u - center.x1, radius)
     return center.x1 + branch * math.hypot(u - center.x2, radius), u
-
-
-@dataclass(frozen=True)
-class ClosedCurve:
-    """One simple closed curve of a Cassini set: cyclic counterclockwise pieces."""
-
-    pieces: tuple[CurvePiece, ...]
-
-
-def _rect_half_span(rstar: float, r: float) -> float:
-    # Offset of the rectangle segments from the midpoint diagonal; exact 0 at r = r*.
-    return math.sqrt(max((rstar - r) * (rstar + r), 0.0))
 
 
 def _diamond_pieces(r: float) -> list[GuideSegment]:
@@ -295,11 +277,12 @@ def _standard_loops(a: float, b: float, r: float) -> list[list[CurvePiece]]:
             arc(top, -a, a),
         )
         return [loop]
-    c = _rect_half_span(rstar, r)
+    # Offset of the rectangle segments from the midpoint diagonal; exact 0 at r = r*.
+    c = math.sqrt((rstar - r) * (rstar + r))
     hi, lo = min(a, c + b), max(-a, c - b)
     rect_plus = GuideSegment(RegionId.CENTRAL_RECTANGLE, Point(hi, c - hi), Point(lo, c - lo))
     if r == rstar:
-        rect_minus = rect_plus.reversed()
+        rect_minus = GuideSegment(RegionId.CENTRAL_RECTANGLE, rect_plus.end, rect_plus.start)
     else:
         rect_minus = GuideSegment(
             RegionId.CENTRAL_RECTANGLE, Point(-hi, hi - c), Point(-lo, lo - c)
@@ -335,21 +318,17 @@ _REGION_UNDER_SWAP = {
 
 def _map_piece(piece: CurvePiece, iso: Isometry) -> CurvePiece:
     # A swap of the coordinates also swaps the run axis and the strip labels.
+    # Under determinant +1 build_curves walks the loop back to front, so the
+    # piece runs from its mapped end to its mapped start.
     swap = iso.element.value[0]
     region = _REGION_UNDER_SWAP.get(piece.region, piece.region) if swap else piece.region
     start, end = iso.apply(piece.start), iso.apply(piece.end)
+    if iso.element.determinant == 1:
+        start, end = end, start
     if isinstance(piece, GuideSegment):
         return GuideSegment(region, start, end)
     run_axis = 3 - piece.run_axis if swap else piece.run_axis
     return HyperbolaArc(region, iso.apply(piece.center), run_axis, piece.radius, start, end)
-
-
-def _counterclockwise(pieces: list[CurvePiece], iso: Isometry) -> list[CurvePiece]:
-    # The raw loops run clockwise.  Mapping them through iso keeps that when
-    # its point-group element has determinant +1 and flips it when -1.
-    if iso.element.determinant == 1:
-        return [piece.reversed() for piece in reversed(pieces)]
-    return pieces
 
 
 def _validate_loop(spec: CassiniSpec, pieces: list[CurvePiece], samples_per_piece: int) -> None:
@@ -375,20 +354,25 @@ def _validate_loop(spec: CassiniSpec, pieces: list[CurvePiece], samples_per_piec
                 )
 
 
-def build_curves(spec: CassiniSpec) -> list[ClosedCurve]:
+def build_curves(spec: CassiniSpec) -> list[tuple[CurvePiece, ...]]:
     """Assemble K(p, q; r) into its closed curves, counterclockwise.
 
-    Returns one curve above the critical radius, two below it, and two
-    sharing their pinch boundary at it (the shared rectangle segment, or the
-    shared vertex when the foci lie on a coordinate line).  Each returned
-    curve is validated: consecutive pieces meet within CLOSURE_RTOL of the
-    instance scale and sampled points satisfy the defining product equation
-    within RESIDUAL_RTOL of max(1, r^2).
+    A curve is the tuple of its pieces in cyclic order, each piece starting
+    where the previous one ends.  Returns one curve above the critical
+    radius, two below it, and two sharing their pinch boundary at it (the
+    shared rectangle segment, or the shared vertex when the foci lie on a
+    coordinate line).  Each returned curve is validated: consecutive pieces
+    meet within CLOSURE_RTOL of the instance scale and sampled points
+    satisfy the defining product equation within RESIDUAL_RTOL of
+    max(1, r^2).
     """
     if spec.r == 0:
         raise DegenerateInput("r = 0 yields the bare focus pair, not a curve")
-    iso, p_std, _ = standardize(spec.p, spec.q)
+    iso, p_std = standardize(spec.p, spec.q)
     inverse = iso.inverse()
+    # The raw loops run clockwise; the map back keeps that under determinant
+    # +1, so those loops are walked back to front (see _map_piece).
+    backward = inverse.element.determinant == 1
     if spec.p == spec.q:
         raw_loops = [_diamond_pieces(spec.r)]
     else:
@@ -398,22 +382,21 @@ def build_curves(spec: CassiniSpec) -> list[ClosedCurve]:
     zero_tol = ZERO_LENGTH_RTOL * scale
     curves = []
     for k, raw in enumerate(raw_loops, 1):
-        mapped = [_map_piece(piece, inverse) for piece in raw]
+        mapped = [_map_piece(piece, inverse) for piece in (raw[::-1] if backward else raw)]
         kept = [piece for piece in mapped if piece.length_scale() > zero_tol]
         where = f"loop {k} of {len(raw_loops)}"
         if not kept:
             raise AssemblyError(f"{spec}, {where}: all pieces of a loop degenerated to points")
-        kept = _counterclockwise(kept, inverse)
         try:
             _validate_loop(spec, kept, _VALIDATION_SAMPLES)
         except AssemblyError as exc:
             raise AssemblyError(f"{spec}, {where}: {exc}") from None
-        curves.append(ClosedCurve(tuple(kept)))
+        curves.append(tuple(kept))
     return curves
 
 
-def sample_curve(curve: ClosedCurve, n: int) -> list[Point]:
-    """n points in cyclic order along the curve, n >= 8.
+def sample_curve(curve: tuple[CurvePiece, ...], n: int) -> list[Point]:
+    """n points in cyclic order along a curve of build_curves, n >= 8.
 
     The curve parameter is uniform per piece: segments are sampled evenly in
     arc length, hyperbola arcs evenly in the coordinate running along their
@@ -421,26 +404,25 @@ def sample_curve(curve: ClosedCurve, n: int) -> list[Point]:
     """
     if n < 8:
         raise GeometryError(f"need at least 8 samples, got {n}")
-    pieces = curve.pieces
-    count = len(pieces)
+    count = len(curve)
     points = []
     for k in range(n):
         t = k * count / n
         i = min(int(t), count - 1)
-        x1, x2 = pieces[i].coords_at(t - i)
+        x1, x2 = curve[i].coords_at(t - i)
         points.append(Point(x1, x2))
     return points
 
 
-def curve_polyline(curve: ClosedCurve, samples_per_piece: int = 64) -> list[Point]:
-    """Closed ring of samples_per_piece points per piece tracing the curve.
+def curve_polyline(curve: tuple[CurvePiece, ...], samples_per_piece: int = 64) -> list[Point]:
+    """Closed ring of samples_per_piece points per piece of a curve of build_curves.
 
     The ring does not repeat its first point: the last point joins the first.
     """
     if samples_per_piece < 1:
         raise GeometryError("samples_per_piece must be positive")
     points = []
-    for piece in curve.pieces:
+    for piece in curve:
         for k in range(samples_per_piece):
             x1, x2 = piece.coords_at(k / samples_per_piece)
             points.append(Point(x1, x2))

@@ -75,45 +75,67 @@ def _record_number(value: object, what: str) -> float:
     raise GeometryError(f"{what} must be a finite number, got {value!r}")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    # json.loads would keep the last of a repeated key without a word.
+    record = {}
+    for key, value in pairs:
+        if key in record:
+            raise GeometryError(f"repeated key {key!r}")
+        record[key] = value
+    return record
+
+
+def _parse_record(line: str) -> tuple[str, tuple[Point, Point, float]]:
+    """The label and instance of one record line."""
+    rec = json.loads(line, object_pairs_hook=_unique_keys)
+    if not isinstance(rec, dict):
+        raise GeometryError(f"instance record is not an object: {line.strip()!r}")
+    missing = {"label", "p", "q", "r"} - set(rec)
+    if missing:
+        raise GeometryError(f"instance record missing fields {sorted(missing)}")
+    name = rec["label"]
+    if not isinstance(name, str) or not name:
+        raise GeometryError("instance label must be nonempty text")
+    foci = []
+    for key in ("p", "q"):
+        coords = rec[key]
+        if not (isinstance(coords, list) and len(coords) == 2):
+            raise GeometryError(f"instance point must be [x1, x2], got {coords!r}")
+        what = f"instance {name!r} {key} coordinate"
+        foci.append(Point(_record_number(coords[0], what), _record_number(coords[1], what)))
+    r_val = _record_number(rec["r"], f"instance {name!r} r")
+    if r_val < 0:
+        raise GeometryError(f"instance {name!r} has negative r")
+    return name, (foci[0], foci[1], r_val)
+
+
 def _load_instance(path: str, label: Optional[str]) -> tuple[Point, Point, float]:
     """Pick one record from a line-delimited instance file.
 
     Each line is one record: {"label": text, "p": [x1, x2], "q": [x1, x2],
     "r": number}.  Labels must be unique; a single-record file may be used
-    without naming a label.
+    without naming a label.  A rejected record is named by its line in the
+    file, blank lines counted.
     """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            raw_lines = [(k, line) for k, line in enumerate(handle, 1) if line.strip()]
+        with open(path, "rb") as handle:
+            # Split where text mode would, at \n, \r\n and \r, but decode
+            # each line alone so a bad byte is reported with its line.
+            raw_lines = handle.read().splitlines()
     except OSError as exc:
         raise GeometryError(f"cannot read instance file {path!r}: {exc}") from None
     records = {}
-    for k, line in raw_lines:
+    for k, raw in enumerate(raw_lines, 1):
         try:
-            rec = json.loads(line)
+            line = raw.decode("utf-8")
+            if not line.strip():
+                continue
+            name, instance = _parse_record(line)
+            if name in records:
+                raise GeometryError(f"duplicate instance label {name!r}")
         except (RecursionError, ValueError) as exc:
             raise GeometryError(f"bad instance record on line {k} of {path!r}: {exc}") from None
-        if not isinstance(rec, dict):
-            raise GeometryError(f"instance record is not an object: {line.strip()!r}")
-        missing = {"label", "p", "q", "r"} - set(rec)
-        if missing:
-            raise GeometryError(f"instance record missing fields {sorted(missing)}")
-        name = rec["label"]
-        if not isinstance(name, str) or not name:
-            raise GeometryError("instance label must be nonempty text")
-        if name in records:
-            raise GeometryError(f"duplicate instance label {name!r}")
-        foci = []
-        for key in ("p", "q"):
-            coords = rec[key]
-            if not (isinstance(coords, list) and len(coords) == 2):
-                raise GeometryError(f"instance point must be [x1, x2], got {coords!r}")
-            what = f"instance {name!r} {key} coordinate"
-            foci.append(Point(_record_number(coords[0], what), _record_number(coords[1], what)))
-        r_val = _record_number(rec["r"], f"instance {name!r} r")
-        if r_val < 0:
-            raise GeometryError(f"instance {name!r} has negative r")
-        records[name] = (foci[0], foci[1], r_val)
+        records[name] = instance
     if not records:
         raise GeometryError(f"instance file {path!r} has no records")
     if label is None:
@@ -163,7 +185,7 @@ def cmd_info(args: argparse.Namespace) -> int:
     p, q, r = _resolve_instance(args)
     spec = CassiniSpec(p, q, r)
     frame = foci_frame(p, q)
-    iso, std_p, _std_q = standardize(p, q)
+    iso, std_p = standardize(p, q)
     lines = [
         f"p: {_fmt_point(p)}",
         f"q: {_fmt_point(q)}",
@@ -184,8 +206,8 @@ def cmd_info(args: argparse.Namespace) -> int:
         curves = []
     lines.append(f"curves: {len(curves)}")
     for ci, curve in enumerate(curves, start=1):
-        lines.append(f"curve {ci} pieces: {len(curve.pieces)}")
-        for pi, piece in enumerate(curve.pieces, start=1):
+        lines.append(f"curve {ci} pieces: {len(curve)}")
+        for pi, piece in enumerate(curve, start=1):
             kind = "segment" if isinstance(piece, GuideSegment) else "arc"
             lines.append(
                 f"curve {ci} piece {pi}: region={piece.region.value} kind={kind} "

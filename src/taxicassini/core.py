@@ -184,15 +184,16 @@ class Isometry:
         return Isometry(g, Point(-t1, -t2))
 
 
-def standardize(p: Point, q: Point) -> tuple[Isometry, Point, Point]:
+def standardize(p: Point, q: Point) -> tuple[Isometry, Point]:
     """Isometry placing the focus pair in standard position.
 
-    Returns (phi, p', q') where phi maps the midpoint to the origin and
-    q' = -p' with p' in the closed first octant (p1' >= p2' >= 0).  The
+    Returns (phi, p') where phi maps the midpoint to the origin and p to p'
+    in the closed first octant (p1' >= p2' >= 0), so q goes to -p'.  The
     point-group element is the first in the fixed enumeration that works, so
-    an already-standard pair gets the identity.  The returned points are the
+    an already-standard pair gets the identity.  The returned point is the
     exact octant representative of the half-difference vector; applying phi
-    to the foci reproduces them to within roundoff (<= 1e-12 relative).
+    to p reproduces it, and to q its negation, to within roundoff (<= 1e-12
+    relative).
     """
     v1 = (p.x1 - q.x1) / 2
     v2 = (p.x2 - q.x2) / 2
@@ -207,4 +208,4 @@ def standardize(p: Point, q: Point) -> tuple[Isometry, Point, Point]:
         raise GeometryError("no point-group element standardizes the pair")
     m1, m2 = element.apply((p.x1 + q.x1) / 2, (p.x2 + q.x2) / 2)
     iso = Isometry(element, Point(-m1, -m2))
-    return iso, Point(w1, w2), Point(-w1, -w2)
+    return iso, Point(w1, w2)

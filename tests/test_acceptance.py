@@ -118,13 +118,11 @@ def test_criterion_4_topology_counts(criterion_line):
         and len(vertex_curves) == 2
         and all(
             frozenset({Point(1, -1), Point(-1, 1)})
-            == {piece.start for piece in curve.pieces if piece.region is RegionId.CENTRAL_RECTANGLE}
-            | {piece.end for piece in curve.pieces if piece.region is RegionId.CENTRAL_RECTANGLE}
+            == {piece.start for piece in curve if piece.region is RegionId.CENTRAL_RECTANGLE}
+            | {piece.end for piece in curve if piece.region is RegionId.CENTRAL_RECTANGLE}
             for curve in edge_curves
         )
-        and all(
-            Point(0, 0) in {piece.start for piece in curve.pieces} for curve in vertex_curves
-        )
+        and all(Point(0, 0) in {piece.start for piece in curve} for curve in vertex_curves)
     )
     ok = result.failures == 0 and result.trials == 100 and pinch_ok
     criterion_line(

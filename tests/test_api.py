@@ -36,7 +36,7 @@ def test_readme_library_example_runs_as_written():
     assert values == [Topology.ONE_CURVE, PointLocation.INSIDE]
     curves = namespace["curves"]
     assert len(curves) == 1
-    assert len(curves[0].pieces) == 8
+    assert len(curves[0]) == 8
 
 
 def cli_examples() -> list[list[str]]:

@@ -1,8 +1,11 @@
 """Analytic curve construction: pieces, loops, classification, topology."""
 
 import dataclasses
+import hashlib
+import json
 import math
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,13 +18,11 @@ from taxicassini.cassini import (
     ZERO_LENGTH_RTOL,
     AssemblyError,
     CassiniSpec,
-    ClosedCurve,
     DegenerateInput,
     GuideSegment,
     HyperbolaArc,
     PointLocation,
     Topology,
-    _counterclockwise,
     _diamond_pieces,
     _standard_loops,
     _validate_loop,
@@ -33,7 +34,16 @@ from taxicassini.cassini import (
     sample_curve,
     topology,
 )
-from taxicassini.core import GeometryError, Point, RegionId, standardize, taxicab_distance
+from taxicassini.core import (
+    GeometryError,
+    Point,
+    PointGroup,
+    RegionId,
+    standardize,
+    taxicab_distance,
+)
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "instances.jsonl"
 
 dyadic = st.integers(-320, 320).map(lambda k: k / 16.0)
 dyadic_points = st.builds(Point, dyadic, dyadic)
@@ -238,7 +248,7 @@ class TestRectanglePieces:
         # Both loops run along the one diagonal segment, in opposite directions.
         plus, minus = standard_pieces(4.0, 1.0, 5.0, RegionId.CENTRAL_RECTANGLE)
         assert (plus.start, plus.end) == (Point(1.0, -1.0), Point(-1.0, 1.0))
-        assert minus == plus.reversed()
+        assert (minus.region, minus.start, minus.end) == (plus.region, plus.end, plus.start)
 
     def test_above_critical_empty(self):
         assert standard_pieces(4.0, 1.0, 6.0, RegionId.CENTRAL_RECTANGLE) == []
@@ -302,15 +312,6 @@ class TestPieceParametrization:
         seg = GuideSegment(RegionId.QUADRANT_P, Point(1, 2), Point(3, 0))
         assert Point(*seg.coords_at(0.0)) == Point(1, 2)
         assert Point(*seg.coords_at(1.0)) == Point(3, 0)
-        assert seg.reversed().start == Point(3, 0)
-        assert seg.reversed().reversed() == seg
-
-    def test_arc_reversal(self):
-        [arc] = standard_pieces(8.0, 3.0, 16.0, RegionId.STRIP_P_C1)
-        rev = arc.reversed()
-        assert rev.start == arc.end
-        assert rev.end == arc.start
-        assert Point(*rev.coords_at(0.25)) == Point(*arc.coords_at(0.75))
 
 
 class TestBuildCurves:
@@ -343,8 +344,7 @@ class TestBuildCurves:
 
     def test_loops_are_closed_chains(self):
         spec = CassiniSpec(Point(8, 3), Point(-8, -3), 16.0)
-        for curve in build_curves(spec):
-            pieces = curve.pieces
+        for pieces in build_curves(spec):
             for i, piece in enumerate(pieces):
                 nxt = pieces[(i + 1) % len(pieces)]
                 assert taxicab_distance(piece.end, nxt.start) < 1e-9
@@ -387,7 +387,7 @@ class TestBuildCurves:
         curves = build_curves(CassiniSpec(Point(4, 1), Point(-4, -1), 5.0))
         segments = []
         for curve in curves:
-            for piece in curve.pieces:
+            for piece in curve:
                 if piece.region is RegionId.CENTRAL_RECTANGLE:
                     segments.append(frozenset({piece.start, piece.end}))
         assert segments[0] == segments[1] == frozenset({Point(1, -1), Point(-1, 1)})
@@ -395,7 +395,7 @@ class TestBuildCurves:
     def test_pinched_vertex_loops_meet_at_midpoint(self):
         curves = build_curves(CassiniSpec(Point(5, 0), Point(-5, 0), 5.0))
         for curve in curves:
-            endpoints = {piece.start for piece in curve.pieces}
+            endpoints = {piece.start for piece in curve}
             assert Point(0, 0) in endpoints
 
     def test_translated_instance(self):
@@ -413,8 +413,26 @@ class TestBuildCurves:
     def test_polyline_does_not_repeat_first_point(self):
         curve = build_curves(CassiniSpec(Point(4, 1), Point(-4, -1), 6.0))[0]
         ring = curve_polyline(curve, 16)
-        assert len(ring) == 16 * len(curve.pieces)
+        assert len(ring) == 16 * len(curve)
         assert ring[0] != ring[-1]
+
+    def test_fixture_pieces_under_the_point_group_are_pinned(self):
+        # Each fixture moved by each point-group element about its midpoint,
+        # every piece pinned at full precision through its repr; the info
+        # reports print six decimals.
+        digest = hashlib.sha256()
+        for line in FIXTURES.read_text().splitlines():
+            rec = json.loads(line)
+            p, q = Point(*map(float, rec["p"])), Point(*map(float, rec["q"]))
+            m1, m2 = (p.x1 + q.x1) / 2, (p.x2 + q.x2) / 2
+            for g in PointGroup:
+                moved = [g.apply(x.x1 - m1, x.x2 - m2) for x in (p, q)]
+                p_g, q_g = (Point(m1 + u1, m2 + u2) for u1, u2 in moved)
+                for curve in build_curves(CassiniSpec(p_g, q_g, float(rec["r"]))):
+                    digest.update(repr(curve).encode())
+        assert digest.hexdigest() == (
+            "4a4fcbf75647ebb281603529203c278e7290805e6df88874171447f1ead68f6e"
+        )
 
     @settings(max_examples=60, deadline=None)
     @given(dyadic_specs())
@@ -449,9 +467,9 @@ class TestBuildCurves:
 
 # Reference construction: piece evaluation, mapping and validation through
 # one Point per sample, with each arc's run range and branch worked out here
-# from its endpoints.  Assembly of the standard-frame pieces and the
-# orientation rule are shared; everything else must match the reference bit
-# for bit.
+# from its endpoints, and each loop oriented in a second pass after mapping.
+# Assembly of the standard-frame pieces is shared; everything else must match
+# the reference bit for bit.
 
 
 def reference_point_at(piece, f):
@@ -518,7 +536,7 @@ def reference_build_curves(spec, samples_per_piece=16):
     """The reference curves of spec; samples_per_piece=None skips validation."""
     if spec.r == 0:
         raise DegenerateInput("r = 0 yields the bare focus pair, not a curve")
-    iso, p_std, _ = standardize(spec.p, spec.q)
+    iso, p_std = standardize(spec.p, spec.q)
     inverse = iso.inverse()
     if spec.p == spec.q:
         raw_loops = [_diamond_pieces(spec.r)]
@@ -532,30 +550,32 @@ def reference_build_curves(spec, samples_per_piece=16):
         where = f"loop {k} of {len(raw_loops)}"
         if not kept:
             raise AssemblyError(f"{spec}, {where}: all pieces of a loop degenerated to points")
-        kept = _counterclockwise(kept, inverse)
+        if inverse.element.determinant == 1:
+            # The raw loops run clockwise, and so do their images.
+            kept = [reference_reversed(piece) for piece in reversed(kept)]
         if samples_per_piece is not None:
             try:
                 reference_validate_loop(spec, kept, samples_per_piece)
             except AssemblyError as exc:
                 raise AssemblyError(f"{spec}, {where}: {exc}") from None
-        curves.append(ClosedCurve(tuple(kept)))
+        curves.append(tuple(kept))
     return curves
 
 
 def reference_sample_curve(curve, n):
-    count = len(curve.pieces)
+    count = len(curve)
     points = []
     for k in range(n):
         t = k * count / n
         i = min(int(t), count - 1)
-        points.append(reference_point_at(curve.pieces[i], t - i))
+        points.append(reference_point_at(curve[i], t - i))
     return points
 
 
 def reference_curve_polyline(curve, samples_per_piece):
     return [
         reference_point_at(piece, k / samples_per_piece)
-        for piece in curve.pieces
+        for piece in curve
         for k in range(samples_per_piece)
     ]
 
@@ -568,7 +588,7 @@ def _outcome(build, sample, polyline, spec):
         return type(exc), str(exc)
     return [
         (
-            repr(curve.pieces),
+            repr(curve),
             repr([(x.x1, x.x2) for n in (8, 61) for x in sample(curve, n)]),
             repr([(x.x1, x.x2) for x in polyline(curve, 5)]),
         )
@@ -658,14 +678,13 @@ class TestFloatPathMatchesReference:
         assert got == want
         if isinstance(got, list):
             for curve in build_curves(spec):
-                for piece in curve.pieces:
-                    assert piece.reversed() == reference_reversed(piece)
+                for piece in curve:
                     for f in (0.0, 0.5, 1.0):
                         got_point = Point(*piece.coords_at(f))
                         assert repr(got_point) == repr(reference_point_at(piece, f))
         # Validation at other sample counts, on the loops before validation.
         try:
-            loops = [curve.pieces for curve in reference_build_curves(spec, None)]
+            loops = reference_build_curves(spec, None)
         except (AssemblyError, GeometryError):
             loops = []
         for pieces in loops:
@@ -688,7 +707,7 @@ class TestArcEndpoints:
         except (AssemblyError, DegenerateInput):
             return
         for curve in curves:
-            for arc in curve.pieces:
+            for arc in curve:
                 if not isinstance(arc, HyperbolaArc):
                     continue
                 run, other = arc.run_axis, 3 - arc.run_axis

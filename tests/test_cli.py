@@ -327,6 +327,53 @@ class TestInstanceFiles:
         assert err.startswith(f"error: bad instance record on line 1 of {str(path)!r}: ")
         assert err.count("\n") == 1
 
+    def test_undecodable_byte_names_its_line(self, capsys, tmp_path):
+        # The UTF-8 decode error used to reach the user without the file.
+        path = tmp_path / "bytes.jsonl"
+        path.write_bytes(b'\n{"label": "\xff", "p": [4, 1], "q": [-4, -1], "r": 6}\n')
+        code, out, err = run(capsys, "info", "--instances", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: bad instance record on line 2 of {str(path)!r}: ")
+        assert "can't decode byte 0xff" in err and err.count("\n") == 1
+
+    def test_repeated_key_rejected(self, capsys, tmp_path):
+        # json.loads keeps the last value, so this record used to load with r = 2.
+        path = tmp_path / "repeat.jsonl"
+        path.write_text('{"label": "twice", "p": [4, 1], "q": [-4, -1], "r": 1, "r": 2}\n')
+        code, out, err = run(capsys, "info", "--instances", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: bad instance record on line 1 of {str(path)!r}: repeated key 'r'\n"
+
+    @pytest.mark.parametrize(
+        "record,reason",
+        [
+            ("[4, 1]", "instance record is not an object: '[4, 1]'"),
+            ('{"label": "x", "p": [4, 1]}', "instance record missing fields ['q', 'r']"),
+            (
+                '{"label": "", "p": [4, 1], "q": [-4, -1], "r": 6}',
+                "instance label must be nonempty text",
+            ),
+            ('{"label": "ok", "p": [0, 0], "q": [1, 1], "r": 1}', "duplicate instance label 'ok'"),
+            (
+                '{"label": "x", "p": [4], "q": [-4, -1], "r": 6}',
+                "instance point must be [x1, x2], got [4]",
+            ),
+            (
+                '{"label": "x", "p": [4, 1], "q": [-4, -1], "r": "6"}',
+                "instance 'x' r must be a finite number, got '6'",
+            ),
+            ('{"label": "x", "p": [4, 1], "q": [-4, -1], "r": -1}', "instance 'x' has negative r"),
+        ],
+        ids=["not-object", "missing", "label", "duplicate", "point", "number", "negative"],
+    )
+    def test_rejected_record_names_its_line(self, capsys, tmp_path, record, reason):
+        # A valid record and a blank line come first, so the rejected one is on line 3.
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"label": "ok", "p": [4, 1], "q": [-4, -1], "r": 6}\n\n' + record + "\n")
+        code, out, err = run(capsys, "info", "--instances", str(path), "--label", "ok")
+        assert (code, out) == (2, "")
+        assert err == f"error: bad instance record on line 3 of {str(path)!r}: {reason}\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "info", "--instances", "/no/such/file.jsonl")
         assert code == 2

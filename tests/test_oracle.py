@@ -736,7 +736,7 @@ class TestExtractContour:
             spacing = 2 * sampling_box(spec)[1] / (n - 1)
             rstar = critical_radius(spec.p, spec.q)
             assert spacing <= rstar / 64
-            _, p_std, _ = standardize(spec.p, spec.q)
+            _, p_std = standardize(spec.p, spec.q)
             if spec.r < rstar:
                 channel = 2 * math.sqrt(rstar**2 - spec.r**2)
                 assert spacing <= (rstar - channel / 2) / 4
