@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .core import (
     GeometryError,
@@ -33,15 +33,21 @@ from .core import (
     taxicab_distance,
 )
 
-# Every emitted curve point satisfies |d(x,p)*d(x,q) - r^2| within this
-# relative tolerance (scaled by max(1, r^2)).
+# Validation holds the computed |d(x,p)*d(x,q) - r^2| of a piece's points to
+# this relative tolerance (scaled by max(1, r^2)): at every parameter for a
+# piece its certificate covers, and at the _VALIDATION_SAMPLES + 1 samples
+# for any other.
 RESIDUAL_RTOL = 1e-9
 # Consecutive pieces must share endpoints within this relative tolerance.
 CLOSURE_RTOL = 1e-9
 # Pieces shorter than this (relative to instance scale) are dropped.
 ZERO_LENGTH_RTOL = 1e-12
-# Validation checks each piece at this many equal parameter steps.
+# Validation checks each piece its certificate does not cover at this many
+# equal parameter steps.
 _VALIDATION_SAMPLES = 16
+# Unit roundoff of binary64: a correctly rounded operation has relative error
+# at most this.
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 class DegenerateInput(GeometryError):
@@ -331,11 +337,172 @@ def _map_piece(piece: CurvePiece, iso: Isometry) -> CurvePiece:
     return HyperbolaArc(region, iso.apply(piece.center), run_axis, piece.radius, start, end)
 
 
+# Per region, its side of the coordinate lines along x1 and along x2: 0 on
+# p's side away from q, 1 between the two lines, 2 on q's side away from p.
+_REGION_SIDES = {
+    RegionId.QUADRANT_P: (0, 0),
+    RegionId.STRIP_P_C1: (0, 1),
+    RegionId.QUADRANT_C1: (0, 2),
+    RegionId.STRIP_P_C2: (1, 0),
+    RegionId.CENTRAL_RECTANGLE: (1, 1),
+    RegionId.STRIP_Q_C1: (1, 2),
+    RegionId.QUADRANT_C2: (2, 0),
+    RegionId.STRIP_Q_C2: (2, 1),
+    RegionId.QUADRANT_Q: (2, 2),
+}
+# Certificate constants in units of u = _UNIT_ROUNDOFF and C (see
+# _piece_certificate): the slack of the region test, the rounding of the
+# forms at an arc's center, the bound's allowance per unit of its distance
+# sum, and the budget's allowances.
+_SLACK_UC = 16.0
+_FORM_UC = 16.0
+_SUMS_UC = 512.0
+_TARGET_U = 16.0
+_SQUARE_UC2 = 2.0**17
+
+
+def _axis_sides(pj: float, qj: float, c: float, slack: float) -> tuple:
+    """Per side of one axis (numbered as in _REGION_SIDES), for pj != qj: the
+    sign of xj - pj and of xj - qj on that side, and the side's interval of
+    xj widened by slack and cut to [-c, c]."""
+    if pj > qj:
+        return (
+            (1.0, 1.0, pj - slack, c),
+            (-1.0, 1.0, qj - slack, pj + slack),
+            (-1.0, -1.0, -c, qj + slack),
+        )
+    return (
+        (-1.0, -1.0, -c, pj + slack),
+        (1.0, -1.0, pj - slack, qj + slack),
+        (1.0, 1.0, qj - slack, c),
+    )
+
+
+def _uncertified(piece: CurvePiece) -> bool:
+    return False
+
+
+def _piece_certificate(
+    spec: CassiniSpec, target: float, residual_tol: float
+) -> Callable[[CurvePiece], bool]:
+    """A test of one piece, built once per loop, that is True only if the
+    residual |d(x,p) * d(x,q) - target| computed as _validate_loop computes it
+    is at most residual_tol at x = piece.coords_at(f) for every float f in
+    [0, 1].  False decides nothing: the caller samples the piece.
+
+    The algebra.  On each of the nine closed regions of RegionId the signs of
+    x1 - p1, x2 - p2, x1 - q1 and x2 - q2 are fixed, so d(x, p) and d(x, q)
+    are affine forms L_p and L_q with coefficients +-1 there (_axis_sides).
+    Along a segment L_p * L_q is quadratic in the parameter t and exceeds its
+    chord by dL_p * dL_q * t (t - 1), dL the change over the segment: the
+    residual stays within the larger end residual plus |dL_p * dL_q| / 4.  On
+    a half-strip with run axis j the forms have opposite signs in x_j and
+    equal signs in the other coordinate, so with y = x - c, a = L_p(c) and
+    b = L_q(c), L_p * L_q = y_other^2 - y_run^2 + a (e_q . y) + b (e_p . y)
+    + a b, e the signs of the forms.  On the arc's branch y_other^2 - y_run^2
+    = r^2, so its residual is at most (|a| + |b|) |y|_1 + |a b|, which
+    vanishes at the exact guide complement.
+
+    The rounding.  Let u be the unit roundoff and C = 2 max|focus coordinate|
+    + r, so the foci lie in [-C/2, C/2]^2 and r <= C.  A piece is tested only
+    if its ends (a segment) or its run range and center (an arc) lie in
+    [-C, C]^2.  Then coords_at(f) lies within 13 uC, in L1, of an exact point
+    X: s + f (e - s) on a segment, or the branch point over the computed run
+    coordinate on an arc (math.hypot errs by under one ulp).  The region test
+    allows a slack of 16 uC beyond each coordinate line; with the rounding of
+    the test and of the run coordinate every such X lies within v = 34 uC of
+    its region, so d = L + rho with 0 <= rho <= 4 v per form.  Summing the
+    slack, the distance from X and the rounding of the product (5 u of it),
+    of r^2 and of the end residuals, every term that is linear in uC is at
+    most 290 uC * S, S the piece's bound on d(x, p) + d(x, q); the others are
+    at most 16 u max(1, r^2) + 2^17 (uC)^2 in all.  S is the larger sum at a
+    segment's ends, since L_p + L_q is affine along it, and 2 (max|x_run -
+    c_run| + r) + |a| + |b| on an arc, where L_p + L_q = 2 |y_other| + a + b.
+    A piece is certified iff its end residuals meet residual_tol and its
+    bound plus 512 uC * S is at most residual_tol - 16 u max(1, r^2) -
+    2^17 (uC)^2.  No piece is certified when that budget is not positive, or
+    when the foci share a coordinate and a region has no fixed sign.  The
+    allowance is a static error filter in the sense of Shewchuk (Discrete
+    Comput. Geom. 1997): its constants are fixed per loop, it decides most
+    pieces, and the samples decide the rest.
+    """
+    p, q, r = spec.p, spec.q, spec.r
+    p1, p2, q1, q2 = p.x1, p.x2, q.x1, q.x2
+    if p1 == q1 or p2 == q2:
+        return _uncertified
+    c = 2.0 * max(abs(p1), abs(p2), abs(q1), abs(q2)) + r
+    uc = _UNIT_ROUNDOFF * c
+    budget = residual_tol - _TARGET_U * _UNIT_ROUNDOFF * max(1.0, target) - _SQUARE_UC2 * uc * uc
+    if not budget > 0:
+        return _uncertified
+    sums_allowance = _SUMS_UC * uc
+    form_allowance = _FORM_UC * uc
+    axis1 = _axis_sides(p1, q1, c, _SLACK_UC * uc)
+    axis2 = _axis_sides(p2, q2, c, _SLACK_UC * uc)
+
+    def certified(piece: CurvePiece) -> bool:
+        side1, side2 = _REGION_SIDES[piece.region]
+        ep1, eq1, lo1, hi1 = axis1[side1]
+        ep2, eq2, lo2, hi2 = axis2[side2]
+        s1, s2 = piece.start.x1, piece.start.x2
+        e1, e2 = piece.end.x1, piece.end.x2
+        # The samples at f = 0 and f = 1 are the ends, in the sample loop's arithmetic.
+        ps, qs = abs(s1 - p1) + abs(s2 - p2), abs(s1 - q1) + abs(s2 - q2)
+        pe, qe = abs(e1 - p1) + abs(e2 - p2), abs(e1 - q1) + abs(e2 - q2)
+        ends, other_end = abs(ps * qs - target), abs(pe * qe - target)
+        if other_end > ends:
+            ends = other_end
+        if isinstance(piece, GuideSegment):
+            if not (lo1 <= s1 <= hi1 and lo1 <= e1 <= hi1 and lo2 <= s2 <= hi2 and lo2 <= e2 <= hi2):
+                return False
+            d1, d2 = e1 - s1, e2 - s2
+            sums = ps + qs if ps + qs > pe + qe else pe + qe
+            bound = ends + abs((ep1 * d1 + ep2 * d2) * (eq1 * d1 + eq2 * d2)) / 4
+            return bound + sums_allowance * sums <= budget
+        center = piece.center
+        k1, k2 = center.x1, center.x2
+        if not (piece.radius == r and abs(k1) <= c and abs(k2) <= c and ends <= residual_tol):
+            return False
+        # The forms multiply to y_other^2 - y_run^2 only with the run axis
+        # between the lines and the other on a focus's side, where
+        # e_p = e_q; the branch, read off the start as coords_at reads it,
+        # must point away from the foci.  floor is the least |y_other| that
+        # keeps the branch on that side.
+        if piece.run_axis == 1:
+            if side1 != 1 or side2 == 1 or (1.0 if s2 > k2 else -1.0) != ep2:
+                return False
+            run_s, run_e, k_run, run_lo, run_hi = s1, e1, k1, lo1, hi1
+            floor = lo2 - k2 if ep2 > 0 else k2 - hi2
+        else:
+            if side2 != 1 or side1 == 1 or (1.0 if s1 > k1 else -1.0) != ep1:
+                return False
+            run_s, run_e, k_run, run_lo, run_hi = s2, e2, k2, lo2, hi2
+            floor = lo1 - k1 if ep1 > 0 else k1 - hi1
+        if not (run_lo <= run_s <= run_hi and run_lo <= run_e <= run_hi):
+            return False
+        lo, hi = (run_s, run_e) if run_s < run_e else (run_e, run_s)
+        # |y_other| is least at the run value nearest the center.
+        nearest = lo - k_run if lo > k_run else (k_run - hi if hi < k_run else 0.0)
+        if math.hypot(nearest, r) < floor:
+            return False
+        forms = (
+            abs(ep1 * (k1 - p1) + ep2 * (k2 - p2))
+            + abs(eq1 * (k1 - q1) + eq2 * (k2 - q2))
+            + form_allowance
+        )
+        farthest = hi - k_run if hi - k_run > k_run - lo else k_run - lo
+        sums = 2.0 * (farthest + r) + forms
+        return (forms + sums_allowance) * sums <= budget
+
+    return certified
+
+
 def _validate_loop(spec: CassiniSpec, pieces: list[CurvePiece], samples_per_piece: int) -> None:
     scale = max(1.0, taxicab_distance(spec.p, spec.q) + spec.r)
     target = spec.r * spec.r
     residual_tol = RESIDUAL_RTOL * max(1.0, target)
     fractions = [k / samples_per_piece for k in range(samples_per_piece + 1)]
+    certified = _piece_certificate(spec, target, residual_tol)
     p, q = spec.p, spec.q
     for i, piece in enumerate(pieces):
         nxt = pieces[(i + 1) % len(pieces)]
@@ -344,6 +511,8 @@ def _validate_loop(spec: CassiniSpec, pieces: list[CurvePiece], samples_per_piec
             raise AssemblyError(
                 f"pieces {i} and {(i + 1) % len(pieces)} leave a gap of {gap!r}"
             )
+        if certified(piece):
+            continue
         for f in fractions:
             x1, x2 = piece.coords_at(f)
             residual = abs(distance_product(p, q, x1, x2) - target)
@@ -362,9 +531,10 @@ def build_curves(spec: CassiniSpec) -> list[tuple[CurvePiece, ...]]:
     radius, two below it, and two sharing their pinch boundary at it (the
     shared rectangle segment, or the shared vertex when the foci lie on a
     coordinate line).  Each returned curve is validated: consecutive pieces
-    meet within CLOSURE_RTOL of the instance scale and sampled points
-    satisfy the defining product equation within RESIDUAL_RTOL of
-    max(1, r^2).
+    meet within CLOSURE_RTOL of the instance scale, and each piece satisfies
+    the defining product equation within RESIDUAL_RTOL of max(1, r^2) as
+    computed in floats: at every parameter where its certificate holds, and
+    at the validation samples where it does not (see _piece_certificate).
     """
     if spec.r == 0:
         raise DegenerateInput("r = 0 yields the bare focus pair, not a curve")

@@ -5,13 +5,17 @@ import hashlib
 import json
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from taxicassini.campaign import random_spec
 from taxicassini.cassini import (
+    _REGION_SIDES,
     _REGION_UNDER_SWAP,
     CLOSURE_RTOL,
     RESIDUAL_RTOL,
@@ -23,7 +27,10 @@ from taxicassini.cassini import (
     HyperbolaArc,
     PointLocation,
     Topology,
+    _arc_coords,
+    _axis_sides,
     _diamond_pieces,
+    _piece_certificate,
     _standard_loops,
     _validate_loop,
     build_curves,
@@ -39,9 +46,12 @@ from taxicassini.core import (
     Point,
     PointGroup,
     RegionId,
+    foci_frame,
     standardize,
     taxicab_distance,
 )
+
+from references import REGION_BY_SIDES, classify_region
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "instances.jsonl"
 
@@ -437,8 +447,6 @@ class TestBuildCurves:
     @settings(max_examples=60, deadline=None)
     @given(dyadic_specs())
     def test_random_instances_build_and_lie_on_the_set(self, spec):
-        if spec.p == spec.q:
-            spec = CassiniSpec(spec.p, spec.q, spec.r)
         curves = build_curves(spec)
         r_star = critical_radius(spec.p, spec.q)
         if spec.p == spec.q:
@@ -778,3 +786,252 @@ class TestAssemblyErrors:
         beyond = Point(0.0, math.nextafter(RESIDUAL_RTOL, 1.0))
         with pytest.raises(AssemblyError, match="misses the level set"):
             _validate_loop(spec, [GuideSegment(RegionId.QUADRANT_P, beyond, beyond)], 4)
+
+
+# The piece certificate lets _validate_loop skip a piece's samples, so it must
+# never accept a piece whose points miss the level set anywhere.
+
+
+def _radius_variant(spec, which):
+    """The radius under test: spec's own, r* or a float neighbour of it, or
+    2 sqrt(ab), where the complement-quadrant segments shrink to a corner."""
+    rstar = critical_radius(spec.p, spec.q)
+    _, half = standardize(spec.p, spec.q)
+    return {
+        "drawn": spec.r,
+        "below r*": math.nextafter(rstar, 0.0),
+        "r*": rstar,
+        "above r*": math.nextafter(rstar, math.inf),
+        "2 sqrt(ab)": 2.0 * math.sqrt(half.x1 * half.x2),
+    }[which]
+
+
+def _certificate_of(spec):
+    target = spec.r * spec.r
+    return _piece_certificate(spec, target, RESIDUAL_RTOL * max(1.0, target))
+
+
+class TestCertificateSoundness:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(random_specs, dyadic_specs(), stress_specs, deep_stress_specs),
+        st.sampled_from(("drawn", "below r*", "r*", "above r*", "2 sqrt(ab)")),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16),
+    )
+    @example(RESIDUAL_MISS_SPEC, "drawn", [0.5])
+    @example(CassiniSpec(Point(4, 1), Point(-4, -1), 5.0), "drawn", [0.25])
+    def test_certified_pieces_meet_the_residual_bound_at_every_parameter(
+        self, spec, radius, fractions
+    ):
+        r = _radius_variant(spec, radius)
+        if not r > 0:
+            return
+        spec = CassiniSpec(spec.p, spec.q, r)
+        try:
+            loops = reference_build_curves(spec, None)
+        except AssemblyError:
+            return
+        target = r * r
+        tol = RESIDUAL_RTOL * max(1.0, target)
+        certified = _certificate_of(spec)
+        for piece in (piece for loop in loops for piece in loop):
+            if not certified(piece):
+                continue
+            for f in fractions + [k / 16 for k in range(17)]:
+                x = Point(*piece.coords_at(f))
+                residual = abs(taxicab_distance(x, spec.p) * taxicab_distance(x, spec.q) - target)
+                assert residual <= tol, (piece, f, residual)
+
+
+_rational = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 1000))
+_positive = st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 1000))
+# Strictly between 0 and 1.
+_inner = st.builds(lambda k, m: Fraction(k, k + m), st.integers(1, 1000), st.integers(1, 1000))
+
+
+def _coordinate_on_side(pj, qj, side, beyond, inner):
+    # A coordinate strictly on one side of the lines xj = pj and xj = qj:
+    # "p" beyond pj away from qj, "m" between them, "q" beyond qj.
+    if side == "m":
+        return qj + inner * (pj - qj)
+    away = 1 if pj > qj else -1
+    return pj + away * beyond if side == "p" else qj - away * beyond
+
+
+class TestRegionForms:
+    # Exact arithmetic: each region's sign table turns the distances into
+    # affine forms, and on a half-strip their product is the hyperbola
+    # (x_other - c_other)^2 - (x_run - c_run)^2 about a guide complement.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(_rational, min_size=4, max_size=4),
+        st.lists(st.tuples(_positive, _positive, _inner, _inner), min_size=1, max_size=3),
+    )
+    def test_forms_are_the_distances_and_strip_products_are_hyperbolas(self, foci, offsets):
+        p1, p2, q1, q2 = foci
+        if p1 == q1 or p2 == q2:
+            return
+        p, q = Point(p1, p2), Point(q1, q2)
+        axes = (_axis_sides(p1, q1, 0, 0), _axis_sides(p2, q2, 0, 0))
+        frame = foci_frame(p, q)
+        for (side1, side2), region in REGION_BY_SIDES.items():
+            signs = [axes[axis][side][:2] for axis, side in zip((0, 1), _REGION_SIDES[region])]
+            (ep1, eq1), (ep2, eq2) = [(int(ep), int(eq)) for ep, eq in signs]
+
+            def form_p(x1, x2):
+                return ep1 * (x1 - p1) + ep2 * (x2 - p2)
+
+            def form_q(x1, x2):
+                return eq1 * (x1 - q1) + eq2 * (x2 - q2)
+
+            centers = [g for g in (frame.g_plus, frame.g_minus) if form_p(*g) == form_q(*g) == 0]
+            for beyond1, beyond2, inner1, inner2 in offsets:
+                x1 = _coordinate_on_side(p1, q1, side1, beyond1, inner1)
+                x2 = _coordinate_on_side(p2, q2, side2, beyond2, inner2)
+                assert classify_region(p, q, Point(x1, x2)) == {region}
+                product = form_p(x1, x2) * form_q(x1, x2)
+                assert product == (abs(x1 - p1) + abs(x2 - p2)) * (abs(x1 - q1) + abs(x2 - q2))
+                if (side1 == "m") == (side2 == "m"):
+                    continue
+                # A half-strip: the run axis is the one between the lines.
+                assert len(centers) == 1
+                (c1, c2), = centers
+                run, other = (x1 - c1, x2 - c2) if side1 == "m" else (x2 - c2, x1 - c1)
+                assert product == other * other - run * run
+
+
+_REGIONS = list(RegionId)
+# Each half-strip and the one across the central rectangle from it.
+_STRIP_ACROSS = {
+    RegionId.STRIP_P_C1: RegionId.STRIP_Q_C2,
+    RegionId.STRIP_Q_C2: RegionId.STRIP_P_C1,
+    RegionId.STRIP_P_C2: RegionId.STRIP_Q_C1,
+    RegionId.STRIP_Q_C1: RegionId.STRIP_P_C2,
+}
+
+
+def _arc_mutations(arc, a, b, frame):
+    """(kind, piece) for each way to get a standard-frame arc wrong."""
+    run, other = arc.run_axis, 3 - arc.run_axis
+    center = arc.center
+    branch = 1 if arc.start.coord(other) > center.coord(other) else -1
+    wrong = frame.g_minus if center == frame.g_plus else frame.g_plus
+
+    def on_branch(u):
+        return Point(*_arc_coords(center, run, branch, arc.radius, u))
+
+    def mirrored(x):
+        # x reflected through the center's line along the run axis.
+        x_other = 2 * center.coord(other) - x.coord(other)
+        return Point(x.x1, x_other) if other == 2 else Point(x_other, x.x2)
+
+    u = arc.start.coord(run)
+    x_other = arc.start.coord(other) * (1 + 1e-6)
+    half_width = a if run == 1 else b
+    yield "center", dataclasses.replace(arc, center=wrong)
+    yield "run axis", dataclasses.replace(arc, run_axis=other)
+    yield "branch side", dataclasses.replace(arc, start=mirrored(arc.start), end=mirrored(arc.end))
+    yield "window end", dataclasses.replace(arc, start=on_branch(u + 1e-6 * abs(u)))
+    yield "window end", dataclasses.replace(arc, start=on_branch(u - 1e-6 * abs(u)))
+    yield "end off the branch", dataclasses.replace(
+        arc, start=Point(u, x_other) if run == 1 else Point(x_other, u)
+    )
+    yield "chord", GuideSegment(arc.region, arc.start, arc.end)
+    yield "radius", dataclasses.replace(arc, radius=arc.radius * (1 + 1e-6))
+    yield "across the window", dataclasses.replace(
+        arc, start=on_branch(-half_width), end=on_branch(half_width)
+    )
+    yield "strip across", dataclasses.replace(
+        arc, region=_STRIP_ACROSS[arc.region], center=wrong
+    )
+
+
+def _mutated_loops(loop, a, b):
+    """(kind, loop) for each single-piece mutation of a standard-frame loop,
+    rotated so that the mutated piece comes first: its samples are then
+    checked before the gap in front of it."""
+    frame = foci_frame(Point(a, b), Point(-a, -b))
+    for i, piece in enumerate(loop):
+        rest = loop[i + 1 :] + loop[:i]
+        region = _REGIONS[(_REGIONS.index(piece.region) + 1) % len(_REGIONS)]
+        yield "region label", [dataclasses.replace(piece, region=region), *rest]
+        # The piece runs on past its end into the next piece's region, to a
+        # point of the curve there, and the next piece starts at that point;
+        # or it starts early, inside the previous piece.
+        nxt, prev = rest[0], rest[-1]
+        past = Point(*nxt.coords_at(1e-4))
+        yield "past its end", [
+            dataclasses.replace(piece, end=past),
+            dataclasses.replace(nxt, start=past),
+            *rest[1:],
+        ]
+        early = Point(*prev.coords_at(1 - 1e-4))
+        yield "before its start", [
+            dataclasses.replace(piece, start=early),
+            *rest[:-1],
+            dataclasses.replace(prev, end=early),
+        ]
+        if isinstance(piece, HyperbolaArc):
+            for kind, mutated in _arc_mutations(piece, a, b, frame):
+                yield kind, [mutated, *rest]
+
+
+class TestPieceCertificate:
+    # Standard-frame (a, b, r) below, at and above r* = a + b, and on both
+    # sides of r^2 = 4ab.
+    MUTATED = [(4.0, 1.0, r) for r in (3.0, 4.0, 4.5, 5.0, 5.5, 6.0, 10.0)] + [
+        (3.0, 2.0, 1.0),
+        (0.75, 0.5, 1.25),
+        (2.5, 0.5, 2.9),
+    ]
+
+    def test_mutated_pieces_get_the_reference_verdict(self):
+        rejected = {}
+        for a, b, r in self.MUTATED:
+            spec = CassiniSpec(Point(a, b), Point(-a, -b), r)
+            for loop in _standard_loops(a, b, r):
+                loop = [piece for piece in loop if piece.length_scale() > 0]
+                for kind, mutated in _mutated_loops(loop, a, b):
+                    for samples in (1, 4, 16):
+                        want = _validation_outcome(reference_validate_loop, spec, mutated, samples)
+                        assert _validation_outcome(_validate_loop, spec, mutated, samples) == want
+                    rejected.setdefault(kind, []).append(want is not None)
+        # Validation reads no region label.  Every other kind of mutation is
+        # caught on some loop, so the comparison is not vacuous.
+        assert not any(rejected.pop("region label"))
+        assert all(any(verdicts) for verdicts in rejected.values())
+
+    def test_certified_mutated_pieces_meet_the_residual_bound(self):
+        # The samples need not see a mutation that only a sliver of the
+        # piece shows, so the certificate's own verdict is checked too, at
+        # parameters down to 2^-50 from either end.
+        fractions = sorted(
+            {k / 64 for k in range(65)}
+            | {2.0**-k for k in range(1, 51)}
+            | {1 - 2.0**-k for k in range(1, 51)}
+        )
+        for a, b, r in self.MUTATED:
+            spec = CassiniSpec(Point(a, b), Point(-a, -b), r)
+            certified = _certificate_of(spec)
+            tol = RESIDUAL_RTOL * max(1.0, r * r)
+            for loop in _standard_loops(a, b, r):
+                loop = [piece for piece in loop if piece.length_scale() > 0]
+                for kind, (piece, *_) in _mutated_loops(loop, a, b):
+                    if not certified(piece):
+                        continue
+                    for f in fractions:
+                        x = Point(*piece.coords_at(f))
+                        residual = abs(taxicab_distance(x, spec.p) * taxicab_distance(x, spec.q) - r * r)
+                        assert residual <= tol, (kind, piece, f, residual)
+
+    def test_every_piece_of_the_campaign_distribution_is_certified(self):
+        # A certificate that quietly gave up would only make builds slower;
+        # here it fails a test.
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            spec = random_spec(rng)
+            certified = _certificate_of(spec)
+            for curve in build_curves(spec):
+                for piece in curve:
+                    assert certified(piece), (spec, piece)
+
