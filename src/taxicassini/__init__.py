@@ -17,7 +17,6 @@ from .campaign import (
 )
 from .cassini import (
     AssemblyError,
-    CassiniSpec,
     DegenerateInput,
     GuideSegment,
     HyperbolaArc,
@@ -43,6 +42,7 @@ from .characterization import (
     verify_identities,
 )
 from .core import (
+    CassiniSpec,
     FociFrame,
     GeometryError,
     Isometry,
@@ -69,7 +69,8 @@ from .svg import render_svg
 # The public API, by layer.  The standard-frame piece builders, the campaign
 # fixtures and ORIGIN stay importable from their submodules.
 __all__ = [
-    # core: taxicab geometry, regions and isometries
+    # core: taxicab geometry, the instance spec, regions and isometries
+    "CassiniSpec",
     "FociFrame",
     "GeometryError",
     "Isometry",
@@ -83,7 +84,6 @@ __all__ = [
     "taxicab_distance",
     # cassini: curve construction, classification and topology
     "AssemblyError",
-    "CassiniSpec",
     "DegenerateInput",
     "GuideSegment",
     "HyperbolaArc",

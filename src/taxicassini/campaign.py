@@ -15,11 +15,12 @@ import numpy as np
 
 from .cassini import (
     RESIDUAL_RTOL,
-    CassiniSpec,
+    Topology,
     build_curves,
     critical_radius,
     product_value,
     sample_curve,
+    topology,
 )
 from .characterization import (
     IdentityMode,
@@ -28,7 +29,7 @@ from .characterization import (
     sampling_box,
     verify_identities,
 )
-from .core import Point, standardize, taxicab_distance
+from .core import CassiniSpec, Point, standardize, taxicab_distance
 from .oracle import component_count, extract_contour, grid_field
 
 
@@ -41,7 +42,6 @@ class CampaignResult:
     band for identity campaigns, and inf where not applicable.
     """
 
-    name: str
     trials: int
     failures: int
     skipped: int
@@ -66,7 +66,8 @@ def random_spec(rng: np.random.Generator) -> CassiniSpec:
 def run_residual_campaign(
     trials: int = 500, seed: int = 42, samples_per_curve: int = 64
 ) -> CampaignResult:
-    """Build random instances and check sampled points against the equation."""
+    """Build random instances and check sampled points against the equation;
+    a trial fails if a sample misses r^2 by over RESIDUAL_RTOL * max(1, r^2)."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     failures = 0
@@ -74,13 +75,14 @@ def run_residual_campaign(
         spec = random_spec(rng)
         target = spec.r * spec.r
         scale = max(1.0, target)
-        for curve in build_curves(spec):
-            for x in sample_curve(curve, samples_per_curve):
-                rel = abs(product_value(spec, x) - target) / scale
-                worst = max(worst, rel)
-                if rel > RESIDUAL_RTOL:
-                    failures += 1
-    return CampaignResult("residual", trials, failures, 0, worst)
+        residual = max(
+            abs(product_value(spec, x) - target)
+            for curve in build_curves(spec)
+            for x in sample_curve(curve, samples_per_curve)
+        )
+        worst = max(worst, residual / scale)
+        failures += residual > RESIDUAL_RTOL * scale
+    return CampaignResult(trials, failures, 0, worst)
 
 
 def run_identity_campaigns(
@@ -109,7 +111,7 @@ def run_identity_campaigns(
             worst[mode] = min(worst[mode], report.worst_residual)
     points_total = trials * grid_n * grid_n
     return {
-        mode: CampaignResult(mode.value, points_total, mismatches[mode], skipped[mode], worst[mode])
+        mode: CampaignResult(points_total, mismatches[mode], skipped[mode], worst[mode])
         for mode in IdentityMode
     }
 
@@ -169,11 +171,10 @@ def run_topology_campaign(trials: int = 100, seed: int = 42) -> CampaignResult:
     failures = 0
     for _ in range(trials):
         spec = _random_topology_spec(rng)
-        expected = 2 if spec.r < critical_radius(spec.p, spec.q) else 1
+        expected = {Topology.TWO_CURVES: 2, Topology.ONE_CURVE: 1}[topology(spec)]
         contour = extract_contour(grid_field(spec, n=_topology_grid(spec)))
-        if component_count(contour) != expected:
-            failures += 1
-    return CampaignResult("topology", trials, failures, 0, math.inf)
+        failures += component_count(contour) != expected
+    return CampaignResult(trials, failures, 0, math.inf)
 
 
 def boundary_suite() -> list[tuple[str, CassiniSpec, list[Point]]]:
@@ -202,6 +203,5 @@ def run_boundary_campaign(samples_per_curve: int = 64) -> CampaignResult:
             points.extend(sample_curve(curve, samples_per_curve))
         trials += len(points)
         for point in points:
-            if not boundary_check(spec, point):
-                failures += 1
-    return CampaignResult("boundary", trials, failures, 0, math.inf)
+            failures += not boundary_check(spec, point)
+    return CampaignResult(trials, failures, 0, math.inf)

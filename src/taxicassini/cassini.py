@@ -23,6 +23,7 @@ from enum import Enum
 from typing import Callable, Optional, Union
 
 from .core import (
+    CassiniSpec,
     GeometryError,
     Isometry,
     Point,
@@ -56,23 +57,6 @@ class DegenerateInput(GeometryError):
 
 class AssemblyError(RuntimeError):
     """Pieces failed to close up; signals an implementation bug, not bad input."""
-
-
-@dataclass(frozen=True)
-class CassiniSpec:
-    """Foci p, q and radius parameter r >= 0 defining K(p, q; r)."""
-
-    p: Point
-    q: Point
-    r: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.r) or self.r < 0:
-            raise GeometryError(f"radius parameter must be finite and nonnegative, got {self.r!r}")
-        # Every product comparison is against r^2: an overflowed square would
-        # turn each residual and on-band into inf or NaN, which no check trips.
-        if not math.isfinite(self.r * self.r):
-            raise GeometryError(f"radius parameter squared must be finite, got r = {self.r!r}")
 
 
 def critical_radius(p: Point, q: Point) -> float:
@@ -312,31 +296,6 @@ def _standard_loops(a: float, b: float, r: float) -> list[list[CurvePiece]]:
     return [p_loop, q_loop]
 
 
-_REGION_UNDER_SWAP = {
-    RegionId.QUADRANT_C1: RegionId.QUADRANT_C2,
-    RegionId.QUADRANT_C2: RegionId.QUADRANT_C1,
-    RegionId.STRIP_P_C1: RegionId.STRIP_P_C2,
-    RegionId.STRIP_P_C2: RegionId.STRIP_P_C1,
-    RegionId.STRIP_Q_C1: RegionId.STRIP_Q_C2,
-    RegionId.STRIP_Q_C2: RegionId.STRIP_Q_C1,
-}
-
-
-def _map_piece(piece: CurvePiece, iso: Isometry) -> CurvePiece:
-    # A swap of the coordinates also swaps the run axis and the strip labels.
-    # Under determinant +1 build_curves walks the loop back to front, so the
-    # piece runs from its mapped end to its mapped start.
-    swap = iso.element.value[0]
-    region = _REGION_UNDER_SWAP.get(piece.region, piece.region) if swap else piece.region
-    start, end = iso.apply(piece.start), iso.apply(piece.end)
-    if iso.element.determinant == 1:
-        start, end = end, start
-    if isinstance(piece, GuideSegment):
-        return GuideSegment(region, start, end)
-    run_axis = 3 - piece.run_axis if swap else piece.run_axis
-    return HyperbolaArc(region, iso.apply(piece.center), run_axis, piece.radius, start, end)
-
-
 # Per region, its side of the coordinate lines along x1 and along x2: 0 on
 # p's side away from q, 1 between the two lines, 2 on q's side away from p.
 _REGION_SIDES = {
@@ -350,6 +309,26 @@ _REGION_SIDES = {
     RegionId.STRIP_Q_C2: (2, 1),
     RegionId.QUADRANT_Q: (2, 2),
 }
+# Swapping the coordinates transposes a region's sides (i, j).
+_REGION_BY_SIDES = {sides: region for region, sides in _REGION_SIDES.items()}
+_REGION_UNDER_SWAP = {region: _REGION_BY_SIDES[j, i] for region, (i, j) in _REGION_SIDES.items()}
+
+
+def _map_piece(piece: CurvePiece, iso: Isometry) -> CurvePiece:
+    # A swap of the coordinates also swaps the run axis and the strip labels.
+    # Under determinant +1 build_curves walks the loop back to front, so the
+    # piece runs from its mapped end to its mapped start.
+    swap = iso.element.swap
+    region = _REGION_UNDER_SWAP[piece.region] if swap else piece.region
+    start, end = iso.apply(piece.start), iso.apply(piece.end)
+    if iso.element.determinant == 1:
+        start, end = end, start
+    if isinstance(piece, GuideSegment):
+        return GuideSegment(region, start, end)
+    run_axis = 3 - piece.run_axis if swap else piece.run_axis
+    return HyperbolaArc(region, iso.apply(piece.center), run_axis, piece.radius, start, end)
+
+
 # Certificate constants in units of u = _UNIT_ROUNDOFF and C (see
 # _piece_certificate): the slack of the region test, the rounding of the
 # forms at an arc's center, the bound's allowance per unit of its distance

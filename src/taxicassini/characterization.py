@@ -19,8 +19,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cassini import CassiniSpec, product_value
-from .core import GeometryError, Point, distance_products, foci_frame, taxicab_distance
+from .core import (
+    CassiniSpec,
+    GeometryError,
+    Point,
+    distance_product,
+    distance_products,
+    foci_frame,
+    taxicab_distance,
+)
 
 # Probe classifications treat |f - r^2| below this (relative) guard as "not
 # strictly inside": the open set is defined by a strict inequality that
@@ -247,7 +254,7 @@ def boundary_check(spec: CassiniSpec, x: Point) -> bool:
     found_inside = found_outside = False
     for rho in (BOUNDARY_PROBE_RADIUS, BOUNDARY_PROBE_RADIUS / 2, BOUNDARY_PROBE_RADIUS / 4):
         for dx, dy in _STAR:
-            f = product_value(spec, Point(x.x1 + rho * dx, x.x2 + rho * dy))
+            f = distance_product(spec.p, spec.q, x.x1 + rho * dx, x.x2 + rho * dy)
             if f < target - guard:
                 found_inside = True
             else:

@@ -27,7 +27,6 @@ from .campaign import (
 )
 from .cassini import (
     AssemblyError,
-    CassiniSpec,
     DegenerateInput,
     GuideSegment,
     build_curves,
@@ -36,8 +35,8 @@ from .cassini import (
     topology,
 )
 from .characterization import IdentityMode
-from .core import GeometryError, Point, foci_frame, standardize
-from .svg import render_svg
+from .core import CassiniSpec, GeometryError, Point, foci_frame, standardize
+from .svg import _fmt, render_svg
 
 _IDENTITY_TOKENS = tuple(mode.value for mode in IdentityMode)
 _ALL_MODES = ("residual",) + _IDENTITY_TOKENS + ("topology", "boundary")
@@ -178,7 +177,7 @@ def _fmt_point(pt: Point) -> str:
 
 
 def _fmt_endpoint(pt: Point) -> str:
-    return f"({pt.x1:.6f}, {pt.x2:.6f})"
+    return f"({_fmt(pt.x1)}, {_fmt(pt.x2)})"
 
 
 def cmd_info(args: argparse.Namespace) -> int:

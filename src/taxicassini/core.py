@@ -1,10 +1,10 @@
 """Planar taxicab (L1) geometry primitives.
 
 Distances and the distance product d(x,a)·d(x,b), singly or for several
-pairs sharing their distance fields, the labels of the nine closed regions
-that the coordinate lines through two foci cut the plane into, the complements
-of a focus pair, and the isometry group of the taxicab plane (translations
-composed with the eight-element dihedral point group).
+pairs sharing their distance fields, the instance type CassiniSpec, the nine
+closed regions that the coordinate lines through two foci cut the plane into,
+the complements of a focus pair, and the isometry group of the taxicab plane
+(translations composed with the eight-element dihedral point group).
 """
 
 from __future__ import annotations
@@ -40,6 +40,23 @@ class Point:
 
 
 ORIGIN = Point(0.0, 0.0)
+
+
+@dataclass(frozen=True)
+class CassiniSpec:
+    """Foci p, q and radius parameter r >= 0 defining K(p, q; r)."""
+
+    p: Point
+    q: Point
+    r: float
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.r) or self.r < 0:
+            raise GeometryError(f"radius parameter must be finite and nonnegative, got {self.r!r}")
+        # Every product comparison is against r^2: an overflowed square would
+        # turn each residual and on-band into inf or NaN, which no check trips.
+        if not math.isfinite(self.r * self.r):
+            raise GeometryError(f"radius parameter squared must be finite, got r = {self.r!r}")
 
 
 def taxicab_distance(a: Point, b: Point) -> float:
@@ -135,8 +152,9 @@ class PointGroup(Enum):
     """The eight linear taxicab isometries fixing the origin.
 
     Values are (swap, s1, s2) encoding x -> (s1*u, s2*v) where (u, v) is
-    (x2, x1) when swap else (x1, x2).  Declaration order is the fixed
-    enumeration used by standardize's tie-break.
+    (x2, x1) when swap else (x1, x2).  determinant is +1 for the rotations
+    and -1 for the reflections.  Declaration order is the fixed enumeration
+    used by standardize's tie-break.
     """
 
     IDENTITY = (False, 1, 1)
@@ -148,23 +166,20 @@ class PointGroup(Enum):
     FLIP_DIAG = (True, 1, 1)  # reflect across the slope +1 guide line
     FLIP_ANTIDIAG = (True, -1, -1)  # reflect across the slope -1 guide line
 
-    def apply(self, x1: float, x2: float) -> tuple[float, float]:
-        swap, s1, s2 = self.value
-        if swap:
-            return s1 * x2, s2 * x1
-        return s1 * x1, s2 * x2
+    def __init__(self, swap: bool, s1: int, s2: int) -> None:
+        # The value's parts as attributes, cheaper to read than .value.
+        self.swap, self.s1, self.s2 = swap, s1, s2
+        self.determinant = -s1 * s2 if swap else s1 * s2
 
-    @property
-    def determinant(self) -> int:
-        """+1 for the rotations, -1 for the reflections; a swap negates s1*s2."""
-        swap, s1, s2 = self.value
-        return -s1 * s2 if swap else s1 * s2
+    def apply(self, x1: float, x2: float) -> tuple[float, float]:
+        if self.swap:
+            return self.s1 * x2, self.s2 * x1
+        return self.s1 * x1, self.s2 * x2
 
     def inverse(self) -> "PointGroup":
         # A swap sends (x1, x2) to (s1*x2, s2*x1), undone by (s2*x2, s1*x1);
         # every other element is its own inverse.
-        swap, s1, s2 = self.value
-        return PointGroup((True, s2, s1)) if swap else self
+        return PointGroup((True, self.s2, self.s1)) if self.swap else self
 
 
 @dataclass(frozen=True)

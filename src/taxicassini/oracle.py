@@ -15,9 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cassini import CassiniSpec
 from .characterization import grid_points
-from .core import GeometryError, Point, distance_product
+from .core import CassiniSpec, GeometryError, Point, distance_product
 
 # Values in extract_contour's work buffer, 1 MiB of float64.  A kernel call
 # fills at most a quarter of it, since the call makes two temporaries of its

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .cassini import CassiniSpec, build_curves, curve_polyline
-from .core import GeometryError, Point, taxicab_distance
+from .cassini import build_curves, curve_polyline
+from .core import CassiniSpec, GeometryError, Point, taxicab_distance
 from .oracle import extract_contour, grid_field
 
 _CURVE_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -25,7 +25,7 @@ _SIZE = 640
 
 
 def _fmt(value: float) -> str:
-    # Normalize negative zero so equal figures serialize identically.
+    # Six decimals, negative zero normalized, so equal values serialize identically.
     text = f"{value:.6f}"
     return "0.000000" if text == "-0.000000" else text
 

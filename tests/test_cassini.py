@@ -13,10 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from taxicassini.campaign import random_spec
+from taxicassini import campaign
+from taxicassini.campaign import random_spec, run_residual_campaign
 from taxicassini.cassini import (
     _REGION_SIDES,
-    _REGION_UNDER_SWAP,
     CLOSURE_RTOL,
     RESIDUAL_RTOL,
     ZERO_LENGTH_RTOL,
@@ -506,11 +506,23 @@ def reference_reversed(piece):
     return dataclasses.replace(piece, start=piece.end, end=piece.start)
 
 
+# A swap of the coordinates exchanges the complements c1 = (p1, q2) and
+# c2 = (q1, p2), so it exchanges the labels that name them.
+REFERENCE_REGION_UNDER_SWAP = {
+    RegionId.QUADRANT_C1: RegionId.QUADRANT_C2,
+    RegionId.QUADRANT_C2: RegionId.QUADRANT_C1,
+    RegionId.STRIP_P_C1: RegionId.STRIP_P_C2,
+    RegionId.STRIP_P_C2: RegionId.STRIP_P_C1,
+    RegionId.STRIP_Q_C1: RegionId.STRIP_Q_C2,
+    RegionId.STRIP_Q_C2: RegionId.STRIP_Q_C1,
+}
+
+
 def reference_map_piece(piece, iso):
     swap = iso.element.value[0]
     region = piece.region
     if swap:
-        region = _REGION_UNDER_SWAP.get(region, region)
+        region = REFERENCE_REGION_UNDER_SWAP.get(region, region)
     start, end = iso.apply(piece.start), iso.apply(piece.end)
     if isinstance(piece, GuideSegment):
         return GuideSegment(region, start, end)
@@ -1035,3 +1047,19 @@ class TestPieceCertificate:
                 for piece in curve:
                     assert certified(piece), (spec, piece)
 
+
+class TestResidualCampaign:
+    def test_counts_failing_specs_not_samples(self, monkeypatch):
+        # Every sample of the first of three specs misses r^2 by 1e-6 of
+        # max(1, r^2), far beyond RESIDUAL_RTOL: one spec fails, not each
+        # of its samples.
+        first = random_spec(np.random.default_rng(7))
+
+        def product(spec, x):
+            f = product_value(spec, x)
+            return f + 1e-6 * max(1.0, spec.r * spec.r) if spec == first else f
+
+        monkeypatch.setattr(campaign, "product_value", product)
+        result = run_residual_campaign(trials=3, seed=7, samples_per_curve=16)
+        assert (result.trials, result.failures) == (3, 1)
+        assert math.isclose(result.worst_residual, 1e-6, rel_tol=1e-6)

@@ -352,7 +352,7 @@ def reference_identity_campaign(mode, trials=200, grid_n=100, seed=42, band=1e-9
         skipped += report.skipped_boundary_band
         points_total += report.trials
         worst = min(worst, report.worst_residual)
-    return CampaignResult(mode.value, points_total, mismatches, skipped, worst)
+    return CampaignResult(points_total, mismatches, skipped, worst)
 
 
 # Small coordinates, and signed magnitudes log-uniform over 1e-6..1e9.

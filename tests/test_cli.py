@@ -36,6 +36,29 @@ class TestInfo:
         assert "topology: PinchedVertex" in out
         assert "curves: 2" in out
 
+    @pytest.mark.parametrize(
+        "p,q,r,line",
+        [
+            # The end's x1 is stored as -1.1e-16; its exact value is q1 = 0.
+            (
+                "1.3,-0.2", "0,1.7", "0.6",
+                "curve 2 piece 1: region=S_q_c2 kind=arc "
+                "start=(-0.108801, 1.700000) end=(0.000000, 1.583240)",
+            ),
+            # The start's x1 is stored as -5.6e-17; its exact value is p1 = 0.
+            (
+                "-0,-1", "-0.9,2.8", "1.1",
+                "curve 1 piece 2: region=R kind=segment "
+                "start=(0.000000, -0.726656) end=(-0.273344, -1.000000)",
+            ),
+        ],
+    )
+    def test_endpoint_rounded_to_zero_prints_no_sign(self, capsys, p, q, r, line):
+        code, out, _ = run(capsys, "info", "--p", p, "--q", q, "--r", r)
+        assert code == 0
+        assert line in out.splitlines()
+        assert "-0.000000" not in out
+
     def test_degenerate_point_pair(self, capsys):
         code, out, _ = run(capsys, "info", "--p", "1,1", "--q", "1,1", "--r", "0")
         assert code == 0

@@ -1,4 +1,5 @@
-"""Every name a package or test module imports is used in that module, every
+"""Every package module imports only from the package modules below it,
+every name a package or test module imports is used in that module, every
 module-level private name is used somewhere in the package, and every public
 module-level function or class is called by the package itself.
 
@@ -18,6 +19,65 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "taxicassini"
+
+
+# Per package module, the package modules it may import from.  The
+# construction (cassini) and its two witnesses (characterization and the
+# oracle) share only core, so agreement between them is evidence.
+LAYERS = {
+    "core": set(),
+    "cassini": {"core"},
+    "characterization": {"core"},
+    "oracle": {"core", "characterization"},
+    "campaign": {"core", "cassini", "characterization", "oracle"},
+    "svg": {"core", "cassini", "oracle"},
+    "cli": {"core", "cassini", "characterization", "campaign", "svg"},
+}
+# The only names a module may take from a module it may import from, where
+# it may not take them all: the oracle takes only the sampling-box grid.
+TAKEN_NAMES = {("oracle", "characterization"): {"grid_points"}}
+
+
+def package_imports(tree: ast.Module) -> list[tuple[str, list[str]]]:
+    # (module, names) per import of a package module, relative or absolute,
+    # with "*" for a whole module.  The package itself, or a module above it,
+    # keeps its full name or its dots, which no layer allows.
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.extend((alias.name, ["*"]) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+            if node.level == 1:
+                base = "taxicassini" + (f".{node.module}" if node.module else "")
+            else:
+                base = "." * node.level + (node.module or "")
+            if base == "taxicassini":
+                found.extend((f"taxicassini.{name}", ["*"]) for name in names)
+            else:
+                found.append((base, names))
+    return [
+        (module.removeprefix("taxicassini."), names)
+        for module, names in found
+        if module == "taxicassini" or module.startswith(("taxicassini.", "."))
+    ]
+
+
+def test_package_layers():
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    assert modules == set(LAYERS)
+    breaches = []
+    for module in sorted(modules):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        for source, names in package_imports(tree):
+            if source not in LAYERS[module]:
+                breaches.append(f"{module} imports {source}")
+            allowed = TAKEN_NAMES.get((module, source))
+            if allowed is not None:
+                breaches.extend(
+                    f"{module} takes {name} from {source}" for name in names if name not in allowed
+                )
+    assert breaches == []
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:

@@ -1,6 +1,5 @@
 """Grid sampling, marching squares, Hausdorff distance."""
 
-import ast
 import json
 import math
 import tracemalloc
@@ -479,32 +478,6 @@ def small_grids(draw):
     q = Point(coordinate(origin.x1, nx), coordinate(origin.x2, ny))
     spec = CassiniSpec(p, q, draw(st.floats(0.0, 2.0 * max(nx, ny) * spacing)))
     return ValuesGrid(origin, spacing, nx, ny, values, spec)
-
-
-def test_oracle_imports_no_construction():
-    # The oracle is evidence only while it shares no code with the piecewise
-    # construction: from cassini it may take the spec type, and from
-    # characterization the sampling-box grid.  Everything else, the product
-    # kernel included, comes from core.
-    allowed = {
-        "taxicassini.cassini": {"CassiniSpec"},
-        "taxicassini.characterization": {"grid_points"},
-    }
-    source = Path(oracle.__file__).read_text(encoding="utf-8")
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                assert alias.name not in allowed, alias.name
-        elif isinstance(node, ast.ImportFrom):
-            if node.level:
-                assert node.level == 1
-                base = "taxicassini" + (f".{node.module}" if node.module else "")
-            else:
-                base = node.module
-            for alias in node.names:
-                assert f"{base}.{alias.name}" not in allowed, alias.name
-                if base in allowed:
-                    assert alias.name in allowed[base], f"{base}.{alias.name}"
 
 
 class TestGridField:
