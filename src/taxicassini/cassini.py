@@ -41,7 +41,8 @@ from .core import (
 RESIDUAL_RTOL = 1e-9
 # Consecutive pieces must share endpoints within this relative tolerance.
 CLOSURE_RTOL = 1e-9
-# Pieces shorter than this (relative to instance scale) are dropped.
+# Pieces shorter than this (relative to instance scale) are dropped when the
+# foci differ; a taxicab circle drops only sides whose ends coincide.
 ZERO_LENGTH_RTOL = 1e-12
 # Validation checks each piece its certificate does not cover at this many
 # equal parameter steps.
@@ -75,6 +76,11 @@ class PointLocation(Enum):
     OUTSIDE = "Outside"
 
 
+# The members classify_point returns, read once rather than through the enum
+# class on every call.
+_INSIDE, _ON, _OUTSIDE = PointLocation.INSIDE, PointLocation.ON, PointLocation.OUTSIDE
+
+
 def classify_point(spec: CassiniSpec, x: Point, tol: float = 1e-9) -> PointLocation:
     """Locate x relative to the curve with a relative on-band of width tol.
 
@@ -87,14 +93,17 @@ def classify_point(spec: CassiniSpec, x: Point, tol: float = 1e-9) -> PointLocat
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise GeometryError(f"tolerance must be finite and nonnegative, got {tol!r}")
-    f = product_value(spec, x)
-    target = spec.r * spec.r
-    band = tol * max(1.0, target)
+    # product_value's one line, inlined: this is the per-point path.
+    f = distance_product(spec.p, spec.q, x.x1, x.x2)
+    r = spec.r
+    target = r * r
+    # max(1.0, target) for the finite target >= 0 that CassiniSpec guarantees.
+    band = tol * (target if target > 1.0 else 1.0)
     if abs(f - target) <= band:
-        return PointLocation.ON
+        return _ON
     if f < target - band:
-        return PointLocation.INSIDE
-    return PointLocation.OUTSIDE
+        return _INSIDE
+    return _OUTSIDE
 
 
 class Topology(Enum):
@@ -524,11 +533,12 @@ def build_curves(spec: CassiniSpec) -> list[tuple[CurvePiece, ...]]:
     backward = inverse.element.determinant == 1
     if spec.p == spec.q:
         raw_loops = [_diamond_pieces(spec.r)]
+        # Every side of the diamond has L1 length 2r > 0, so only a side
+        # whose float ends coincide is dropped.
+        zero_tol = 0.0
     else:
         raw_loops = _standard_loops(p_std.x1, p_std.x2, spec.r)
-
-    scale = max(1.0, taxicab_distance(spec.p, spec.q) + spec.r)
-    zero_tol = ZERO_LENGTH_RTOL * scale
+        zero_tol = ZERO_LENGTH_RTOL * max(1.0, taxicab_distance(spec.p, spec.q) + spec.r)
     curves = []
     for k, raw in enumerate(raw_loops, 1):
         mapped = [_map_piece(piece, inverse) for piece in (raw[::-1] if backward else raw)]
@@ -556,8 +566,11 @@ def sample_curve(curve: tuple[CurvePiece, ...], n: int) -> list[Point]:
     count = len(curve)
     points = []
     for k in range(n):
+        # k * count / n is the correctly rounded quotient of two ints whose
+        # exact value is at most count - count / n, so it rounds up to count
+        # only if n > 2**53: int(t) is always a piece index.
         t = k * count / n
-        i = min(int(t), count - 1)
+        i = int(t)
         x1, x2 = curve[i].coords_at(t - i)
         points.append(Point(x1, x2))
     return points

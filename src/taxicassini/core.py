@@ -19,16 +19,27 @@ class GeometryError(ValueError):
     """Input outside an operation's documented domain."""
 
 
-@dataclass(frozen=True)
+# Bound once: every Point is built through these two, and a global name is
+# cheaper to read than an attribute of a module or a type.
+_isfinite = math.isfinite
+_store = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class Point:
     """A location in the plane; coordinates must be finite."""
 
     x1: float
     x2: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x1) and math.isfinite(self.x2)):
-            raise GeometryError(f"coordinates must be finite, got ({self.x1!r}, {self.x2!r})")
+    def __init__(self, x1: float, x2: float) -> None:
+        # The stores a generated frozen __init__ makes, after one check of
+        # the arguments: a __post_init__ check would cost a second call and
+        # re-read both fields, on every sample and probe point.
+        if not (_isfinite(x1) and _isfinite(x2)):
+            raise GeometryError(f"coordinates must be finite, got ({x1!r}, {x2!r})")
+        _store(self, "x1", x1)
+        _store(self, "x2", x2)
 
     def __iter__(self) -> Iterator[float]:
         yield self.x1

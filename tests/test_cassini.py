@@ -121,6 +121,63 @@ def standard_pieces(a, b, r, region):
     return [piece for loop in _standard_loops(a, b, r) for piece in loop if piece.region is region]
 
 
+def reference_location(product, r, tol):
+    """classify_point's docstring on a given product: On iff |product - r^2|
+    <= tol * max(1, r^2), Inside iff product falls below the band, Outside
+    otherwise."""
+    target = r * r
+    band = tol * max(1.0, target)
+    if abs(product - target) <= band:
+        return PointLocation.ON
+    if product < target - band:
+        return PointLocation.INSIDE
+    return PointLocation.OUTSIDE
+
+
+def _nudged(value, steps):
+    # value moved by steps ulps, toward +inf for positive steps.
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(math.inf, steps))
+    return value
+
+
+# r^2 rounds to 1 at r = 1 and to its float neighbours at the neighbours of
+# 1, so the band's scale max(1, r^2) switches between these three radii.
+_BAND_SWITCH_RADII = (1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0))
+
+
+@st.composite
+def classify_cases(draw):
+    """(spec, x, tol): foci in [-4, 4]^2, r at the band's switch or drawn, x
+    drawn in the plane or within a few ulps of a curve sample, and tol 0,
+    1e-9, drawn, or within a few ulps of the band edge that x lies on."""
+    coordinate = st.floats(-4.0, 4.0)
+    steps = st.integers(-3, 3)
+    p = Point(draw(coordinate), draw(coordinate))
+    q = Point(draw(coordinate), draw(coordinate))
+    r = draw(st.one_of(st.sampled_from(_BAND_SWITCH_RADII), st.floats(0.0, 40.0)))
+    spec = CassiniSpec(p, q, r)
+    x = Point(draw(coordinate), draw(coordinate))
+    if r > 0 and draw(st.booleans()):
+        try:
+            curves = build_curves(spec)
+        except AssemblyError:
+            curves = []
+        if curves:
+            sample = draw(st.sampled_from(sample_curve(draw(st.sampled_from(curves)), 16)))
+            x = Point(_nudged(sample.x1, draw(steps)), _nudged(sample.x2, draw(steps)))
+    target = r * r
+    edge = abs(taxicab_distance(x, p) * taxicab_distance(x, q) - target) / max(1.0, target)
+    tol = draw(
+        st.one_of(
+            st.sampled_from((0.0, 1e-9)),
+            st.floats(0.0, 1e-3),
+            steps.map(lambda k: max(0.0, _nudged(edge, k))),
+        )
+    )
+    return spec, x, tol
+
+
 class TestSpecAndScalars:
     def test_critical_radius_values(self):
         assert critical_radius(Point(4, 1), Point(-4, -1)) == 5.0
@@ -183,6 +240,16 @@ class TestClassifyPoint:
         spec = CassiniSpec(Point(4, 1), Point(-4, -1), 0.0)
         assert classify_point(spec, Point(4, 1)) is PointLocation.ON
         assert classify_point(spec, Point(0, 0)) is PointLocation.OUTSIDE
+
+    @settings(max_examples=300, deadline=None)
+    @given(classify_cases())
+    @example((CassiniSpec(Point(0, 0), Point(0, 0), 1.0), Point(0.5, 0.5), 0.0))
+    @example((CassiniSpec(Point(1, 0), Point(-1, 0), 1.0), Point(0, 1e-9), 1e-9))
+    def test_matches_float_reference(self, case):
+        spec, x, tol = case
+        want = reference_location(taxicab_distance(x, spec.p) * taxicab_distance(x, spec.q), spec.r, tol)
+        assert classify_point(spec, x, tol) is want
+        assert reference_location(product_value(spec, x), spec.r, tol) is want
 
 
 class TestTopology:
@@ -415,6 +482,22 @@ class TestBuildCurves:
         for x in sample_curve(curves[0], 64):
             assert classify_point(spec, x) is PointLocation.ON
 
+    @pytest.mark.parametrize(
+        "center,r",
+        [((0.0, 0.0), r) for r in (5e-324, 1e-300, 1e-13, 4e-13, 1.0)] + [((5.0, 5.0), 1e-13)],
+    )
+    def test_small_taxicab_circles_build(self, center, r):
+        # Each side has L1 length 2r > 0, which is below ZERO_LENGTH_RTOL *
+        # max(1, r) for r < 5e-13: only coinciding ends may drop a side.
+        c1, c2 = center
+        spec = CassiniSpec(Point(c1, c2), Point(c1, c2), r)
+        (curve,) = build_curves(spec)
+        vertices = {Point(c1 + r, c2), Point(c1, c2 + r), Point(c1 - r, c2), Point(c1, c2 - r)}
+        assert len(curve) == 4
+        assert {piece.start for piece in curve} == vertices
+        for x in sample_curve(curve, 32):
+            assert classify_point(spec, x) is PointLocation.ON
+
     def test_sample_curve_needs_enough_points(self):
         curve = build_curves(CassiniSpec(Point(0, 0), Point(0, 0), 2.0))[0]
         with pytest.raises(GeometryError):
@@ -566,7 +649,11 @@ def reference_build_curves(spec, samples_per_piece=16):
     curves = []
     for k, raw in enumerate(raw_loops, 1):
         mapped = [reference_map_piece(piece, inverse) for piece in raw]
-        kept = [piece for piece in mapped if piece.length_scale() > zero_tol]
+        if spec.p == spec.q:
+            # A diamond side has L1 length 2r > 0: only coinciding ends drop it.
+            kept = [piece for piece in mapped if piece.start != piece.end]
+        else:
+            kept = [piece for piece in mapped if piece.length_scale() > zero_tol]
         where = f"loop {k} of {len(raw_loops)}"
         if not kept:
             raise AssemblyError(f"{spec}, {where}: all pieces of a loop degenerated to points")
@@ -711,6 +798,40 @@ class TestFloatPathMatchesReference:
             assert _validation_outcome(
                 _validate_loop, spec, pieces, samples_per_piece
             ) == _validation_outcome(reference_validate_loop, spec, pieces, samples_per_piece)
+
+
+class _IndexPiece:
+    """A stand-in piece whose points are (its index, the parameter)."""
+
+    def __init__(self, index):
+        self.index = index
+
+    def coords_at(self, f):
+        assert 0.0 <= f < 1.0
+        return float(self.index), f
+
+
+class TestSampleCurve:
+    # sample_curve takes piece int(k * count / n) with no clamp to count - 1.
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 64), st.integers(8, 2**40), st.data())
+    def test_float_index_is_the_exact_floor(self, count, n, data):
+        # The exact quotient is at least 1/n below the next integer, and
+        # 1/n >= 2^-40 is far more than its rounding error, at most 2^-47.
+        for k in (n - 1, data.draw(st.integers(0, n - 1))):
+            assert int(k * count / n) == k * count // n
+        if n > count:
+            assert int((n - 1) * count / n) == count - 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 64), st.integers(8, 4096))
+    def test_samples_walk_the_pieces_in_order(self, count, n):
+        points = sample_curve(tuple(_IndexPiece(i) for i in range(count)), n)
+        indices = [x.x1 for x in points]
+        assert len(points) == n
+        assert indices == sorted(indices)
+        assert indices[0] == 0 and indices[-1] == (n - 1) * count // n
 
 
 class TestArcEndpoints:

@@ -59,6 +59,13 @@ class TestInfo:
         assert line in out.splitlines()
         assert "-0.000000" not in out
 
+    def test_small_taxicab_circle(self, capsys):
+        # Each side's L1 length 2e-13 is below ZERO_LENGTH_RTOL * max(1, r).
+        code, out, err = run(capsys, "info", "--p", "0,0", "--q", "0,0", "--r", "1e-13")
+        assert (code, err) == (0, "")
+        assert "topology: TaxicabCircle" in out
+        assert "curve 1 pieces: 4" in out.splitlines()
+
     def test_degenerate_point_pair(self, capsys):
         code, out, _ = run(capsys, "info", "--p", "1,1", "--q", "1,1", "--r", "0")
         assert code == 0

@@ -1,6 +1,9 @@
 """Metric, region, and symmetry primitives."""
 
+import copy
 import dataclasses
+import math
+import pickle
 
 import numpy as np
 import pytest
@@ -36,17 +39,55 @@ kernel_points = st.builds(Point, kernel_coordinate, kernel_coordinate)
 
 
 class TestPoint:
-    def test_rejects_non_finite(self):
-        with pytest.raises(GeometryError):
-            Point(float("nan"), 0.0)
-        with pytest.raises(GeometryError):
-            Point(0.0, float("inf"))
+    @pytest.mark.parametrize(
+        "x1,x2,text",
+        [
+            (float("nan"), 0.0, "(nan, 0.0)"),
+            (0.0, float("inf"), "(0.0, inf)"),
+            (-math.inf, 2, "(-inf, 2)"),
+            (1, math.nan, "(1, nan)"),
+        ],
+    )
+    def test_rejects_non_finite(self, x1, x2, text):
+        with pytest.raises(GeometryError) as info:
+            Point(x1, x2)
+        assert str(info.value) == f"coordinates must be finite, got {text}"
 
-    def test_frozen_and_hashable(self):
+    @pytest.mark.parametrize("name", ["x1", "x2", "x3"])
+    def test_frozen(self, name):
         p = Point(1.0, 2.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            p.x1 = 3.0
-        assert len({Point(1.0, 2.0), Point(1.0, 2.0)}) == 1
+            setattr(p, name, 3.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(p, name)
+        assert p == Point(1.0, 2.0)
+
+    def test_equality_and_hash_by_value(self):
+        assert Point(1.0, 2.0) == Point(1.0, 2.0)
+        assert hash(Point(1.0, 2.0)) == hash(Point(1.0, 2.0))
+        assert len({Point(1.0, 2.0), Point(1.0, 2.0), Point(1, 2)}) == 1
+        assert Point(1.0, 2.0) != Point(2.0, 1.0)
+        assert Point(1.0, 2.0) != (1.0, 2.0)
+
+    def test_repr(self):
+        assert repr(Point(1.5, -2.0)) == "Point(x1=1.5, x2=-2.0)"
+        assert repr(Point(0.1, 1e-300)) == "Point(x1=0.1, x2=1e-300)"
+
+    def test_int_arguments_are_kept(self):
+        p = Point(4, -1)
+        assert (p.x1, p.x2) == (4, -1)
+        assert type(p.x1) is int
+        assert repr(p) == "Point(x1=4, x2=-1)"
+
+    def test_copies_round_trip(self):
+        p = Point(1.5, -2.0)
+        assert dataclasses.replace(p, x2=3) == Point(1.5, 3)
+        with pytest.raises(GeometryError):
+            dataclasses.replace(p, x1=math.inf)
+        assert copy.deepcopy(p) == p
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            q = pickle.loads(pickle.dumps(p, protocol))
+            assert type(q) is Point and repr(q) == repr(p)
 
     def test_iteration_and_coord(self):
         p = Point(3.0, -4.0)
