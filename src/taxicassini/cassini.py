@@ -4,23 +4,25 @@ The locus K(p, q; r) of points whose taxicab distances to two foci multiply
 to r^2 is, for r > 0, a union of guide-line segments (in the quadrants and
 the central rectangle) and taxicab-hyperbola arcs (in the half-strips),
 glued into one or two simple closed curves depending on how r compares with
-the critical radius r* = d(p, q) / 2.  Construction happens in the standard
-frame (midpoint at the origin, one focus in the closed first octant) and is
-conjugated back through the standardizing isometry.
+the critical radius r* = d(p, q) / 2.  Every endpoint is computed in the
+standard frame (midpoint at the origin, one focus in the closed first
+octant) and placed in the input frame by the inverse of the standardizing
+isometry, so each piece is built once, where it is returned.
 
-Orientation needs no arithmetic: the standard-frame loops run clockwise by
-construction, and the map back keeps that orientation when its point-group
-element has determinant +1 and flips it when the determinant is -1.  Under
-determinant +1 each loop is mapped back to front with the ends of every
+Orientation needs no arithmetic: the standard-frame loops run clockwise,
+and the isometry back keeps that orientation when its point-group element
+has determinant +1 and flips it when the determinant is -1.  Under
+determinant +1 each loop is built back to front with the ends of every
 piece swapped, so every returned curve runs counterclockwise.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .core import (
     CassiniSpec,
@@ -53,7 +55,8 @@ _UNIT_ROUNDOFF = 2.0**-53
 
 
 class DegenerateInput(GeometryError):
-    """Instance has no curve to build (r = 0)."""
+    """Instance has no curve to build: r = 0, or a taxicab circle whose
+    radius is below the float resolution at its center."""
 
 
 class AssemblyError(RuntimeError):
@@ -140,14 +143,21 @@ class GuideSegment:
     start: Point
     end: Point
 
-    def coords_at(self, f: float) -> tuple[float, float]:
-        """Coordinates at parameter f in [0, 1]; exact at the endpoints."""
+    def points_at(self, fractions: Sequence[float]) -> list[Point]:
+        """The points at parameters in [0, 1]: start at 0, end at 1, and
+        start + f * (end - start) between."""
         start, end = self.start, self.end
-        if f == 0.0:
-            return start.x1, start.x2
-        if f == 1.0:
-            return end.x1, end.x2
-        return start.x1 + f * (end.x1 - start.x1), start.x2 + f * (end.x2 - start.x2)
+        s1, s2 = start.x1, start.x2
+        d1, d2 = end.x1 - s1, end.x2 - s2
+        return [
+            start if f == 0.0 else end if f == 1.0 else Point(s1 + f * d1, s2 + f * d2)
+            for f in fractions
+        ]
+
+    def coords_at(self, f: float) -> tuple[float, float]:
+        """Coordinates at one parameter, as points_at computes them."""
+        (x,) = self.points_at((f,))
+        return x.x1, x.x2
 
     def length_scale(self) -> float:
         return taxicab_distance(self.start, self.end)
@@ -162,8 +172,8 @@ class HyperbolaArc:
     "other" the remaining one.  The center is a guide complement of the
     foci.  The endpoints carry everything else: the run coordinate goes from
     start's to end's, and the branch is the side of the center that start
-    lies on in the other coordinate.  coords_at(0) and coords_at(1) return
-    the endpoints exactly.
+    lies on in the other coordinate.  points_at returns the endpoints
+    themselves at parameters 0 and 1.
     """
 
     region: RegionId
@@ -173,18 +183,28 @@ class HyperbolaArc:
     start: Point
     end: Point
 
-    def coords_at(self, f: float) -> tuple[float, float]:
-        """Coordinates at parameter f in [0, 1]; exact at the endpoints."""
-        start, end, center = self.start, self.end, self.center
-        if f == 0.0:
-            return start.x1, start.x2
-        if f == 1.0:
-            return end.x1, end.x2
-        if self.run_axis == 1:
+    def points_at(self, fractions: Sequence[float]) -> list[Point]:
+        """The points at parameters in [0, 1]: start at 0, end at 1, and
+        between them the branch point over the run coordinate u0 + f * du."""
+        start, end, center, radius, run_axis = (
+            self.start, self.end, self.center, self.radius, self.run_axis
+        )
+        if run_axis == 1:
             branch = 1 if start.x2 > center.x2 else -1
-            return _arc_coords(center, 1, branch, self.radius, start.x1 + f * (end.x1 - start.x1))
-        branch = 1 if start.x1 > center.x1 else -1
-        return _arc_coords(center, 2, branch, self.radius, start.x2 + f * (end.x2 - start.x2))
+            u0, du = start.x1, end.x1 - start.x1
+        else:
+            branch = 1 if start.x1 > center.x1 else -1
+            u0, du = start.x2, end.x2 - start.x2
+        return [
+            start if f == 0.0 else end if f == 1.0
+            else Point(*_arc_coords(center, run_axis, branch, radius, u0 + f * du))
+            for f in fractions
+        ]
+
+    def coords_at(self, f: float) -> tuple[float, float]:
+        """Coordinates at one parameter, as points_at computes them."""
+        (x,) = self.points_at((f,))
+        return x.x1, x.x2
 
     def length_scale(self) -> float:
         return abs(self.end.coord(self.run_axis) - self.start.coord(self.run_axis))
@@ -200,109 +220,6 @@ def _arc_coords(
     if run_axis == 1:
         return u, center.x2 + branch * math.hypot(u - center.x1, radius)
     return center.x1 + branch * math.hypot(u - center.x2, radius), u
-
-
-def _diamond_pieces(r: float) -> list[GuideSegment]:
-    # Taxicab circle about the origin: the radius-r diamond, clockwise from
-    # the east vertex like the standard-frame loops.
-    east, north = Point(r, 0.0), Point(0.0, r)
-    west, south = Point(-r, 0.0), Point(0.0, -r)
-    return [
-        GuideSegment(RegionId.QUADRANT_C1, east, south),
-        GuideSegment(RegionId.QUADRANT_Q, south, west),
-        GuideSegment(RegionId.QUADRANT_C2, west, north),
-        GuideSegment(RegionId.QUADRANT_P, north, east),
-    ]
-
-
-def _standard_loops(a: float, b: float, r: float) -> list[list[CurvePiece]]:
-    """The pieces of K(p, q; r) for p = (a, b) = -q, a >= b >= 0, in clockwise loops.
-
-    Each focus quadrant holds a guide segment; each complement quadrant holds
-    one iff r^2 >= 4ab (the corner point at equality).  Each half-strip holds
-    an arc of the taxicab hyperbola about a guide complement.  Above r* = a + b
-    the arcs span their strips and everything forms one loop.  At or below r*
-    each arc leaves its strip over the window |u - c_run| < c around the
-    center, c = sqrt(r*^2 - r^2): the part below the window belongs to the
-    loop about q, the part above it to the loop about p.  The central
-    rectangle then holds the waist segments on x1 + x2 = +-c, a single one
-    shared by both loops at r = r*.  Adjacent entries share endpoints; entries
-    of zero length are dropped later without opening gaps.
-    """
-    rstar = a + b
-    sp = math.hypot(rstar, r)
-    frame = foci_frame(Point(a, b), Point(-a, -b))
-    g_plus, g_minus = frame.g_plus, frame.g_minus
-    qp = GuideSegment(RegionId.QUADRANT_P, Point(a, sp - a), Point(sp - b, b))
-    qq = GuideSegment(RegionId.QUADRANT_Q, Point(-a, a - sp), Point(b - sp, -b))
-    qc1 = qc2 = None
-    if r * r >= 4.0 * a * b:
-        sc = math.hypot(a - b, r)
-        qc1 = GuideSegment(RegionId.QUADRANT_C1, Point(sc - b, -b), Point(a, a - sc))
-        qc2 = GuideSegment(RegionId.QUADRANT_C2, Point(b - sc, b), Point(-a, sc - a))
-    # Per half-strip: region, hyperbola center, run axis and branch side.
-    top = (RegionId.STRIP_P_C2, g_plus, 1, 1)
-    bottom = (RegionId.STRIP_Q_C1, g_minus, 1, -1)
-    right = (RegionId.STRIP_P_C1, g_plus, 2, 1)
-    left = (RegionId.STRIP_Q_C2, g_minus, 2, -1)
-
-    def arc(strip, lo: float, hi: float, reverse: bool = False) -> Optional[HyperbolaArc]:
-        # The strip's arc over lo <= u <= hi, run from hi to lo if reverse.
-        if not hi > lo:
-            return None
-        region, center, run_axis, branch = strip
-        u0, u1 = (hi, lo) if reverse else (lo, hi)
-        return HyperbolaArc(
-            region=region,
-            center=center,
-            run_axis=run_axis,
-            radius=r,
-            start=Point(*_arc_coords(center, run_axis, branch, r, u0)),
-            end=Point(*_arc_coords(center, run_axis, branch, r, u1)),
-        )
-
-    def chain(*pieces: Optional[CurvePiece]) -> list[CurvePiece]:
-        return [piece for piece in pieces if piece is not None]
-
-    if r > rstar:
-        loop = chain(
-            qp,
-            arc(right, -b, b, True),
-            qc1,
-            arc(bottom, -a, a, True),
-            qq,
-            arc(left, -b, b),
-            qc2,
-            arc(top, -a, a),
-        )
-        return [loop]
-    # Offset of the rectangle segments from the midpoint diagonal; exact 0 at r = r*.
-    c = math.sqrt((rstar - r) * (rstar + r))
-    hi, lo = min(a, c + b), max(-a, c - b)
-    rect_plus = GuideSegment(RegionId.CENTRAL_RECTANGLE, Point(hi, c - hi), Point(lo, c - lo))
-    if r == rstar:
-        rect_minus = GuideSegment(RegionId.CENTRAL_RECTANGLE, rect_plus.end, rect_plus.start)
-    else:
-        rect_minus = GuideSegment(
-            RegionId.CENTRAL_RECTANGLE, Point(-hi, hi - c), Point(-lo, lo - c)
-        )
-    p_loop = chain(
-        qp,
-        arc(right, max(-b, g_plus.x2 + c), b, True),
-        qc1,
-        arc(bottom, max(-a, g_minus.x1 + c), a, True),
-        rect_plus,
-        arc(top, max(-a, g_plus.x1 + c), a),
-    )
-    q_loop = chain(
-        qq,
-        arc(left, -b, min(b, g_minus.x2 - c)),
-        qc2,
-        arc(top, -a, min(a, g_plus.x1 - c)),
-        rect_minus,
-        arc(bottom, -a, min(a, g_minus.x1 - c), True),
-    )
-    return [p_loop, q_loop]
 
 
 # Per region, its side of the coordinate lines along x1 and along x2: 0 on
@@ -321,21 +238,159 @@ _REGION_SIDES = {
 # Swapping the coordinates transposes a region's sides (i, j).
 _REGION_BY_SIDES = {sides: region for region, sides in _REGION_SIDES.items()}
 _REGION_UNDER_SWAP = {region: _REGION_BY_SIDES[j, i] for region, (i, j) in _REGION_SIDES.items()}
+_REGION_KEPT = {region: region for region in _REGION_SIDES}
 
 
-def _map_piece(piece: CurvePiece, iso: Isometry) -> CurvePiece:
-    # A swap of the coordinates also swaps the run axis and the strip labels.
-    # Under determinant +1 build_curves walks the loop back to front, so the
-    # piece runs from its mapped end to its mapped start.
-    swap = iso.element.swap
-    region = _REGION_UNDER_SWAP[piece.region] if swap else piece.region
-    start, end = iso.apply(piece.start), iso.apply(piece.end)
-    if iso.element.determinant == 1:
-        start, end = end, start
-    if isinstance(piece, GuideSegment):
-        return GuideSegment(region, start, end)
-    run_axis = 3 - piece.run_axis if swap else piece.run_axis
-    return HyperbolaArc(region, iso.apply(piece.center), run_axis, piece.radius, start, end)
+def _placing(iso: Isometry):
+    """Constructors of pieces computed in the standard frame and placed by iso.
+
+    Returns (place, segment, arc, loop).  place(x1, x2) is the Point iso
+    maps (x1, x2) to, in the arithmetic of Isometry.apply.  segment(region,
+    start, end) and arc(region, center, run_axis, radius, start, end) take
+    the standard-frame region, run axis and clockwise order, and placed
+    points; a swap of the coordinates swaps the region's sides and the run
+    axis.  Under determinant +1 the placed loops would run clockwise, so
+    each piece runs from its end to its start and loop(*pieces) lists them
+    back to front; loop also drops the absent (None) pieces.
+    """
+    element, t = iso.element, iso.translation
+    apply, t1, t2 = element.apply, t.x1, t.x2
+    swap = element.swap
+    regions = _REGION_UNDER_SWAP if swap else _REGION_KEPT
+    backward = element.determinant == 1
+
+    def place(x1: float, x2: float) -> Point:
+        y1, y2 = apply(x1, x2)
+        return Point(y1 + t1, y2 + t2)
+
+    def segment(region: RegionId, start: Point, end: Point) -> GuideSegment:
+        if backward:
+            start, end = end, start
+        return GuideSegment(regions[region], start, end)
+
+    def arc(
+        region: RegionId, center: Point, run_axis: int, radius: float, start: Point, end: Point
+    ) -> HyperbolaArc:
+        if backward:
+            start, end = end, start
+        return HyperbolaArc(
+            regions[region], center, 3 - run_axis if swap else run_axis, radius, start, end
+        )
+
+    def loop(*pieces: Optional[CurvePiece]) -> list[CurvePiece]:
+        kept = [piece for piece in pieces if piece is not None]
+        return kept[::-1] if backward else kept
+
+    return place, segment, arc, loop
+
+
+def _diamond_pieces(r: float, iso: Isometry) -> list[GuideSegment]:
+    # Taxicab circle about the origin, placed by iso: the radius-r diamond,
+    # written clockwise from the east vertex like the standard-frame loops.
+    place, segment, _, loop = _placing(iso)
+    east, north = place(r, 0.0), place(0.0, r)
+    west, south = place(-r, 0.0), place(0.0, -r)
+    return loop(
+        segment(RegionId.QUADRANT_C1, east, south),
+        segment(RegionId.QUADRANT_Q, south, west),
+        segment(RegionId.QUADRANT_C2, west, north),
+        segment(RegionId.QUADRANT_P, north, east),
+    )
+
+
+def _standard_loops(a: float, b: float, r: float, iso: Isometry) -> list[list[CurvePiece]]:
+    """The loops of K(p, q; r) for p = (a, b) = -q, a >= b >= 0, placed by iso.
+
+    Every endpoint and arc center is computed in this standard frame and
+    placed by iso, the isometry back to the input frame, so each piece is
+    built once, where it is returned.  The loops below are written
+    clockwise; _placing lists them so that each runs counterclockwise once
+    placed.
+
+    Each focus quadrant holds a guide segment; each complement quadrant holds
+    one iff r^2 >= 4ab (the corner point at equality).  Each half-strip holds
+    an arc of the taxicab hyperbola about a guide complement.  Above r* = a + b
+    the arcs span their strips and everything forms one loop.  At or below r*
+    each arc leaves its strip over the window |u - c_run| < c around the
+    center, c = sqrt(r*^2 - r^2): the part below the window belongs to the
+    loop about q, the part above it to the loop about p.  The central
+    rectangle then holds the waist segments on x1 + x2 = +-c, a single one
+    shared by both loops at r = r*.  Adjacent entries share endpoints; entries
+    of zero length are dropped later without opening gaps.
+    """
+    place, segment, arc_piece, loop = _placing(iso)
+    rstar = a + b
+    sp = math.hypot(rstar, r)
+    frame = foci_frame(Point(a, b), Point(-a, -b))
+    g_plus, g_minus = frame.g_plus, frame.g_minus
+    qp = segment(RegionId.QUADRANT_P, place(a, sp - a), place(sp - b, b))
+    qq = segment(RegionId.QUADRANT_Q, place(-a, a - sp), place(b - sp, -b))
+    qc1 = qc2 = None
+    if r * r >= 4.0 * a * b:
+        sc = math.hypot(a - b, r)
+        qc1 = segment(RegionId.QUADRANT_C1, place(sc - b, -b), place(a, a - sc))
+        qc2 = segment(RegionId.QUADRANT_C2, place(b - sc, b), place(-a, sc - a))
+    # Per half-strip: region, hyperbola center and its placed image, run
+    # axis and branch side.
+    plus_at, minus_at = place(g_plus.x1, g_plus.x2), place(g_minus.x1, g_minus.x2)
+    top = (RegionId.STRIP_P_C2, g_plus, plus_at, 1, 1)
+    bottom = (RegionId.STRIP_Q_C1, g_minus, minus_at, 1, -1)
+    right = (RegionId.STRIP_P_C1, g_plus, plus_at, 2, 1)
+    left = (RegionId.STRIP_Q_C2, g_minus, minus_at, 2, -1)
+
+    def arc(strip, lo: float, hi: float, reverse: bool = False) -> Optional[HyperbolaArc]:
+        # The strip's arc over lo <= u <= hi, run from hi to lo if reverse.
+        if not hi > lo:
+            return None
+        region, center, center_at, run_axis, branch = strip
+        u0, u1 = (hi, lo) if reverse else (lo, hi)
+        return arc_piece(
+            region,
+            center_at,
+            run_axis,
+            r,
+            place(*_arc_coords(center, run_axis, branch, r, u0)),
+            place(*_arc_coords(center, run_axis, branch, r, u1)),
+        )
+
+    if r > rstar:
+        return [
+            loop(
+                qp,
+                arc(right, -b, b, True),
+                qc1,
+                arc(bottom, -a, a, True),
+                qq,
+                arc(left, -b, b),
+                qc2,
+                arc(top, -a, a),
+            )
+        ]
+    # Offset of the rectangle segments from the midpoint diagonal; exact 0 at r = r*.
+    c = math.sqrt((rstar - r) * (rstar + r))
+    hi, lo = min(a, c + b), max(-a, c - b)
+    rect_plus = segment(RegionId.CENTRAL_RECTANGLE, place(hi, c - hi), place(lo, c - lo))
+    if r == rstar:
+        rect_minus = GuideSegment(rect_plus.region, rect_plus.end, rect_plus.start)
+    else:
+        rect_minus = segment(RegionId.CENTRAL_RECTANGLE, place(-hi, hi - c), place(-lo, lo - c))
+    p_loop = loop(
+        qp,
+        arc(right, max(-b, g_plus.x2 + c), b, True),
+        qc1,
+        arc(bottom, max(-a, g_minus.x1 + c), a, True),
+        rect_plus,
+        arc(top, max(-a, g_plus.x1 + c), a),
+    )
+    q_loop = loop(
+        qq,
+        arc(left, -b, min(b, g_minus.x2 - c)),
+        qc2,
+        arc(top, -a, min(a, g_plus.x1 - c)),
+        rect_minus,
+        arc(bottom, -a, min(a, g_minus.x1 - c), True),
+    )
+    return [p_loop, q_loop]
 
 
 # Certificate constants in units of u = _UNIT_ROUNDOFF and C (see
@@ -366,6 +421,12 @@ def _axis_sides(pj: float, qj: float, c: float, slack: float) -> tuple:
     )
 
 
+def _instance_bound(spec: CassiniSpec) -> float:
+    # C = 2 max|focus coordinate| + r, the scale of the rounding allowances.
+    p, q = spec.p, spec.q
+    return 2.0 * max(abs(p.x1), abs(p.x2), abs(q.x1), abs(q.x2)) + spec.r
+
+
 def _uncertified(piece: CurvePiece) -> bool:
     return False
 
@@ -375,8 +436,8 @@ def _piece_certificate(
 ) -> Callable[[CurvePiece], bool]:
     """A test of one piece, built once per loop, that is True only if the
     residual |d(x,p) * d(x,q) - target| computed as _validate_loop computes it
-    is at most residual_tol at x = piece.coords_at(f) for every float f in
-    [0, 1].  False decides nothing: the caller samples the piece.
+    is at most residual_tol at the point piece.points_at gives for every
+    float f in [0, 1].  False decides nothing: the caller samples the piece.
 
     The algebra.  On each of the nine closed regions of RegionId the signs of
     x1 - p1, x2 - p2, x1 - q1 and x2 - q2 are fixed, so d(x, p) and d(x, q)
@@ -393,9 +454,10 @@ def _piece_certificate(
 
     The rounding.  Let u be the unit roundoff and C = 2 max|focus coordinate|
     + r, so the foci lie in [-C/2, C/2]^2 and r <= C.  A piece is tested only
-    if its ends (a segment) or its run range and center (an arc) lie in
-    [-C, C]^2.  Then coords_at(f) lies within 13 uC, in L1, of an exact point
-    X: s + f (e - s) on a segment, or the branch point over the computed run
+    if its ends lie in its region, widened by the slack below and cut to
+    [-C, C]^2, and an arc only if its center lies in [-C, C]^2 too.  Then
+    its point at f lies within 13 uC, in L1, of an exact point X: the point
+    s + f (e - s) on a segment, or the branch point over the computed run
     coordinate on an arc (math.hypot errs by under one ulp).  The region test
     allows a slack of 16 uC beyond each coordinate line; with the rounding of
     the test and of the run coordinate every such X lies within v = 34 uC of
@@ -418,7 +480,7 @@ def _piece_certificate(
     p1, p2, q1, q2 = p.x1, p.x2, q.x1, q.x2
     if p1 == q1 or p2 == q2:
         return _uncertified
-    c = 2.0 * max(abs(p1), abs(p2), abs(q1), abs(q2)) + r
+    c = _instance_bound(spec)
     uc = _UNIT_ROUNDOFF * c
     budget = residual_tol - _TARGET_U * _UNIT_ROUNDOFF * max(1.0, target) - _SQUARE_UC2 * uc * uc
     if not budget > 0:
@@ -440,9 +502,10 @@ def _piece_certificate(
         ends, other_end = abs(ps * qs - target), abs(pe * qe - target)
         if other_end > ends:
             ends = other_end
+        # Both ends lie in the region, which also bounds an arc's run range.
+        if not (lo1 <= s1 <= hi1 and lo1 <= e1 <= hi1 and lo2 <= s2 <= hi2 and lo2 <= e2 <= hi2):
+            return False
         if isinstance(piece, GuideSegment):
-            if not (lo1 <= s1 <= hi1 and lo1 <= e1 <= hi1 and lo2 <= s2 <= hi2 and lo2 <= e2 <= hi2):
-                return False
             d1, d2 = e1 - s1, e2 - s2
             sums = ps + qs if ps + qs > pe + qe else pe + qe
             bound = ends + abs((ep1 * d1 + ep2 * d2) * (eq1 * d1 + eq2 * d2)) / 4
@@ -453,21 +516,19 @@ def _piece_certificate(
             return False
         # The forms multiply to y_other^2 - y_run^2 only with the run axis
         # between the lines and the other on a focus's side, where
-        # e_p = e_q; the branch, read off the start as coords_at reads it,
+        # e_p = e_q; the branch, read off the start as points_at reads it,
         # must point away from the foci.  floor is the least |y_other| that
         # keeps the branch on that side.
         if piece.run_axis == 1:
             if side1 != 1 or side2 == 1 or (1.0 if s2 > k2 else -1.0) != ep2:
                 return False
-            run_s, run_e, k_run, run_lo, run_hi = s1, e1, k1, lo1, hi1
+            run_s, run_e, k_run = s1, e1, k1
             floor = lo2 - k2 if ep2 > 0 else k2 - hi2
         else:
             if side2 != 1 or side1 == 1 or (1.0 if s1 > k1 else -1.0) != ep1:
                 return False
-            run_s, run_e, k_run, run_lo, run_hi = s2, e2, k2, lo2, hi2
+            run_s, run_e, k_run = s2, e2, k2
             floor = lo1 - k1 if ep1 > 0 else k1 - hi1
-        if not (run_lo <= run_s <= run_hi and run_lo <= run_e <= run_hi):
-            return False
         lo, hi = (run_s, run_e) if run_s < run_e else (run_e, run_s)
         # |y_other| is least at the run value nearest the center.
         nearest = lo - k_run if lo > k_run else (k_run - hi if hi < k_run else 0.0)
@@ -485,6 +546,20 @@ def _piece_certificate(
     return certified
 
 
+def _region_box(spec: CassiniSpec, region: RegionId) -> tuple[float, float, float, float]:
+    """(lo1, hi1, lo2, hi2): the closed region of spec's foci, widened by the
+    certificate's slack of 16 uC beyond each coordinate line and unbounded
+    outward.  An axis on which the foci share the coordinate is unbounded."""
+    slack = _SLACK_UC * _UNIT_ROUNDOFF * _instance_bound(spec)
+    box: list[float] = []
+    for pj, qj, side in zip(spec.p, spec.q, _REGION_SIDES[region]):
+        if pj == qj:
+            box += (-math.inf, math.inf)
+        else:
+            box += _axis_sides(pj, qj, math.inf, slack)[side][2:]
+    return tuple(box)
+
+
 def _validate_loop(spec: CassiniSpec, pieces: list[CurvePiece], samples_per_piece: int) -> None:
     scale = max(1.0, taxicab_distance(spec.p, spec.q) + spec.r)
     target = spec.r * spec.r
@@ -499,15 +574,20 @@ def _validate_loop(spec: CassiniSpec, pieces: list[CurvePiece], samples_per_piec
             raise AssemblyError(
                 f"pieces {i} and {(i + 1) % len(pieces)} leave a gap of {gap!r}"
             )
+        # A certified piece lies in its region by the certificate's own
+        # region test; the samples of any other must stay in its region too.
         if certified(piece):
             continue
-        for f in fractions:
-            x1, x2 = piece.coords_at(f)
+        lo1, hi1, lo2, hi2 = _region_box(spec, piece.region)
+        # Point raises GeometryError if a sample is not finite.
+        for x in piece.points_at(fractions):
+            x1, x2 = x.x1, x.x2
             residual = abs(distance_product(p, q, x1, x2) - target)
             if residual > residual_tol:
-                # Point raises GeometryError if the sample is not finite.
+                raise AssemblyError(f"piece {i} sample {x} misses the level set by {residual!r}")
+            if not (lo1 <= x1 <= hi1 and lo2 <= x2 <= hi2):
                 raise AssemblyError(
-                    f"piece {i} sample {Point(x1, x2)} misses the level set by {residual!r}"
+                    f"piece {i} sample {x} lies outside its region {piece.region.value}"
                 )
 
 
@@ -522,29 +602,32 @@ def build_curves(spec: CassiniSpec) -> list[tuple[CurvePiece, ...]]:
     meet within CLOSURE_RTOL of the instance scale, and each piece satisfies
     the defining product equation within RESIDUAL_RTOL of max(1, r^2) as
     computed in floats: at every parameter where its certificate holds, and
-    at the validation samples where it does not (see _piece_certificate).
+    at the validation samples, which must also lie in the piece's region,
+    where it does not (see _piece_certificate).  Raises DegenerateInput for
+    r = 0 and for a taxicab circle whose vertices all round onto its center.
     """
     if spec.r == 0:
         raise DegenerateInput("r = 0 yields the bare focus pair, not a curve")
     iso, p_std = standardize(spec.p, spec.q)
     inverse = iso.inverse()
-    # The raw loops run clockwise; the map back keeps that under determinant
-    # +1, so those loops are walked back to front (see _map_piece).
-    backward = inverse.element.determinant == 1
     if spec.p == spec.q:
-        raw_loops = [_diamond_pieces(spec.r)]
+        loops = [_diamond_pieces(spec.r, inverse)]
         # Every side of the diamond has L1 length 2r > 0, so only a side
         # whose float ends coincide is dropped.
         zero_tol = 0.0
     else:
-        raw_loops = _standard_loops(p_std.x1, p_std.x2, spec.r)
+        loops = _standard_loops(p_std.x1, p_std.x2, spec.r, inverse)
         zero_tol = ZERO_LENGTH_RTOL * max(1.0, taxicab_distance(spec.p, spec.q) + spec.r)
     curves = []
-    for k, raw in enumerate(raw_loops, 1):
-        mapped = [_map_piece(piece, inverse) for piece in (raw[::-1] if backward else raw)]
-        kept = [piece for piece in mapped if piece.length_scale() > zero_tol]
-        where = f"loop {k} of {len(raw_loops)}"
+    for k, loop in enumerate(loops, 1):
+        kept = [piece for piece in loop if piece.length_scale() > zero_tol]
+        where = f"loop {k} of {len(loops)}"
         if not kept:
+            if spec.p == spec.q:
+                raise DegenerateInput(
+                    f"r = {spec.r!r} is below the float resolution at the center {spec.p}:"
+                    " every vertex of the taxicab circle rounds onto the center"
+                )
             raise AssemblyError(f"{spec}, {where}: all pieces of a loop degenerated to points")
         try:
             _validate_loop(spec, kept, _VALIDATION_SAMPLES)
@@ -552,6 +635,21 @@ def build_curves(spec: CassiniSpec) -> list[tuple[CurvePiece, ...]]:
             raise AssemblyError(f"{spec}, {where}: {exc}") from None
         curves.append(tuple(kept))
     return curves
+
+
+@functools.lru_cache(maxsize=16)
+def _sample_plan(count: int, n: int) -> tuple[tuple[float, ...], ...]:
+    """Per piece i of a curve of count pieces, the parameters t - i of the
+    samples k < n whose t = k * count / n has int(t) == i."""
+    plan: list[list[float]] = [[] for _ in range(count)]
+    for k in range(n):
+        # k * count / n is the correctly rounded quotient of two ints whose
+        # exact value is at most count - count / n, so it rounds up to count
+        # only if n > 2**53: int(t) is always a piece index.
+        t = k * count / n
+        i = int(t)
+        plan[i].append(t - i)
+    return tuple(map(tuple, plan))
 
 
 def sample_curve(curve: tuple[CurvePiece, ...], n: int) -> list[Point]:
@@ -563,16 +661,9 @@ def sample_curve(curve: tuple[CurvePiece, ...], n: int) -> list[Point]:
     """
     if n < 8:
         raise GeometryError(f"need at least 8 samples, got {n}")
-    count = len(curve)
-    points = []
-    for k in range(n):
-        # k * count / n is the correctly rounded quotient of two ints whose
-        # exact value is at most count - count / n, so it rounds up to count
-        # only if n > 2**53: int(t) is always a piece index.
-        t = k * count / n
-        i = int(t)
-        x1, x2 = curve[i].coords_at(t - i)
-        points.append(Point(x1, x2))
+    points: list[Point] = []
+    for piece, fractions in zip(curve, _sample_plan(len(curve), n)):
+        points += piece.points_at(fractions)
     return points
 
 
@@ -583,9 +674,8 @@ def curve_polyline(curve: tuple[CurvePiece, ...], samples_per_piece: int = 64) -
     """
     if samples_per_piece < 1:
         raise GeometryError("samples_per_piece must be positive")
-    points = []
+    fractions = [k / samples_per_piece for k in range(samples_per_piece)]
+    points: list[Point] = []
     for piece in curve:
-        for k in range(samples_per_piece):
-            x1, x2 = piece.coords_at(k / samples_per_piece)
-            points.append(Point(x1, x2))
+        points += piece.points_at(fractions)
     return points

@@ -27,7 +27,6 @@ from .campaign import (
 )
 from .cassini import (
     AssemblyError,
-    DegenerateInput,
     GuideSegment,
     build_curves,
     classify_point,
@@ -199,10 +198,7 @@ def cmd_info(args: argparse.Namespace) -> int:
         f"standard_translation: {_fmt_point(iso.translation)}",
         f"standard_focus: {_fmt_point(std_p)}",
     ]
-    try:
-        curves = build_curves(spec)
-    except DegenerateInput:
-        curves = []
+    curves = build_curves(spec) if spec.r > 0 else []
     lines.append(f"curves: {len(curves)}")
     for ci, curve in enumerate(curves, start=1):
         lines.append(f"curve {ci} pieces: {len(curve)}")

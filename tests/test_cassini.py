@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from taxicassini import campaign
@@ -43,6 +43,7 @@ from taxicassini.cassini import (
 )
 from taxicassini.core import (
     GeometryError,
+    Isometry,
     Point,
     PointGroup,
     RegionId,
@@ -116,9 +117,20 @@ def assert_counterclockwise(spec):
         assert sorted(windings) == [(0, 1), (1, 0)]
 
 
+# The identity, exactly: 1 * x == x and x + (-0.0) == x for every float x,
+# the sign of a zero included, while x + 0.0 turns -0.0 into 0.0.
+STANDARD = Isometry(PointGroup.IDENTITY, Point(-0.0, -0.0))
+
+
+def standard_loops(a, b, r):
+    """The loops of _standard_loops(a, b, r) left in the standard frame.  The
+    identity has determinant +1, so they run counterclockwise."""
+    return _standard_loops(a, b, r, STANDARD)
+
+
 def standard_pieces(a, b, r, region):
-    """The pieces _standard_loops(a, b, r) places in one region, in loop order."""
-    return [piece for loop in _standard_loops(a, b, r) for piece in loop if piece.region is region]
+    """The pieces standard_loops(a, b, r) places in one region, in loop order."""
+    return [piece for loop in standard_loops(a, b, r) for piece in loop if piece.region is region]
 
 
 def reference_location(product, r, tol):
@@ -161,7 +173,7 @@ def classify_cases(draw):
     if r > 0 and draw(st.booleans()):
         try:
             curves = build_curves(spec)
-        except AssemblyError:
+        except (AssemblyError, DegenerateInput):
             curves = []
         if curves:
             sample = draw(st.sampled_from(sample_curve(draw(st.sampled_from(curves)), 16)))
@@ -280,8 +292,8 @@ class TestQuadrantPieces:
         spec = CassiniSpec(Point(8, 3), Point(-8, -3), 16.0)
         [piece] = standard_pieces(8.0, 3.0, 16.0, RegionId.QUADRANT_P)
         sp = math.hypot(8 + 3, 16.0)
-        assert tuple(piece.start) == pytest.approx((8.0, sp - 8.0))
-        assert tuple(piece.end) == pytest.approx((sp - 3.0, 3.0))
+        assert tuple(piece.start) == pytest.approx((sp - 3.0, 3.0))
+        assert tuple(piece.end) == pytest.approx((8.0, sp - 8.0))
         for f in (0.0, 0.5, 1.0):
             x = Point(*piece.coords_at(f))
             assert x.x1 + x.x2 == pytest.approx(sp)
@@ -290,16 +302,16 @@ class TestQuadrantPieces:
     def test_opposite_quadrant_mirrors(self):
         [piece] = standard_pieces(8.0, 3.0, 16.0, RegionId.QUADRANT_Q)
         sp = math.hypot(11.0, 16.0)
-        assert tuple(piece.start) == pytest.approx((-8.0, 8.0 - sp))
-        assert tuple(piece.end) == pytest.approx((3.0 - sp, -3.0))
+        assert tuple(piece.start) == pytest.approx((3.0 - sp, -3.0))
+        assert tuple(piece.end) == pytest.approx((-8.0, 8.0 - sp))
 
     def test_complement_quadrant_needs_large_radius(self):
         # The complement-quadrant branch exists only for r^2 >= 4ab = 96.
         assert standard_pieces(8.0, 3.0, 9.0, RegionId.QUADRANT_C1) == []
         [piece] = standard_pieces(8.0, 3.0, 16.0, RegionId.QUADRANT_C1)
         sc = math.hypot(8 - 3, 16.0)
-        assert tuple(piece.start) == pytest.approx((sc - 3.0, -3.0))
-        assert tuple(piece.end) == pytest.approx((8.0, 8.0 - sc))
+        assert tuple(piece.start) == pytest.approx((8.0, 8.0 - sc))
+        assert tuple(piece.end) == pytest.approx((sc - 3.0, -3.0))
         mid = Point(*piece.coords_at(0.5))
         spec = CassiniSpec(Point(8, 3), Point(-8, -3), 16.0)
         assert product_value(spec, mid) == pytest.approx(256.0)
@@ -314,8 +326,8 @@ class TestRectanglePieces:
     def test_below_critical(self):
         pieces = standard_pieces(4.0, 1.0, 3.0, RegionId.CENTRAL_RECTANGLE)
         assert [(pc.start, pc.end) for pc in pieces] == [
-            (Point(4.0, 0.0), Point(3.0, 1.0)),
-            (Point(-4.0, 0.0), Point(-3.0, -1.0)),
+            (Point(3.0, 1.0), Point(4.0, 0.0)),
+            (Point(-3.0, -1.0), Point(-4.0, 0.0)),
         ]
         spec = CassiniSpec(Point(4, 1), Point(-4, -1), 3.0)
         for pc in pieces:
@@ -324,7 +336,7 @@ class TestRectanglePieces:
     def test_at_critical_single_pinch_segment(self):
         # Both loops run along the one diagonal segment, in opposite directions.
         plus, minus = standard_pieces(4.0, 1.0, 5.0, RegionId.CENTRAL_RECTANGLE)
-        assert (plus.start, plus.end) == (Point(1.0, -1.0), Point(-1.0, 1.0))
+        assert (plus.start, plus.end) == (Point(-1.0, 1.0), Point(1.0, -1.0))
         assert (minus.region, minus.start, minus.end) == (plus.region, plus.end, plus.start)
 
     def test_above_critical_empty(self):
@@ -355,7 +367,7 @@ class TestHalfStripPieces:
         # The top arc lies above the window about its center's u = -1 and
         # belongs to the loop about p; the bottom arc lies below the window
         # about u = 1 and belongs to the loop about q.
-        p_loop, q_loop = _standard_loops(4.0, 1.0, 3.0)
+        p_loop, q_loop = standard_loops(4.0, 1.0, 3.0)
         top = [pc for pc in p_loop + q_loop if pc.region is RegionId.STRIP_P_C2]
         bottom = [pc for pc in p_loop + q_loop if pc.region is RegionId.STRIP_Q_C1]
         assert top == [pc for pc in p_loop if pc.region is RegionId.STRIP_P_C2]
@@ -498,6 +510,30 @@ class TestBuildCurves:
         for x in sample_curve(curve, 32):
             assert classify_point(spec, x) is PointLocation.ON
 
+    # Half an ulp of 1e6 is 2^-34: a radius below it rounds every vertex of
+    # the circle onto its center, one just above it moves each vertex by an ulp.
+    HALF_ULP_1E6 = math.ulp(1e6) / 2
+
+    def test_circle_below_float_resolution_is_degenerate_input(self):
+        r = math.nextafter(self.HALF_ULP_1E6, 0.0)
+        spec = CassiniSpec(Point(1e6, 1e6), Point(1e6, 1e6), r)
+        with pytest.raises(DegenerateInput) as info:
+            build_curves(spec)
+        assert str(info.value) == (
+            f"r = {r!r} is below the float resolution at the center"
+            " Point(x1=1000000.0, x2=1000000.0): every vertex of the taxicab circle"
+            " rounds onto the center"
+        )
+
+    def test_circle_just_above_float_resolution_builds(self):
+        r = math.nextafter(self.HALF_ULP_1E6, 1.0)
+        spec = CassiniSpec(Point(1e6, 1e6), Point(1e6, 1e6), r)
+        (curve,) = build_curves(spec)
+        up, down = math.nextafter(1e6, 2e6), math.nextafter(1e6, 0.0)
+        assert {piece.start for piece in curve} == {
+            Point(up, 1e6), Point(1e6, up), Point(down, 1e6), Point(1e6, down)
+        }
+
     def test_sample_curve_needs_enough_points(self):
         curve = build_curves(CassiniSpec(Point(0, 0), Point(0, 0), 2.0))[0]
         with pytest.raises(GeometryError):
@@ -558,9 +594,11 @@ class TestBuildCurves:
 
 # Reference construction: piece evaluation, mapping and validation through
 # one Point per sample, with each arc's run range and branch worked out here
-# from its endpoints, and each loop oriented in a second pass after mapping.
-# Assembly of the standard-frame pieces is shared; everything else must match
-# the reference bit for bit.
+# from its endpoints.  The package builds each piece once, in the input frame;
+# the reference builds the standard-frame loops in place (STANDARD), maps
+# them piece by piece and orients each loop in a second pass.  Assembly of
+# the standard-frame pieces is shared; everything else must match the
+# reference bit for bit.
 
 
 def reference_point_at(piece, f):
@@ -619,6 +657,33 @@ def reference_map_piece(piece, iso):
     )
 
 
+REFERENCE_SIDES = {region: sides for sides, region in REGION_BY_SIDES.items()}
+
+
+def reference_in_region(spec, region, x):
+    """Whether x lies in the closed region of spec's foci widened by 16 u C
+    beyond each coordinate line, u the unit roundoff and C = 2 max|focus
+    coordinate| + r.  An axis on which the foci share the coordinate is not
+    checked."""
+    p, q = spec.p, spec.q
+    slack = 16 * 2.0**-53 * (2.0 * max(abs(p.x1), abs(p.x2), abs(q.x1), abs(q.x2)) + spec.r)
+    for pj, qj, xj, side in zip((p.x1, p.x2), (q.x1, q.x2), (x.x1, x.x2), REFERENCE_SIDES[region]):
+        if pj == qj:
+            continue
+        lo, hi = min(pj, qj), max(pj, qj)
+        # "m" lies between the lines; the focus with the larger coordinate
+        # names the side above hi.
+        if side == "m":
+            inside = lo - slack <= xj <= hi + slack
+        elif side == ("p" if pj > qj else "q"):
+            inside = xj >= hi - slack
+        else:
+            inside = xj <= lo + slack
+        if not inside:
+            return False
+    return True
+
+
 def reference_validate_loop(spec, pieces, samples_per_piece):
     scale = max(1.0, taxicab_distance(spec.p, spec.q) + spec.r)
     target = spec.r * spec.r
@@ -633,6 +698,10 @@ def reference_validate_loop(spec, pieces, samples_per_piece):
             residual = abs(taxicab_distance(x, spec.p) * taxicab_distance(x, spec.q) - target)
             if residual > residual_tol:
                 raise AssemblyError(f"piece {i} sample {x} misses the level set by {residual!r}")
+            if not reference_in_region(spec, piece.region, x):
+                raise AssemblyError(
+                    f"piece {i} sample {x} lies outside its region {piece.region.value}"
+                )
 
 
 def reference_build_curves(spec, samples_per_piece=16):
@@ -642,9 +711,9 @@ def reference_build_curves(spec, samples_per_piece=16):
     iso, p_std = standardize(spec.p, spec.q)
     inverse = iso.inverse()
     if spec.p == spec.q:
-        raw_loops = [_diamond_pieces(spec.r)]
+        raw_loops = [_diamond_pieces(spec.r, STANDARD)]
     else:
-        raw_loops = _standard_loops(p_std.x1, p_std.x2, spec.r)
+        raw_loops = standard_loops(p_std.x1, p_std.x2, spec.r)
     zero_tol = ZERO_LENGTH_RTOL * max(1.0, taxicab_distance(spec.p, spec.q) + spec.r)
     curves = []
     for k, raw in enumerate(raw_loops, 1):
@@ -656,9 +725,15 @@ def reference_build_curves(spec, samples_per_piece=16):
             kept = [piece for piece in mapped if piece.length_scale() > zero_tol]
         where = f"loop {k} of {len(raw_loops)}"
         if not kept:
+            if spec.p == spec.q:
+                raise DegenerateInput(
+                    f"r = {spec.r!r} is below the float resolution at the center {spec.p}:"
+                    " every vertex of the taxicab circle rounds onto the center"
+                )
             raise AssemblyError(f"{spec}, {where}: all pieces of a loop degenerated to points")
-        if inverse.element.determinant == 1:
-            # The raw loops run clockwise, and so do their images.
+        if inverse.element.determinant == -1:
+            # The standard loops run counterclockwise, and a reflection
+            # turns their images clockwise.
             kept = [reference_reversed(piece) for piece in reversed(kept)]
         if samples_per_piece is not None:
             try:
@@ -696,8 +771,8 @@ def _outcome(build, sample, polyline, spec):
     return [
         (
             repr(curve),
-            repr([(x.x1, x.x2) for n in (8, 61) for x in sample(curve, n)]),
-            repr([(x.x1, x.x2) for x in polyline(curve, 5)]),
+            repr([(x.x1, x.x2) for n in (8, 61, 64) for x in sample(curve, n)]),
+            repr([(x.x1, x.x2) for m in (5, 128) for x in polyline(curve, m)]),
         )
         for curve in curves
     ]
@@ -801,14 +876,16 @@ class TestFloatPathMatchesReference:
 
 
 class _IndexPiece:
-    """A stand-in piece whose points are (its index, the parameter)."""
+    """A stand-in piece whose points are (its index, the parameter), and
+    which records the parameters it is asked for."""
 
     def __init__(self, index):
         self.index = index
+        self.fractions = []
 
-    def coords_at(self, f):
-        assert 0.0 <= f < 1.0
-        return float(self.index), f
+    def points_at(self, fractions):
+        self.fractions += fractions
+        return [Point(float(self.index), f) for f in fractions]
 
 
 class TestSampleCurve:
@@ -827,15 +904,54 @@ class TestSampleCurve:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 64), st.integers(8, 4096))
     def test_samples_walk_the_pieces_in_order(self, count, n):
-        points = sample_curve(tuple(_IndexPiece(i) for i in range(count)), n)
+        pieces = tuple(_IndexPiece(i) for i in range(count))
+        points = sample_curve(pieces, n)
         indices = [x.x1 for x in points]
         assert len(points) == n
         assert indices == sorted(indices)
         assert indices[0] == 0 and indices[-1] == (n - 1) * count // n
+        # Piece i is asked, in one call, for exactly the parameters of the
+        # samples k with k * count // n == i, each computed as t - i.
+        for i, piece in enumerate(pieces):
+            want = [k * count / n - i for k in range(n) if k * count // n == i]
+            assert piece.fractions == want
+            assert all(0.0 <= f < 1.0 for f in piece.fractions)
+
+
+class TestPointsAt:
+    # points_at is the one evaluator of both piece kinds; reference_point_at
+    # works out each parameter on its own, through one Point.  The pieces
+    # are placed by every point-group element, with the translation that
+    # takes the standard frame back to the spec's.
+    ENDS = [0.0, 1.0, 2.0**-50, 1 - 2.0**-50]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(random_specs, dyadic_specs(), stress_specs),
+        st.lists(st.floats(0.0, 1.0), max_size=8),
+    )
+    @example(CassiniSpec(Point(4, 1), Point(-4, -1), 3.0), [0.5])
+    def test_matches_the_reference_bit_for_bit(self, spec, drawn):
+        iso, p_std = standardize(spec.p, spec.q)
+        a, b = p_std.x1, p_std.x2
+        assume(a > 0)
+        translation = iso.inverse().translation
+        fractions = self.ENDS + drawn
+        kinds = set()
+        # Above r* every strip holds an arc, whatever the drawn radius.
+        for r in (spec.r, 3 * (a + b)):
+            for g in PointGroup:
+                for loop in _standard_loops(a, b, r, Isometry(g, translation)):
+                    for piece in loop:
+                        kinds.add(type(piece))
+                        want = [reference_point_at(piece, f) for f in fractions]
+                        assert repr(piece.points_at(fractions)) == repr(want)
+                        assert piece.coords_at(fractions[-1]) == tuple(want[-1])
+        assert kinds == {GuideSegment, HyperbolaArc}
 
 
 class TestArcEndpoints:
-    # An arc stores no branch and no run range: coords_at reads the branch
+    # An arc stores no branch and no run range: points_at reads the branch
     # off start and the run range off both endpoints.  That branch is the
     # arc's own only if end lies strictly on the same side of the center,
     # and the samples run along the arc only if their run coordinates are
@@ -912,13 +1028,14 @@ class TestAssemblyErrors:
 
     def test_residual_equal_to_the_tolerance_passes(self):
         # d(x, p) = 1e-9 and d(x, q) = 1 exactly, so the residual against
-        # r^2 = 0 is RESIDUAL_RTOL itself; one ulp further out it fails.
+        # r^2 = 0 is RESIDUAL_RTOL itself; one ulp further out it fails.  The
+        # point is a corner of the central rectangle, its region.
         spec = CassiniSpec(Point(0.0, 0.0), Point(1.0, 1e-9), 0.0)
         on_tol = Point(0.0, RESIDUAL_RTOL)
-        _validate_loop(spec, [GuideSegment(RegionId.QUADRANT_P, on_tol, on_tol)], 4)
+        _validate_loop(spec, [GuideSegment(RegionId.CENTRAL_RECTANGLE, on_tol, on_tol)], 4)
         beyond = Point(0.0, math.nextafter(RESIDUAL_RTOL, 1.0))
         with pytest.raises(AssemblyError, match="misses the level set"):
-            _validate_loop(spec, [GuideSegment(RegionId.QUADRANT_P, beyond, beyond)], 4)
+            _validate_loop(spec, [GuideSegment(RegionId.CENTRAL_RECTANGLE, beyond, beyond)], 4)
 
 
 # The piece certificate lets _validate_loop skip a piece's samples, so it must
@@ -962,7 +1079,7 @@ class TestCertificateSoundness:
         spec = CassiniSpec(spec.p, spec.q, r)
         try:
             loops = reference_build_curves(spec, None)
-        except AssemblyError:
+        except (AssemblyError, DegenerateInput):
             return
         target = r * r
         tol = RESIDUAL_RTOL * max(1.0, target)
@@ -1122,16 +1239,19 @@ class TestPieceCertificate:
         rejected = {}
         for a, b, r in self.MUTATED:
             spec = CassiniSpec(Point(a, b), Point(-a, -b), r)
-            for loop in _standard_loops(a, b, r):
+            for loop in standard_loops(a, b, r):
                 loop = [piece for piece in loop if piece.length_scale() > 0]
                 for kind, mutated in _mutated_loops(loop, a, b):
                     for samples in (1, 4, 16):
                         want = _validation_outcome(reference_validate_loop, spec, mutated, samples)
                         assert _validation_outcome(_validate_loop, spec, mutated, samples) == want
                     rejected.setdefault(kind, []).append(want is not None)
-        # Validation reads no region label.  Every other kind of mutation is
-        # caught on some loop, so the comparison is not vacuous.
-        assert not any(rejected.pop("region label"))
+        # Every sample must lie in its piece's region, so a piece with the
+        # wrong label, or an arc about the wrong center, whose interior then
+        # runs along another part of the curve, is always rejected.  Every
+        # other kind of mutation is caught on some loop, so the comparison
+        # is not vacuous.
+        assert all(rejected["region label"]) and all(rejected["center"])
         assert all(any(verdicts) for verdicts in rejected.values())
 
     def test_certified_mutated_pieces_meet_the_residual_bound(self):
@@ -1147,7 +1267,7 @@ class TestPieceCertificate:
             spec = CassiniSpec(Point(a, b), Point(-a, -b), r)
             certified = _certificate_of(spec)
             tol = RESIDUAL_RTOL * max(1.0, r * r)
-            for loop in _standard_loops(a, b, r):
+            for loop in standard_loops(a, b, r):
                 loop = [piece for piece in loop if piece.length_scale() > 0]
                 for kind, (piece, *_) in _mutated_loops(loop, a, b):
                     if not certified(piece):

@@ -66,6 +66,16 @@ class TestInfo:
         assert "topology: TaxicabCircle" in out
         assert "curve 1 pieces: 4" in out.splitlines()
 
+    def test_circle_below_float_resolution_is_one_error_line(self, capsys):
+        # Every vertex rounds onto the center 1e6: a domain error, exit 2.
+        code, out, err = run(capsys, "info", "--p", "1e6,1e6", "--q", "1e6,1e6", "--r", "1e-11")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: r = 1e-11 is below the float resolution at the center"
+            " Point(x1=1000000.0, x2=1000000.0): every vertex of the taxicab circle"
+            " rounds onto the center\n"
+        )
+
     def test_degenerate_point_pair(self, capsys):
         code, out, _ = run(capsys, "info", "--p", "1,1", "--q", "1,1", "--r", "0")
         assert code == 0
