@@ -14,6 +14,13 @@ and the isometry back keeps that orientation when its point-group element
 has determinant +1 and flips it when the determinant is -1.  Under
 determinant +1 each loop is built back to front with the ends of every
 piece swapped, so every returned curve runs counterclockwise.
+
+The filled set is never convex when p != q.  Every loop holds an arc, and
+on each half-strip the curve bulges away from the set: on the strip above
+both foci it is x2 = c2 + sqrt((x1 - c1)^2 + r^2), a convex function of x1
+with the set below it.  So every arc turns right on its counterclockwise
+loop.  The taxicab circle (p = q), all guide segments, is the one convex
+case.
 """
 
 from __future__ import annotations
@@ -154,11 +161,6 @@ class GuideSegment:
             for f in fractions
         ]
 
-    def coords_at(self, f: float) -> tuple[float, float]:
-        """Coordinates at one parameter, as points_at computes them."""
-        (x,) = self.points_at((f,))
-        return x.x1, x.x2
-
     def length_scale(self) -> float:
         return taxicab_distance(self.start, self.end)
 
@@ -169,16 +171,16 @@ class HyperbolaArc:
 
     The arc satisfies (x_other - center_other)^2 - (x_run - center_run)^2 =
     radius^2 where "run" is the coordinate axis sweeping the strip and
-    "other" the remaining one.  The center is a guide complement of the
-    foci.  The endpoints carry everything else: the run coordinate goes from
-    start's to end's, and the branch is the side of the center that start
-    lies on in the other coordinate.  points_at returns the endpoints
-    themselves at parameters 0 and 1.
+    "other" the remaining one.  The region gives the run axis: the axis on
+    which its half-strip lies between the focus lines.  The center is a
+    guide complement of the foci.  The endpoints carry everything else: the
+    run coordinate goes from start's to end's, and the branch is the side of
+    the center that start lies on in the other coordinate.  points_at
+    returns the endpoints themselves at parameters 0 and 1.
     """
 
     region: RegionId
     center: Point
-    run_axis: int
     radius: float
     start: Point
     end: Point
@@ -186,9 +188,8 @@ class HyperbolaArc:
     def points_at(self, fractions: Sequence[float]) -> list[Point]:
         """The points at parameters in [0, 1]: start at 0, end at 1, and
         between them the branch point over the run coordinate u0 + f * du."""
-        start, end, center, radius, run_axis = (
-            self.start, self.end, self.center, self.radius, self.run_axis
-        )
+        start, end, center, radius = self.start, self.end, self.center, self.radius
+        run_axis = 1 if _REGION_SIDES[self.region][0] == 1 else 2
         if run_axis == 1:
             branch = 1 if start.x2 > center.x2 else -1
             u0, du = start.x1, end.x1 - start.x1
@@ -201,13 +202,9 @@ class HyperbolaArc:
             for f in fractions
         ]
 
-    def coords_at(self, f: float) -> tuple[float, float]:
-        """Coordinates at one parameter, as points_at computes them."""
-        (x,) = self.points_at((f,))
-        return x.x1, x.x2
-
     def length_scale(self) -> float:
-        return abs(self.end.coord(self.run_axis) - self.start.coord(self.run_axis))
+        run_axis = 1 if _REGION_SIDES[self.region][0] == 1 else 2
+        return abs(self.end.coord(run_axis) - self.start.coord(run_axis))
 
 
 CurvePiece = Union[GuideSegment, HyperbolaArc]
@@ -246,17 +243,16 @@ def _placing(iso: Isometry):
 
     Returns (place, segment, arc, loop).  place(x1, x2) is the Point iso
     maps (x1, x2) to, in the arithmetic of Isometry.apply.  segment(region,
-    start, end) and arc(region, center, run_axis, radius, start, end) take
-    the standard-frame region, run axis and clockwise order, and placed
-    points; a swap of the coordinates swaps the region's sides and the run
+    start, end) and arc(region, center, radius, start, end) take the
+    standard-frame region and clockwise order, and placed points; a swap of
+    the coordinates swaps the region's sides, and with them an arc's run
     axis.  Under determinant +1 the placed loops would run clockwise, so
     each piece runs from its end to its start and loop(*pieces) lists them
     back to front; loop also drops the absent (None) pieces.
     """
     element, t = iso.element, iso.translation
     apply, t1, t2 = element.apply, t.x1, t.x2
-    swap = element.swap
-    regions = _REGION_UNDER_SWAP if swap else _REGION_KEPT
+    regions = _REGION_UNDER_SWAP if element.swap else _REGION_KEPT
     backward = element.determinant == 1
 
     def place(x1: float, x2: float) -> Point:
@@ -269,13 +265,11 @@ def _placing(iso: Isometry):
         return GuideSegment(regions[region], start, end)
 
     def arc(
-        region: RegionId, center: Point, run_axis: int, radius: float, start: Point, end: Point
+        region: RegionId, center: Point, radius: float, start: Point, end: Point
     ) -> HyperbolaArc:
         if backward:
             start, end = end, start
-        return HyperbolaArc(
-            regions[region], center, 3 - run_axis if swap else run_axis, radius, start, end
-        )
+        return HyperbolaArc(regions[region], center, radius, start, end)
 
     def loop(*pieces: Optional[CurvePiece]) -> list[CurvePiece]:
         kept = [piece for piece in pieces if piece is not None]
@@ -347,7 +341,6 @@ def _standard_loops(a: float, b: float, r: float, iso: Isometry) -> list[list[Cu
         return arc_piece(
             region,
             center_at,
-            run_axis,
             r,
             place(*_arc_coords(center, run_axis, branch, r, u0)),
             place(*_arc_coords(center, run_axis, branch, r, u1)),
@@ -370,10 +363,7 @@ def _standard_loops(a: float, b: float, r: float, iso: Isometry) -> list[list[Cu
     c = math.sqrt((rstar - r) * (rstar + r))
     hi, lo = min(a, c + b), max(-a, c - b)
     rect_plus = segment(RegionId.CENTRAL_RECTANGLE, place(hi, c - hi), place(lo, c - lo))
-    if r == rstar:
-        rect_minus = GuideSegment(rect_plus.region, rect_plus.end, rect_plus.start)
-    else:
-        rect_minus = segment(RegionId.CENTRAL_RECTANGLE, place(-hi, hi - c), place(-lo, lo - c))
+    rect_minus = segment(RegionId.CENTRAL_RECTANGLE, place(-hi, hi - c), place(-lo, lo - c))
     p_loop = loop(
         qp,
         arc(right, max(-b, g_plus.x2 + c), b, True),
@@ -519,13 +509,13 @@ def _piece_certificate(
         # e_p = e_q; the branch, read off the start as points_at reads it,
         # must point away from the foci.  floor is the least |y_other| that
         # keeps the branch on that side.
-        if piece.run_axis == 1:
-            if side1 != 1 or side2 == 1 or (1.0 if s2 > k2 else -1.0) != ep2:
+        if side1 == 1:
+            if side2 == 1 or (1.0 if s2 > k2 else -1.0) != ep2:
                 return False
             run_s, run_e, k_run = s1, e1, k1
             floor = lo2 - k2 if ep2 > 0 else k2 - hi2
         else:
-            if side2 != 1 or side1 == 1 or (1.0 if s1 > k1 else -1.0) != ep1:
+            if side2 != 1 or (1.0 if s1 > k1 else -1.0) != ep1:
                 return False
             run_s, run_e, k_run = s2, e2, k2
             floor = lo1 - k1 if ep1 > 0 else k1 - hi1

@@ -351,7 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = subparsers.add_parser("verify", help="run seeded verification campaigns")
     verify.add_argument("--modes", help=f"comma list from: {', '.join(_ALL_MODES)}")
-    verify.add_argument("--trials", type=int, help="override per-mode trial count")
+    verify.add_argument(
+        "--trials",
+        type=int,
+        help="override per-mode trial count; boundary always runs its fixed suite",
+    )
     verify.add_argument("--seed", type=int, default=42, help="campaign seed")
     verify.add_argument("--grid", type=int, default=100, help="identity grid nodes per side")
     verify.add_argument("--band", type=float, default=1e-9, help="boundary skip band")

@@ -133,6 +133,32 @@ def standard_pieces(a, b, r, region):
     return [piece for loop in standard_loops(a, b, r) for piece in loop if piece.region is region]
 
 
+def fixture_specs_under_the_point_group():
+    """Each fixture moved by each point-group element about its midpoint."""
+    for line in FIXTURES.read_text().splitlines():
+        rec = json.loads(line)
+        p, q = Point(*map(float, rec["p"])), Point(*map(float, rec["q"]))
+        m1, m2 = (p.x1 + q.x1) / 2, (p.x2 + q.x2) / 2
+        for g in PointGroup:
+            moved = [g.apply(x.x1 - m1, x.x2 - m2) for x in (p, q)]
+            p_g, q_g = (Point(m1 + u1, m2 + u2) for u1, u2 in moved)
+            yield CassiniSpec(p_g, q_g, float(rec["r"]))
+
+
+def coords_at(piece, f):
+    """The coordinates of piece.points_at at one parameter."""
+    (x,) = piece.points_at((f,))
+    return x.x1, x.x2
+
+
+REFERENCE_SIDES = {region: sides for sides, region in REGION_BY_SIDES.items()}
+
+
+def reference_run_axis(region):
+    """The axis on which a half-strip lies between the focus lines."""
+    return 1 if REFERENCE_SIDES[region][0] == "m" else 2
+
+
 def reference_location(product, r, tol):
     """classify_point's docstring on a given product: On iff |product - r^2|
     <= tol * max(1, r^2), Inside iff product falls below the band, Outside
@@ -295,7 +321,7 @@ class TestQuadrantPieces:
         assert tuple(piece.start) == pytest.approx((sp - 3.0, 3.0))
         assert tuple(piece.end) == pytest.approx((8.0, sp - 8.0))
         for f in (0.0, 0.5, 1.0):
-            x = Point(*piece.coords_at(f))
+            x = Point(*coords_at(piece, f))
             assert x.x1 + x.x2 == pytest.approx(sp)
             assert product_value(spec, x) == pytest.approx(256.0)
 
@@ -312,7 +338,7 @@ class TestQuadrantPieces:
         sc = math.hypot(8 - 3, 16.0)
         assert tuple(piece.start) == pytest.approx((8.0, 8.0 - sc))
         assert tuple(piece.end) == pytest.approx((sc - 3.0, -3.0))
-        mid = Point(*piece.coords_at(0.5))
+        mid = Point(*coords_at(piece, 0.5))
         spec = CassiniSpec(Point(8, 3), Point(-8, -3), 16.0)
         assert product_value(spec, mid) == pytest.approx(256.0)
 
@@ -331,7 +357,7 @@ class TestRectanglePieces:
         ]
         spec = CassiniSpec(Point(4, 1), Point(-4, -1), 3.0)
         for pc in pieces:
-            assert product_value(spec, Point(*pc.coords_at(0.5))) == pytest.approx(9.0)
+            assert product_value(spec, Point(*coords_at(pc, 0.5))) == pytest.approx(9.0)
 
     def test_at_critical_single_pinch_segment(self):
         # Both loops run along the one diagonal segment, in opposite directions.
@@ -347,21 +373,22 @@ class TestHalfStripPieces:
     def test_single_arc_above_critical(self):
         [arc] = standard_pieces(8.0, 3.0, 16.0, RegionId.STRIP_P_C1)
         assert arc.center == Point(-3.0, -8.0)
-        assert arc.run_axis == 2
+        # Between the focus lines along x2, so the arc runs along x2.
+        assert arc.region is REGION_BY_SIDES["p", "m"]
         # At x2 = 0 the arc equation (x1+3)^2 - (x2+8)^2 = 256 gives
         # x1 = sqrt(320) - 3.
-        mid = Point(*arc.coords_at(0.5))
+        mid = Point(*coords_at(arc, 0.5))
         assert mid.x2 == pytest.approx(0.0)
         assert mid.x1 == pytest.approx(math.sqrt(320.0) - 3.0)
         for f in (0.0, 0.25, 1.0):
-            x1, x2 = arc.coords_at(f)
+            x1, x2 = coords_at(arc, f)
             assert (x1 + 3.0) ** 2 - (x2 + 8.0) ** 2 == pytest.approx(256.0)
         assert {arc.start.x2, arc.end.x2} == {-3.0, 3.0}
 
     def test_bottom_strip_uses_other_guide_center(self):
         [arc] = standard_pieces(8.0, 3.0, 16.0, RegionId.STRIP_Q_C1)
         assert arc.center == Point(3.0, 8.0)
-        assert arc.run_axis == 1
+        assert arc.region is REGION_BY_SIDES["m", "q"]
 
     def test_below_critical_keeps_one_slot_per_strip(self):
         # The top arc lies above the window about its center's u = -1 and
@@ -373,14 +400,15 @@ class TestHalfStripPieces:
         assert top == [pc for pc in p_loop if pc.region is RegionId.STRIP_P_C2]
         assert bottom == [pc for pc in q_loop if pc.region is RegionId.STRIP_Q_C1]
         assert len(top) == len(bottom) == 1
-        # Both strips run along x1, so the endpoints' x1 give the run range.
-        assert top[0].run_axis == bottom[0].run_axis == 1
+        # Both strips lie between the focus lines along x1, so they run
+        # along x1 and the endpoints' x1 give the run range.
+        assert REFERENCE_SIDES[top[0].region][0] == REFERENCE_SIDES[bottom[0].region][0] == "m"
         assert sorted((top[0].start.x1, top[0].end.x1)) == [3.0, 4.0]
         assert sorted((bottom[0].start.x1, bottom[0].end.x1)) == [-4.0, -3.0]
         spec = CassiniSpec(Point(4, 1), Point(-4, -1), 3.0)
         for arc in top + bottom:
             for f in (0.0, 0.5, 1.0):
-                assert product_value(spec, Point(*arc.coords_at(f))) == pytest.approx(9.0)
+                assert product_value(spec, Point(*coords_at(arc, f))) == pytest.approx(9.0)
 
     def test_arc_residual_is_exact_on_samples(self):
         spec = CassiniSpec(Point(8, 3), Point(-8, -3), 16.0)
@@ -392,15 +420,15 @@ class TestHalfStripPieces:
         ):
             [arc] = standard_pieces(8.0, 3.0, 16.0, strip)
             for k in range(9):
-                x = Point(*arc.coords_at(k / 8))
+                x = Point(*coords_at(arc, k / 8))
                 assert product_value(spec, x) == pytest.approx(256.0, rel=1e-12)
 
 
 class TestPieceParametrization:
     def test_segment_point_at_endpoints_exact(self):
         seg = GuideSegment(RegionId.QUADRANT_P, Point(1, 2), Point(3, 0))
-        assert Point(*seg.coords_at(0.0)) == Point(1, 2)
-        assert Point(*seg.coords_at(1.0)) == Point(3, 0)
+        assert Point(*coords_at(seg, 0.0)) == Point(1, 2)
+        assert Point(*coords_at(seg, 1.0)) == Point(3, 0)
 
 
 class TestBuildCurves:
@@ -546,21 +574,14 @@ class TestBuildCurves:
         assert ring[0] != ring[-1]
 
     def test_fixture_pieces_under_the_point_group_are_pinned(self):
-        # Each fixture moved by each point-group element about its midpoint,
-        # every piece pinned at full precision through its repr; the info
+        # Every piece pinned at full precision through its repr; the info
         # reports print six decimals.
         digest = hashlib.sha256()
-        for line in FIXTURES.read_text().splitlines():
-            rec = json.loads(line)
-            p, q = Point(*map(float, rec["p"])), Point(*map(float, rec["q"]))
-            m1, m2 = (p.x1 + q.x1) / 2, (p.x2 + q.x2) / 2
-            for g in PointGroup:
-                moved = [g.apply(x.x1 - m1, x.x2 - m2) for x in (p, q)]
-                p_g, q_g = (Point(m1 + u1, m2 + u2) for u1, u2 in moved)
-                for curve in build_curves(CassiniSpec(p_g, q_g, float(rec["r"]))):
-                    digest.update(repr(curve).encode())
+        for spec in fixture_specs_under_the_point_group():
+            for curve in build_curves(spec):
+                digest.update(repr(curve).encode())
         assert digest.hexdigest() == (
-            "4a4fcbf75647ebb281603529203c278e7290805e6df88874171447f1ead68f6e"
+            "0c55cc44b975c3677068788106ca809e4904f53012b63eae840963f0ee6721d5"
         )
 
     @settings(max_examples=60, deadline=None)
@@ -611,7 +632,7 @@ def reference_point_at(piece, f):
             piece.start.x1 + f * (piece.end.x1 - piece.start.x1),
             piece.start.x2 + f * (piece.end.x2 - piece.start.x2),
         )
-    run, center = piece.run_axis, piece.center
+    run, center = reference_run_axis(piece.region), piece.center
     other = 3 - run
     # The run coordinate goes from start's to end's; the branch is the sign
     # of start's offset from the center in the other coordinate.
@@ -647,17 +668,7 @@ def reference_map_piece(piece, iso):
     start, end = iso.apply(piece.start), iso.apply(piece.end)
     if isinstance(piece, GuideSegment):
         return GuideSegment(region, start, end)
-    return HyperbolaArc(
-        region=region,
-        center=iso.apply(piece.center),
-        run_axis=3 - piece.run_axis if swap else piece.run_axis,
-        radius=piece.radius,
-        start=start,
-        end=end,
-    )
-
-
-REFERENCE_SIDES = {region: sides for sides, region in REGION_BY_SIDES.items()}
+    return HyperbolaArc(region, iso.apply(piece.center), piece.radius, start, end)
 
 
 def reference_in_region(spec, region, x):
@@ -861,9 +872,8 @@ class TestFloatPathMatchesReference:
         if isinstance(got, list):
             for curve in build_curves(spec):
                 for piece in curve:
-                    for f in (0.0, 0.5, 1.0):
-                        got_point = Point(*piece.coords_at(f))
-                        assert repr(got_point) == repr(reference_point_at(piece, f))
+                    want = [reference_point_at(piece, f) for f in (0.0, 0.5, 1.0)]
+                    assert repr(piece.points_at((0.0, 0.5, 1.0))) == repr(want)
         # Validation at other sample counts, on the loops before validation.
         try:
             loops = reference_build_curves(spec, None)
@@ -946,7 +956,7 @@ class TestPointsAt:
                         kinds.add(type(piece))
                         want = [reference_point_at(piece, f) for f in fractions]
                         assert repr(piece.points_at(fractions)) == repr(want)
-                        assert piece.coords_at(fractions[-1]) == tuple(want[-1])
+                        assert coords_at(piece, fractions[-1]) == tuple(want[-1])
         assert kinds == {GuideSegment, HyperbolaArc}
 
 
@@ -967,12 +977,70 @@ class TestArcEndpoints:
             for arc in curve:
                 if not isinstance(arc, HyperbolaArc):
                     continue
-                run, other = arc.run_axis, 3 - arc.run_axis
+                run = reference_run_axis(arc.region)
+                other = 3 - run
                 center = arc.center.coord(other)
                 offsets = (arc.start.coord(other) - center, arc.end.coord(other) - center)
                 assert min(offsets) > 0 or max(offsets) < 0
-                runs = [arc.coords_at(k / 16)[run - 1] for k in range(17)]
+                runs = [coords_at(arc, k / 16)[run - 1] for k in range(17)]
                 assert runs in (sorted(runs), sorted(runs, reverse=True))
+
+
+def turning_sign(arc):
+    """+1 if the arc turns left as it runs from start to end, -1 if right.
+
+    On run axis 1 the arc is the graph x2 = c2 + b sqrt((x1 - c1)^2 + r^2),
+    convex for the branch b = +1 and concave for b = -1, so it turns left
+    running towards larger x1 iff b = +1.  On run axis 2 it is that graph
+    with the axes exchanged, a reflection, which flips the sign.  The branch
+    is read off start as points_at reads it; an arc of zero run length gets 0.
+    """
+    run = reference_run_axis(arc.region)
+    other = 3 - run
+    branch = 1 if arc.start.coord(other) > arc.center.coord(other) else -1
+    du = arc.end.coord(run) - arc.start.coord(run)
+    return (1 if run == 1 else -1) * ((du > 0) - (du < 0)) * branch
+
+
+def assert_never_convex(spec):
+    # Every loop runs counterclockwise, so an arc that turns right makes it
+    # nonconvex; a taxicab circle, the one convex case, has no arc.
+    for curve in build_curves(spec):
+        arcs = [piece for piece in curve if isinstance(piece, HyperbolaArc)]
+        if spec.p == spec.q:
+            assert arcs == []
+        else:
+            assert arcs, spec
+            assert [turning_sign(arc) for arc in arcs] == [-1] * len(arcs), spec
+
+
+class TestArcTurning:
+    # The filled set is never convex when p != q: on the strip above both
+    # foci the curve is a convex function of the run coordinate and the set
+    # lies below it, so each arc turns right on its counterclockwise loop.
+
+    def test_fixture_arcs_turn_right(self):
+        # The sign formula agrees with the exact cross product of the points
+        # at f = 0, 1/2 and 1.
+        arcs = 0
+        for spec in fixture_specs_under_the_point_group():
+            assert_never_convex(spec)
+            for arc in (piece for curve in build_curves(spec) for piece in curve):
+                if isinstance(arc, HyperbolaArc):
+                    arcs += 1
+                    s, m, e = ([Fraction(c) for c in x] for x in arc.points_at((0.0, 0.5, 1.0)))
+                    cross = (m[0] - s[0]) * (e[1] - m[1]) - (m[1] - s[1]) * (e[0] - m[0])
+                    assert (cross > 0) - (cross < 0) == turning_sign(arc)
+        assert arcs > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(dyadic_specs())
+    def test_every_arc_turns_right(self, spec):
+        # At the drawn radius and at r = r*, where the loops pinch.
+        assert_never_convex(spec)
+        rstar = critical_radius(spec.p, spec.q)
+        if rstar > 0:
+            assert_never_convex(CassiniSpec(spec.p, spec.q, rstar))
 
 
 def _diamond_side(start, end):
@@ -1088,7 +1156,7 @@ class TestCertificateSoundness:
             if not certified(piece):
                 continue
             for f in fractions + [k / 16 for k in range(17)]:
-                x = Point(*piece.coords_at(f))
+                x = Point(*coords_at(piece, f))
                 residual = abs(taxicab_distance(x, spec.p) * taxicab_distance(x, spec.q) - target)
                 assert residual <= tol, (piece, f, residual)
 
@@ -1162,7 +1230,8 @@ _STRIP_ACROSS = {
 
 def _arc_mutations(arc, a, b, frame):
     """(kind, piece) for each way to get a standard-frame arc wrong."""
-    run, other = arc.run_axis, 3 - arc.run_axis
+    run = reference_run_axis(arc.region)
+    other = 3 - run
     center = arc.center
     branch = 1 if arc.start.coord(other) > center.coord(other) else -1
     wrong = frame.g_minus if center == frame.g_plus else frame.g_plus
@@ -1179,7 +1248,6 @@ def _arc_mutations(arc, a, b, frame):
     x_other = arc.start.coord(other) * (1 + 1e-6)
     half_width = a if run == 1 else b
     yield "center", dataclasses.replace(arc, center=wrong)
-    yield "run axis", dataclasses.replace(arc, run_axis=other)
     yield "branch side", dataclasses.replace(arc, start=mirrored(arc.start), end=mirrored(arc.end))
     yield "window end", dataclasses.replace(arc, start=on_branch(u + 1e-6 * abs(u)))
     yield "window end", dataclasses.replace(arc, start=on_branch(u - 1e-6 * abs(u)))
@@ -1209,13 +1277,13 @@ def _mutated_loops(loop, a, b):
         # point of the curve there, and the next piece starts at that point;
         # or it starts early, inside the previous piece.
         nxt, prev = rest[0], rest[-1]
-        past = Point(*nxt.coords_at(1e-4))
+        past = Point(*coords_at(nxt, 1e-4))
         yield "past its end", [
             dataclasses.replace(piece, end=past),
             dataclasses.replace(nxt, start=past),
             *rest[1:],
         ]
-        early = Point(*prev.coords_at(1 - 1e-4))
+        early = Point(*coords_at(prev, 1 - 1e-4))
         yield "before its start", [
             dataclasses.replace(piece, start=early),
             *rest[:-1],
@@ -1273,7 +1341,7 @@ class TestPieceCertificate:
                     if not certified(piece):
                         continue
                     for f in fractions:
-                        x = Point(*piece.coords_at(f))
+                        x = Point(*coords_at(piece, f))
                         residual = abs(taxicab_distance(x, spec.p) * taxicab_distance(x, spec.q) - r * r)
                         assert residual <= tol, (kind, piece, f, residual)
 

@@ -481,7 +481,9 @@ class TestVerify:
     def test_boundary_and_topology_modes(self, capsys):
         code, out, _ = run(capsys, "verify", "--modes", "boundary")
         assert code == 0
-        assert "mode=boundary" in out
+        assert out.startswith("mode=boundary trials=514 ")
+        # The boundary campaign runs its fixed suite whatever --trials says.
+        assert run(capsys, "verify", "--modes", "boundary", "--trials", "3") == (0, out, "")
 
     def test_unknown_mode(self, capsys):
         code, _, err = run(capsys, "verify", "--modes", "bogus")

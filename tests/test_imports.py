@@ -218,3 +218,35 @@ def test_no_test_only_public_names():
         and not any(stmt.name in names for other, names in mentions if other is not stmt)
     ]
     assert uncalled == []
+
+
+def test_no_test_only_public_methods():
+    # The same rule for the public methods and properties of the public
+    # classes: each is mentioned by a package statement other than its
+    # definition, where a class counts as the statements of its body, so a
+    # method that only a sibling method calls still counts as called.
+    # Mentions are matched by name alone, so a method that shares its name
+    # with one the package calls, as Isometry.apply does with
+    # PointGroup.apply, is not caught.
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in PACKAGE.glob("*.py")
+        if path.name != "__init__.py"
+    }
+    mentions = [
+        (stmt, mentioned_names(ast.Module(body=[stmt], type_ignores=[])))
+        for tree in trees.values()
+        for top in tree.body
+        for stmt in (top.body if isinstance(top, ast.ClassDef) else [top])
+    ]
+    uncalled = [
+        f"{name}:{stmt.lineno} {cls.name}.{stmt.name}"
+        for name, tree in sorted(trees.items())
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for stmt in cls.body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not stmt.name.startswith("_")
+        and not any(stmt.name in names for other, names in mentions if other is not stmt)
+    ]
+    assert uncalled == []
