@@ -281,27 +281,35 @@ def extract_contour(grid: ScalarGrid) -> Contour:
         raise GeometryError("the level set reaches the grid frame")
 
     # Walk from each untaken position in increasing order, the order of the
-    # edges' first occurrences, across its segment and on through the twin,
-    # back to its start's edge.  A position reached across a zero-length
-    # segment would repeat its predecessor's point, so it is not added.
-    twins = twin.tolist()
-    zero_length = (points[0::2] == points[1::2]).all(axis=1).tolist()
-    taken = bytearray(keys.size)
+    # edges' first occurrences: across its segment, then from each position
+    # k on to succ[k], the far end of the segment through k's twin, back to
+    # the start's edge.  twin is an involution without fixed points, and so
+    # is k ^ 1, so succ is a permutation and every walk closes.  The walk
+    # only steps; each finished loop then drops, in NumPy, the positions
+    # reached across a zero-length segment, which would repeat their
+    # predecessor's point, and marks the loop's positions and their partners
+    # as taken.
+    succ = (twin ^ 1).tolist()
+    zero_length = (points[0::2] == points[1::2]).all(axis=1)
+    taken = np.zeros(keys.size, dtype=bool)
     polylines: list[np.ndarray] = []
-    for start in range(keys.size):
-        if taken[start]:
-            continue
-        path = [start]
-        taken[start] = taken[twins[start]] = 1
-        pos = start ^ 1
-        while pos != twins[start]:
-            if not zero_length[pos >> 1]:
-                path.append(pos)
-            taken[pos] = taken[twins[pos]] = 1
-            pos = twins[pos] ^ 1
-        if not zero_length[pos >> 1]:
-            path.append(start)
-        polylines.append(points[path])
+    start = 0
+    while start < keys.size:
+        first = start ^ 1
+        loop = [first]
+        pos = succ[first]
+        while pos != first:
+            loop.append(pos)
+            pos = succ[pos]
+        path = np.array(loop)
+        taken[path] = taken[path ^ 1] = True
+        keep = ~zero_length[path >> 1]
+        # The loop ends at twin[start], on the start's edge: the polyline
+        # closes with the start itself.
+        path[-1] = start
+        polylines.append(points[np.concatenate(([start], path[keep]))])
+        rest = np.flatnonzero(~taken[start:])
+        start += int(rest[0]) if rest.size else keys.size
     return Contour(polylines=tuple(polylines))
 
 
@@ -353,6 +361,21 @@ def _pair_distance(px, py, ax, ay, ux, uy) -> np.ndarray:
     return best
 
 
+def _box_distance(px, py, lo_x, lo_y, hi_x, hi_y) -> np.ndarray:
+    """L1 distance from (px, py) to the boxes lo .. hi, given per coordinate:
+    a lower bound on the distance to every segment inside.  Arguments
+    broadcast; the gaps are computed in place, in two result-sized arrays
+    and one temporary."""
+    gap = lo_x - px
+    np.maximum(gap, px - hi_x, out=gap)
+    np.maximum(gap, 0.0, out=gap)
+    gap_y = lo_y - py
+    np.maximum(gap_y, py - hi_y, out=gap_y)
+    np.maximum(gap_y, 0.0, out=gap_y)
+    gap += gap_y
+    return gap
+
+
 def _directed_hausdorff(points: np.ndarray, polyline: np.ndarray) -> float:
     # Max over points of the min taxicab distance to the polyline's segments.
     if polyline.shape[0] == 1:
@@ -360,61 +383,73 @@ def _directed_hausdorff(points: np.ndarray, polyline: np.ndarray) -> float:
         seg_u = np.zeros_like(polyline)
     else:
         seg_a = polyline[:-1]
-        seg_u = polyline[1:] - polyline[:-1]
+        with np.errstate(over="ignore"):
+            seg_u = polyline[1:] - polyline[:-1]
+        # An infinite difference makes 0 * inf a NaN pair distance, and a NaN
+        # bound would stop the search before it visits any vertex.
+        if not np.isfinite(seg_u).all():
+            raise GeometryError("polyline segments must have finite coordinate differences")
     m = seg_a.shape[0]
+    n = points.shape[0]
     # Blocks of consecutive segments with their bounding boxes.  Block k
     # holds segments k*size .. k*size + size - 1; the last block repeats the
     # final segment to fill up, which cannot change a minimum.
     size = max(1, math.isqrt(m))
     nblocks = -(-m // size)
     block_segs = np.minimum(np.arange(nblocks * size).reshape(nblocks, size), m - 1)
-    # seg_lo[k, j] and seg_hi[k, j] bound segment j of block k: its box
-    # spans a and the rounded a + u, the two points that t = 0 and t = 1
-    # reach in _pair_distance, and every rounded a + t*u lies between them,
-    # because rounding is monotone.  A block's box spans its segments'
-    # boxes, so a computed pair distance is never below its block's computed
-    # box distance.  The slack of a few ulps of the largest coordinate is a
-    # margin on top of that bound.
+    # A segment's box spans a and the rounded a + u, the two points that
+    # t = 0 and t = 1 reach in _pair_distance, and every rounded a + t*u
+    # lies between them, because rounding is monotone.  A block's box spans
+    # its segments' boxes, so a computed pair distance is never below its
+    # block's computed box distance.  The slack of a few ulps of the largest
+    # coordinate is a margin on top of that bound.  Every coordinate is a
+    # contiguous column: seg_box[c] is the lower x, lower y, upper x and
+    # upper y of each segment's box for c = 0 .. 3, block_seg_box[c] the
+    # same per block and slot, and block_box[c] per block.
     ends = seg_a + seg_u
-    seg_lo = np.minimum(seg_a, ends)[block_segs]
-    seg_hi = np.maximum(seg_a, ends)[block_segs]
-    box_lo = seg_lo.min(axis=1)
-    box_hi = seg_hi.max(axis=1)
+    seg_box = np.concatenate([np.minimum(seg_a, ends).T, np.maximum(seg_a, ends).T])
+    block_seg_box = seg_box[:, block_segs]
+    block_box = np.concatenate([block_seg_box[:2].min(axis=2), block_seg_box[2:].max(axis=2)])
+    ax, ay, ux, uy = np.concatenate([seg_a.T, seg_u.T])
+    px, py = points.T.copy()
     scale = max(float(np.abs(points).max()), float(np.abs(polyline).max()))
     slack = 4 * np.finfo(float).eps * scale
 
-    def box_distance(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        # L1 distance from pts[k] to the boxes lo[j] .. hi[j], or to the
-        # boxes lo[k, j] .. hi[k, j] of its own row: a lower bound on its
-        # distance to every segment inside.
-        px, py = pts[:, 0:1], pts[:, 1:2]
-        gap_x = np.maximum(lo[..., 0] - px, px - hi[..., 0])
-        gap_y = np.maximum(lo[..., 1] - py, py - hi[..., 1])
-        return np.maximum(gap_x, 0.0) + np.maximum(gap_y, 0.0)
-
-    def block_minimum(pts: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-        # Exact min distance from pts[k] to the segments of blocks[k].
-        segs = block_segs[blocks]
-        a = seg_a[segs]
-        u = seg_u[segs]
-        dist = _pair_distance(pts[:, 0:1], pts[:, 1:2], a[..., 0], a[..., 1], u[..., 0], u[..., 1])
-        return dist.min(axis=1)
-
-    # Upper bound per point: its distance to one segment, the one whose box
-    # is nearest within the block whose box is nearest.  The distance to any
-    # segment bounds the minimum from above, so one pair per point is
-    # enough, however loose; the visit phase makes every minimum it uses
-    # exact.
+    # Upper bound per point: its distance to one segment.  The distance to
+    # any segment bounds the minimum from above, however loose; the visit
+    # phase makes every minimum it uses exact.  Every s-th point is an
+    # anchor, which takes the segment whose box is nearest within the block
+    # whose box is nearest.  Consecutive points lie near consecutive
+    # segments, so each other point takes the nearest box of four: its
+    # anchor's segment, that segment's two neighbours and the next anchor's
+    # segment.  With s = 1 every point is an anchor.
+    s = max(1, n // m)
+    anchor_seg = np.empty(-(-n // s), dtype=np.intp)
     chunk = max(1, _PAIR_CHUNK // max(nblocks, size))
-    upper = np.empty(points.shape[0])
-    for lo in range(0, points.shape[0], chunk):
-        pts = points[lo : lo + chunk]
-        block = box_distance(pts, box_lo, box_hi).argmin(axis=1)
-        nearest = box_distance(pts, seg_lo[block], seg_hi[block]).argmin(axis=1)
-        seg = block_segs[block, nearest]
-        a = seg_a[seg]
-        u = seg_u[seg]
-        upper[lo : lo + chunk] = _pair_distance(pts[:, 0], pts[:, 1], a[:, 0], a[:, 1], u[:, 0], u[:, 1])
+    for lo in range(0, anchor_seg.size, chunk):
+        qx = px[lo * s : (lo + chunk) * s : s, None]
+        qy = py[lo * s : (lo + chunk) * s : s, None]
+        block = _box_distance(qx, qy, *block_box).argmin(axis=1)
+        nearest = _box_distance(qx, qy, *block_seg_box[:, block]).argmin(axis=1)
+        anchor_seg[lo : lo + chunk] = block_segs[block, nearest]
+    seg = np.empty(n, dtype=np.intp)
+    seg[::s] = anchor_seg
+    others = np.flatnonzero(np.arange(n) % s)
+    chunk = max(1, _PAIR_CHUNK // 4)
+    for lo in range(0, others.size, chunk):
+        idx = others[lo : lo + chunk]
+        anchor = idx // s
+        here = anchor_seg[anchor]
+        following = anchor_seg[np.minimum(anchor + 1, anchor_seg.size - 1)]
+        cand = np.stack([here, np.maximum(here - 1, 0), np.minimum(here + 1, m - 1), following], axis=1)
+        pick = _box_distance(px[idx, None], py[idx, None], *seg_box[:, cand]).argmin(axis=1)
+        seg[idx] = np.take_along_axis(cand, pick[:, None], axis=1)[:, 0]
+    upper = np.empty(n)
+    for lo in range(0, n, _PAIR_CHUNK):
+        sg = seg[lo : lo + _PAIR_CHUNK]
+        upper[lo : lo + _PAIR_CHUNK] = _pair_distance(
+            px[lo : lo + _PAIR_CHUNK], py[lo : lo + _PAIR_CHUNK], ax[sg], ay[sg], ux[sg], uy[sg]
+        )
 
     # Taha-Hanbury early break: visit points by descending upper bound and
     # stop once no remaining point can raise the running maximum.  A visited
@@ -430,15 +465,17 @@ def _directed_hausdorff(points: np.ndarray, polyline: np.ndarray) -> float:
     while pos < order.size and sorted_upper[pos] > worst:
         stop = min(pos + min(batch, max_batch), order.size)
         idx = order[pos:stop]
-        pts = points[idx]
-        near = box_distance(pts, box_lo, box_hi) <= (upper[idx] + slack)[:, None]
+        qx, qy = px[idx, None], py[idx, None]
+        near = _box_distance(qx, qy, *block_box) <= (upper[idx] + slack)[:, None]
         owner, blocks = np.nonzero(near)
         best = upper[idx].copy()
         # A point near many blocks can exceed the budget alone, so the
         # (point, block) pairs go in slices of at most _PAIR_CHUNK pairs.
         for lo in range(0, owner.size, step):
             sel = owner[lo : lo + step]
-            np.minimum.at(best, sel, block_minimum(pts[sel], blocks[lo : lo + step]))
+            segs = block_segs[blocks[lo : lo + step]]
+            dist = _pair_distance(qx[sel], qy[sel], ax[segs], ay[segs], ux[segs], uy[segs])
+            np.minimum.at(best, sel, dist.min(axis=1))
         worst = max(worst, float(best.max()))
         pos = stop
         batch *= 2
@@ -452,15 +489,20 @@ def hausdorff(a: Sequence, b: Sequence) -> float:
     coordinates; consecutive points are joined by segments, with no
     implicit wraparound, so closed rings must repeat their first point.
     Vertices of each polyline are measured against the segments of the
-    other.
+    other.  A segment whose coordinate difference overflows raises
+    GeometryError.
 
     The search is exact, not approximate.  Segments are grouped into blocks
     of consecutive segments; the L1 distance from a vertex to a block's
     bounding box bounds its distance to every segment inside from below.
-    Each vertex first gets an upper bound from one pair: its distance to
-    the segment whose own bounding box is nearest, within the block whose
-    box is nearest.  Any segment gives a valid bound, so a loose one costs
-    time, never exactness.  Vertices are then visited by descending upper
+    Each vertex first gets an upper bound from one pair, its distance to
+    one segment.  With N vertices against M segments, every s-th vertex,
+    s = max(1, N // M), is an anchor and takes the segment whose own
+    bounding box is nearest, within the block whose box is nearest.  Every
+    other vertex takes the segment with the nearest box among four: its
+    anchor's segment, that segment's two neighbours and the next anchor's
+    segment.  Any segment gives a valid bound, so a loose one costs time,
+    never exactness.  Vertices are then visited by descending upper
     bound, and the search stops once the next bound cannot exceed the
     running maximum (Taha and Hanbury, IEEE TPAMI 2015).  A visited vertex is
     measured against every block whose box distance is within its upper

@@ -843,12 +843,50 @@ class TestTileSigns:
 LOOSE_BOUND = ([(0.0, 0.0)], [(-10.0, -8.0), (10.0, 12.0), (0.5, 0.5), (0.6, 0.5)])
 
 
-@pytest.fixture(scope="module")
-def strips_wide_finest():
-    """The 128-sample ring of strips-wide and its n = 4097 contour."""
-    spec = fixture_spec("strips-wide")
+# The distance between each refinement fixture's 128-sample ring and its
+# n = 4097 contour, as the all-pairs sweep gives it.
+FINEST_DISTANCES = {"strips-wide": 0.0074148141658660904, "family-super": 0.003391883398964346}
+
+
+@pytest.fixture(scope="module", params=sorted(FINEST_DISTANCES))
+def finest_level(request):
+    """A refinement fixture's 128-sample ring, its n = 4097 contour and the
+    distance between them."""
+    spec = fixture_spec(request.param)
     ring = closed_ring(build_curves(spec)[0], 128)
-    return ring, extract_contour(grid_field(spec, n=4097)).polylines[0]
+    return ring, extract_contour(grid_field(spec, n=4097)).polylines[0], FINEST_DISTANCES[request.param]
+
+
+def closed_at_pinch(loop):
+    """A closed polyline rolled to start and end at its vertex nearest the
+    origin."""
+    loop = np.asarray(loop)[:-1]
+    loop = np.roll(loop, -int(np.abs(loop).sum(axis=1).argmin()), axis=0)
+    return np.concatenate([loop, loop[:1]])
+
+
+@pytest.fixture(scope="module")
+def anchor_cases():
+    """Polyline pairs with far more vertices on the first side than segments
+    on the second, so that the search bounds most vertices from their
+    anchor's segments."""
+    curve = build_curves(fixture_spec("family-super"))[0]
+    dense, coarse = np.asarray(closed_ring(curve, 128)), np.asarray(closed_ring(curve, 16))
+    # Shuffled, the dense side's segments are chords across the whole curve,
+    # which the search must visit nearly all of, so that case is smaller.
+    shuffled = np.random.default_rng(5).permutation(closed_ring(curve, 64))
+    # family-critical pinches at the origin: one polyline runs around both
+    # loops from the pinch and back around the first loop in reverse.
+    spec = fixture_spec("family-critical")
+    first, second = (closed_at_pinch(line) for line in extract_contour(grid_field(spec, n=513)).polylines)
+    rings = np.concatenate([closed_at_pinch(closed_ring(loop, 8)) for loop in build_curves(spec)])
+    return {
+        "ordered": (dense, coarse),
+        "reversed": (dense[::-1], coarse),
+        "shuffled": (shuffled, np.asarray(closed_ring(curve, 8))),
+        "pinch": (np.concatenate([first, second, first[::-1]]), rings),
+        "one-segment": (dense, np.array([[-9.0, -2.0], [9.0, 2.5]])),
+    }
 
 
 @pytest.fixture(scope="module")
@@ -923,9 +961,30 @@ class TestHausdorff:
         for ring, contour, expected in criterion_5_ladder:
             assert hausdorff(ring, contour) == expected
 
-    def test_finest_level_fits_the_pair_budget(self, strips_wide_finest):
-        # Whole pair blocks at n = 4097 took 20.9 MiB.
-        ring, contour = strips_wide_finest
+    # Dense against coarse, with s = N // M vertices per anchor: 8 for the
+    # rings, 10 for the pinch and N for the single segment.
+    @pytest.mark.parametrize("chunk", [1, 3, 1 << 14])
+    @pytest.mark.parametrize("case", ["ordered", "reversed", "shuffled", "pinch", "one-segment"])
+    def test_anchor_bounds_match_brute_force(self, case, chunk, anchor_cases, monkeypatch):
+        monkeypatch.setattr(oracle, "_PAIR_CHUNK", chunk)
+        assert_matches_brute_force(*anchor_cases[case])
+
+    @pytest.mark.parametrize("reach", [1e308, 9e307])
+    @pytest.mark.parametrize("other", ["segment", "vertex"])
+    def test_rejects_overflowing_segment(self, reach, other):
+        # 2 * reach overflows, and the pair distances of an infinite segment
+        # vector were NaN, so the search visited no vertex and returned 0.0.
+        wide = [(-reach, 0.0), (reach, 0.0)]
+        near = [(-reach, 1e307), (reach, 1e307)] if other == "segment" else [(0.0, 1e307)]
+        message = "polyline segments must have finite coordinate differences"
+        with pytest.raises(GeometryError, match=message):
+            hausdorff(wide, near)
+        with pytest.raises(GeometryError, match=message):
+            hausdorff(near, wide)
+
+    def test_finest_level_fits_the_pair_budget(self, finest_level):
+        # Whole pair blocks at n = 4097 took 20.9 MiB on strips-wide.
+        ring, contour, expected = finest_level
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -933,13 +992,14 @@ class TestHausdorff:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert d == 0.0074148141658660904
+        assert d == expected
         assert peak < 4 * 2**20
 
-    def test_finest_level_evaluates_few_pairs(self, strips_wide_finest, monkeypatch):
+    def test_finest_level_evaluates_few_pairs(self, finest_level, monkeypatch):
         # Bounding each vertex by its nearest block's every segment took
-        # 271,226 pairs here; one segment per vertex takes 7,171.
-        ring, contour = strips_wide_finest
+        # 271,226 pairs on strips-wide; one segment per vertex takes 7,171
+        # there and 6,623 on family-super.
+        ring, contour, expected = finest_level
         pairs = 0
         pair_distance = oracle._pair_distance
 
@@ -950,7 +1010,7 @@ class TestHausdorff:
 
         monkeypatch.setattr(oracle, "_pair_distance", counting)
         d = hausdorff(ring, contour)
-        assert d == 0.0074148141658660904
+        assert d == expected
         assert pairs <= 2 * (len(ring) + len(contour))
 
     @pytest.mark.parametrize(
