@@ -29,7 +29,10 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, starmap
 from typing import Callable, Optional, Sequence, Union
+
+import numpy as np
 
 from .core import (
     CassiniSpec,
@@ -150,14 +153,14 @@ class GuideSegment:
     start: Point
     end: Point
 
-    def points_at(self, fractions: Sequence[float]) -> list[Point]:
-        """The points at parameters in [0, 1]: start at 0, end at 1, and
-        start + f * (end - start) between."""
-        start, end = self.start, self.end
-        s1, s2 = start.x1, start.x2
-        d1, d2 = end.x1 - s1, end.x2 - s2
+    def coords_at(self, fractions: Sequence[float]) -> list[tuple[float, float]]:
+        """The (x1, x2) pairs at parameters in [0, 1]: start's at 0, end's at
+        1, and start + f * (end - start) between."""
+        s1, s2 = first = (self.start.x1, self.start.x2)
+        e1, e2 = last = (self.end.x1, self.end.x2)
+        d1, d2 = e1 - s1, e2 - s2
         return [
-            start if f == 0.0 else end if f == 1.0 else Point(s1 + f * d1, s2 + f * d2)
+            first if f == 0.0 else last if f == 1.0 else (s1 + f * d1, s2 + f * d2)
             for f in fractions
         ]
 
@@ -175,8 +178,8 @@ class HyperbolaArc:
     which its half-strip lies between the focus lines.  The center is a
     guide complement of the foci.  The endpoints carry everything else: the
     run coordinate goes from start's to end's, and the branch is the side of
-    the center that start lies on in the other coordinate.  points_at
-    returns the endpoints themselves at parameters 0 and 1.
+    the center that start lies on in the other coordinate.  coords_at
+    returns the endpoints' own coordinates at parameters 0 and 1.
     """
 
     region: RegionId
@@ -185,10 +188,12 @@ class HyperbolaArc:
     start: Point
     end: Point
 
-    def points_at(self, fractions: Sequence[float]) -> list[Point]:
-        """The points at parameters in [0, 1]: start at 0, end at 1, and
-        between them the branch point over the run coordinate u0 + f * du."""
+    def coords_at(self, fractions: Sequence[float]) -> list[tuple[float, float]]:
+        """The (x1, x2) pairs at parameters in [0, 1]: start's at 0, end's at
+        1, and between them the branch point over the run coordinate
+        u0 + f * du."""
         start, end, center, radius = self.start, self.end, self.center, self.radius
+        first, last = (start.x1, start.x2), (end.x1, end.x2)
         run_axis = 1 if _REGION_SIDES[self.region][0] == 1 else 2
         if run_axis == 1:
             branch = 1 if start.x2 > center.x2 else -1
@@ -197,8 +202,8 @@ class HyperbolaArc:
             branch = 1 if start.x1 > center.x1 else -1
             u0, du = start.x2, end.x2 - start.x2
         return [
-            start if f == 0.0 else end if f == 1.0
-            else Point(*_arc_coords(center, run_axis, branch, radius, u0 + f * du))
+            first if f == 0.0 else last if f == 1.0
+            else _arc_coords(center, run_axis, branch, radius, u0 + f * du)
             for f in fractions
         ]
 
@@ -426,7 +431,7 @@ def _piece_certificate(
 ) -> Callable[[CurvePiece], bool]:
     """A test of one piece, built once per loop, that is True only if the
     residual |d(x,p) * d(x,q) - target| computed as _validate_loop computes it
-    is at most residual_tol at the point piece.points_at gives for every
+    is at most residual_tol at the point piece.coords_at gives for every
     float f in [0, 1].  False decides nothing: the caller samples the piece.
 
     The algebra.  On each of the nine closed regions of RegionId the signs of
@@ -506,7 +511,7 @@ def _piece_certificate(
             return False
         # The forms multiply to y_other^2 - y_run^2 only with the run axis
         # between the lines and the other on a focus's side, where
-        # e_p = e_q; the branch, read off the start as points_at reads it,
+        # e_p = e_q; the branch, read off the start as coords_at reads it,
         # must point away from the foci.  floor is the least |y_other| that
         # keeps the branch on that side.
         if side1 == 1:
@@ -569,13 +574,17 @@ def _validate_loop(spec: CassiniSpec, pieces: list[CurvePiece], samples_per_piec
         if certified(piece):
             continue
         lo1, hi1, lo2, hi2 = _region_box(spec, piece.region)
-        # Point raises GeometryError if a sample is not finite.
-        for x in piece.points_at(fractions):
-            x1, x2 = x.x1, x.x2
+        coords = piece.coords_at(fractions)
+        for x1, x2 in coords:
             residual = abs(distance_product(p, q, x1, x2) - target)
-            if residual > residual_tol:
-                raise AssemblyError(f"piece {i} sample {x} misses the level set by {residual!r}")
-            if not (lo1 <= x1 <= hi1 and lo2 <= x2 <= hi2):
+            if residual > residual_tol or not (lo1 <= x1 <= hi1 and lo2 <= x2 <= hi2):
+                # A sample that is not finite fails a check, and its error
+                # comes first: Point raises GeometryError at the piece's
+                # first such sample.
+                list(starmap(Point, coords))
+                x = Point(x1, x2)
+                if residual > residual_tol:
+                    raise AssemblyError(f"piece {i} sample {x} misses the level set by {residual!r}")
                 raise AssemblyError(
                     f"piece {i} sample {x} lies outside its region {piece.region.value}"
                 )
@@ -642,6 +651,16 @@ def _sample_plan(count: int, n: int) -> tuple[tuple[float, ...], ...]:
     return tuple(map(tuple, plan))
 
 
+def _sample_pairs(curve: tuple[CurvePiece, ...], n: int) -> list[tuple[float, float]]:
+    # The (x1, x2) pairs of sample_curve(curve, n), which need not be finite.
+    if n < 8:
+        raise GeometryError(f"need at least 8 samples, got {n}")
+    pairs: list[tuple[float, float]] = []
+    for piece, fractions in zip(curve, _sample_plan(len(curve), n)):
+        pairs += piece.coords_at(fractions)
+    return pairs
+
+
 def sample_curve(curve: tuple[CurvePiece, ...], n: int) -> list[Point]:
     """n points in cyclic order along a curve of build_curves, n >= 8.
 
@@ -649,12 +668,22 @@ def sample_curve(curve: tuple[CurvePiece, ...], n: int) -> list[Point]:
     arc length, hyperbola arcs evenly in the coordinate running along their
     strip.
     """
-    if n < 8:
-        raise GeometryError(f"need at least 8 samples, got {n}")
-    points: list[Point] = []
-    for piece, fractions in zip(curve, _sample_plan(len(curve), n)):
-        points += piece.points_at(fractions)
-    return points
+    return list(starmap(Point, _sample_pairs(curve, n)))
+
+
+def sample_coords(curve: tuple[CurvePiece, ...], n: int) -> np.ndarray:
+    """The coordinates of sample_curve(curve, n) as an (n, 2) float array.
+
+    The values equal the points' bit for bit, signed zeros included, and the
+    errors are sample_curve's: GeometryError for n < 8, and Point's
+    GeometryError for the first sample that is not finite.
+    """
+    pairs = _sample_pairs(curve, n)
+    xy = np.fromiter(chain.from_iterable(pairs), float, 2 * n).reshape(n, 2)
+    if not np.isfinite(xy).all():
+        # Point raises GeometryError at the first sample that is not finite.
+        list(starmap(Point, pairs))
+    return xy
 
 
 def curve_polyline(curve: tuple[CurvePiece, ...], samples_per_piece: int = 64) -> list[Point]:
@@ -665,7 +694,7 @@ def curve_polyline(curve: tuple[CurvePiece, ...], samples_per_piece: int = 64) -
     if samples_per_piece < 1:
         raise GeometryError("samples_per_piece must be positive")
     fractions = [k / samples_per_piece for k in range(samples_per_piece)]
-    points: list[Point] = []
+    pairs: list[tuple[float, float]] = []
     for piece in curve:
-        points += piece.points_at(fractions)
-    return points
+        pairs += piece.coords_at(fractions)
+    return list(starmap(Point, pairs))

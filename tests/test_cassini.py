@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from taxicassini import campaign
-from taxicassini.campaign import random_spec, run_residual_campaign
+from taxicassini.campaign import CampaignResult, random_spec, run_residual_campaign
 from taxicassini.cassini import (
     _REGION_SIDES,
     CLOSURE_RTOL,
@@ -38,6 +38,7 @@ from taxicassini.cassini import (
     critical_radius,
     curve_polyline,
     product_value,
+    sample_coords,
     sample_curve,
     topology,
 )
@@ -47,6 +48,7 @@ from taxicassini.core import (
     Point,
     PointGroup,
     RegionId,
+    distance_product,
     foci_frame,
     standardize,
     taxicab_distance,
@@ -146,9 +148,14 @@ def fixture_specs_under_the_point_group():
 
 
 def coords_at(piece, f):
-    """The coordinates of piece.points_at at one parameter."""
-    (x,) = piece.points_at((f,))
-    return x.x1, x.x2
+    """The (x1, x2) pair piece.coords_at gives at one parameter."""
+    (x,) = piece.coords_at((f,))
+    return x
+
+
+def pairs(points):
+    """The (x1, x2) pair of each point."""
+    return [(x.x1, x.x2) for x in points]
 
 
 REFERENCE_SIDES = {region: sides for sides, region in REGION_BY_SIDES.items()}
@@ -564,8 +571,9 @@ class TestBuildCurves:
 
     def test_sample_curve_needs_enough_points(self):
         curve = build_curves(CassiniSpec(Point(0, 0), Point(0, 0), 2.0))[0]
-        with pytest.raises(GeometryError):
-            sample_curve(curve, 7)
+        for sample in (sample_curve, sample_coords):
+            with pytest.raises(GeometryError, match="^need at least 8 samples, got 7$"):
+                sample(curve, 7)
 
     def test_polyline_does_not_repeat_first_point(self):
         curve = build_curves(CassiniSpec(Point(4, 1), Point(-4, -1), 6.0))[0]
@@ -853,6 +861,10 @@ MIDPOINT_ORIENTED_SPEC = CassiniSpec(
     1.251648308473473e-07,
 )
 
+# Foci on the line x2 = -0.0: some pieces start or end at x2 = -0.0, which
+# every evaluator must keep.
+SIGNED_ZERO_SPEC = CassiniSpec(Point(0.0, -0.0), Point(2.0, -0.0), 0.75)
+
 
 class TestFloatPathMatchesReference:
     @settings(max_examples=300, deadline=None)
@@ -863,6 +875,7 @@ class TestFloatPathMatchesReference:
     @example(TINY_LOBE_SPEC, 16)
     @example(CassiniSpec(Point(0, 0), Point(0, 0), 2.0), 3)
     @example(CassiniSpec(Point(4, 1), Point(-4, -1), 5.0), 1)
+    @example(SIGNED_ZERO_SPEC, 16)
     def test_build_sample_and_errors_match_reference(self, spec, samples_per_piece):
         got = _outcome(build_curves, sample_curve, curve_polyline, spec)
         want = _outcome(
@@ -873,7 +886,11 @@ class TestFloatPathMatchesReference:
             for curve in build_curves(spec):
                 for piece in curve:
                     want = [reference_point_at(piece, f) for f in (0.0, 0.5, 1.0)]
-                    assert repr(piece.points_at((0.0, 0.5, 1.0))) == repr(want)
+                    assert repr(piece.coords_at((0.0, 0.5, 1.0))) == repr(pairs(want))
+                # The coordinate twin of sample_curve, bit for bit, at the
+                # residual campaign's sample count.
+                got_xy = [tuple(row) for row in sample_coords(curve, 64).tolist()]
+                assert repr(got_xy) == repr(pairs(sample_curve(curve, 64)))
         # Validation at other sample counts, on the loops before validation.
         try:
             loops = reference_build_curves(spec, None)
@@ -886,16 +903,16 @@ class TestFloatPathMatchesReference:
 
 
 class _IndexPiece:
-    """A stand-in piece whose points are (its index, the parameter), and
+    """A stand-in piece whose coordinates are (its index, the parameter), and
     which records the parameters it is asked for."""
 
     def __init__(self, index):
         self.index = index
         self.fractions = []
 
-    def points_at(self, fractions):
+    def coords_at(self, fractions):
         self.fractions += fractions
-        return [Point(float(self.index), f) for f in fractions]
+        return [(float(self.index), f) for f in fractions]
 
 
 class TestSampleCurve:
@@ -928,11 +945,12 @@ class TestSampleCurve:
             assert all(0.0 <= f < 1.0 for f in piece.fractions)
 
 
-class TestPointsAt:
-    # points_at is the one evaluator of both piece kinds; reference_point_at
+class TestCoordsAt:
+    # coords_at is the one evaluator of both piece kinds; reference_point_at
     # works out each parameter on its own, through one Point.  The pieces
     # are placed by every point-group element, with the translation that
-    # takes the standard frame back to the spec's.
+    # takes the standard frame back to the spec's.  Pairs are compared by
+    # repr, which tells a zero's sign.
     ENDS = [0.0, 1.0, 2.0**-50, 1 - 2.0**-50]
 
     @settings(max_examples=200, deadline=None)
@@ -941,6 +959,7 @@ class TestPointsAt:
         st.lists(st.floats(0.0, 1.0), max_size=8),
     )
     @example(CassiniSpec(Point(4, 1), Point(-4, -1), 3.0), [0.5])
+    @example(SIGNED_ZERO_SPEC, [0.5])
     def test_matches_the_reference_bit_for_bit(self, spec, drawn):
         iso, p_std = standardize(spec.p, spec.q)
         a, b = p_std.x1, p_std.x2
@@ -955,13 +974,13 @@ class TestPointsAt:
                     for piece in loop:
                         kinds.add(type(piece))
                         want = [reference_point_at(piece, f) for f in fractions]
-                        assert repr(piece.points_at(fractions)) == repr(want)
-                        assert coords_at(piece, fractions[-1]) == tuple(want[-1])
+                        assert repr(piece.coords_at(fractions)) == repr(pairs(want))
+                        assert repr(coords_at(piece, fractions[-1])) == repr(pairs(want)[-1])
         assert kinds == {GuideSegment, HyperbolaArc}
 
 
 class TestArcEndpoints:
-    # An arc stores no branch and no run range: points_at reads the branch
+    # An arc stores no branch and no run range: coords_at reads the branch
     # off start and the run range off both endpoints.  That branch is the
     # arc's own only if end lies strictly on the same side of the center,
     # and the samples run along the arc only if their run coordinates are
@@ -993,7 +1012,7 @@ def turning_sign(arc):
     convex for the branch b = +1 and concave for b = -1, so it turns left
     running towards larger x1 iff b = +1.  On run axis 2 it is that graph
     with the axes exchanged, a reflection, which flips the sign.  The branch
-    is read off start as points_at reads it; an arc of zero run length gets 0.
+    is read off start as coords_at reads it; an arc of zero run length gets 0.
     """
     run = reference_run_axis(arc.region)
     other = 3 - run
@@ -1028,7 +1047,7 @@ class TestArcTurning:
             for arc in (piece for curve in build_curves(spec) for piece in curve):
                 if isinstance(arc, HyperbolaArc):
                     arcs += 1
-                    s, m, e = ([Fraction(c) for c in x] for x in arc.points_at((0.0, 0.5, 1.0)))
+                    s, m, e = ([Fraction(c) for c in x] for x in arc.coords_at((0.0, 0.5, 1.0)))
                     cross = (m[0] - s[0]) * (e[1] - m[1]) - (m[1] - s[1]) * (e[0] - m[0])
                     assert (cross > 0) - (cross < 0) == turning_sign(arc)
         assert arcs > 0
@@ -1357,18 +1376,116 @@ class TestPieceCertificate:
                     assert certified(piece), (spec, piece)
 
 
+def reference_residual_campaign(trials, seed, samples_per_curve):
+    """run_residual_campaign through one Point and one product_value call per
+    sample, and a running max over them."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    failures = 0
+    for _ in range(trials):
+        spec = random_spec(rng)
+        target = spec.r * spec.r
+        scale = max(1.0, target)
+        residual = max(
+            abs(product_value(spec, x) - target)
+            for curve in build_curves(spec)
+            for x in sample_curve(curve, samples_per_curve)
+        )
+        worst = max(worst, residual / scale)
+        failures += residual > RESIDUAL_RTOL * scale
+    return CampaignResult(trials, failures, 0, worst)
+
+
+class _NonFinitePiece:
+    """A stand-in piece of the unit taxicab circle about the origin: its
+    start and end are (1, 0), for 0 < f < 1/2 its coordinates lie on the
+    circle or, if miss, off it, and from f = 1/2 on they are (value, f)."""
+
+    region = RegionId.CENTRAL_RECTANGLE
+    start = end = Point(1.0, 0.0)
+
+    def __init__(self, value, miss=True):
+        self.value = value
+        self.miss = miss
+
+    def coords_at(self, fractions):
+        return [
+            ((1.0 + f, 0.0) if self.miss else (1.0 - f, f)) if f < 0.5 else (self.value, f)
+            for f in fractions
+        ]
+
+
+def point_error(x1, x2):
+    """The text of the GeometryError that Point(x1, x2) raises."""
+    with pytest.raises(GeometryError) as info:
+        Point(x1, x2)
+    return str(info.value)
+
+
 class TestResidualCampaign:
+    @pytest.mark.parametrize("seed", [7, 42])
+    @pytest.mark.parametrize("samples_per_curve", [16, 64])
+    def test_matches_the_per_point_reference(self, seed, samples_per_curve):
+        got = run_residual_campaign(500, seed, samples_per_curve)
+        assert repr(got) == repr(reference_residual_campaign(500, seed, samples_per_curve))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(8, 128))
+    def test_drawn_campaigns_match_the_per_point_reference(self, seed, samples_per_curve):
+        got = run_residual_campaign(10, seed, samples_per_curve)
+        assert repr(got) == repr(reference_residual_campaign(10, seed, samples_per_curve))
+
     def test_counts_failing_specs_not_samples(self, monkeypatch):
         # Every sample of the first of three specs misses r^2 by 1e-6 of
         # max(1, r^2), far beyond RESIDUAL_RTOL: one spec fails, not each
         # of its samples.
         first = random_spec(np.random.default_rng(7))
 
-        def product(spec, x):
-            f = product_value(spec, x)
-            return f + 1e-6 * max(1.0, spec.r * spec.r) if spec == first else f
+        def product(a, b, x1, x2):
+            f = distance_product(a, b, x1, x2)
+            if (a, b) == (first.p, first.q):
+                return f + 1e-6 * max(1.0, first.r * first.r)
+            return f
 
-        monkeypatch.setattr(campaign, "product_value", product)
+        monkeypatch.setattr(campaign, "distance_product", product)
         result = run_residual_campaign(trials=3, seed=7, samples_per_curve=16)
         assert (result.trials, result.failures) == (3, 1)
         assert math.isclose(result.worst_residual, 1e-6, rel_tol=1e-6)
+
+
+class TestNonFiniteSamples:
+    # On arrays a NaN residual compares false and would pass unseen, so
+    # every sampling path raises Point's own error at the first sample that
+    # is not finite, as sample_curve does.
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_samplers_raise_the_point_error(self, value):
+        curve = (_NonFinitePiece(value),)
+        want = point_error(value, 0.5)
+        for sample in (sample_curve, sample_coords):
+            with pytest.raises(GeometryError) as info:
+                sample(curve, 8)
+            assert str(info.value) == want
+        with pytest.raises(GeometryError) as info:
+            curve_polyline(curve, 4)
+        assert str(info.value) == want
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_residual_campaign_raises_the_point_error(self, value, monkeypatch):
+        monkeypatch.setattr(campaign, "build_curves", lambda spec: [(_NonFinitePiece(value),)])
+        with pytest.raises(GeometryError) as info:
+            run_residual_campaign(trials=1, seed=7, samples_per_curve=8)
+        assert str(info.value) == point_error(value, 0.5)
+
+    @pytest.mark.parametrize("miss", [False, True])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_validation_raises_the_point_error(self, value, miss):
+        # The foci coincide, so no piece is certified and its samples are
+        # checked.  With miss, the sample at f = 1/4 misses the level set
+        # before the non-finite one; the non-finite sample's error still
+        # comes first, as when each sample of a piece was a Point before
+        # any was checked.
+        spec = CassiniSpec(Point(0.0, 0.0), Point(0.0, 0.0), 1.0)
+        with pytest.raises(GeometryError) as info:
+            _validate_loop(spec, [_NonFinitePiece(value, miss)], 4)
+        assert str(info.value) == point_error(value, 0.5)
