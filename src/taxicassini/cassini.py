@@ -41,7 +41,6 @@ from .core import (
     Point,
     RegionId,
     distance_product,
-    foci_frame,
     standardize,
     taxicab_distance,
 )
@@ -241,6 +240,9 @@ _REGION_SIDES = {
 _REGION_BY_SIDES = {sides: region for region, sides in _REGION_SIDES.items()}
 _REGION_UNDER_SWAP = {region: _REGION_BY_SIDES[j, i] for region, (i, j) in _REGION_SIDES.items()}
 _REGION_KEPT = {region: region for region in _REGION_SIDES}
+# The point reflection through the midpoint swaps the foci, and so each side
+# i of either axis with side 2 - i.
+_REGION_MIRROR = {region: _REGION_BY_SIDES[2 - i, 2 - j] for region, (i, j) in _REGION_SIDES.items()}
 
 
 def _placing(iso: Isometry):
@@ -253,7 +255,7 @@ def _placing(iso: Isometry):
     the coordinates swaps the region's sides, and with them an arc's run
     axis.  Under determinant +1 the placed loops would run clockwise, so
     each piece runs from its end to its start and loop(*pieces) lists them
-    back to front; loop also drops the absent (None) pieces.
+    back to front.
     """
     element, t = iso.element, iso.translation
     apply, t1, t2 = element.apply, t.x1, t.x2
@@ -276,9 +278,8 @@ def _placing(iso: Isometry):
             start, end = end, start
         return HyperbolaArc(regions[region], center, radius, start, end)
 
-    def loop(*pieces: Optional[CurvePiece]) -> list[CurvePiece]:
-        kept = [piece for piece in pieces if piece is not None]
-        return kept[::-1] if backward else kept
+    def loop(*pieces: CurvePiece) -> list[CurvePiece]:
+        return list(pieces[::-1] if backward else pieces)
 
     return place, segment, arc, loop
 
@@ -304,88 +305,83 @@ def _standard_loops(a: float, b: float, r: float, iso: Isometry) -> list[list[Cu
     placed by iso, the isometry back to the input frame, so each piece is
     built once, where it is returned.  The loops below are written
     clockwise; _placing lists them so that each runs counterclockwise once
-    placed.
+    placed.  Only p's half is written: the point reflection x -> -x swaps
+    the foci and maps the set onto itself, so each piece is placed with its
+    reflection, whose coordinates are the exact negations, in the mirrored
+    region.  The guide complements g+ = (-b, -a) and g- = (b, a) are exact.
 
     Each focus quadrant holds a guide segment; each complement quadrant holds
     one iff r^2 >= 4ab (the corner point at equality).  Each half-strip holds
     an arc of the taxicab hyperbola about a guide complement.  Above r* = a + b
-    the arcs span their strips and everything forms one loop.  At or below r*
-    each arc leaves its strip over the window |u - c_run| < c around the
-    center, c = sqrt(r*^2 - r^2): the part below the window belongs to the
-    loop about q, the part above it to the loop about p.  The central
-    rectangle then holds the waist segments on x1 + x2 = +-c, a single one
-    shared by both loops at r = r*.  Adjacent entries share endpoints; entries
-    of zero length are dropped later without opening gaps.
+    the arcs span their strips, and p's half and its reflection form one
+    loop.  At or below r* each arc leaves its strip over the window
+    |u - c_run| < c around the center, c = sqrt(r*^2 - r^2), and the part
+    above the window belongs to the loop about p, whose reflection is the
+    loop about q.  The central rectangle then holds the waist segments on
+    x1 + x2 = +-c, a single one shared by both loops at r = r*.
+
+    Adjacent entries share endpoints, the same floats except at the windows
+    (ROADMAP item 16).  build_curves drops pieces up to ZERO_LENGTH_RTOL *
+    max(1, d + r) long, and CLOSURE_RTOL absorbs the gap (ROADMAP item 3).
     """
     place, segment, arc_piece, loop = _placing(iso)
-    rstar = a + b
-    sp = math.hypot(rstar, r)
-    frame = foci_frame(Point(a, b), Point(-a, -b))
-    g_plus, g_minus = frame.g_plus, frame.g_minus
-    qp = segment(RegionId.QUADRANT_P, place(a, sp - a), place(sp - b, b))
-    qq = segment(RegionId.QUADRANT_Q, place(-a, a - sp), place(b - sp, -b))
-    qc1 = qc2 = None
-    if r * r >= 4.0 * a * b:
-        sc = math.hypot(a - b, r)
-        qc1 = segment(RegionId.QUADRANT_C1, place(sc - b, -b), place(a, a - sc))
-        qc2 = segment(RegionId.QUADRANT_C2, place(b - sc, b), place(-a, sc - a))
-    # Per half-strip: region, hyperbola center and its placed image, run
-    # axis and branch side.
-    plus_at, minus_at = place(g_plus.x1, g_plus.x2), place(g_minus.x1, g_minus.x2)
-    top = (RegionId.STRIP_P_C2, g_plus, plus_at, 1, 1)
-    bottom = (RegionId.STRIP_Q_C1, g_minus, minus_at, 1, -1)
-    right = (RegionId.STRIP_P_C1, g_plus, plus_at, 2, 1)
-    left = (RegionId.STRIP_Q_C2, g_minus, minus_at, 2, -1)
+    p_half: list[CurvePiece] = []
+    q_half: list[CurvePiece] = []
 
-    def arc(strip, lo: float, hi: float, reverse: bool = False) -> Optional[HyperbolaArc]:
+    def add(region: RegionId, start: tuple, end: tuple, center: Optional[Point] = None) -> None:
+        # The piece of p's half from start to end (standard pairs), about
+        # center if an arc, and its reflection on q's half.
+        (s1, s2), (e1, e2) = start, end
+        mirror = _REGION_MIRROR[region]
+        if center is None:
+            p_half.append(segment(region, place(s1, s2), place(e1, e2)))
+            q_half.append(segment(mirror, place(-s1, -s2), place(-e1, -e2)))
+            return
+        k1, k2 = center.x1, center.x2
+        p_half.append(arc_piece(region, place(k1, k2), r, place(s1, s2), place(e1, e2)))
+        q_half.append(arc_piece(mirror, place(-k1, -k2), r, place(-s1, -s2), place(-e1, -e2)))
+
+    # Per half-strip of p's half: region, hyperbola center, run axis and
+    # branch side.
+    g_plus, g_minus = Point(-b, -a), Point(b, a)
+    top = (RegionId.STRIP_P_C2, g_plus, 1, 1)
+    bottom = (RegionId.STRIP_Q_C1, g_minus, 1, -1)
+    right = (RegionId.STRIP_P_C1, g_plus, 2, 1)
+
+    def arc(strip, lo: float, hi: float, reverse: bool = False) -> None:
         # The strip's arc over lo <= u <= hi, run from hi to lo if reverse.
         if not hi > lo:
-            return None
-        region, center, center_at, run_axis, branch = strip
+            return
+        region, center, run_axis, branch = strip
         u0, u1 = (hi, lo) if reverse else (lo, hi)
-        return arc_piece(
+        add(
             region,
-            center_at,
-            r,
-            place(*_arc_coords(center, run_axis, branch, r, u0)),
-            place(*_arc_coords(center, run_axis, branch, r, u1)),
+            _arc_coords(center, run_axis, branch, r, u0),
+            _arc_coords(center, run_axis, branch, r, u1),
+            center,
         )
 
+    rstar = a + b
+    sp = math.hypot(rstar, r)
     if r > rstar:
-        return [
-            loop(
-                qp,
-                arc(right, -b, b, True),
-                qc1,
-                arc(bottom, -a, a, True),
-                qq,
-                arc(left, -b, b),
-                qc2,
-                arc(top, -a, a),
-            )
-        ]
-    # Offset of the rectangle segments from the midpoint diagonal; exact 0 at r = r*.
-    c = math.sqrt((rstar - r) * (rstar + r))
+        right_lo, bottom_lo = -b, -a
+    else:
+        # Offset of the rectangle segments from the midpoint diagonal; exact
+        # 0 at r = r*.  p's part of each arc lies above its window.
+        c = math.sqrt((rstar - r) * (rstar + r))
+        right_lo, bottom_lo = max(-b, c - a), max(-a, b + c)
+    add(RegionId.QUADRANT_P, (a, sp - a), (sp - b, b))
+    arc(right, right_lo, b, True)
+    if r * r >= 4.0 * a * b:
+        sc = math.hypot(a - b, r)
+        add(RegionId.QUADRANT_C1, (sc - b, -b), (a, a - sc))
+    arc(bottom, bottom_lo, a, True)
+    if r > rstar:
+        return [loop(*p_half, *q_half)]
     hi, lo = min(a, c + b), max(-a, c - b)
-    rect_plus = segment(RegionId.CENTRAL_RECTANGLE, place(hi, c - hi), place(lo, c - lo))
-    rect_minus = segment(RegionId.CENTRAL_RECTANGLE, place(-hi, hi - c), place(-lo, lo - c))
-    p_loop = loop(
-        qp,
-        arc(right, max(-b, g_plus.x2 + c), b, True),
-        qc1,
-        arc(bottom, max(-a, g_minus.x1 + c), a, True),
-        rect_plus,
-        arc(top, max(-a, g_plus.x1 + c), a),
-    )
-    q_loop = loop(
-        qq,
-        arc(left, -b, min(b, g_minus.x2 - c)),
-        qc2,
-        arc(top, -a, min(a, g_plus.x1 - c)),
-        rect_minus,
-        arc(bottom, -a, min(a, g_minus.x1 - c), True),
-    )
-    return [p_loop, q_loop]
+    add(RegionId.CENTRAL_RECTANGLE, (hi, c - hi), (lo, c - lo))
+    arc(top, max(-a, c - b), a)
+    return [loop(*p_half), loop(*q_half)]
 
 
 # Certificate constants in units of u = _UNIT_ROUNDOFF and C (see

@@ -316,7 +316,8 @@ def extract_contour(grid: ScalarGrid) -> Contour:
 def _as_array(points: Sequence) -> np.ndarray:
     try:
         if not isinstance(points, np.ndarray):
-            points = [(pt.x1, pt.x2) if isinstance(pt, Point) else tuple(pt) for pt in points]
+            # A Point iterates over its two coordinates.
+            points = [tuple(pt) for pt in points]
         arr = np.asarray(points, dtype=float)
     except (TypeError, ValueError):
         arr = None

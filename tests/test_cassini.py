@@ -495,18 +495,6 @@ class TestBuildCurves:
     def test_random_tiny_lobes_wind_counterclockwise(self, spec):
         assert_counterclockwise(spec)
 
-    def test_one_frame_per_build(self, monkeypatch):
-        # The guide complements of all four strips come from one foci_frame call.
-        import taxicassini.cassini as cassini
-
-        calls = []
-        real = cassini.foci_frame
-        monkeypatch.setattr(cassini, "foci_frame", lambda p, q: calls.append(1) or real(p, q))
-        for r in (3.0, 5.0, 6.0):
-            calls.clear()
-            build_curves(CassiniSpec(Point(4, 1), Point(-4, -1), r))
-            assert len(calls) == 1
-
     def test_pinched_edge_loops_share_the_flat_segment(self):
         curves = build_curves(CassiniSpec(Point(4, 1), Point(-4, -1), 5.0))
         segments = []
@@ -902,6 +890,133 @@ class TestFloatPathMatchesReference:
             ) == _validation_outcome(reference_validate_loop, spec, pieces, samples_per_piece)
 
 
+# The point reflection x -> -x through the midpoint swaps the foci, so it
+# swaps the sides "p" and "q" of both axes and keeps "m".
+REFERENCE_REGION_MIRROR = {
+    region: REGION_BY_SIDES[tuple({"p": "q", "m": "m", "q": "p"}[side] for side in sides)]
+    for region, sides in REFERENCE_SIDES.items()
+}
+
+
+@st.composite
+def standard_frames(draw):
+    """(a, b, r) for p = (a, b) = -q, a >= b >= 0, at scales 1e-6 to 1e9:
+    b = 0 or drawn, and r below, at or above r* = a + b, or with r^2 = 4ab
+    exactly."""
+    kind = draw(st.sampled_from(("below r*", "r*", "above r*", "r^2 = 4ab")))
+    if kind == "r^2 = 4ab":
+        # a = s k^2, b = s m^2 and r = 2 s k m, with s a power of two: every
+        # value is exact, and so are r^2 and 4ab.
+        s = 2.0 ** draw(st.integers(-20, 30))
+        k = draw(st.integers(1, 2**12))
+        m = draw(st.integers(1, k))
+        return s * k * k, s * m * m, 2.0 * s * k * m
+    a = 10.0 ** draw(st.floats(-6.0, 9.0))
+    b = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0).map(lambda t: a * t)))
+    rstar = a + b
+    factor = 10.0 ** draw(st.floats(0.0, 3.0))
+    if kind == "below r*":
+        return a, b, min(rstar / factor, math.nextafter(rstar, 0.0))
+    if kind == "above r*":
+        return a, b, max(rstar * factor, math.nextafter(rstar, math.inf))
+    return a, b, rstar
+
+
+def piece_coordinates(piece):
+    """The coordinates a piece stores: its ends, and an arc's center."""
+    points = (piece.start, piece.end)
+    if isinstance(piece, HyperbolaArc):
+        points += (piece.center,)
+    return [(x.x1, x.x2) for x in points]
+
+
+class TestPointReflection:
+    # _standard_loops writes p's half only and places each piece with its
+    # point reflection.  In the standard frame the reflection negates every
+    # coordinate, a zero's sign included, so pieces are compared by repr.
+
+    @settings(max_examples=300, deadline=None)
+    @given(standard_frames())
+    @example((4.0, 1.0, 3.0))
+    @example((4.0, 1.0, 5.0))
+    @example((4.0, 1.0, 6.0))
+    @example((8.0, 2.0, 8.0))
+    @example((5.0, 0.0, 5.0))
+    @example((5.0, 0.0, 2.0))
+    @example((5.0, 0.0, 8.0))
+    def test_q_half_is_the_p_half_negated(self, case):
+        a, b, r = case
+        loops = standard_loops(a, b, r)
+        if r > a + b:
+            # One loop: a half, then its reflection.
+            (loop,) = loops
+            assert len(loop) % 2 == 0
+            halves = loop[: len(loop) // 2], loop[len(loop) // 2 :]
+        else:
+            halves = loops
+        first, second = halves
+        # Counted before build_curves drops any piece of zero length.
+        assert len(first) == len(second) > 0
+        for piece, image in zip(first, second):
+            assert type(image) is type(piece)
+            assert image.region is REFERENCE_REGION_MIRROR[piece.region]
+            negated = [(-x1, -x2) for x1, x2 in piece_coordinates(piece)]
+            assert repr(piece_coordinates(image)) == repr(negated)
+            if isinstance(piece, HyperbolaArc):
+                assert image.radius == piece.radius == r
+
+
+def assert_junctions_exact(spec):
+    """For r > r*, with every piece kept (8, or 6 when the foci share a
+    coordinate line, where the strips across them hold no arc), each piece
+    ends exactly where the next one starts.  Returns whether it checked."""
+    _, half = standardize(spec.p, spec.q)
+    try:
+        (curve,) = build_curves(spec)
+    except AssemblyError:
+        return False
+    if len(curve) != (6 if half.x2 == 0 else 8):
+        return False
+    for piece, nxt in zip(curve, curve[1:] + curve[:1]):
+        assert piece.end == nxt.start, (spec, piece, nxt)
+    return True
+
+
+def _one_curve_stress_spec(signs, exponents, u):
+    # _stress_spec's foci, with r = r* * 10^u strictly above r*.
+    spec = _stress_spec(signs, exponents, 0.0)
+    return CassiniSpec(spec.p, spec.q, max(spec.r * 10.0**u, math.nextafter(spec.r, math.inf)))
+
+
+class TestJunctions:
+    # Above r* both ends of every junction come from equal float
+    # expressions in the standard frame, through exact guide complements.
+
+    def test_campaign_specs(self):
+        rng = np.random.default_rng(11)
+        checked = 0
+        for _ in range(1500):
+            spec = random_spec(rng)
+            if topology(spec) is Topology.ONE_CURVE:
+                checked += assert_junctions_exact(spec)
+        assert checked > 300
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.builds(
+            _one_curve_stress_spec,
+            st.lists(st.sampled_from((-1.0, 1.0)), min_size=4, max_size=4),
+            st.lists(st.floats(-6.0, 9.0), min_size=4, max_size=4),
+            st.floats(0.0, 3.0),
+        )
+    )
+    @example(CassiniSpec(Point(4, 1), Point(-4, -1), 6.0))
+    @example(CassiniSpec(Point(5, 0), Point(-5, 0), 8.0))
+    def test_specs_across_scales(self, spec):
+        assume(spec.p != spec.q)
+        assert_junctions_exact(spec)
+
+
 class _IndexPiece:
     """A stand-in piece whose coordinates are (its index, the parameter), and
     which records the parameters it is asked for."""
@@ -1247,13 +1362,16 @@ _STRIP_ACROSS = {
 }
 
 
-def _arc_mutations(arc, a, b, frame):
-    """(kind, piece) for each way to get a standard-frame arc wrong."""
+def _arc_mutations(arc, a, b, complements):
+    """(kind, piece) for each way to get a standard-frame arc wrong; the arc
+    lies about one of the guide complements (g+, g-) and the wrong center
+    is the other."""
     run = reference_run_axis(arc.region)
     other = 3 - run
     center = arc.center
     branch = 1 if arc.start.coord(other) > center.coord(other) else -1
-    wrong = frame.g_minus if center == frame.g_plus else frame.g_plus
+    g_plus, g_minus = complements
+    wrong = g_minus if center == g_plus else g_plus
 
     def on_branch(u):
         return Point(*_arc_coords(center, run, branch, arc.radius, u))
@@ -1287,7 +1405,8 @@ def _mutated_loops(loop, a, b):
     """(kind, loop) for each single-piece mutation of a standard-frame loop,
     rotated so that the mutated piece comes first: its samples are then
     checked before the gap in front of it."""
-    frame = foci_frame(Point(a, b), Point(-a, -b))
+    # The guide complements of p = (a, b) = -q, exact as the package takes them.
+    complements = Point(-b, -a), Point(b, a)
     for i, piece in enumerate(loop):
         rest = loop[i + 1 :] + loop[:i]
         region = _REGIONS[(_REGIONS.index(piece.region) + 1) % len(_REGIONS)]
@@ -1309,7 +1428,7 @@ def _mutated_loops(loop, a, b):
             dataclasses.replace(prev, end=early),
         ]
         if isinstance(piece, HyperbolaArc):
-            for kind, mutated in _arc_mutations(piece, a, b, frame):
+            for kind, mutated in _arc_mutations(piece, a, b, complements):
                 yield kind, [mutated, *rest]
 
 

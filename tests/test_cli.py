@@ -532,7 +532,7 @@ GOLDEN_VERIFY = [
     (
         ["--seed", "7", "--trials", "20"],
         """\
-mode=residual trials=20 failures=0 skipped=0 worst=2.638026e-14
+mode=residual trials=20 failures=0 skipped=0 worst=3.030460e-14
 mode=union-of-intersections trials=200000 failures=0 skipped=0 worst=8.972222e-05
 mode=intersection-of-unions trials=200000 failures=0 skipped=0 worst=8.972222e-05
 mode=cross-subsets trials=200000 failures=0 skipped=0 worst=8.972222e-05
@@ -560,7 +560,7 @@ overall: pass
         ],
         """\
 mode=cross-equalities trials=50000 failures=0 skipped=0 worst=8.972222e-05
-mode=residual trials=5 failures=0 skipped=0 worst=2.638026e-14
+mode=residual trials=5 failures=0 skipped=0 worst=3.030460e-14
 mode=union-of-intersections trials=50000 failures=0 skipped=0 worst=8.972222e-05
 mode=cross-equalities trials=50000 failures=0 skipped=0 worst=8.972222e-05
 overall: pass

@@ -937,6 +937,17 @@ class TestHausdorff:
     def test_matches_brute_force(self, pair):
         assert_matches_brute_force(*pair)
 
+    def test_points_and_pairs_give_the_same_distance(self):
+        # The docstring takes Points or coordinate pairs.
+        spec = CassiniSpec(Point(8, 3), Point(-8, -3), 16.0)
+        points = curve_polyline(build_curves(spec)[0], 16)
+        points.append(points[0])
+        ring = [(x.x1, x.x2) for x in points]
+        contour = extract_contour(grid_field(spec, n=65)).polylines[0]
+        assert hausdorff(points, contour) == hausdorff(ring, contour) > 0
+        assert hausdorff(contour, points) == hausdorff(contour, ring)
+        assert hausdorff(points, points[::2]) == hausdorff(ring, ring[::2]) > 0
+
     def test_contour_ladder_matches_brute_force(self):
         spec = CassiniSpec(Point(8, 3), Point(-8, -3), 16.0)
         ring = closed_ring(build_curves(spec)[0], 128)
