@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, starmap
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -50,11 +50,6 @@ from .core import (
 # piece its certificate covers, and at the _VALIDATION_SAMPLES + 1 samples
 # for any other.
 RESIDUAL_RTOL = 1e-9
-# Consecutive pieces must share endpoints within this relative tolerance.
-CLOSURE_RTOL = 1e-9
-# Pieces shorter than this (relative to instance scale) are dropped when the
-# foci differ; a taxicab circle drops only sides whose ends coincide.
-ZERO_LENGTH_RTOL = 1e-12
 # Validation checks each piece its certificate does not cover at this many
 # equal parameter steps.
 _VALIDATION_SAMPLES = 16
@@ -64,8 +59,9 @@ _UNIT_ROUNDOFF = 2.0**-53
 
 
 class DegenerateInput(GeometryError):
-    """Instance has no curve to build: r = 0, or a taxicab circle whose
-    radius is below the float resolution at its center."""
+    """Instance has no curve to build in floats: r = 0, or a loop that r is
+    too small to resolve at its coordinates, whose pieces all round onto one
+    point or which has an arc with an end rounded onto its center's line."""
 
 
 class AssemblyError(RuntimeError):
@@ -163,9 +159,6 @@ class GuideSegment:
             for f in fractions
         ]
 
-    def length_scale(self) -> float:
-        return taxicab_distance(self.start, self.end)
-
 
 @dataclass(frozen=True)
 class HyperbolaArc:
@@ -177,8 +170,9 @@ class HyperbolaArc:
     which its half-strip lies between the focus lines.  The center is a
     guide complement of the foci.  The endpoints carry everything else: the
     run coordinate goes from start's to end's, and the branch is the side of
-    the center that start lies on in the other coordinate.  coords_at
-    returns the endpoints' own coordinates at parameters 0 and 1.
+    the center that start lies on in the other coordinate, so build_curves
+    returns no arc with an end on the center's line.  coords_at returns the
+    endpoints' own coordinates at parameters 0 and 1.
     """
 
     region: RegionId
@@ -205,10 +199,6 @@ class HyperbolaArc:
             else _arc_coords(center, run_axis, branch, radius, u0 + f * du)
             for f in fractions
         ]
-
-    def length_scale(self) -> float:
-        run_axis = 1 if _REGION_SIDES[self.region][0] == 1 else 2
-        return abs(self.end.coord(run_axis) - self.start.coord(run_axis))
 
 
 CurvePiece = Union[GuideSegment, HyperbolaArc]
@@ -245,17 +235,19 @@ _REGION_KEPT = {region: region for region in _REGION_SIDES}
 _REGION_MIRROR = {region: _REGION_BY_SIDES[2 - i, 2 - j] for region, (i, j) in _REGION_SIDES.items()}
 
 
-def _placing(iso: Isometry):
-    """Constructors of pieces computed in the standard frame and placed by iso.
+def _placing(iso: Isometry, r: float):
+    """Constructors of loops computed in the standard frame and placed by iso.
 
-    Returns (place, segment, arc, loop).  place(x1, x2) is the Point iso
-    maps (x1, x2) to, in the arithmetic of Isometry.apply.  segment(region,
-    start, end) and arc(region, center, radius, start, end) take the
-    standard-frame region and clockwise order, and placed points; a swap of
-    the coordinates swaps the region's sides, and with them an arc's run
-    axis.  Under determinant +1 the placed loops would run clockwise, so
-    each piece runs from its end to its start and loop(*pieces) lists them
-    back to front.
+    Returns (place, loop).  place(x1, x2) is the Point iso maps (x1, x2) to,
+    in the arithmetic of Isometry.apply.  loop(junctions, kinds) takes placed
+    junctions in the standard frame's clockwise order and, per junction, the
+    standard-frame region of the piece that starts there and its arc's
+    center (None on a segment).  It returns the closed loop of pieces, from
+    each junction to the next and from the last back to the first: guide
+    segments, and arcs of radius r.  A swap of the coordinates swaps a
+    region's sides, and with them an arc's run axis.  Under determinant +1
+    the placed loop would run clockwise, so each piece runs from its end to
+    its start and the pieces are listed back to front.
     """
     element, t = iso.element, iso.translation
     apply, t1, t2 = element.apply, t.x1, t.x2
@@ -266,122 +258,92 @@ def _placing(iso: Isometry):
         y1, y2 = apply(x1, x2)
         return Point(y1 + t1, y2 + t2)
 
-    def segment(region: RegionId, start: Point, end: Point) -> GuideSegment:
-        if backward:
-            start, end = end, start
-        return GuideSegment(regions[region], start, end)
+    def loop(junctions: list[Point], kinds: list) -> list[CurvePiece]:
+        pieces: list[CurvePiece] = []
+        for (region, center), start, end in zip(kinds, junctions, junctions[1:] + junctions[:1]):
+            if backward:
+                start, end = end, start
+            if center is None:
+                pieces.append(GuideSegment(regions[region], start, end))
+            else:
+                pieces.append(HyperbolaArc(regions[region], center, r, start, end))
+        return pieces[::-1] if backward else pieces
 
-    def arc(
-        region: RegionId, center: Point, radius: float, start: Point, end: Point
-    ) -> HyperbolaArc:
-        if backward:
-            start, end = end, start
-        return HyperbolaArc(regions[region], center, radius, start, end)
-
-    def loop(*pieces: CurvePiece) -> list[CurvePiece]:
-        return list(pieces[::-1] if backward else pieces)
-
-    return place, segment, arc, loop
+    return place, loop
 
 
-def _diamond_pieces(r: float, iso: Isometry) -> list[GuideSegment]:
+def _diamond_pieces(r: float, iso: Isometry) -> list[CurvePiece]:
     # Taxicab circle about the origin, placed by iso: the radius-r diamond,
     # written clockwise from the east vertex like the standard-frame loops.
-    place, segment, _, loop = _placing(iso)
-    east, north = place(r, 0.0), place(0.0, r)
-    west, south = place(-r, 0.0), place(0.0, -r)
-    return loop(
-        segment(RegionId.QUADRANT_C1, east, south),
-        segment(RegionId.QUADRANT_Q, south, west),
-        segment(RegionId.QUADRANT_C2, west, north),
-        segment(RegionId.QUADRANT_P, north, east),
-    )
+    place, loop = _placing(iso, r)
+    vertices = [place(r, 0.0), place(0.0, -r), place(-r, 0.0), place(0.0, r)]
+    quadrants = (RegionId.QUADRANT_C1, RegionId.QUADRANT_Q, RegionId.QUADRANT_C2, RegionId.QUADRANT_P)
+    return loop(vertices, [(region, None) for region in quadrants])
 
 
 def _standard_loops(a: float, b: float, r: float, iso: Isometry) -> list[list[CurvePiece]]:
     """The loops of K(p, q; r) for p = (a, b) = -q, a >= b >= 0, placed by iso.
 
-    Every endpoint and arc center is computed in this standard frame and
-    placed by iso, the isometry back to the input frame, so each piece is
-    built once, where it is returned.  The loops below are written
-    clockwise; _placing lists them so that each runs counterclockwise once
-    placed.  Only p's half is written: the point reflection x -> -x swaps
-    the foci and maps the set onto itself, so each piece is placed with its
-    reflection, whose coordinates are the exact negations, in the mirrored
-    region.  The guide complements g+ = (-b, -a) and g- = (b, a) are exact.
+    A loop is written as its junctions, the points where one piece ends and
+    the next starts, and the region of each piece, with its arc's center.
+    Every junction and center is computed once, in closed form in this
+    standard frame, and placed once by iso; the piece ending at a junction
+    and the piece starting there share the one Point, so every loop closes
+    exactly.  The loops below are written clockwise; _placing lists them so
+    that each runs counterclockwise once placed.  Only p's half is written:
+    the point reflection x -> -x swaps the foci and maps the set onto
+    itself, so the other half's junctions are the exact negations, its
+    regions the mirrored ones, and its arcs lie about the other guide
+    complement.  The guide complements g+ = (-b, -a) and g- = (b, a) are
+    exact.
 
-    Each focus quadrant holds a guide segment; each complement quadrant holds
-    one iff r^2 >= 4ab (the corner point at equality).  Each half-strip holds
-    an arc of the taxicab hyperbola about a guide complement.  Above r* = a + b
-    the arcs span their strips, and p's half and its reflection form one
-    loop.  At or below r* each arc leaves its strip over the window
-    |u - c_run| < c around the center, c = sqrt(r*^2 - r^2), and the part
-    above the window belongs to the loop about p, whose reflection is the
-    loop about q.  The central rectangle then holds the waist segments on
-    x1 + x2 = +-c, a single one shared by both loops at r = r*.
-
-    Adjacent entries share endpoints, the same floats except at the windows
-    (ROADMAP item 16).  build_curves drops pieces up to ZERO_LENGTH_RTOL *
-    max(1, d + r) long, and CLOSURE_RTOL absorbs the gap (ROADMAP item 3).
+    With r* = a + b, each focus quadrant holds a guide segment on x1 + x2 =
+    +-sp, sp = hypot(r*, r), and each complement quadrant one on x1 - x2 =
+    +-sc, sc = hypot(a - b, r), iff r^2 >= 4ab (the corner point at
+    equality).  Each half-strip holds an arc of the taxicab hyperbola about a
+    guide complement.  Above r* the arcs span their strips, and p's half and
+    its reflection form one loop.  At or below r* each arc leaves its strip
+    over the window |u - c_run| < c around its center, c = sqrt(r*^2 - r^2),
+    and the part on p's side of the window belongs to the loop about p, whose
+    reflection is the loop about q.  The central rectangle then holds the
+    waist segments on x1 + x2 = +-c, a single one shared by both loops at r
+    = r*, and the clipped arcs end at the waist's ends (hi, c - hi) and (lo,
+    c - lo).  The one comparison r^2 >= 4ab, true above r*, decides whether
+    the complement segment and the bottom strip's arc lie between the
+    junctions; where it fails, the right strip's arc ends at the waist.
     """
-    place, segment, arc_piece, loop = _placing(iso)
-    p_half: list[CurvePiece] = []
-    q_half: list[CurvePiece] = []
-
-    def add(region: RegionId, start: tuple, end: tuple, center: Optional[Point] = None) -> None:
-        # The piece of p's half from start to end (standard pairs), about
-        # center if an arc, and its reflection on q's half.
-        (s1, s2), (e1, e2) = start, end
-        mirror = _REGION_MIRROR[region]
-        if center is None:
-            p_half.append(segment(region, place(s1, s2), place(e1, e2)))
-            q_half.append(segment(mirror, place(-s1, -s2), place(-e1, -e2)))
-            return
-        k1, k2 = center.x1, center.x2
-        p_half.append(arc_piece(region, place(k1, k2), r, place(s1, s2), place(e1, e2)))
-        q_half.append(arc_piece(mirror, place(-k1, -k2), r, place(-s1, -s2), place(-e1, -e2)))
-
-    # Per half-strip of p's half: region, hyperbola center, run axis and
-    # branch side.
-    g_plus, g_minus = Point(-b, -a), Point(b, a)
-    top = (RegionId.STRIP_P_C2, g_plus, 1, 1)
-    bottom = (RegionId.STRIP_Q_C1, g_minus, 1, -1)
-    right = (RegionId.STRIP_P_C1, g_plus, 2, 1)
-
-    def arc(strip, lo: float, hi: float, reverse: bool = False) -> None:
-        # The strip's arc over lo <= u <= hi, run from hi to lo if reverse.
-        if not hi > lo:
-            return
-        region, center, run_axis, branch = strip
-        u0, u1 = (hi, lo) if reverse else (lo, hi)
-        add(
-            region,
-            _arc_coords(center, run_axis, branch, r, u0),
-            _arc_coords(center, run_axis, branch, r, u1),
-            center,
-        )
-
+    place, loop = _placing(iso, r)
+    # A zero b as +0.0, the zero that the differences below round to, and
+    # -b written as 0.0 - b: junctions that coincide then agree in the sign
+    # of every zero too.
+    b += 0.0
     rstar = a + b
     sp = math.hypot(rstar, r)
-    if r > rstar:
-        right_lo, bottom_lo = -b, -a
-    else:
-        # Offset of the rectangle segments from the midpoint diagonal; exact
-        # 0 at r = r*.  p's part of each arc lies above its window.
-        c = math.sqrt((rstar - r) * (rstar + r))
-        right_lo, bottom_lo = max(-b, c - a), max(-a, b + c)
-    add(RegionId.QUADRANT_P, (a, sp - a), (sp - b, b))
-    arc(right, right_lo, b, True)
+    # p's half: each junction, and the region of the piece that starts there
+    # with its arc's guide complement, g+ for 1, g- for -1 (0 on a segment).
+    junctions = [(a, sp - a), (sp - b, b)]
+    kinds = [(RegionId.QUADRANT_P, 0), (RegionId.STRIP_P_C1, 1)]
     if r * r >= 4.0 * a * b:
         sc = math.hypot(a - b, r)
-        add(RegionId.QUADRANT_C1, (sc - b, -b), (a, a - sc))
-    arc(bottom, bottom_lo, a, True)
+        junctions += [(sc - b, 0.0 - b), (a, a - sc)]
+        kinds += [(RegionId.QUADRANT_C1, 0), (RegionId.STRIP_Q_C1, -1)]
+    if not r > rstar:
+        # The waist's offset from the midpoint diagonal; exact 0 at r = r*.
+        # c - b >= -b >= -a, so lo needs no clamp to the rectangle.
+        c = math.sqrt((rstar - r) * (rstar + r))
+        hi, lo = min(a, c + b), c - b
+        junctions += [(hi, c - hi), (lo, c - lo)]
+        kinds += [(RegionId.CENTRAL_RECTANGLE, 0), (RegionId.STRIP_P_C2, 1)]
+    # The placed guide complements by the sign that names them; the
+    # reflection swaps them.
+    guide = {1: place(-b, -a), -1: place(b, a)}
+    p_points = [place(x1, x2) for x1, x2 in junctions]
+    q_points = [place(-x1, -x2) for x1, x2 in junctions]
+    p_kinds = [(region, guide.get(g)) for region, g in kinds]
+    q_kinds = [(_REGION_MIRROR[region], guide.get(-g)) for region, g in kinds]
     if r > rstar:
-        return [loop(*p_half, *q_half)]
-    hi, lo = min(a, c + b), max(-a, c - b)
-    add(RegionId.CENTRAL_RECTANGLE, (hi, c - hi), (lo, c - lo))
-    arc(top, max(-a, c - b), a)
-    return [loop(*p_half), loop(*q_half)]
+        return [loop(p_points + q_points, p_kinds + q_kinds)]
+    return [loop(p_points, p_kinds), loop(q_points, q_kinds)]
 
 
 # Certificate constants in units of u = _UNIT_ROUNDOFF and C (see
@@ -552,19 +514,12 @@ def _region_box(spec: CassiniSpec, region: RegionId) -> tuple[float, float, floa
 
 
 def _validate_loop(spec: CassiniSpec, pieces: list[CurvePiece], samples_per_piece: int) -> None:
-    scale = max(1.0, taxicab_distance(spec.p, spec.q) + spec.r)
     target = spec.r * spec.r
     residual_tol = RESIDUAL_RTOL * max(1.0, target)
     fractions = [k / samples_per_piece for k in range(samples_per_piece + 1)]
     certified = _piece_certificate(spec, target, residual_tol)
     p, q = spec.p, spec.q
     for i, piece in enumerate(pieces):
-        nxt = pieces[(i + 1) % len(pieces)]
-        gap = taxicab_distance(piece.end, nxt.start)
-        if gap > CLOSURE_RTOL * scale:
-            raise AssemblyError(
-                f"pieces {i} and {(i + 1) % len(pieces)} leave a gap of {gap!r}"
-            )
         # A certified piece lies in its region by the certificate's own
         # region test; the samples of any other must stay in its region too.
         if certified(piece):
@@ -586,44 +541,53 @@ def _validate_loop(spec: CassiniSpec, pieces: list[CurvePiece], samples_per_piec
                 )
 
 
+def _off_center_line(piece: CurvePiece) -> bool:
+    # False for an arc with an end on its center's line, off which coords_at
+    # cannot read the branch.
+    if isinstance(piece, GuideSegment):
+        return True
+    other = 2 if _REGION_SIDES[piece.region][0] == 1 else 1
+    k = piece.center.coord(other)
+    return piece.start.coord(other) != k != piece.end.coord(other)
+
+
 def build_curves(spec: CassiniSpec) -> list[tuple[CurvePiece, ...]]:
     """Assemble K(p, q; r) into its closed curves, counterclockwise.
 
     A curve is the tuple of its pieces in cyclic order, each piece starting
-    where the previous one ends.  Returns one curve above the critical
-    radius, two below it, and two sharing their pinch boundary at it (the
-    shared rectangle segment, or the shared vertex when the foci lie on a
-    coordinate line).  Each returned curve is validated: consecutive pieces
-    meet within CLOSURE_RTOL of the instance scale, and each piece satisfies
-    the defining product equation within RESIDUAL_RTOL of max(1, r^2) as
-    computed in floats: at every parameter where its certificate holds, and
-    at the validation samples, which must also lie in the piece's region,
-    where it does not (see _piece_certificate).  Raises DegenerateInput for
-    r = 0 and for a taxicab circle whose vertices all round onto its center.
+    at the very Point where the previous one ends.  Returns one curve above
+    the critical radius, two below it, and two sharing their pinch boundary
+    at it (the shared rectangle segment, or the shared vertex when the foci
+    lie on a coordinate line).  Each junction is computed once, so a piece
+    is dropped only when its float ends coincide, and the loop stays closed
+    without it.  Each returned curve is validated: each piece satisfies the
+    defining product equation within RESIDUAL_RTOL of max(1, r^2) as computed
+    in floats: at every parameter where its certificate holds, and at the
+    validation samples, which must also lie in the piece's region, where it
+    does not (see _piece_certificate).  Raises DegenerateInput for r = 0, and
+    for a loop below the float resolution: every piece rounds onto one
+    point, or an arc's end onto its center's line.
     """
     if spec.r == 0:
         raise DegenerateInput("r = 0 yields the bare focus pair, not a curve")
     iso, p_std = standardize(spec.p, spec.q)
     inverse = iso.inverse()
-    if spec.p == spec.q:
+    if p_std.x1 == 0:
+        # p = q, or foci whose half-difference rounds to zero: in floats
+        # the taxicab circle about the midpoint.
         loops = [_diamond_pieces(spec.r, inverse)]
-        # Every side of the diamond has L1 length 2r > 0, so only a side
-        # whose float ends coincide is dropped.
-        zero_tol = 0.0
     else:
         loops = _standard_loops(p_std.x1, p_std.x2, spec.r, inverse)
-        zero_tol = ZERO_LENGTH_RTOL * max(1.0, taxicab_distance(spec.p, spec.q) + spec.r)
     curves = []
     for k, loop in enumerate(loops, 1):
-        kept = [piece for piece in loop if piece.length_scale() > zero_tol]
+        kept = [piece for piece in loop if piece.start != piece.end]
         where = f"loop {k} of {len(loops)}"
-        if not kept:
-            if spec.p == spec.q:
-                raise DegenerateInput(
-                    f"r = {spec.r!r} is below the float resolution at the center {spec.p}:"
-                    " every vertex of the taxicab circle rounds onto the center"
-                )
-            raise AssemblyError(f"{spec}, {where}: all pieces of a loop degenerated to points")
+        if not (kept and all(map(_off_center_line, kept))):
+            raise DegenerateInput(
+                f"{spec}, {where}: r = {spec.r!r} is below the float resolution at its"
+                " coordinates: every piece rounds onto one point, or an arc's end onto its"
+                " center's line"
+            )
         try:
             _validate_loop(spec, kept, _VALIDATION_SAMPLES)
         except AssemblyError as exc:

@@ -17,9 +17,7 @@ from taxicassini import campaign
 from taxicassini.campaign import CampaignResult, random_spec, run_residual_campaign
 from taxicassini.cassini import (
     _REGION_SIDES,
-    CLOSURE_RTOL,
     RESIDUAL_RTOL,
-    ZERO_LENGTH_RTOL,
     AssemblyError,
     CassiniSpec,
     DegenerateInput,
@@ -522,8 +520,7 @@ class TestBuildCurves:
         [((0.0, 0.0), r) for r in (5e-324, 1e-300, 1e-13, 4e-13, 1.0)] + [((5.0, 5.0), 1e-13)],
     )
     def test_small_taxicab_circles_build(self, center, r):
-        # Each side has L1 length 2r > 0, which is below ZERO_LENGTH_RTOL *
-        # max(1, r) for r < 5e-13: only coinciding ends may drop a side.
+        # Each side has L1 length 2r > 0: only coinciding ends drop a side.
         c1, c2 = center
         spec = CassiniSpec(Point(c1, c2), Point(c1, c2), r)
         (curve,) = build_curves(spec)
@@ -543,9 +540,9 @@ class TestBuildCurves:
         with pytest.raises(DegenerateInput) as info:
             build_curves(spec)
         assert str(info.value) == (
-            f"r = {r!r} is below the float resolution at the center"
-            " Point(x1=1000000.0, x2=1000000.0): every vertex of the taxicab circle"
-            " rounds onto the center"
+            f"{spec}, loop 1 of 1: r = {r!r} is below the float resolution at its"
+            " coordinates: every piece rounds onto one point, or an arc's end onto its"
+            " center's line"
         )
 
     def test_circle_just_above_float_resolution_builds(self):
@@ -556,6 +553,32 @@ class TestBuildCurves:
         assert {piece.start for piece in curve} == {
             Point(up, 1e6), Point(1e6, up), Point(down, 1e6), Point(1e6, down)
         }
+
+    def test_lobes_below_float_resolution_are_degenerate_input(self):
+        # At r = 1e-160 every piece of a lobe rounds onto its focus; the
+        # other spec keeps two arcs per lobe, each with its ends on its
+        # center's line.
+        for spec in (CassiniSpec(Point(4, 1), Point(-4, -1), 1e-160), ARC_ON_CENTER_LINE_SPEC):
+            with pytest.raises(DegenerateInput) as info:
+                build_curves(spec)
+            assert str(info.value) == (
+                f"{spec}, loop 1 of 2: r = {spec.r!r} is below the float resolution at its"
+                " coordinates: every piece rounds onto one point, or an arc's end onto its"
+                " center's line"
+            )
+
+    def test_reference_instance_keeps_every_piece_down_to_2_to_the_minus_60(self):
+        # Scaling by 2^k is exact, and a piece is dropped only when its ends
+        # coincide: all 8 pieces stay, in the same regions, at every scale.
+        def regions(k):
+            s = 2.0**k
+            (curve,) = build_curves(CassiniSpec(Point(4 * s, s), Point(-4 * s, -s), 6 * s))
+            return [piece.region for piece in curve]
+
+        want = regions(0)
+        assert len(want) == 8
+        for k in range(-60, 0):
+            assert regions(k) == want, k
 
     def test_sample_curve_needs_enough_points(self):
         curve = build_curves(CassiniSpec(Point(0, 0), Point(0, 0), 2.0))[0]
@@ -692,14 +715,9 @@ def reference_in_region(spec, region, x):
 
 
 def reference_validate_loop(spec, pieces, samples_per_piece):
-    scale = max(1.0, taxicab_distance(spec.p, spec.q) + spec.r)
     target = spec.r * spec.r
     residual_tol = RESIDUAL_RTOL * max(1.0, target)
     for i, piece in enumerate(pieces):
-        nxt = pieces[(i + 1) % len(pieces)]
-        gap = taxicab_distance(reference_point_at(piece, 1.0), reference_point_at(nxt, 0.0))
-        if gap > CLOSURE_RTOL * scale:
-            raise AssemblyError(f"pieces {i} and {(i + 1) % len(pieces)} leave a gap of {gap!r}")
         for k in range(samples_per_piece + 1):
             x = reference_point_at(piece, k / samples_per_piece)
             residual = abs(taxicab_distance(x, spec.p) * taxicab_distance(x, spec.q) - target)
@@ -711,33 +729,40 @@ def reference_validate_loop(spec, pieces, samples_per_piece):
                 )
 
 
+def reference_ends_on_center_line(piece):
+    """Whether piece is an arc with an end on its center's line, where the
+    branch cannot be read off that end."""
+    if isinstance(piece, GuideSegment):
+        return False
+    other = 3 - reference_run_axis(piece.region)
+    return piece.center.coord(other) in (piece.start.coord(other), piece.end.coord(other))
+
+
 def reference_build_curves(spec, samples_per_piece=16):
     """The reference curves of spec; samples_per_piece=None skips validation."""
     if spec.r == 0:
         raise DegenerateInput("r = 0 yields the bare focus pair, not a curve")
     iso, p_std = standardize(spec.p, spec.q)
     inverse = iso.inverse()
-    if spec.p == spec.q:
+    if p_std == Point(0.0, 0.0):
         raw_loops = [_diamond_pieces(spec.r, STANDARD)]
     else:
         raw_loops = standard_loops(p_std.x1, p_std.x2, spec.r)
-    zero_tol = ZERO_LENGTH_RTOL * max(1.0, taxicab_distance(spec.p, spec.q) + spec.r)
     curves = []
     for k, raw in enumerate(raw_loops, 1):
-        mapped = [reference_map_piece(piece, inverse) for piece in raw]
-        if spec.p == spec.q:
-            # A diamond side has L1 length 2r > 0: only coinciding ends drop it.
-            kept = [piece for piece in mapped if piece.start != piece.end]
-        else:
-            kept = [piece for piece in mapped if piece.length_scale() > zero_tol]
+        # Only a piece whose ends coincide once mapped is dropped.
+        kept = [
+            piece
+            for piece in (reference_map_piece(piece, inverse) for piece in raw)
+            if piece.start != piece.end
+        ]
         where = f"loop {k} of {len(raw_loops)}"
-        if not kept:
-            if spec.p == spec.q:
-                raise DegenerateInput(
-                    f"r = {spec.r!r} is below the float resolution at the center {spec.p}:"
-                    " every vertex of the taxicab circle rounds onto the center"
-                )
-            raise AssemblyError(f"{spec}, {where}: all pieces of a loop degenerated to points")
+        if not kept or any(map(reference_ends_on_center_line, kept)):
+            raise DegenerateInput(
+                f"{spec}, {where}: r = {spec.r!r} is below the float resolution at its"
+                " coordinates: every piece rounds onto one point, or an arc's end onto its"
+                " center's line"
+            )
         if inverse.element.determinant == -1:
             # The standard loops run counterclockwise, and a reflection
             # turns their images clockwise.
@@ -825,14 +850,24 @@ deep_stress_specs = st.builds(
     st.lists(st.floats(-6.0, 9.0), min_size=4, max_size=4),
     st.floats(-6.0, -1.0),
 )
-# A residual miss found among the perfbench scale-stress specs, and the
-# all-pieces-degenerate lobe of ROADMAP item 3.
+# A residual miss found among the perfbench scale-stress specs; lobes a
+# millionth of r* across, four pieces each; and lobes about (+-1e6, 0) that
+# no float point meets to 1e-9 max(1, r^2) (ROADMAP item 3).
 RESIDUAL_MISS_SPEC = CassiniSpec(
     Point(0.0014966530639784724, 2945252.409567547),
     Point(-8.725068365324634e-06, 2411666.2233538902),
     319.55182061393936,
 )
-DEGENERATE_LOBE_SPEC = CassiniSpec(Point(4, 1), Point(-4, -1), 5e-6)
+SMALL_LOBE_SPEC = CassiniSpec(Point(4, 1), Point(-4, -1), 5e-6)
+UNREPRESENTABLE_LOBE_SPEC = CassiniSpec(Point(1e6, 0), Point(-1e6, 0), 1.0)
+# Lobes 1.8e-287 tall on the line x1 = 1, far below its float resolution:
+# the arcs keep distinct ends, but on their centers' line x1 = 1, so no
+# branch can be read off them (found by TestArcEndpoints).
+ARC_ON_CENTER_LINE_SPEC = CassiniSpec(Point(1, 0), Point(1, 1.8310357702690814e-287), 5e-324)
+# Foci the least subnormal apart: their half-difference rounds to zero, so
+# the curve is the taxicab circle about the midpoint (-0.0, 0.0), whose zeros
+# would otherwise differ in sign across the dropped arcs.
+SUBNORMAL_FOCI_SPEC = CassiniSpec(Point(0.0, 0.0), Point(-5e-324, 0.0), 1.0)
 # Tiny lobes: the lobe area is near or below the roundoff of a float
 # shoelace sum at these coordinates, which then gives either sign.  On the
 # first the sum over piece starts and midpoints is -8.9e-16 while the exact
@@ -858,12 +893,14 @@ class TestFloatPathMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(random_specs, dyadic_specs(), stress_specs), st.integers(1, 24))
     @example(RESIDUAL_MISS_SPEC, 16)
-    @example(DEGENERATE_LOBE_SPEC, 16)
+    @example(SMALL_LOBE_SPEC, 16)
+    @example(UNREPRESENTABLE_LOBE_SPEC, 16)
     @example(MIDPOINT_ORIENTED_SPEC, 16)
     @example(TINY_LOBE_SPEC, 16)
     @example(CassiniSpec(Point(0, 0), Point(0, 0), 2.0), 3)
     @example(CassiniSpec(Point(4, 1), Point(-4, -1), 5.0), 1)
     @example(SIGNED_ZERO_SPEC, 16)
+    @example(SUBNORMAL_FOCI_SPEC, 16)
     def test_build_sample_and_errors_match_reference(self, spec, samples_per_piece):
         got = _outcome(build_curves, sample_curve, curve_polyline, spec)
         want = _outcome(
@@ -955,7 +992,7 @@ class TestPointReflection:
         else:
             halves = loops
         first, second = halves
-        # Counted before build_curves drops any piece of zero length.
+        # Counted before build_curves drops any piece whose ends coincide.
         assert len(first) == len(second) > 0
         for piece, image in zip(first, second):
             assert type(image) is type(piece)
@@ -966,55 +1003,60 @@ class TestPointReflection:
                 assert image.radius == piece.radius == r
 
 
-def assert_junctions_exact(spec):
-    """For r > r*, with every piece kept (8, or 6 when the foci share a
-    coordinate line, where the strips across them hold no arc), each piece
-    ends exactly where the next one starts.  Returns whether it checked."""
-    _, half = standardize(spec.p, spec.q)
+def assert_closed_by_construction(spec):
+    """Each piece of every curve build_curves(spec) returns starts where the
+    previous one ends, a zero's sign included, and no piece has coinciding
+    ends.  Returns the number of junctions checked."""
     try:
-        (curve,) = build_curves(spec)
-    except AssemblyError:
-        return False
-    if len(curve) != (6 if half.x2 == 0 else 8):
-        return False
-    for piece, nxt in zip(curve, curve[1:] + curve[:1]):
-        assert piece.end == nxt.start, (spec, piece, nxt)
-    return True
+        curves = build_curves(spec)
+    except (AssemblyError, DegenerateInput):
+        return 0
+    for curve in curves:
+        for piece, nxt in zip(curve, curve[1:] + curve[:1]):
+            assert repr(piece.end) == repr(nxt.start), (spec, piece, nxt)
+            assert piece.start != piece.end, (spec, piece)
+    return sum(map(len, curves))
 
 
-def _one_curve_stress_spec(signs, exponents, u):
-    # _stress_spec's foci, with r = r* * 10^u strictly above r*.
-    spec = _stress_spec(signs, exponents, 0.0)
-    return CassiniSpec(spec.p, spec.q, max(spec.r * 10.0**u, math.nextafter(spec.r, math.inf)))
+circle_specs = st.builds(
+    lambda c1, c2, r: CassiniSpec(Point(c1, c2), Point(c1, c2), r),
+    st.floats(-1e6, 1e6),
+    st.floats(-1e6, 1e6),
+    st.floats(0.0, 40.0, exclude_min=True),
+)
+# standard_frames as specs: p = (a, b) = -q, with r = r* and r^2 = 4ab exact.
+standard_specs = standard_frames().map(
+    lambda case: CassiniSpec(Point(case[0], case[1]), Point(-case[0], -case[1]), case[2])
+)
 
 
 class TestJunctions:
-    # Above r* both ends of every junction come from equal float
-    # expressions in the standard frame, through exact guide complements.
+    # Each junction is computed once and placed once, and the piece that
+    # ends there and the piece that starts there share the one Point; a
+    # piece is dropped only when its ends coincide, so its neighbours still
+    # meet.  Every loop closes by construction.
 
     def test_campaign_specs(self):
         rng = np.random.default_rng(11)
-        checked = 0
-        for _ in range(1500):
-            spec = random_spec(rng)
-            if topology(spec) is Topology.ONE_CURVE:
-                checked += assert_junctions_exact(spec)
-        assert checked > 300
+        checked = sum(assert_closed_by_construction(random_spec(rng)) for _ in range(1500))
+        assert checked > 8000
 
     @settings(max_examples=300, deadline=None)
     @given(
-        st.builds(
-            _one_curve_stress_spec,
-            st.lists(st.sampled_from((-1.0, 1.0)), min_size=4, max_size=4),
-            st.lists(st.floats(-6.0, 9.0), min_size=4, max_size=4),
-            st.floats(0.0, 3.0),
+        st.one_of(
+            random_specs, dyadic_specs(), stress_specs, deep_stress_specs, circle_specs, standard_specs
         )
     )
+    @example(CassiniSpec(Point(4, 1), Point(-4, -1), 3.0))
+    @example(CassiniSpec(Point(4, 1), Point(-4, -1), 5.0))
     @example(CassiniSpec(Point(4, 1), Point(-4, -1), 6.0))
+    @example(CassiniSpec(Point(5, 0), Point(-5, 0), 5.0))
     @example(CassiniSpec(Point(5, 0), Point(-5, 0), 8.0))
-    def test_specs_across_scales(self, spec):
-        assume(spec.p != spec.q)
-        assert_junctions_exact(spec)
+    @example(SMALL_LOBE_SPEC)
+    @example(SIGNED_ZERO_SPEC)
+    @example(SUBNORMAL_FOCI_SPEC)
+    def test_every_piece_starts_where_the_previous_one_ends(self, spec):
+        assert_closed_by_construction(spec)
 
 
 class _IndexPiece:
@@ -1102,6 +1144,7 @@ class TestArcEndpoints:
     # monotone.
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(random_specs, dyadic_specs(), stress_specs, deep_stress_specs))
+    @example(ARC_ON_CENTER_LINE_SPEC)
     def test_endpoints_share_a_side_and_the_run_is_monotone(self, spec):
         try:
             curves = build_curves(spec)
@@ -1191,30 +1234,17 @@ class TestAssemblyErrors:
             " misses the level set by 0.00010898271284531802"
         )
 
-    def test_all_pieces_degenerate(self):
+    def test_unrepresentable_lobe_names_its_miss(self):
         with pytest.raises(AssemblyError) as info:
-            build_curves(DEGENERATE_LOBE_SPEC)
+            build_curves(UNREPRESENTABLE_LOBE_SPEC)
         assert str(info.value) == (
-            "CassiniSpec(p=Point(x1=4, x2=1), q=Point(x1=-4, x2=-1), r=5e-06), loop 1 of 2: "
-            "all pieces of a loop degenerated to points"
+            "CassiniSpec(p=Point(x1=1000000.0, x2=0), q=Point(x1=-1000000.0, x2=0), r=1.0),"
+            " loop 1 of 2: piece 0 sample Point(x1=1000000.0, x2=5.00003807246685e-07)"
+            " misses the level set by 7.6144936200783775e-06"
         )
 
-    def test_gap_is_checked_before_the_pieces_own_samples(self):
-        # Three sides of the unit diamond, the third running off the curve
-        # to (0, -3): the gap back to the first side is reported, not the
-        # third side's misses.
-        spec = CassiniSpec(Point(0, 0), Point(0, 0), 1.0)
-        pieces = [
-            _diamond_side((1, 0), (0, 1)),
-            _diamond_side((0, 1), (-1, 0)),
-            _diamond_side((-1, 0), (0, -3)),
-        ]
-        for validate in (_validate_loop, reference_validate_loop):
-            with pytest.raises(AssemblyError) as info:
-                validate(spec, pieces, 4)
-            assert str(info.value) == "pieces 2 and 0 leave a gap of 4.0"
-
-    def test_earlier_miss_is_reported_before_a_later_gap(self):
+    def test_first_missing_piece_is_reported(self):
+        # Pieces 1 and 2 both miss the unit diamond; the first is named.
         spec = CassiniSpec(Point(0, 0), Point(0, 0), 1.0)
         pieces = [
             _diamond_side((1, 0), (0, 1)),
@@ -1403,8 +1433,7 @@ def _arc_mutations(arc, a, b, complements):
 
 def _mutated_loops(loop, a, b):
     """(kind, loop) for each single-piece mutation of a standard-frame loop,
-    rotated so that the mutated piece comes first: its samples are then
-    checked before the gap in front of it."""
+    rotated so that the mutated piece comes first and is checked first."""
     # The guide complements of p = (a, b) = -q, exact as the package takes them.
     complements = Point(-b, -a), Point(b, a)
     for i, piece in enumerate(loop):
@@ -1446,7 +1475,7 @@ class TestPieceCertificate:
         for a, b, r in self.MUTATED:
             spec = CassiniSpec(Point(a, b), Point(-a, -b), r)
             for loop in standard_loops(a, b, r):
-                loop = [piece for piece in loop if piece.length_scale() > 0]
+                loop = [piece for piece in loop if piece.start != piece.end]
                 for kind, mutated in _mutated_loops(loop, a, b):
                     for samples in (1, 4, 16):
                         want = _validation_outcome(reference_validate_loop, spec, mutated, samples)
@@ -1474,7 +1503,7 @@ class TestPieceCertificate:
             certified = _certificate_of(spec)
             tol = RESIDUAL_RTOL * max(1.0, r * r)
             for loop in standard_loops(a, b, r):
-                loop = [piece for piece in loop if piece.length_scale() > 0]
+                loop = [piece for piece in loop if piece.start != piece.end]
                 for kind, (piece, *_) in _mutated_loops(loop, a, b):
                     if not certified(piece):
                         continue

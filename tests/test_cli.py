@@ -60,7 +60,7 @@ class TestInfo:
         assert "-0.000000" not in out
 
     def test_small_taxicab_circle(self, capsys):
-        # Each side's L1 length 2e-13 is below ZERO_LENGTH_RTOL * max(1, r).
+        # Each side is 2e-13 long in L1; only a side whose ends coincide drops.
         code, out, err = run(capsys, "info", "--p", "0,0", "--q", "0,0", "--r", "1e-13")
         assert (code, err) == (0, "")
         assert "topology: TaxicabCircle" in out
@@ -71,10 +71,32 @@ class TestInfo:
         code, out, err = run(capsys, "info", "--p", "1e6,1e6", "--q", "1e6,1e6", "--r", "1e-11")
         assert (code, out) == (2, "")
         assert err == (
-            "error: r = 1e-11 is below the float resolution at the center"
-            " Point(x1=1000000.0, x2=1000000.0): every vertex of the taxicab circle"
-            " rounds onto the center\n"
+            "error: CassiniSpec(p=Point(x1=1000000.0, x2=1000000.0),"
+            " q=Point(x1=1000000.0, x2=1000000.0), r=1e-11), loop 1 of 1: r = 1e-11 is below"
+            " the float resolution at its coordinates: every piece rounds onto one point,"
+            " or an arc's end onto its center's line\n"
         )
+
+    def test_lobes_below_float_resolution_are_one_error_line(self, capsys):
+        # Lobes about (+-4, +-1) far below an ulp across: the message that
+        # taxicab circles give, exit 2.
+        code, out, err = run(capsys, "info", "--p", "4,1", "--q", "-4,-1", "--r", "1e-160")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: CassiniSpec(p=Point(x1=4.0, x2=1.0), q=Point(x1=-4.0, x2=-1.0), r=1e-160),"
+            " loop 1 of 2: r = 1e-160 is below the float resolution at its coordinates: every"
+            " piece rounds onto one point, or an arc's end onto its center's line\n"
+        )
+
+    def test_curve_at_scale_1e_13_keeps_every_piece(self, capsys):
+        # The reference instance scaled by 1e-13: every piece is kept, and
+        # all print as 0.000000 at six decimals.
+        code, out, err = run(
+            capsys, "info", "--p", "4e-13,1e-13", "--q", "-4e-13,-1e-13", "--r", "6e-13"
+        )
+        assert (code, err) == (0, "")
+        assert "topology: OneCurve" in out
+        assert "curve 1 pieces: 8" in out.splitlines()
 
     def test_degenerate_point_pair(self, capsys):
         code, out, _ = run(capsys, "info", "--p", "1,1", "--q", "1,1", "--r", "0")
@@ -100,11 +122,12 @@ class TestInfo:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_assembly_error_names_the_spec_and_the_loop(self, capsys):
-        code, out, err = run(capsys, "info", "--p", "4,1", "--q", "-4,-1", "--r", "5e-6")
+        code, out, err = run(capsys, "info", "--p", "1e6,0", "--q", "-1e6,0", "--r", "1")
         assert (code, out) == (2, "")
         assert err == (
-            "error: CassiniSpec(p=Point(x1=4.0, x2=1.0), q=Point(x1=-4.0, x2=-1.0), r=5e-06),"
-            " loop 1 of 2: all pieces of a loop degenerated to points\n"
+            "error: CassiniSpec(p=Point(x1=1000000.0, x2=0.0), q=Point(x1=-1000000.0, x2=0.0),"
+            " r=1.0), loop 1 of 2: piece 0 sample Point(x1=1000000.0, x2=5.00003807246685e-07)"
+            " misses the level set by 7.6144936200783775e-06\n"
         )
 
     def test_radius_whose_square_overflows_rejected(self, capsys):
@@ -278,7 +301,7 @@ class TestRender:
     def test_assembly_error_writes_nothing(self, capsys, tmp_path):
         out_path = tmp_path / "lobe.svg"
         code, out, err = run(
-            capsys, "render", "--p", "4,1", "--q", "-4,-1", "--r", "5e-6", "--out", str(out_path)
+            capsys, "render", "--p", "1e6,0", "--q", "-1e6,0", "--r", "1", "--out", str(out_path)
         )
         assert code == 2
         assert out == ""
