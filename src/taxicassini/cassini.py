@@ -140,13 +140,17 @@ def topology(spec: CassiniSpec) -> Topology:
     return Topology.PINCHED_EDGE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GuideSegment:
     """Straight curve piece on a guide line (slope +1 or -1)."""
 
     region: RegionId
     start: Point
     end: Point
+
+    def __init__(self, region: RegionId, start: Point, end: Point) -> None:
+        # One update for the fields a generated frozen __init__ sets one by one.
+        self.__dict__.update(region=region, start=start, end=end)
 
     def coords_at(self, fractions: Sequence[float]) -> list[tuple[float, float]]:
         """The (x1, x2) pairs at parameters in [0, 1]: start's at 0, end's at
@@ -181,13 +185,18 @@ class HyperbolaArc:
     start: Point
     end: Point
 
+    def __init__(
+        self, region: RegionId, center: Point, radius: float, start: Point, end: Point
+    ) -> None:
+        self.__dict__.update(region=region, center=center, radius=radius, start=start, end=end)
+
     def coords_at(self, fractions: Sequence[float]) -> list[tuple[float, float]]:
         """The (x1, x2) pairs at parameters in [0, 1]: start's at 0, end's at
         1, and between them the branch point over the run coordinate
         u0 + f * du."""
         start, end, center, radius = self.start, self.end, self.center, self.radius
         first, last = (start.x1, start.x2), (end.x1, end.x2)
-        run_axis = 1 if _REGION_SIDES[self.region][0] == 1 else 2
+        run_axis = 1 if self.region.sides[0] == 1 else 2
         if run_axis == 1:
             branch = 1 if start.x2 > center.x2 else -1
             u0, du = start.x1, end.x1 - start.x1
@@ -213,28 +222,6 @@ def _arc_coords(
     return center.x1 + branch * math.hypot(u - center.x2, radius), u
 
 
-# Per region, its side of the coordinate lines along x1 and along x2: 0 on
-# p's side away from q, 1 between the two lines, 2 on q's side away from p.
-_REGION_SIDES = {
-    RegionId.QUADRANT_P: (0, 0),
-    RegionId.STRIP_P_C1: (0, 1),
-    RegionId.QUADRANT_C1: (0, 2),
-    RegionId.STRIP_P_C2: (1, 0),
-    RegionId.CENTRAL_RECTANGLE: (1, 1),
-    RegionId.STRIP_Q_C1: (1, 2),
-    RegionId.QUADRANT_C2: (2, 0),
-    RegionId.STRIP_Q_C2: (2, 1),
-    RegionId.QUADRANT_Q: (2, 2),
-}
-# Swapping the coordinates transposes a region's sides (i, j).
-_REGION_BY_SIDES = {sides: region for region, sides in _REGION_SIDES.items()}
-_REGION_UNDER_SWAP = {region: _REGION_BY_SIDES[j, i] for region, (i, j) in _REGION_SIDES.items()}
-_REGION_KEPT = {region: region for region in _REGION_SIDES}
-# The point reflection through the midpoint swaps the foci, and so each side
-# i of either axis with side 2 - i.
-_REGION_MIRROR = {region: _REGION_BY_SIDES[2 - i, 2 - j] for region, (i, j) in _REGION_SIDES.items()}
-
-
 def _placing(iso: Isometry, r: float):
     """Constructors of loops computed in the standard frame and placed by iso.
 
@@ -250,23 +237,25 @@ def _placing(iso: Isometry, r: float):
     its start and the pieces are listed back to front.
     """
     element, t = iso.element, iso.translation
-    apply, t1, t2 = element.apply, t.x1, t.x2
-    regions = _REGION_UNDER_SWAP if element.swap else _REGION_KEPT
+    swap, s1, s2, t1, t2 = element.swap, element.s1, element.s2, t.x1, t.x2
     backward = element.determinant == 1
 
-    def place(x1: float, x2: float) -> Point:
-        y1, y2 = apply(x1, x2)
-        return Point(y1 + t1, y2 + t2)
+    # element.apply written out for each value of swap, then the translation.
+    if swap:
+        place = lambda x1, x2: Point(s1 * x2 + t1, s2 * x1 + t2)
+    else:
+        place = lambda x1, x2: Point(s1 * x1 + t1, s2 * x2 + t2)
 
     def loop(junctions: list[Point], kinds: list) -> list[CurvePiece]:
-        pieces: list[CurvePiece] = []
-        for (region, center), start, end in zip(kinds, junctions, junctions[1:] + junctions[:1]):
-            if backward:
-                start, end = end, start
-            if center is None:
-                pieces.append(GuideSegment(regions[region], start, end))
-            else:
-                pieces.append(HyperbolaArc(regions[region], center, r, start, end))
+        starts, ends = junctions, junctions[1:] + junctions[:1]
+        if backward:
+            starts, ends = ends, starts
+        pieces = [
+            GuideSegment(region.swapped if swap else region, start, end)
+            if center is None
+            else HyperbolaArc(region.swapped if swap else region, center, r, start, end)
+            for (region, center), start, end in zip(kinds, starts, ends)
+        ]
         return pieces[::-1] if backward else pieces
 
     return place, loop
@@ -334,13 +323,13 @@ def _standard_loops(a: float, b: float, r: float, iso: Isometry) -> list[list[Cu
         hi, lo = min(a, c + b), c - b
         junctions += [(hi, c - hi), (lo, c - lo)]
         kinds += [(RegionId.CENTRAL_RECTANGLE, 0), (RegionId.STRIP_P_C2, 1)]
-    # The placed guide complements by the sign that names them; the
-    # reflection swaps them.
-    guide = {1: place(-b, -a), -1: place(b, a)}
+    # The placed guide complements, indexed by the sign that names them
+    # (None at 0); the reflection swaps them.
+    guide = (None, place(-b, -a), place(b, a))
     p_points = [place(x1, x2) for x1, x2 in junctions]
     q_points = [place(-x1, -x2) for x1, x2 in junctions]
-    p_kinds = [(region, guide.get(g)) for region, g in kinds]
-    q_kinds = [(_REGION_MIRROR[region], guide.get(-g)) for region, g in kinds]
+    p_kinds = [(region, guide[g]) for region, g in kinds]
+    q_kinds = [(region.mirrored, guide[-g]) for region, g in kinds]
     if r > rstar:
         return [loop(p_points + q_points, p_kinds + q_kinds)]
     return [loop(p_points, p_kinds), loop(q_points, q_kinds)]
@@ -358,7 +347,7 @@ _SQUARE_UC2 = 2.0**17
 
 
 def _axis_sides(pj: float, qj: float, c: float, slack: float) -> tuple:
-    """Per side of one axis (numbered as in _REGION_SIDES), for pj != qj: the
+    """Per side of one axis (numbered as in RegionId.sides), for pj != qj: the
     sign of xj - pj and of xj - qj on that side, and the side's interval of
     xj widened by slack and cut to [-c, c]."""
     if pj > qj:
@@ -387,8 +376,8 @@ def _uncertified(piece: CurvePiece) -> bool:
 def _piece_certificate(
     spec: CassiniSpec, target: float, residual_tol: float
 ) -> Callable[[CurvePiece], bool]:
-    """A test of one piece, built once per loop, that is True only if the
-    residual |d(x,p) * d(x,q) - target| computed as _validate_loop computes it
+    """A test of one piece, built once per spec, that is True only if the
+    residual |d(x,p) * d(x,q) - target| computed as _loop_validator's check computes it
     is at most residual_tol at the point piece.coords_at gives for every
     float f in [0, 1].  False decides nothing: the caller samples the piece.
 
@@ -426,7 +415,7 @@ def _piece_certificate(
     2^17 (uC)^2.  No piece is certified when that budget is not positive, or
     when the foci share a coordinate and a region has no fixed sign.  The
     allowance is a static error filter in the sense of Shewchuk (Discrete
-    Comput. Geom. 1997): its constants are fixed per loop, it decides most
+    Comput. Geom. 1997): its constants are fixed per spec, it decides most
     pieces, and the samples decide the rest.
     """
     p, q, r = spec.p, spec.q, spec.r
@@ -444,7 +433,7 @@ def _piece_certificate(
     axis2 = _axis_sides(p2, q2, c, _SLACK_UC * uc)
 
     def certified(piece: CurvePiece) -> bool:
-        side1, side2 = _REGION_SIDES[piece.region]
+        side1, side2 = piece.region.sides
         ep1, eq1, lo1, hi1 = axis1[side1]
         ep2, eq2, lo2, hi2 = axis2[side2]
         s1, s2 = piece.start.x1, piece.start.x2
@@ -458,7 +447,7 @@ def _piece_certificate(
         # Both ends lie in the region, which also bounds an arc's run range.
         if not (lo1 <= s1 <= hi1 and lo1 <= e1 <= hi1 and lo2 <= s2 <= hi2 and lo2 <= e2 <= hi2):
             return False
-        if isinstance(piece, GuideSegment):
+        if type(piece) is GuideSegment:
             d1, d2 = e1 - s1, e2 - s2
             sums = ps + qs if ps + qs > pe + qe else pe + qe
             bound = ends + abs((ep1 * d1 + ep2 * d2) * (eq1 * d1 + eq2 * d2)) / 4
@@ -501,11 +490,13 @@ def _piece_certificate(
 
 def _region_box(spec: CassiniSpec, region: RegionId) -> tuple[float, float, float, float]:
     """(lo1, hi1, lo2, hi2): the closed region of spec's foci, widened by the
-    certificate's slack of 16 uC beyond each coordinate line and unbounded
-    outward.  An axis on which the foci share the coordinate is unbounded."""
-    slack = _SLACK_UC * _UNIT_ROUNDOFF * _instance_bound(spec)
+    certificate's slack of 16 uC beyond each coordinate line, but by at least
+    16 times the least subnormal, and unbounded outward.  An axis on which
+    the foci share the coordinate is unbounded."""
+    # 16 uC underflows at subnormal scales, where rounding errs by up to 2^-1075.
+    slack = max(_SLACK_UC * _UNIT_ROUNDOFF * _instance_bound(spec), _SLACK_UC * 2.0**-1074)
     box: list[float] = []
-    for pj, qj, side in zip(spec.p, spec.q, _REGION_SIDES[region]):
+    for pj, qj, side in zip(spec.p, spec.q, region.sides):
         if pj == qj:
             box += (-math.inf, math.inf)
         else:
@@ -513,40 +504,45 @@ def _region_box(spec: CassiniSpec, region: RegionId) -> tuple[float, float, floa
     return tuple(box)
 
 
-def _validate_loop(spec: CassiniSpec, pieces: list[CurvePiece], samples_per_piece: int) -> None:
+def _loop_validator(spec: CassiniSpec, samples_per_piece: int) -> Callable[[list[CurvePiece]], None]:
+    """The check of a loop of spec's pieces, built once per spec with its
+    certificate; a piece the certificate fails has its samples checked."""
     target = spec.r * spec.r
     residual_tol = RESIDUAL_RTOL * max(1.0, target)
-    fractions = [k / samples_per_piece for k in range(samples_per_piece + 1)]
     certified = _piece_certificate(spec, target, residual_tol)
     p, q = spec.p, spec.q
-    for i, piece in enumerate(pieces):
-        # A certified piece lies in its region by the certificate's own
-        # region test; the samples of any other must stay in its region too.
-        if certified(piece):
-            continue
-        lo1, hi1, lo2, hi2 = _region_box(spec, piece.region)
-        coords = piece.coords_at(fractions)
-        for x1, x2 in coords:
-            residual = abs(distance_product(p, q, x1, x2) - target)
-            if residual > residual_tol or not (lo1 <= x1 <= hi1 and lo2 <= x2 <= hi2):
-                # A sample that is not finite fails a check, and its error
-                # comes first: Point raises GeometryError at the piece's
-                # first such sample.
-                list(starmap(Point, coords))
-                x = Point(x1, x2)
-                if residual > residual_tol:
-                    raise AssemblyError(f"piece {i} sample {x} misses the level set by {residual!r}")
-                raise AssemblyError(
-                    f"piece {i} sample {x} lies outside its region {piece.region.value}"
-                )
+
+    def validate(pieces: list[CurvePiece]) -> None:
+        for i, piece in enumerate(pieces):
+            # A certified piece lies in its region by the certificate's own
+            # region test; the samples of any other must stay in its region too.
+            if certified(piece):
+                continue
+            lo1, hi1, lo2, hi2 = _region_box(spec, piece.region)
+            coords = piece.coords_at([k / samples_per_piece for k in range(samples_per_piece + 1)])
+            for x1, x2 in coords:
+                residual = abs(distance_product(p, q, x1, x2) - target)
+                if residual > residual_tol or not (lo1 <= x1 <= hi1 and lo2 <= x2 <= hi2):
+                    # A sample that is not finite fails a check, and its error
+                    # comes first: Point raises GeometryError at the piece's
+                    # first such sample.
+                    list(starmap(Point, coords))
+                    x = Point(x1, x2)
+                    if residual > residual_tol:
+                        raise AssemblyError(f"piece {i} sample {x} misses the level set by {residual!r}")
+                    raise AssemblyError(
+                        f"piece {i} sample {x} lies outside its region {piece.region.value}"
+                    )
+
+    return validate
 
 
 def _off_center_line(piece: CurvePiece) -> bool:
     # False for an arc with an end on its center's line, off which coords_at
     # cannot read the branch.
-    if isinstance(piece, GuideSegment):
+    if type(piece) is GuideSegment:
         return True
-    other = 2 if _REGION_SIDES[piece.region][0] == 1 else 1
+    other = 2 if piece.region.sides[0] == 1 else 1
     k = piece.center.coord(other)
     return piece.start.coord(other) != k != piece.end.coord(other)
 
@@ -578,20 +574,24 @@ def build_curves(spec: CassiniSpec) -> list[tuple[CurvePiece, ...]]:
         loops = [_diamond_pieces(spec.r, inverse)]
     else:
         loops = _standard_loops(p_std.x1, p_std.x2, spec.r, inverse)
+    validate = _loop_validator(spec, _VALIDATION_SAMPLES)
     curves = []
     for k, loop in enumerate(loops, 1):
-        kept = [piece for piece in loop if piece.start != piece.end]
-        where = f"loop {k} of {len(loops)}"
+        kept = []
+        for piece in loop:
+            start, end = piece.start, piece.end
+            if start.x1 != end.x1 or start.x2 != end.x2:
+                kept.append(piece)
         if not (kept and all(map(_off_center_line, kept))):
             raise DegenerateInput(
-                f"{spec}, {where}: r = {spec.r!r} is below the float resolution at its"
-                " coordinates: every piece rounds onto one point, or an arc's end onto its"
-                " center's line"
+                f"{spec}, loop {k} of {len(loops)}: r = {spec.r!r} is below the float"
+                " resolution at its coordinates: every piece rounds onto one point, or an"
+                " arc's end onto its center's line"
             )
         try:
-            _validate_loop(spec, kept, _VALIDATION_SAMPLES)
+            validate(kept)
         except AssemblyError as exc:
-            raise AssemblyError(f"{spec}, {where}: {exc}") from None
+            raise AssemblyError(f"{spec}, loop {k} of {len(loops)}: {exc}") from None
         curves.append(tuple(kept))
     return curves
 

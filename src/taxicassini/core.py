@@ -113,17 +113,37 @@ class RegionId(Enum):
     boundary points belong to every region touching them.  When the foci share
     a coordinate line some regions collapse to rays or a segment but keep
     their identity.
+
+    Each member's value is its label, and its facts are plain attributes:
+    sides, its side of the coordinate lines along x1 and along x2, 0 on p's
+    side away from q, 1 between the two lines and 2 on q's side away from p;
+    swapped, its image under the swap of the coordinates, which transposes
+    the sides; and mirrored, its image under the point reflection through
+    the midpoint, which swaps the foci and so each side i with side 2 - i.
     """
 
-    QUADRANT_P = "Q_p"
-    QUADRANT_Q = "Q_q"
-    QUADRANT_C1 = "Q_c1"
-    QUADRANT_C2 = "Q_c2"
-    STRIP_P_C1 = "S_p_c1"
-    STRIP_P_C2 = "S_p_c2"
-    STRIP_Q_C1 = "S_q_c1"
-    STRIP_Q_C2 = "S_q_c2"
-    CENTRAL_RECTANGLE = "R"
+    def __new__(cls, label: str, sides: tuple[int, int]) -> "RegionId":
+        region = object.__new__(cls)
+        region._value_ = label
+        region.sides = sides
+        return region
+
+    QUADRANT_P = "Q_p", (0, 0)
+    QUADRANT_Q = "Q_q", (2, 2)
+    QUADRANT_C1 = "Q_c1", (0, 2)
+    QUADRANT_C2 = "Q_c2", (2, 0)
+    STRIP_P_C1 = "S_p_c1", (0, 1)
+    STRIP_P_C2 = "S_p_c2", (1, 0)
+    STRIP_Q_C1 = "S_q_c1", (1, 2)
+    STRIP_Q_C2 = "S_q_c2", (2, 1)
+    CENTRAL_RECTANGLE = "R", (1, 1)
+
+
+_REGION_BY_SIDES = {region.sides: region for region in RegionId}
+for _region in RegionId:
+    _i, _j = _region.sides
+    _region.swapped = _REGION_BY_SIDES[_j, _i]
+    _region.mirrored = _REGION_BY_SIDES[2 - _i, 2 - _j]
 
 
 @dataclass(frozen=True)
@@ -188,9 +208,15 @@ class PointGroup(Enum):
         return self.s1 * x1, self.s2 * x2
 
     def inverse(self) -> "PointGroup":
-        # A swap sends (x1, x2) to (s1*x2, s2*x1), undone by (s2*x2, s1*x1);
-        # every other element is its own inverse.
-        return PointGroup((True, self.s2, self.s1)) if self.swap else self
+        return self._inverse
+
+
+for _element in PointGroup:
+    # A swap sends (x1, x2) to (s1*x2, s2*x1), undone by (s2*x2, s1*x1);
+    # every other element is its own inverse.
+    _element._inverse = PointGroup((True, _element.s2, _element.s1)) if _element.swap else _element
+# Each element with the parts of its value, in declaration order.
+_ELEMENT_PARTS = tuple((element, element.swap, element.s1, element.s2) for element in PointGroup)
 
 
 @dataclass(frozen=True)
@@ -215,23 +241,25 @@ def standardize(p: Point, q: Point) -> tuple[Isometry, Point]:
 
     Returns (phi, p') where phi maps the midpoint to the origin and p to p'
     in the closed first octant (p1' >= p2' >= 0), so q goes to -p'.  The
-    point-group element is the first in the fixed enumeration that works, so
-    an already-standard pair gets the identity.  The returned point is the
-    exact octant representative of the half-difference vector; applying phi
-    to p reproduces it, and to q its negation, to within roundoff (<= 1e-12
-    relative).
+    point-group element is the first in the fixed enumeration that puts the
+    difference p - q in that octant, so an already-standard pair gets the
+    identity.  The returned point is the exact octant representative of the
+    half-difference vector (p - q) / 2; applying phi to p reproduces it, and
+    to q its negation, to within roundoff (<= 1e-12 relative).
     """
-    v1 = (p.x1 - q.x1) / 2
-    v2 = (p.x2 - q.x2) / 2
-    element = PointGroup.IDENTITY
-    w1, w2 = v1, v2
-    for candidate in PointGroup:
-        u1, u2 = candidate.apply(v1, v2)
+    d1 = p.x1 - q.x1
+    d2 = p.x2 - q.x2
+    # The element follows p - q itself: halving can round a subnormal
+    # difference to a zero, which would lose its sign and its order.
+    for element, swap, s1, s2 in _ELEMENT_PARTS:
+        u1, u2 = (s1 * d2, s2 * d1) if swap else (s1 * d1, s2 * d2)
         if u1 >= u2 >= 0:
-            element, w1, w2 = candidate, u1, u2
             break
     else:  # pragma: no cover - every vector has an octant representative
         raise GeometryError("no point-group element standardizes the pair")
+    # Halving is monotone and keeps signs, so the half-difference stays in
+    # the octant.
+    w1, w2 = element.apply(d1 / 2, d2 / 2)
     m1, m2 = element.apply((p.x1 + q.x1) / 2, (p.x2 + q.x2) / 2)
     iso = Isometry(element, Point(-m1, -m2))
     return iso, Point(w1, w2)

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from taxicassini import campaign
 from taxicassini.campaign import CampaignResult, random_spec, run_residual_campaign
 from taxicassini.cassini import (
-    _REGION_SIDES,
     RESIDUAL_RTOL,
     AssemblyError,
     CassiniSpec,
@@ -28,9 +27,9 @@ from taxicassini.cassini import (
     _arc_coords,
     _axis_sides,
     _diamond_pieces,
+    _loop_validator,
     _piece_certificate,
     _standard_loops,
-    _validate_loop,
     build_curves,
     classify_point,
     critical_radius,
@@ -693,10 +692,11 @@ def reference_map_piece(piece, iso):
 def reference_in_region(spec, region, x):
     """Whether x lies in the closed region of spec's foci widened by 16 u C
     beyond each coordinate line, u the unit roundoff and C = 2 max|focus
-    coordinate| + r.  An axis on which the foci share the coordinate is not
-    checked."""
+    coordinate| + r, but by at least 16 times the least subnormal.  An axis
+    on which the foci share the coordinate is not checked."""
     p, q = spec.p, spec.q
     slack = 16 * 2.0**-53 * (2.0 * max(abs(p.x1), abs(p.x2), abs(q.x1), abs(q.x2)) + spec.r)
+    slack = max(slack, 16 * 5e-324)
     for pj, qj, xj, side in zip((p.x1, p.x2), (q.x1, q.x2), (x.x1, x.x2), REFERENCE_SIDES[region]):
         if pj == qj:
             continue
@@ -712,6 +712,11 @@ def reference_in_region(spec, region, x):
         if not inside:
             return False
     return True
+
+
+def validate_loop(spec, pieces, samples_per_piece):
+    """The package's check of one loop of spec's pieces."""
+    _loop_validator(spec, samples_per_piece)(pieces)
 
 
 def reference_validate_loop(spec, pieces, samples_per_piece):
@@ -887,12 +892,28 @@ MIDPOINT_ORIENTED_SPEC = CassiniSpec(
 # Foci on the line x2 = -0.0: some pieces start or end at x2 = -0.0, which
 # every evaluator must keep.
 SIGNED_ZERO_SPEC = CassiniSpec(Point(0.0, -0.0), Point(2.0, -0.0), 0.75)
+# Foci the least subnormal apart whose difference and half-difference differ
+# in sign or order, since the half rounds to zero: the point-group element
+# follows the difference, so the circle's pieces get the regions of these foci.
+SUBNORMAL_APART_SPECS = [
+    CassiniSpec(Point(-5e-324, 1.0), Point(-0.0, 1.0), 1.0),
+    CassiniSpec(Point(1.0, -5e-324), Point(1.0, -0.0), 1.0),
+    CassiniSpec(Point(0.0, 1.0), Point(5e-324, 1.0), 1.0),
+]
+# At subnormal scales 16 u C underflows, and the region test's slack is 16
+# times the least subnormal: this circle's vertex (1e-310, 0) lies one
+# subnormal off q's coordinate line.
+SUBNORMAL_SCALE_SPEC = CassiniSpec(Point(0.0, 0.0), Point(0.0, 5e-324), 1e-310)
 
 
 class TestFloatPathMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(random_specs, dyadic_specs(), stress_specs), st.integers(1, 24))
     @example(RESIDUAL_MISS_SPEC, 16)
+    @example(SUBNORMAL_APART_SPECS[0], 16)
+    @example(SUBNORMAL_APART_SPECS[1], 16)
+    @example(SUBNORMAL_APART_SPECS[2], 16)
+    @example(SUBNORMAL_SCALE_SPEC, 16)
     @example(SMALL_LOBE_SPEC, 16)
     @example(UNREPRESENTABLE_LOBE_SPEC, 16)
     @example(MIDPOINT_ORIENTED_SPEC, 16)
@@ -923,7 +944,7 @@ class TestFloatPathMatchesReference:
             loops = []
         for pieces in loops:
             assert _validation_outcome(
-                _validate_loop, spec, pieces, samples_per_piece
+                validate_loop, spec, pieces, samples_per_piece
             ) == _validation_outcome(reference_validate_loop, spec, pieces, samples_per_piece)
 
 
@@ -1057,6 +1078,131 @@ class TestJunctions:
     @example(SUBNORMAL_FOCI_SPEC)
     def test_every_piece_starts_where_the_previous_one_ends(self, spec):
         assert_closed_by_construction(spec)
+
+
+_tiny_coordinates = st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 2.0, -2.0))
+
+
+class TestTinyCoordinates:
+    # The point-group element follows p - q, whose signs and order a halving
+    # can lose: (p - q) / 2 rounds a difference of the least subnormal to
+    # a zero.  At subnormal scales 16 u C underflows, so the region test's
+    # slack has a floor of 16 times the least subnormal.
+
+    @pytest.mark.parametrize("spec", SUBNORMAL_APART_SPECS + [SUBNORMAL_SCALE_SPEC], ids=repr)
+    def test_foci_the_least_subnormal_apart_build(self, spec):
+        (curve,) = build_curves(spec)
+        assert [type(piece) for piece in curve] == [GuideSegment] * 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.builds(Point, _tiny_coordinates, _tiny_coordinates),
+        st.builds(Point, _tiny_coordinates, _tiny_coordinates),
+        st.floats(0.0, 1e150, exclude_min=True),
+    )
+    def test_build_returns_curves_or_degenerate_input(self, p, q, r):
+        # Any valid spec builds, or is below the float resolution; an
+        # AssemblyError would be an implementation bug.
+        try:
+            curves = build_curves(CassiniSpec(p, q, r))
+        except DegenerateInput:
+            return
+        assert curves
+
+
+class TestRegionTable:
+    # Each region's facts are attributes of its member, checked here against
+    # tables written from the definitions: sides 0 on p's side away from q,
+    # 1 between the coordinate lines, 2 on q's side away from p.
+    LABELS_AND_SIDES = {
+        RegionId.QUADRANT_P: ("Q_p", (0, 0)),
+        RegionId.QUADRANT_Q: ("Q_q", (2, 2)),
+        RegionId.QUADRANT_C1: ("Q_c1", (0, 2)),
+        RegionId.QUADRANT_C2: ("Q_c2", (2, 0)),
+        RegionId.STRIP_P_C1: ("S_p_c1", (0, 1)),
+        RegionId.STRIP_P_C2: ("S_p_c2", (1, 0)),
+        RegionId.STRIP_Q_C1: ("S_q_c1", (1, 2)),
+        RegionId.STRIP_Q_C2: ("S_q_c2", (2, 1)),
+        RegionId.CENTRAL_RECTANGLE: ("R", (1, 1)),
+    }
+
+    def test_every_region_has_its_sides_and_images(self):
+        assert list(RegionId) == list(self.LABELS_AND_SIDES)
+        for region, (_, sides) in self.LABELS_AND_SIDES.items():
+            assert region.sides == sides
+            assert tuple("pmq"[side] for side in sides) == REFERENCE_SIDES[region]
+            assert region.swapped is REFERENCE_REGION_UNDER_SWAP.get(region, region)
+            assert region.mirrored is REFERENCE_REGION_MIRROR[region]
+            assert region.swapped.swapped is region
+            assert region.mirrored.mirrored is region
+
+    def test_value_and_repr_are_the_label(self):
+        for region, (label, _) in self.LABELS_AND_SIDES.items():
+            assert region.value == label
+            assert RegionId(label) is region
+            assert repr(region) == f"<RegionId.{region.name}: {label!r}>"
+
+
+def construction_mix():
+    """A seeded mix of specs: the campaign distribution, scale-stress specs,
+    dyadic specs at r = r* and at r^2 = 4ab exactly, and a circle.  Drawn
+    here, not by the package, so that the mix cannot change with it."""
+    rng = np.random.default_rng(20261020)
+    specs = []
+    while len(specs) < 1000:
+        # Coordinates uniform in [-20, 20], r uniform in (0, 40].
+        coords = rng.uniform(-20.0, 20.0, 4).tolist()
+        p, q, r = Point(*coords[:2]), Point(*coords[2:]), float(rng.uniform(0.0, 40.0))
+        if r > 0 and p != q:
+            specs.append(CassiniSpec(p, q, r))
+    while len(specs) < 2000:
+        # Signed coordinates log-uniform over 1e-6 .. 1e9, r = r* 10^u, u in [-3.3, -1].
+        signs = np.where(rng.random(4) < 0.5, -1.0, 1.0)
+        coords = (signs * 10.0 ** rng.uniform(-6.0, 9.0, 4)).tolist()
+        p, q = Point(*coords[:2]), Point(*coords[2:])
+        if p != q:
+            rstar = (abs(p.x1 - q.x1) + abs(p.x2 - q.x2)) / 2
+            specs.append(CassiniSpec(p, q, rstar * 10.0 ** float(rng.uniform(-3.3, -1.0))))
+    for _ in range(250):
+        # Midpoint m and half-difference (a, b) = (k^2, j^2) / 16 in either
+        # order and with either signs, so a + b, a b and 2 k j / 16 are exact.
+        m1, m2, k, j = (int(v) for v in rng.integers(-320, 321, 4))
+        k, j = abs(k) + 1, abs(j)
+        a, b = k * k / 16, j * j / 16
+        s1, s2 = rng.choice([-1.0, 1.0], 2).tolist()
+        if rng.random() < 0.5:
+            a, b = b, a
+        p = Point(m1 / 16 + s1 * a, m2 / 16 + s2 * b)
+        q = Point(m1 / 16 - s1 * a, m2 / 16 - s2 * b)
+        specs.append(CassiniSpec(p, q, a + b))
+        specs.append(CassiniSpec(p, q, 2 * k * j / 16 or 1.0))
+    specs.append(CassiniSpec(Point(1.5, -2.0), Point(1.5, -2.0), 3.0))
+    return specs
+
+
+def construction_digest(specs):
+    """SHA-256 over each spec's repr(build_curves(spec)), or its error's
+    type and text, one line each."""
+    digest = hashlib.sha256()
+    for spec in specs:
+        try:
+            line = repr(build_curves(spec))
+        except GeometryError as exc:
+            line = f"{type(exc).__name__}: {exc}"
+        except AssemblyError as exc:
+            line = f"AssemblyError: {exc}"
+        digest.update(line.encode() + b"\n")
+    return digest.hexdigest()
+
+
+class TestConstructionDigest:
+    # Every piece and every error text of a fixed mix of 2,501 specs, pinned
+    # byte for byte: a change to the construction's arithmetic, its pieces'
+    # order or their reprs moves the digest.
+    PINNED = "4868923f5945651b4eec6bb20f95e104dccdc69ab471ad83a4ae92801e3e14b3"
+
+    def test_construction_is_pinned(self):
+        assert construction_digest(construction_mix()) == self.PINNED
 
 
 class _IndexPiece:
@@ -1251,7 +1397,7 @@ class TestAssemblyErrors:
             _diamond_side((0, 1), (-2, 0)),
             _diamond_side((-2, 0), (0, -3)),
         ]
-        for validate in (_validate_loop, reference_validate_loop):
+        for validate in (validate_loop, reference_validate_loop):
             with pytest.raises(AssemblyError) as info:
                 validate(spec, pieces, 4)
             assert str(info.value) == (
@@ -1264,13 +1410,13 @@ class TestAssemblyErrors:
         # point is a corner of the central rectangle, its region.
         spec = CassiniSpec(Point(0.0, 0.0), Point(1.0, 1e-9), 0.0)
         on_tol = Point(0.0, RESIDUAL_RTOL)
-        _validate_loop(spec, [GuideSegment(RegionId.CENTRAL_RECTANGLE, on_tol, on_tol)], 4)
+        validate_loop(spec, [GuideSegment(RegionId.CENTRAL_RECTANGLE, on_tol, on_tol)], 4)
         beyond = Point(0.0, math.nextafter(RESIDUAL_RTOL, 1.0))
         with pytest.raises(AssemblyError, match="misses the level set"):
-            _validate_loop(spec, [GuideSegment(RegionId.CENTRAL_RECTANGLE, beyond, beyond)], 4)
+            validate_loop(spec, [GuideSegment(RegionId.CENTRAL_RECTANGLE, beyond, beyond)], 4)
 
 
-# The piece certificate lets _validate_loop skip a piece's samples, so it must
+# The piece certificate lets validation skip a piece's samples, so it must
 # never accept a piece whose points miss the level set anywhere.
 
 
@@ -1357,7 +1503,7 @@ class TestRegionForms:
         axes = (_axis_sides(p1, q1, 0, 0), _axis_sides(p2, q2, 0, 0))
         frame = foci_frame(p, q)
         for (side1, side2), region in REGION_BY_SIDES.items():
-            signs = [axes[axis][side][:2] for axis, side in zip((0, 1), _REGION_SIDES[region])]
+            signs = [axes[axis][side][:2] for axis, side in zip((0, 1), region.sides)]
             (ep1, eq1), (ep2, eq2) = [(int(ep), int(eq)) for ep, eq in signs]
 
             def form_p(x1, x2):
@@ -1479,7 +1625,7 @@ class TestPieceCertificate:
                 for kind, mutated in _mutated_loops(loop, a, b):
                     for samples in (1, 4, 16):
                         want = _validation_outcome(reference_validate_loop, spec, mutated, samples)
-                        assert _validation_outcome(_validate_loop, spec, mutated, samples) == want
+                        assert _validation_outcome(validate_loop, spec, mutated, samples) == want
                     rejected.setdefault(kind, []).append(want is not None)
         # Every sample must lie in its piece's region, so a piece with the
         # wrong label, or an arc about the wrong center, whose interior then
@@ -1635,5 +1781,5 @@ class TestNonFiniteSamples:
         # any was checked.
         spec = CassiniSpec(Point(0.0, 0.0), Point(0.0, 0.0), 1.0)
         with pytest.raises(GeometryError) as info:
-            _validate_loop(spec, [_NonFinitePiece(value, miss)], 4)
+            validate_loop(spec, [_NonFinitePiece(value, miss)], 4)
         assert str(info.value) == point_error(value, 0.5)

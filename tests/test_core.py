@@ -29,6 +29,9 @@ from references import classify_region, closer_to
 # so the property tests can assert equality without tolerances.
 dyadic = st.integers(-320, 320).map(lambda k: k / 16.0)
 dyadic_points = st.builds(Point, dyadic, dyadic)
+# Zeros of both signs, the least subnormals and small integers.
+tiny = st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 2.0, -2.0))
+tiny_points = st.builds(Point, tiny, tiny)
 # Plain floats of the campaigns' range, and signed magnitudes 1e-6 .. 1e9 of
 # the scale-stress regime.
 kernel_coordinate = st.one_of(
@@ -381,6 +384,27 @@ class TestStandardize:
         iso, p_std = standardize(Point(2, -7), Point(2, -7))
         assert p_std == ORIGIN
         assert iso.apply(Point(2, -7)) == ORIGIN
+
+    @given(tiny_points, tiny_points)
+    def test_element_is_the_first_to_put_the_difference_in_the_octant(self, p, q):
+        # Not the half-difference: (p - q) / 2 rounds a difference of the
+        # least subnormal to a zero, losing its sign and its order.
+        def in_octant(u):
+            return u[0] >= u[1] >= 0
+
+        first = next(g for g in PointGroup if in_octant(g.apply(p.x1 - q.x1, p.x2 - q.x2)))
+        iso, p_std = standardize(p, q)
+        assert iso.element is first
+        assert p_std.x1 >= p_std.x2 >= 0
+
+    @pytest.mark.parametrize(
+        "p, q",
+        [((-5e-324, 1.0), (-0.0, 1.0)), ((1.0, -5e-324), (1.0, -0.0)), ((0.0, 1.0), (5e-324, 1.0))],
+    )
+    def test_foci_the_least_subnormal_apart(self, p, q):
+        iso, _ = standardize(Point(*p), Point(*q))
+        u1, u2 = iso.element.apply(p[0] - q[0], p[1] - q[1])
+        assert u1 > u2 == 0
 
     @given(dyadic_points, dyadic_points)
     def test_octant_normal_form(self, p, q):
