@@ -45,7 +45,6 @@ from .core import (
     CassiniSpec,
     FociFrame,
     GeometryError,
-    Isometry,
     Point,
     PointGroup,
     RegionId,
@@ -67,13 +66,12 @@ from .oracle import (
 from .svg import render_svg
 
 # The public API, by layer.  The standard-frame piece builders, the campaign
-# fixtures and ORIGIN stay importable from their submodules.
+# fixtures and the midpoint stay importable from their submodules.
 __all__ = [
-    # core: taxicab geometry, the instance spec, regions and isometries
+    # core: taxicab geometry, the instance spec, regions and the point group
     "CassiniSpec",
     "FociFrame",
     "GeometryError",
-    "Isometry",
     "Point",
     "PointGroup",
     "RegionId",

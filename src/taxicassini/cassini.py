@@ -7,11 +7,12 @@ glued into one or two simple closed curves depending on how r compares with
 the critical radius r* = d(p, q) / 2.  Every endpoint is computed in the
 standard frame (midpoint at the origin, one focus in the closed first
 octant) and placed in the input frame by the inverse of the standardizing
-isometry, so each piece is built once, where it is returned.
+point-group element about the midpoint, so each piece is built once, where
+it is returned.
 
 Orientation needs no arithmetic: the standard-frame loops run clockwise,
-and the isometry back keeps that orientation when its point-group element
-has determinant +1 and flips it when the determinant is -1.  Under
+and the map back keeps that orientation when its point-group element has
+determinant +1 and flips it when the determinant is -1.  Under
 determinant +1 each loop is built back to front with the ends of every
 piece swapped, so every returned curve runs counterclockwise.
 
@@ -37,10 +38,11 @@ import numpy as np
 from .core import (
     CassiniSpec,
     GeometryError,
-    Isometry,
     Point,
+    PointGroup,
     RegionId,
     distance_product,
+    midpoint,
     standardize,
     taxicab_distance,
 )
@@ -164,7 +166,7 @@ class GuideSegment:
         ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HyperbolaArc:
     """Curve piece on one branch of a taxicab hyperbola inside a half-strip.
 
@@ -188,6 +190,7 @@ class HyperbolaArc:
     def __init__(
         self, region: RegionId, center: Point, radius: float, start: Point, end: Point
     ) -> None:
+        # One update for the fields a generated frozen __init__ sets one by one.
         self.__dict__.update(region=region, center=center, radius=radius, start=start, end=end)
 
     def coords_at(self, fractions: Sequence[float]) -> list[tuple[float, float]]:
@@ -222,12 +225,14 @@ def _arc_coords(
     return center.x1 + branch * math.hypot(u - center.x2, radius), u
 
 
-def _placing(iso: Isometry, r: float):
-    """Constructors of loops computed in the standard frame and placed by iso.
+def _placing(element: PointGroup, t: Point, r: float):
+    """Constructors of loops computed in the standard frame and placed by
+    element, then moved by t.
 
-    Returns (place, loop).  place(x1, x2) is the Point iso maps (x1, x2) to,
-    in the arithmetic of Isometry.apply.  loop(junctions, kinds) takes placed
-    junctions in the standard frame's clockwise order and, per junction, the
+    Returns (place, loop).  place(x1, x2) is the Point G(x1, x2) + t for
+    the element G, each coordinate s * u + t_j: the sign is exact, so the
+    sum is its one rounding.  loop(junctions, kinds) takes placed junctions
+    in the standard frame's clockwise order and, per junction, the
     standard-frame region of the piece that starts there and its arc's
     center (None on a segment).  It returns the closed loop of pieces, from
     each junction to the next and from the last back to the first: guide
@@ -236,7 +241,6 @@ def _placing(iso: Isometry, r: float):
     the placed loop would run clockwise, so each piece runs from its end to
     its start and the pieces are listed back to front.
     """
-    element, t = iso.element, iso.translation
     swap, s1, s2, t1, t2 = element.swap, element.s1, element.s2, t.x1, t.x2
     backward = element.determinant == 1
 
@@ -261,22 +265,26 @@ def _placing(iso: Isometry, r: float):
     return place, loop
 
 
-def _diamond_pieces(r: float, iso: Isometry) -> list[CurvePiece]:
-    # Taxicab circle about the origin, placed by iso: the radius-r diamond,
-    # written clockwise from the east vertex like the standard-frame loops.
-    place, loop = _placing(iso, r)
+def _diamond_pieces(r: float, element: PointGroup, t: Point) -> list[CurvePiece]:
+    # Taxicab circle about the origin, placed by element and moved by t: the
+    # radius-r diamond, written clockwise from the east vertex like the
+    # standard-frame loops.
+    place, loop = _placing(element, t, r)
     vertices = [place(r, 0.0), place(0.0, -r), place(-r, 0.0), place(0.0, r)]
     quadrants = (RegionId.QUADRANT_C1, RegionId.QUADRANT_Q, RegionId.QUADRANT_C2, RegionId.QUADRANT_P)
     return loop(vertices, [(region, None) for region in quadrants])
 
 
-def _standard_loops(a: float, b: float, r: float, iso: Isometry) -> list[list[CurvePiece]]:
-    """The loops of K(p, q; r) for p = (a, b) = -q, a >= b >= 0, placed by iso.
+def _standard_loops(
+    a: float, b: float, r: float, element: PointGroup, t: Point
+) -> list[list[CurvePiece]]:
+    """The loops of K(p, q; r) for p = (a, b) = -q, a >= b >= 0, placed by
+    element and moved by t.
 
     A loop is written as its junctions, the points where one piece ends and
     the next starts, and the region of each piece, with its arc's center.
     Every junction and center is computed once, in closed form in this
-    standard frame, and placed once by iso; the piece ending at a junction
+    standard frame, and placed once; the piece ending at a junction
     and the piece starting there share the one Point, so every loop closes
     exactly.  The loops below are written clockwise; _placing lists them so
     that each runs counterclockwise once placed.  Only p's half is written:
@@ -301,7 +309,7 @@ def _standard_loops(a: float, b: float, r: float, iso: Isometry) -> list[list[Cu
     the complement segment and the bottom strip's arc lie between the
     junctions; where it fails, the right strip's arc ends at the waist.
     """
-    place, loop = _placing(iso, r)
+    place, loop = _placing(element, t, r)
     # A zero b as +0.0, the zero that the differences below round to, and
     # -b written as 0.0 - b: junctions that coincide then agree in the sign
     # of every zero too.
@@ -566,14 +574,16 @@ def build_curves(spec: CassiniSpec) -> list[tuple[CurvePiece, ...]]:
     """
     if spec.r == 0:
         raise DegenerateInput("r = 0 yields the bare focus pair, not a curve")
-    iso, p_std = standardize(spec.p, spec.q)
-    inverse = iso.inverse()
+    # The midpoint first: an overflowing one raises, naming its coordinates.
+    m = midpoint(spec.p, spec.q)
+    element, p_std = standardize(spec.p, spec.q)
+    back = element.inverse()
     if p_std.x1 == 0:
         # p = q, or foci whose half-difference rounds to zero: in floats
         # the taxicab circle about the midpoint.
-        loops = [_diamond_pieces(spec.r, inverse)]
+        loops = [_diamond_pieces(spec.r, back, m)]
     else:
-        loops = _standard_loops(p_std.x1, p_std.x2, spec.r, inverse)
+        loops = _standard_loops(p_std.x1, p_std.x2, spec.r, back, m)
     validate = _loop_validator(spec, _VALIDATION_SAMPLES)
     curves = []
     for k, loop in enumerate(loops, 1):

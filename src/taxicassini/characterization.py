@@ -26,6 +26,7 @@ from .core import (
     distance_product,
     distance_products,
     foci_frame,
+    midpoint,
     taxicab_distance,
 )
 
@@ -99,7 +100,7 @@ def sampling_box(spec: CassiniSpec) -> tuple[Point, float]:
     p, q = spec.p, spec.q
     s = taxicab_distance(p, q) + spec.r
     half = s + max(1.0, s * 2.0**-40)
-    return Point((p.x1 + q.x1) / 2, (p.x2 + q.x2) / 2), half
+    return midpoint(p, q), half
 
 
 def grid_points(spec: CassiniSpec, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -34,7 +34,7 @@ from .cassini import (
     topology,
 )
 from .characterization import IdentityMode
-from .core import CassiniSpec, GeometryError, Point, foci_frame, standardize
+from .core import CassiniSpec, GeometryError, Point, foci_frame, midpoint, standardize
 from .svg import _fmt, render_svg
 
 _IDENTITY_TOKENS = tuple(mode.value for mode in IdentityMode)
@@ -183,7 +183,8 @@ def cmd_info(args: argparse.Namespace) -> int:
     p, q, r = _resolve_instance(args)
     spec = CassiniSpec(p, q, r)
     frame = foci_frame(p, q)
-    iso, std_p = standardize(p, q)
+    m = midpoint(p, q)
+    element, std_p = standardize(p, q)
     lines = [
         f"p: {_fmt_point(p)}",
         f"q: {_fmt_point(q)}",
@@ -194,8 +195,8 @@ def cmd_info(args: argparse.Namespace) -> int:
         f"c2: {_fmt_point(frame.c2)}",
         f"g_plus: {_fmt_point(frame.g_plus)}",
         f"g_minus: {_fmt_point(frame.g_minus)}",
-        f"standard_element: {iso.element.name}",
-        f"standard_translation: {_fmt_point(iso.translation)}",
+        f"standard_element: {element.name}",
+        f"standard_translation: {_fmt_point(Point(*element.apply(-m.x1, -m.x2)))}",
         f"standard_focus: {_fmt_point(std_p)}",
     ]
     curves = build_curves(spec) if spec.r > 0 else []

@@ -3,14 +3,15 @@
 Distances and the distance product d(x,a)·d(x,b), singly or for several
 pairs sharing their distance fields, the instance type CassiniSpec, the nine
 closed regions that the coordinate lines through two foci cut the plane into,
-the complements of a focus pair, and the isometry group of the taxicab plane
-(translations composed with the eight-element dihedral point group).
+the complements and the midpoint of a focus pair, the eight-element
+dihedral point group of the taxicab plane, and the element and focus that
+put a pair in standard position.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
 
@@ -48,9 +49,6 @@ class Point:
     def coord(self, axis: int) -> float:
         """Coordinate by axis number, 1 or 2."""
         return self.x1 if axis == 1 else self.x2
-
-
-ORIGIN = Point(0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -161,6 +159,11 @@ class FociFrame:
     g_minus: Point
 
 
+def midpoint(p: Point, q: Point) -> Point:
+    """The midpoint (p + q) / 2, each coordinate rounded once."""
+    return Point((p.x1 + q.x1) / 2, (p.x2 + q.x2) / 2)
+
+
 def foci_frame(p: Point, q: Point) -> FociFrame:
     """Compute the coordinate and guide complements of (p, q)."""
     g_plus = Point(
@@ -219,33 +222,17 @@ for _element in PointGroup:
 _ELEMENT_PARTS = tuple((element, element.swap, element.s1, element.s2) for element in PointGroup)
 
 
-@dataclass(frozen=True)
-class Isometry:
-    """Distance-preserving map x -> G(x) + t for a point-group element G."""
+def standardize(p: Point, q: Point) -> tuple[PointGroup, Point]:
+    """The point-group element and focus of the pair's standard position.
 
-    element: PointGroup
-    translation: Point = field(default=ORIGIN)
-
-    def apply(self, x: Point) -> Point:
-        y1, y2 = self.element.apply(x.x1, x.x2)
-        return Point(y1 + self.translation.x1, y2 + self.translation.x2)
-
-    def inverse(self) -> "Isometry":
-        g = self.element.inverse()
-        t1, t2 = g.apply(self.translation.x1, self.translation.x2)
-        return Isometry(g, Point(-t1, -t2))
-
-
-def standardize(p: Point, q: Point) -> tuple[Isometry, Point]:
-    """Isometry placing the focus pair in standard position.
-
-    Returns (phi, p') where phi maps the midpoint to the origin and p to p'
-    in the closed first octant (p1' >= p2' >= 0), so q goes to -p'.  The
-    point-group element is the first in the fixed enumeration that puts the
-    difference p - q in that octant, so an already-standard pair gets the
-    identity.  The returned point is the exact octant representative of the
-    half-difference vector (p - q) / 2; applying phi to p reproduces it, and
-    to q its negation, to within roundoff (<= 1e-12 relative).
+    Returns (G, p') where G is the first element in the fixed enumeration
+    that puts the difference p - q in the closed first octant, so an
+    already-standard pair gets the identity, and p' = G((p - q) / 2) is the
+    standard focus: p1' >= p2' >= 0, with -p' the standard q.  The standard
+    frame has the midpoint at the origin, and x there is placed in the
+    input frame at G^-1(x) + midpoint(p, q).  Where every sum and halving
+    is exact, as for dyadic foci, placing p' and -p' gives back p and q bit
+    for bit.
     """
     d1 = p.x1 - q.x1
     d2 = p.x2 - q.x2
@@ -260,6 +247,4 @@ def standardize(p: Point, q: Point) -> tuple[Isometry, Point]:
     # Halving is monotone and keeps signs, so the half-difference stays in
     # the octant.
     w1, w2 = element.apply(d1 / 2, d2 / 2)
-    m1, m2 = element.apply((p.x1 + q.x1) / 2, (p.x2 + q.x2) / 2)
-    iso = Isometry(element, Point(-m1, -m2))
-    return iso, Point(w1, w2)
+    return element, Point(w1, w2)

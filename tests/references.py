@@ -7,6 +7,20 @@ share code with the package under test.
 from taxicassini.core import Point, RegionId, taxicab_distance
 
 
+def reference_midpoint(p: Point, q: Point) -> Point:
+    """(p + q) / 2, coordinate by coordinate."""
+    return Point((p.x1 + q.x1) / 2, (p.x2 + q.x2) / 2)
+
+
+def placed(element, t: Point, x: Point) -> Point:
+    """x mapped by the point-group element, then moved by t: the element's
+    value (swap, s1, s2) sends x to (s1 u, s2 v), where (u, v) is (x2, x1)
+    under a swap and (x1, x2) otherwise."""
+    swap, s1, s2 = element.value
+    u, v = (x.x2, x.x1) if swap else (x.x1, x.x2)
+    return Point(s1 * u + t.x1, s2 * v + t.x2)
+
+
 def closer_to(a: Point, b: Point, x: Point) -> bool:
     """True if x is at least as close to a as to b (ties included)."""
     return taxicab_distance(x, a) <= taxicab_distance(x, b)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -41,17 +42,17 @@ from taxicassini.cassini import (
 )
 from taxicassini.core import (
     GeometryError,
-    Isometry,
     Point,
     PointGroup,
     RegionId,
     distance_product,
     foci_frame,
+    midpoint,
     standardize,
     taxicab_distance,
 )
 
-from references import REGION_BY_SIDES, classify_region
+from references import REGION_BY_SIDES, classify_region, placed, reference_midpoint
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "instances.jsonl"
 
@@ -116,15 +117,16 @@ def assert_counterclockwise(spec):
         assert sorted(windings) == [(0, 1), (1, 0)]
 
 
-# The identity, exactly: 1 * x == x and x + (-0.0) == x for every float x,
-# the sign of a zero included, while x + 0.0 turns -0.0 into 0.0.
-STANDARD = Isometry(PointGroup.IDENTITY, Point(-0.0, -0.0))
+# The identity element and the translation by (-0.0, -0.0): the identity
+# map, exactly: 1 * x == x and x + (-0.0) == x for every float x, the sign
+# of a zero included, while x + 0.0 turns -0.0 into 0.0.
+STANDARD = (PointGroup.IDENTITY, Point(-0.0, -0.0))
 
 
 def standard_loops(a, b, r):
     """The loops of _standard_loops(a, b, r) left in the standard frame.  The
     identity has determinant +1, so they run counterclockwise."""
-    return _standard_loops(a, b, r, STANDARD)
+    return _standard_loops(a, b, r, *STANDARD)
 
 
 def standard_pieces(a, b, r, region):
@@ -440,6 +442,13 @@ class TestBuildCurves:
         with pytest.raises(DegenerateInput):
             build_curves(CassiniSpec(Point(4, 1), Point(-4, -1), 0.0))
 
+    def test_overflowing_midpoint_is_named(self):
+        # The curve is placed about the midpoint, whose coordinates the
+        # error names as rounded, before any other arithmetic.
+        with pytest.raises(GeometryError) as info:
+            build_curves(CassiniSpec(Point(0, 1e308), Point(0, 1e308), 1.0))
+        assert str(info.value) == "coordinates must be finite, got (0.0, inf)"
+
     def test_circle_is_a_diamond(self):
         curves = build_curves(CassiniSpec(Point(0, 0), Point(0, 0), 2.0))
         assert len(curves) == 1
@@ -678,15 +687,16 @@ REFERENCE_REGION_UNDER_SWAP = {
 }
 
 
-def reference_map_piece(piece, iso):
-    swap = iso.element.value[0]
+def reference_map_piece(piece, element, t):
+    """piece mapped by the point-group element, then moved by t."""
+    swap = element.value[0]
     region = piece.region
     if swap:
         region = REFERENCE_REGION_UNDER_SWAP.get(region, region)
-    start, end = iso.apply(piece.start), iso.apply(piece.end)
+    start, end = placed(element, t, piece.start), placed(element, t, piece.end)
     if isinstance(piece, GuideSegment):
         return GuideSegment(region, start, end)
-    return HyperbolaArc(region, iso.apply(piece.center), piece.radius, start, end)
+    return HyperbolaArc(region, placed(element, t, piece.center), piece.radius, start, end)
 
 
 def reference_in_region(spec, region, x):
@@ -747,10 +757,11 @@ def reference_build_curves(spec, samples_per_piece=16):
     """The reference curves of spec; samples_per_piece=None skips validation."""
     if spec.r == 0:
         raise DegenerateInput("r = 0 yields the bare focus pair, not a curve")
-    iso, p_std = standardize(spec.p, spec.q)
-    inverse = iso.inverse()
+    m = reference_midpoint(spec.p, spec.q)
+    element, p_std = standardize(spec.p, spec.q)
+    back = element.inverse()
     if p_std == Point(0.0, 0.0):
-        raw_loops = [_diamond_pieces(spec.r, STANDARD)]
+        raw_loops = [_diamond_pieces(spec.r, *STANDARD)]
     else:
         raw_loops = standard_loops(p_std.x1, p_std.x2, spec.r)
     curves = []
@@ -758,7 +769,7 @@ def reference_build_curves(spec, samples_per_piece=16):
         # Only a piece whose ends coincide once mapped is dropped.
         kept = [
             piece
-            for piece in (reference_map_piece(piece, inverse) for piece in raw)
+            for piece in (reference_map_piece(piece, back, m) for piece in raw)
             if piece.start != piece.end
         ]
         where = f"loop {k} of {len(raw_loops)}"
@@ -768,7 +779,7 @@ def reference_build_curves(spec, samples_per_piece=16):
                 " coordinates: every piece rounds onto one point, or an arc's end onto its"
                 " center's line"
             )
-        if inverse.element.determinant == -1:
+        if back.determinant == -1:
             # The standard loops run counterclockwise, and a reflection
             # turns their images clockwise.
             kept = [reference_reversed(piece) for piece in reversed(kept)]
@@ -1195,14 +1206,35 @@ def construction_digest(specs):
     return digest.hexdigest()
 
 
+# Zeros of both signs, the least subnormals and small integers.
+SPECIAL_COORDINATES = (0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 2.0, -2.0)
+
+
+def special_coordinate_mix():
+    """All 4,096 focus pairs with coordinates in SPECIAL_COORDINATES, each
+    at r = 5e-324, 1, 3 and 1e150."""
+    return [
+        CassiniSpec(Point(p1, p2), Point(q1, q2), r)
+        for p1, p2, q1, q2 in itertools.product(SPECIAL_COORDINATES, repeat=4)
+        for r in (5e-324, 1.0, 3.0, 1e150)
+    ]
+
+
 class TestConstructionDigest:
     # Every piece and every error text of a fixed mix of 2,501 specs, pinned
     # byte for byte: a change to the construction's arithmetic, its pieces'
     # order or their reprs moves the digest.
     PINNED = "4868923f5945651b4eec6bb20f95e104dccdc69ab471ad83a4ae92801e3e14b3"
+    # The same for the 16,384 specs of special_coordinate_mix, where placement
+    # adds signed zeros and subnormals to the midpoint; 3,552 of them raise
+    # DegenerateInput.
+    PINNED_SPECIAL = "474882e578f310c865b4ec175f00c047a765e692e9edec086a29c2e2aff5e9c4"
 
     def test_construction_is_pinned(self):
         assert construction_digest(construction_mix()) == self.PINNED
+
+    def test_special_coordinates_are_pinned(self):
+        assert construction_digest(special_coordinate_mix()) == self.PINNED_SPECIAL
 
 
 class _IndexPiece:
@@ -1251,9 +1283,8 @@ class TestSampleCurve:
 class TestCoordsAt:
     # coords_at is the one evaluator of both piece kinds; reference_point_at
     # works out each parameter on its own, through one Point.  The pieces
-    # are placed by every point-group element, with the translation that
-    # takes the standard frame back to the spec's.  Pairs are compared by
-    # repr, which tells a zero's sign.
+    # are placed by every point-group element about the spec's midpoint.
+    # Pairs are compared by repr, which tells a zero's sign.
     ENDS = [0.0, 1.0, 2.0**-50, 1 - 2.0**-50]
 
     @settings(max_examples=200, deadline=None)
@@ -1264,16 +1295,16 @@ class TestCoordsAt:
     @example(CassiniSpec(Point(4, 1), Point(-4, -1), 3.0), [0.5])
     @example(SIGNED_ZERO_SPEC, [0.5])
     def test_matches_the_reference_bit_for_bit(self, spec, drawn):
-        iso, p_std = standardize(spec.p, spec.q)
+        _, p_std = standardize(spec.p, spec.q)
         a, b = p_std.x1, p_std.x2
         assume(a > 0)
-        translation = iso.inverse().translation
+        m = midpoint(spec.p, spec.q)
         fractions = self.ENDS + drawn
         kinds = set()
         # Above r* every strip holds an arc, whatever the drawn radius.
         for r in (spec.r, 3 * (a + b)):
             for g in PointGroup:
-                for loop in _standard_loops(a, b, r, Isometry(g, translation)):
+                for loop in _standard_loops(a, b, r, g, m):
                     for piece in loop:
                         kinds.add(type(piece))
                         want = [reference_point_at(piece, f) for f in fractions]

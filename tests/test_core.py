@@ -12,18 +12,17 @@ from hypothesis import strategies as st
 
 from taxicassini.core import (
     GeometryError,
-    Isometry,
-    ORIGIN,
     Point,
     PointGroup,
     RegionId,
     distance_product,
     distance_products,
     foci_frame,
+    midpoint,
     standardize,
     taxicab_distance,
 )
-from references import classify_region, closer_to
+from references import classify_region, closer_to, placed
 
 # Dyadic rationals keep every sum, difference, and halving exact in floats,
 # so the property tests can assert equality without tolerances.
@@ -217,8 +216,8 @@ class TestDistanceProducts:
 class TestSignsAndHalfPlanes:
     def test_closer_to_tie_is_inclusive(self):
         a, b = Point(1, 0), Point(-1, 0)
-        assert closer_to(a, b, ORIGIN)
-        assert closer_to(b, a, ORIGIN)
+        assert closer_to(a, b, Point(0, 0))
+        assert closer_to(b, a, Point(0, 0))
 
     @given(dyadic_points, dyadic_points, dyadic_points)
     def test_closer_to_matches_distances(self, a, b, x):
@@ -346,44 +345,41 @@ class TestPointGroup:
 
     @given(dyadic_points)
     def test_elements_preserve_distance(self, x):
+        origin = Point(0.0, 0.0)
         for g in PointGroup:
             y = Point(*g.apply(x.x1, x.x2))
-            assert taxicab_distance(y, ORIGIN) == taxicab_distance(x, ORIGIN)
+            assert taxicab_distance(y, origin) == taxicab_distance(x, origin)
 
 
-class TestIsometry:
-    @given(dyadic_points, dyadic_points)
-    def test_inverse_roundtrip(self, t, x):
-        for g in PointGroup:
-            iso = Isometry(g, t)
-            assert iso.inverse().apply(iso.apply(x)) == x
-            assert iso.apply(iso.inverse().apply(x)) == x
-
-    @given(dyadic_points, dyadic_points, dyadic_points)
-    def test_preserves_distance(self, t, a, b):
-        for g in PointGroup:
-            iso = Isometry(g, t)
-            assert taxicab_distance(iso.apply(a), iso.apply(b)) == taxicab_distance(a, b)
+class TestMidpoint:
+    def test_halves_the_sum(self):
+        # (p + q) / 2, not p / 2 + q / 2: a halved least subnormal rounds
+        # to zero.
+        assert repr(midpoint(Point(5e-324, 1.0), Point(5e-324, 2.0))) == repr(Point(5e-324, 1.5))
 
 
 class TestStandardize:
+    # standardize returns the element G and the standard focus p'; a
+    # standard-frame point x is placed in the input frame at G^-1(x) + m,
+    # m the midpoint, which the references write from G's value alone.
+
     def test_known_pair(self):
-        iso, p_std = standardize(Point(1, 2), Point(3, 4))
-        assert iso.element is PointGroup.ROT180
+        element, p_std = standardize(Point(1, 2), Point(3, 4))
+        assert element is PointGroup.ROT180
         assert p_std == Point(1, 1)
-        assert iso.apply(Point(1, 2)) == p_std
-        assert iso.apply(Point(3, 4)) == Point(-1, -1)
+        assert placed(element.inverse(), Point(2, 3), p_std) == Point(1, 2)
+        assert placed(element.inverse(), Point(2, 3), Point(-1, -1)) == Point(3, 4)
 
     def test_already_standard_gets_identity(self):
-        iso, p_std = standardize(Point(4, 1), Point(-4, -1))
-        assert iso.element is PointGroup.IDENTITY
-        assert iso.translation == ORIGIN
+        element, p_std = standardize(Point(4, 1), Point(-4, -1))
+        assert element is PointGroup.IDENTITY
         assert p_std == Point(4, 1)
 
     def test_coincident_foci(self):
-        iso, p_std = standardize(Point(2, -7), Point(2, -7))
-        assert p_std == ORIGIN
-        assert iso.apply(Point(2, -7)) == ORIGIN
+        element, p_std = standardize(Point(2, -7), Point(2, -7))
+        assert element is PointGroup.IDENTITY
+        assert p_std == Point(0, 0)
+        assert placed(element.inverse(), Point(2, -7), p_std) == Point(2, -7)
 
     @given(tiny_points, tiny_points)
     def test_element_is_the_first_to_put_the_difference_in_the_octant(self, p, q):
@@ -393,8 +389,8 @@ class TestStandardize:
             return u[0] >= u[1] >= 0
 
         first = next(g for g in PointGroup if in_octant(g.apply(p.x1 - q.x1, p.x2 - q.x2)))
-        iso, p_std = standardize(p, q)
-        assert iso.element is first
+        element, p_std = standardize(p, q)
+        assert element is first
         assert p_std.x1 >= p_std.x2 >= 0
 
     @pytest.mark.parametrize(
@@ -402,17 +398,21 @@ class TestStandardize:
         [((-5e-324, 1.0), (-0.0, 1.0)), ((1.0, -5e-324), (1.0, -0.0)), ((0.0, 1.0), (5e-324, 1.0))],
     )
     def test_foci_the_least_subnormal_apart(self, p, q):
-        iso, _ = standardize(Point(*p), Point(*q))
-        u1, u2 = iso.element.apply(p[0] - q[0], p[1] - q[1])
+        element, _ = standardize(Point(*p), Point(*q))
+        u1, u2 = element.apply(p[0] - q[0], p[1] - q[1])
         assert u1 > u2 == 0
 
     @given(dyadic_points, dyadic_points)
     def test_octant_normal_form(self, p, q):
-        iso, p_std = standardize(p, q)
+        # Dyadic sums and halvings are exact, and no coordinate is -0.0, so
+        # the standard foci are p - m and q - m mapped by the element, and
+        # placing them back gives p and q bit for bit.
+        element, p_std = standardize(p, q)
         q_std = Point(-p_std.x1, -p_std.x2)
+        m = Point((p.x1 + q.x1) / 2, (p.x2 + q.x2) / 2)
         assert p_std.x1 >= p_std.x2 >= 0
-        assert iso.apply(p) == p_std
-        assert iso.apply(q) == q_std
-        # Round trip through the inverse recovers the original foci.
-        assert iso.inverse().apply(p_std) == p
-        assert iso.inverse().apply(q_std) == q
+        assert p_std == placed(element, Point(0.0, 0.0), Point(p.x1 - m.x1, p.x2 - m.x2))
+        assert q_std == placed(element, Point(0.0, 0.0), Point(q.x1 - m.x1, q.x2 - m.x2))
+        back = element.inverse()
+        assert repr(placed(back, m, p_std)) == repr(p)
+        assert repr(placed(back, m, q_std)) == repr(q)

@@ -230,8 +230,7 @@ def test_no_test_only_public_methods():
     # definition, where a class counts as the statements of its body, so a
     # method that only a sibling method calls still counts as called.
     # Mentions are matched by name alone, so a method that shares its name
-    # with one the package calls, as Isometry.apply does with
-    # PointGroup.apply, is not caught.
+    # with one the package calls is not caught.
     trees = {
         path.name: ast.parse(path.read_text(encoding="utf-8"))
         for path in PACKAGE.glob("*.py")
