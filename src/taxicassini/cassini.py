@@ -41,6 +41,7 @@ from .core import (
     Point,
     PointGroup,
     RegionId,
+    _store,
     distance_product,
     midpoint,
     standardize,
@@ -146,13 +147,20 @@ def topology(spec: CassiniSpec) -> Topology:
 class GuideSegment:
     """Straight curve piece on a guide line (slope +1 or -1)."""
 
+    __slots__ = ("region", "start", "end")
     region: RegionId
     start: Point
     end: Point
 
     def __init__(self, region: RegionId, start: Point, end: Point) -> None:
-        # One update for the fields a generated frozen __init__ sets one by one.
-        self.__dict__.update(region=region, start=start, end=end)
+        # The slot stores a generated frozen __init__ makes, without its
+        # lookups of object.__setattr__.
+        _store(self, "region", region)
+        _store(self, "start", start)
+        _store(self, "end", end)
+
+    def __reduce__(self):
+        return GuideSegment, (self.region, self.start, self.end)
 
     def coords_at(self, fractions: Sequence[float]) -> list[tuple[float, float]]:
         """The (x1, x2) pairs at parameters in [0, 1]: start's at 0, end's at
@@ -181,6 +189,7 @@ class HyperbolaArc:
     endpoints' own coordinates at parameters 0 and 1.
     """
 
+    __slots__ = ("region", "center", "radius", "start", "end")
     region: RegionId
     center: Point
     radius: float
@@ -190,8 +199,15 @@ class HyperbolaArc:
     def __init__(
         self, region: RegionId, center: Point, radius: float, start: Point, end: Point
     ) -> None:
-        # One update for the fields a generated frozen __init__ sets one by one.
-        self.__dict__.update(region=region, center=center, radius=radius, start=start, end=end)
+        # As GuideSegment's: the slot stores a generated frozen __init__ makes.
+        _store(self, "region", region)
+        _store(self, "center", center)
+        _store(self, "radius", radius)
+        _store(self, "start", start)
+        _store(self, "end", end)
+
+    def __reduce__(self):
+        return HyperbolaArc, (self.region, self.center, self.radius, self.start, self.end)
 
     def coords_at(self, fractions: Sequence[float]) -> list[tuple[float, float]]:
         """The (x1, x2) pairs at parameters in [0, 1]: start's at 0, end's at
@@ -574,7 +590,6 @@ def build_curves(spec: CassiniSpec) -> list[tuple[CurvePiece, ...]]:
     """
     if spec.r == 0:
         raise DegenerateInput("r = 0 yields the bare focus pair, not a curve")
-    # The midpoint first: an overflowing one raises, naming its coordinates.
     m = midpoint(spec.p, spec.q)
     element, p_std = standardize(spec.p, spec.q)
     back = element.inverse()

@@ -30,17 +30,26 @@ _store = object.__setattr__
 class Point:
     """A location in the plane; coordinates must be finite."""
 
+    # Slots, not a per-instance dict.  They are declared here, not by
+    # dataclass(slots=True), which rebuilds the class on 3.10 and 3.11: the
+    # frozen __setattr__ then raises TypeError for a new name, not
+    # FrozenInstanceError.
+    __slots__ = ("x1", "x2")
     x1: float
     x2: float
 
     def __init__(self, x1: float, x2: float) -> None:
-        # The stores a generated frozen __init__ makes, after one check of
-        # the arguments: a __post_init__ check would cost a second call and
-        # re-read both fields, on every sample and probe point.
+        # The slot stores a generated frozen __init__ makes, after one check
+        # of the arguments: a __post_init__ check would cost a second call
+        # and re-read both fields, on every sample and probe point.
         if not (_isfinite(x1) and _isfinite(x2)):
             raise GeometryError(f"coordinates must be finite, got ({x1!r}, {x2!r})")
         _store(self, "x1", x1)
         _store(self, "x2", x2)
+
+    def __reduce__(self):
+        # A copy or an unpickled Point is built by __init__, with its check.
+        return Point, (self.x1, self.x2)
 
     def __iter__(self) -> Iterator[float]:
         yield self.x1
@@ -48,24 +57,51 @@ class Point:
 
     def coord(self, axis: int) -> float:
         """Coordinate by axis number, 1 or 2."""
-        return self.x1 if axis == 1 else self.x2
+        if axis == 1:
+            return self.x1
+        if axis == 2:
+            return self.x2
+        raise GeometryError(f"axis must be 1 or 2, got {axis!r}")
 
 
 @dataclass(frozen=True)
 class CassiniSpec:
-    """Foci p, q and radius parameter r >= 0 defining K(p, q; r)."""
+    """Foci p, q and radius parameter r >= 0 defining K(p, q; r).
 
+    Every sum the package forms from the foci and r stays finite: with S
+    = |p1| + |p2| + |q1| + |q2|, p - q, p + q and the guide complements'
+    sums are at most S in magnitude, d(p, q) + r at most S + r, and the
+    sampling box's half-width, corners and width at most 3 (S + r) + 2.  A
+    spec is rejected unless 4 (S + r) is finite.  This also rejects foci
+    such as (1.2e307, 1.2e307) and (-1.2e307, -1.2e307), none of whose
+    sums overflows; foci with every |coordinate| up to about 1.1e307, a
+    sixteenth of the largest float, are accepted.
+    """
+
+    __slots__ = ("p", "q", "r")
     p: Point
     q: Point
     r: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.r) or self.r < 0:
-            raise GeometryError(f"radius parameter must be finite and nonnegative, got {self.r!r}")
+        p, q, r = self.p, self.q, self.r
+        if not math.isfinite(r) or r < 0:
+            raise GeometryError(f"radius parameter must be finite and nonnegative, got {r!r}")
         # Every product comparison is against r^2: an overflowed square would
         # turn each residual and on-band into inf or NaN, which no check trips.
-        if not math.isfinite(self.r * self.r):
-            raise GeometryError(f"radius parameter squared must be finite, got r = {self.r!r}")
+        if not math.isfinite(r * r):
+            raise GeometryError(f"radius parameter squared must be finite, got r = {r!r}")
+        # An overflowed sum would surface later as a non-finite point the
+        # caller never gave; this names the foci instead.
+        if not math.isfinite(4.0 * (abs(p.x1) + abs(p.x2) + abs(q.x1) + abs(q.x2) + r)):
+            raise GeometryError(
+                f"foci {p} and {q} are too large for r = {r!r}:"
+                " 4 (|p1| + |p2| + |q1| + |q2| + r) must be finite"
+            )
+
+    def __reduce__(self):
+        # A copy or an unpickled spec is built by __init__, with its checks.
+        return CassiniSpec, (self.p, self.q, self.r)
 
 
 def taxicab_distance(a: Point, b: Point) -> float:

@@ -1,11 +1,15 @@
 """Analytic curve construction: pieces, loops, classification, topology."""
 
+import copy
 import dataclasses
 import hashlib
 import itertools
 import json
 import math
+import pickle
+import struct
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,6 +44,7 @@ from taxicassini.cassini import (
     sample_curve,
     topology,
 )
+from taxicassini.characterization import grid_points, sampling_box
 from taxicassini.core import (
     GeometryError,
     Point,
@@ -249,9 +254,137 @@ class TestSpecAndScalars:
         with pytest.raises(GeometryError, match="squared must be finite"):
             CassiniSpec(Point(0, 0), Point(1, 1), math.nextafter(largest, math.inf))
 
+    def test_spec_rejects_overflowing_foci(self):
+        # Each of these errors named a point the user never gave: g_plus,
+        # the standard focus or the midpoint; sampling_box returned inf.
+        for p, q in [
+            (Point(1e308, 0), Point(-1e308, 0)),
+            (Point(0, 1e308), Point(0, 1e308)),
+            (Point(1e308, 1e308), Point(1e308, 1e308)),
+        ]:
+            with pytest.raises(GeometryError) as info:
+                CassiniSpec(p, q, 1.0)
+            assert str(info.value) == (
+                f"foci {p} and {q} are too large for r = 1.0:"
+                " 4 (|p1| + |p2| + |q1| + |q2| + r) must be finite"
+            )
+
+    @pytest.mark.parametrize("r", [1.0, 1e154])
+    def test_largest_foci_keep_every_sum_finite(self, r):
+        # 4 (S + r), S the sum of the |coordinates|, is finite up to S =
+        # max/4: at every sign pattern of four coordinates of max/16, and of
+        # one of max/4, the sums the package forms stay finite.
+        edge = sys.float_info.max / 16
+        patterns = list(itertools.product((0.0, edge, -edge), repeat=4))
+        for k in range(4):
+            for single in (4 * edge, -4 * edge):
+                patterns.append(tuple(single if j == k else 0.0 for j in range(4)))
+        for p1, p2, q1, q2 in patterns:
+            spec = CassiniSpec(Point(p1, p2), Point(q1, q2), r)
+            # These build Points, which reject a non-finite coordinate, and
+            # grid_points would warn on an overflowing box width.
+            foci_frame(spec.p, spec.q)
+            standardize(spec.p, spec.q)
+            half = sampling_box(spec)[1]
+            x1, x2 = grid_points(spec, 2)
+            assert math.isfinite(half) and math.isfinite(critical_radius(spec.p, spec.q))
+            assert np.isfinite(x1).all() and np.isfinite(x2).all()
+        beyond = math.nextafter(edge, math.inf)
+        for coordinates in ((beyond, edge, -edge, edge), (0.0, 0.0, 0.0, -4 * beyond)):
+            p1, p2, q1, q2 = coordinates
+            with pytest.raises(GeometryError, match="too large"):
+                CassiniSpec(Point(p1, p2), Point(q1, q2), r)
+
     @given(dyadic_points, dyadic_points)
     def test_critical_radius_is_half_distance(self, p, q):
         assert critical_radius(p, q) == taxicab_distance(p, q) / 2
+
+
+def _value_instances():
+    # One of each bulk value type, and the pieces of a two-lobe and a
+    # one-curve spec.
+    spec = CassiniSpec(Point(4.3, 1.7), Point(-3.9, -1.2), 5.0)
+    segment = GuideSegment(RegionId.QUADRANT_P, Point(1.0, 2.0), Point(2.0, 1.0))
+    arc = HyperbolaArc(RegionId.STRIP_P_C1, Point(-1.0, -4.0), 6.0, Point(3.0, 5.0), Point(-2.0, 3.0))
+    pieces = [
+        piece
+        for r in (5.0, 9.0)
+        for curve in build_curves(dataclasses.replace(spec, r=r))
+        for piece in curve
+    ]
+    return [Point(1.5, -2.0), spec, segment, arc] + pieces
+
+
+class TestValueTypes:
+    """Point, CassiniSpec and the two piece types hold their fields in slots:
+    no per-instance dict, and the frozen dataclass contract kept."""
+
+    def test_no_instance_dict(self):
+        instances = _value_instances()
+        assert {type(x) for x in instances} == {Point, CassiniSpec, GuideSegment, HyperbolaArc}
+        for x in instances:
+            assert not hasattr(x, "__dict__"), x
+            assert type(x).__slots__ == tuple(f.name for f in dataclasses.fields(x))
+
+    def test_frozen(self):
+        for x in _value_instances():
+            before = repr(x)
+            for name in type(x).__slots__ + ("extra",):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(x, name, 1.0)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(x, name)
+            assert repr(x) == before
+
+    def test_copies_round_trip(self):
+        for x in _value_instances():
+            copies = [copy.deepcopy(x), copy.copy(x), dataclasses.replace(x)]
+            if hasattr(copy, "replace"):  # Python 3.13 and later
+                copies.append(copy.replace(x))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                copies.append(pickle.loads(pickle.dumps(x, protocol)))
+            for y in copies:
+                assert type(y) is type(x) and y == x and hash(y) == hash(x)
+                assert repr(y) == repr(x)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_unpickling_goes_through_the_constructor(self, protocol):
+        # A stream whose float is replaced by a value the constructor
+        # rejects: protocol 0 writes floats as text, the others as 8 bytes.
+        def crafted(x, old: float, new: float) -> bytes:
+            data = pickle.dumps(x, protocol)
+            if protocol == 0:
+                old_bytes, new_bytes = f"F{old!r}\n".encode(), f"F{new!r}\n".encode()
+            else:
+                old_bytes, new_bytes = struct.pack(">d", old), struct.pack(">d", new)
+            assert data.count(old_bytes) == 1
+            return data.replace(old_bytes, new_bytes)
+
+        spec = CassiniSpec(Point(1.25, 0.5), Point(-0.75, 0.5), 3.5)
+        cases = [
+            (Point(1.25, 0.5), 1.25, math.inf, "coordinates must be finite"),
+            (spec, 1.25, math.nan, "coordinates must be finite"),
+            (spec, 3.5, -1.0, "radius parameter must be finite"),
+            (spec, -0.75, 1e308, "too large"),
+        ]
+        for x, old, new, text in cases:
+            with pytest.raises(GeometryError, match=text):
+                pickle.loads(crafted(x, old, new))
+
+    def test_point_memory(self):
+        # Slotted, a Point is its object header and two references; with a
+        # dict it took about 88 traced bytes, its floats excluded.
+        xs = [float(k) for k in range(10_000)]
+        points = [None] * len(xs)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for k, x in enumerate(xs):
+                points[k] = Point(x, x)
+            used = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert used / len(points) <= 56
 
 
 class TestClassifyPoint:
@@ -443,11 +576,14 @@ class TestBuildCurves:
             build_curves(CassiniSpec(Point(4, 1), Point(-4, -1), 0.0))
 
     def test_overflowing_midpoint_is_named(self):
-        # The curve is placed about the midpoint, whose coordinates the
-        # error names as rounded, before any other arithmetic.
+        # A spec whose midpoint would overflow is rejected where it is made,
+        # naming the foci as given, before build_curves rounds any sum.
         with pytest.raises(GeometryError) as info:
-            build_curves(CassiniSpec(Point(0, 1e308), Point(0, 1e308), 1.0))
-        assert str(info.value) == "coordinates must be finite, got (0.0, inf)"
+            CassiniSpec(Point(0, 1e308), Point(0, 1e308), 1.0)
+        assert str(info.value) == (
+            "foci Point(x1=0, x2=1e+308) and Point(x1=0, x2=1e+308) are too large for"
+            " r = 1.0: 4 (|p1| + |p2| + |q1| + |q2| + r) must be finite"
+        )
 
     def test_circle_is_a_diamond(self):
         curves = build_curves(CassiniSpec(Point(0, 0), Point(0, 0), 2.0))

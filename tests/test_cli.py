@@ -137,6 +137,16 @@ class TestInfo:
         assert out == ""
         assert err == "error: radius parameter squared must be finite, got r = 1e+200\n"
 
+    def test_overflowing_foci_rejected(self, capsys):
+        # p - q and the guide complements' sums overflow; the error used to
+        # name (0.0, -inf), a coordinate of g_plus the user never gave.
+        code, out, err = run(capsys, "info", "--p", "1e308,0", "--q", "-1e308,0", "--r", "1")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: foci Point(x1=1e+308, x2=0.0) and Point(x1=-1e+308, x2=0.0) are too"
+            " large for r = 1.0: 4 (|p1| + |p2| + |q1| + |q2| + r) must be finite\n"
+        )
+
 
 class TestClassify:
     @pytest.mark.parametrize(

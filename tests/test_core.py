@@ -96,6 +96,9 @@ class TestPoint:
         assert tuple(p) == (3.0, -4.0)
         assert p.coord(1) == 3.0
         assert p.coord(2) == -4.0
+        for axis in (0, 3, -1, 1.5):
+            with pytest.raises(GeometryError, match="axis must be 1 or 2"):
+                p.coord(axis)
 
 
 class TestDistance:
