@@ -31,26 +31,23 @@ from .cassini import (
     topology,
 )
 from .characterization import (
-    GuideFamily,
     IdentityMode,
     IdentityReport,
     boundary_check,
     grid_points,
-    guide_family,
     sampling_box,
     verify_identity,
     verify_identities,
 )
 from .core import (
     CassiniSpec,
-    FociFrame,
     GeometryError,
     Point,
     PointGroup,
     RegionId,
     distance_product,
     distance_products,
-    foci_frame,
+    guide_complements,
     standardize,
     taxicab_distance,
 )
@@ -70,14 +67,13 @@ from .svg import render_svg
 __all__ = [
     # core: taxicab geometry, the instance spec, regions and the point group
     "CassiniSpec",
-    "FociFrame",
     "GeometryError",
     "Point",
     "PointGroup",
     "RegionId",
     "distance_product",
     "distance_products",
-    "foci_frame",
+    "guide_complements",
     "standardize",
     "taxicab_distance",
     # cassini: curve construction, classification and topology
@@ -95,12 +91,10 @@ __all__ = [
     "sample_curve",
     "topology",
     # characterization: filled sets and the guide-family identities
-    "GuideFamily",
     "IdentityMode",
     "IdentityReport",
     "boundary_check",
     "grid_points",
-    "guide_family",
     "sampling_box",
     "verify_identity",
     "verify_identities",

@@ -342,8 +342,14 @@ def _standard_loops(
         kinds += [(RegionId.QUADRANT_C1, 0), (RegionId.STRIP_Q_C1, -1)]
     if not r > rstar:
         # The waist's offset from the midpoint diagonal; exact 0 at r = r*.
-        # c - b >= -b >= -a, so lo needs no clamp to the rectangle.
-        c = math.sqrt((rstar - r) * (rstar + r))
+        # c - b >= -b >= -a, so lo needs no clamp to the rectangle.  The
+        # product under the root overflows once r* passes about 1.34e154,
+        # and only then is it taken apart.
+        c_squared = (rstar - r) * (rstar + r)
+        if c_squared < math.inf:
+            c = math.sqrt(c_squared)
+        else:
+            c = math.sqrt(rstar - r) * math.sqrt(rstar + r)
         hi, lo = min(a, c + b), c - b
         junctions += [(hi, c - hi), (lo, c - lo)]
         kinds += [(RegionId.CENTRAL_RECTANGLE, 0), (RegionId.STRIP_P_C2, 1)]
@@ -586,14 +592,16 @@ def build_curves(spec: CassiniSpec) -> list[tuple[CurvePiece, ...]]:
     validation samples, which must also lie in the piece's region, where it
     does not (see _piece_certificate).  Raises DegenerateInput for r = 0, and
     for a loop below the float resolution: every piece rounds onto one
-    point, or an arc's end onto its center's line.
+    point, an arc's end onto its center's line, or a taxicab circle flat
+    onto one coordinate line, off the level set.
     """
     if spec.r == 0:
         raise DegenerateInput("r = 0 yields the bare focus pair, not a curve")
     m = midpoint(spec.p, spec.q)
     element, p_std = standardize(spec.p, spec.q)
     back = element.inverse()
-    if p_std.x1 == 0:
+    circle = p_std.x1 == 0
+    if circle:
         # p = q, or foci whose half-difference rounds to zero: in floats
         # the taxicab circle about the midpoint.
         loops = [_diamond_pieces(spec.r, back, m)]
@@ -608,17 +616,31 @@ def build_curves(spec: CassiniSpec) -> list[tuple[CurvePiece, ...]]:
             if start.x1 != end.x1 or start.x2 != end.x2:
                 kept.append(piece)
         if not (kept and all(map(_off_center_line, kept))):
-            raise DegenerateInput(
-                f"{spec}, loop {k} of {len(loops)}: r = {spec.r!r} is below the float"
-                " resolution at its coordinates: every piece rounds onto one point, or an"
-                " arc's end onto its center's line"
-            )
+            raise _below_resolution(spec, k, len(loops))
         try:
             validate(kept)
         except AssemblyError as exc:
+            # A circle whose offsets along one axis round away lies flat on
+            # a coordinate line, and its vertex on the center misses the
+            # level set by r^2 unless r^2 is within the residual tolerance.
+            if circle and _on_one_line(kept):
+                raise _below_resolution(spec, k, len(loops)) from None
             raise AssemblyError(f"{spec}, loop {k} of {len(loops)}: {exc}") from None
         curves.append(tuple(kept))
     return curves
+
+
+def _below_resolution(spec: CassiniSpec, k: int, count: int) -> DegenerateInput:
+    return DegenerateInput(
+        f"{spec}, loop {k} of {count}: r = {spec.r!r} is below the float resolution at its"
+        " coordinates: every piece rounds onto one point, or an arc's end onto its center's line"
+    )
+
+
+def _on_one_line(pieces: list[CurvePiece]) -> bool:
+    # True when every piece starts on one coordinate line.
+    x1s, x2s = zip(*(piece.start for piece in pieces))
+    return len(set(x1s)) == 1 or len(set(x2s)) == 1
 
 
 @functools.lru_cache(maxsize=16)

@@ -5,9 +5,9 @@ be rebuilt from the four guide Cassini sets pairing each focus with the two
 guide complements g+ and g-: a union of intersections, an intersection of
 unions, and two cross-pairings that sandwich L and hit it exactly after
 combining with the filled set of the complements themselves.  This module
-provides the guide family, a vectorized verifier that checks all four
-identities on one point sample at once, and a probe-based witness that a
-curve point is a boundary point of L.
+provides a vectorized verifier that checks all four identities on one point
+sample at once, from the six focus pairs of p, q, g+ and g-, and a
+probe-based witness that a curve point is a boundary point of L.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .core import (
     Point,
     distance_product,
     distance_products,
-    foci_frame,
+    guide_complements,
     midpoint,
     taxicab_distance,
 )
@@ -38,32 +37,6 @@ BOUNDARY_GUARD_RTOL = 1e-12
 # Radius of the largest witness circle boundary_check probes around a point
 # (it then halves it twice).
 BOUNDARY_PROBE_RADIUS = 0.05
-
-
-class GuideFamily(NamedTuple):
-    """The four guide Cassini specs (focus, guide complement, r) of a pair,
-    in the order the combinations take them.
-
-    Each member's foci share a guide line, and all four share the radius
-    parameter of the originating spec.
-    """
-
-    lp_plus: CassiniSpec
-    lp_minus: CassiniSpec
-    lq_plus: CassiniSpec
-    lq_minus: CassiniSpec
-
-
-def guide_family(spec: CassiniSpec) -> GuideFamily:
-    """L(p,g+), L(p,g-), L(q,g+), L(q,g-) at the radius of spec."""
-    p, q, r = spec.p, spec.q, spec.r
-    frame = foci_frame(p, q)
-    return GuideFamily(
-        lp_plus=CassiniSpec(p, frame.g_plus, r),
-        lp_minus=CassiniSpec(p, frame.g_minus, r),
-        lq_plus=CassiniSpec(q, frame.g_plus, r),
-        lq_minus=CassiniSpec(q, frame.g_minus, r),
-    )
 
 
 class IdentityMode(Enum):
@@ -144,8 +117,9 @@ def verify_identities(
     verdicts that close to a boundary are floating-point noise.
     CROSS_EQUALITIES involves all six sets, the other modes the first five.
     For CROSS_SUBSETS only violations of the two subset directions count as
-    mismatches; the other modes demand equality.  Non-finite coordinates
-    raise GeometryError: no verdict about them is meaningful.
+    mismatches; the other modes demand equality.  Non-finite coordinates,
+    and a sample on which a product overflows, raise GeometryError: no
+    verdict about them is meaningful.
     """
     if not (math.isfinite(band) and band >= 0):
         raise GeometryError(f"band must be finite and nonnegative, got {band!r}")
@@ -159,13 +133,19 @@ def verify_identities(
         raise GeometryError(
             f"identity sample coordinates of shapes {x1.shape} and {x2.shape} do not broadcast"
         ) from None
-    fam = guide_family(spec)
+    p, q = spec.p, spec.q
+    g_plus, g_minus = guide_complements(p, q)
     target = spec.r * spec.r
-    # L(p,q), the guide family in the order the combinations take, then
-    # L(g+,g-): the family's second foci are the guide complements.
-    pairs = [(m.p, m.q) for m in (spec, *fam)] + [(fam.lp_plus.q, fam.lp_minus.q)]
-    products = distance_products(pairs, x1, x2)
-    # Memberships in L(p,q), L(p,g+), L(p,g-), L(q,g+), L(q,g-) and L(g+,g-).
+    # The products and memberships of L(p,q), the guide family L(p,g+),
+    # L(p,g-), L(q,g+), L(q,g-) in the order the combinations take it, and
+    # L(g+,g-).  The sample is finite, so a product that is not finite
+    # comes from an overflow, which would empty every set.
+    pairs = [(p, q), (p, g_plus), (p, g_minus), (q, g_plus), (q, g_minus), (g_plus, g_minus)]
+    try:
+        with np.errstate(over="raise"):
+            products = distance_products(pairs, x1, x2)
+    except FloatingPointError:
+        raise GeometryError(f"{spec}: a distance product overflows on the identity sample") from None
     in_pq, pp, pm, qp, qm, in_gg = [f < target for f in products]
 
     # A point's margin is its least relative gap |f - r^2| over the sets a

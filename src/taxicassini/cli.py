@@ -34,7 +34,7 @@ from .cassini import (
     topology,
 )
 from .characterization import IdentityMode
-from .core import CassiniSpec, GeometryError, Point, foci_frame, midpoint, standardize
+from .core import CassiniSpec, GeometryError, Point, guide_complements, midpoint, standardize
 from .svg import _fmt, render_svg
 
 _IDENTITY_TOKENS = tuple(mode.value for mode in IdentityMode)
@@ -182,7 +182,7 @@ def _fmt_endpoint(pt: Point) -> str:
 def cmd_info(args: argparse.Namespace) -> int:
     p, q, r = _resolve_instance(args)
     spec = CassiniSpec(p, q, r)
-    frame = foci_frame(p, q)
+    g_plus, g_minus = guide_complements(p, q)
     m = midpoint(p, q)
     element, std_p = standardize(p, q)
     lines = [
@@ -191,10 +191,10 @@ def cmd_info(args: argparse.Namespace) -> int:
         f"r: {_fmt_num(r)}",
         f"r_star: {_fmt_num(critical_radius(p, q))}",
         f"topology: {topology(spec).value}",
-        f"c1: {_fmt_point(frame.c1)}",
-        f"c2: {_fmt_point(frame.c2)}",
-        f"g_plus: {_fmt_point(frame.g_plus)}",
-        f"g_minus: {_fmt_point(frame.g_minus)}",
+        f"c1: {_fmt_point(Point(p.x1, q.x2))}",
+        f"c2: {_fmt_point(Point(q.x1, p.x2))}",
+        f"g_plus: {_fmt_point(g_plus)}",
+        f"g_minus: {_fmt_point(g_minus)}",
         f"standard_element: {element.name}",
         f"standard_translation: {_fmt_point(Point(*element.apply(-m.x1, -m.x2)))}",
         f"standard_focus: {_fmt_point(std_p)}",

@@ -3,7 +3,7 @@
 Distances and the distance product d(x,a)·d(x,b), singly or for several
 pairs sharing their distance fields, the instance type CassiniSpec, the nine
 closed regions that the coordinate lines through two foci cut the plane into,
-the complements and the midpoint of a focus pair, the eight-element
+the guide complements and the midpoint of a focus pair, the eight-element
 dihedral point group of the taxicab plane, and the element and focus that
 put a pair in standard position.
 """
@@ -180,28 +180,18 @@ for _region in RegionId:
     _region.mirrored = _REGION_BY_SIDES[2 - _i, 2 - _j]
 
 
-@dataclass(frozen=True)
-class FociFrame:
-    """Derived landmarks of a focus pair.
-
-    c1/c2 are the coordinate complements, g_plus/g_minus the guide complements
-    (intersections of the slope +1/-1 guide lines through p with the opposite
-    guide lines through q).
-    """
-
-    c1: Point
-    c2: Point
-    g_plus: Point
-    g_minus: Point
-
-
 def midpoint(p: Point, q: Point) -> Point:
     """The midpoint (p + q) / 2, each coordinate rounded once."""
     return Point((p.x1 + q.x1) / 2, (p.x2 + q.x2) / 2)
 
 
-def foci_frame(p: Point, q: Point) -> FociFrame:
-    """Compute the coordinate and guide complements of (p, q)."""
+def guide_complements(p: Point, q: Point) -> tuple[Point, Point]:
+    """The guide complements (g+, g-) of (p, q).
+
+    g+ is where the slope +1 guide line through p meets the slope -1 guide
+    line through q, and g- where the slope -1 line through p meets the slope
+    +1 line through q.
+    """
     g_plus = Point(
         (p.x1 - p.x2 + q.x1 + q.x2) / 2,
         (-p.x1 + p.x2 + q.x1 + q.x2) / 2,
@@ -210,12 +200,7 @@ def foci_frame(p: Point, q: Point) -> FociFrame:
         (p.x1 + p.x2 + q.x1 - q.x2) / 2,
         (p.x1 + p.x2 - q.x1 + q.x2) / 2,
     )
-    return FociFrame(
-        c1=Point(p.x1, q.x2),
-        c2=Point(q.x1, p.x2),
-        g_plus=g_plus,
-        g_minus=g_minus,
-    )
+    return g_plus, g_minus
 
 
 class PointGroup(Enum):

@@ -12,6 +12,18 @@ def reference_midpoint(p: Point, q: Point) -> Point:
     return Point((p.x1 + q.x1) / 2, (p.x2 + q.x2) / 2)
 
 
+def reference_guide_complements(p: Point, q: Point) -> tuple[Point, Point]:
+    """(g+, g-): g+ is where the slope +1 line through p, x1 - x2 = p1 - p2,
+    meets the slope -1 line through q, x1 + x2 = q1 + q2, and g- where the
+    slope -1 line through p, x1 + x2 = p1 + p2, meets the slope +1 line
+    through q, x1 - x2 = q1 - q2.  Half the sum and half the difference of
+    the two right-hand sides give the coordinates, each summed left to right
+    and halved once."""
+    g_plus = Point((p.x1 - p.x2 + q.x1 + q.x2) / 2, (-p.x1 + p.x2 + q.x1 + q.x2) / 2)
+    g_minus = Point((p.x1 + p.x2 + q.x1 - q.x2) / 2, (p.x1 + p.x2 - q.x1 + q.x2) / 2)
+    return g_plus, g_minus
+
+
 def placed(element, t: Point, x: Point) -> Point:
     """x mapped by the point-group element, then moved by t: the element's
     value (swap, s1, s2) sends x to (s1 u, s2 v), where (u, v) is (x2, x1)

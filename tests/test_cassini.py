@@ -51,7 +51,7 @@ from taxicassini.core import (
     PointGroup,
     RegionId,
     distance_product,
-    foci_frame,
+    guide_complements,
     midpoint,
     standardize,
     taxicab_distance,
@@ -283,7 +283,7 @@ class TestSpecAndScalars:
             spec = CassiniSpec(Point(p1, p2), Point(q1, q2), r)
             # These build Points, which reject a non-finite coordinate, and
             # grid_points would warn on an overflowing box width.
-            foci_frame(spec.p, spec.q)
+            guide_complements(spec.p, spec.q)
             standardize(spec.p, spec.q)
             half = sampling_box(spec)[1]
             x1, x2 = grid_points(spec, 2)
@@ -418,6 +418,8 @@ class TestClassifyPoint:
         assert classify_point(spec, Point(4, 1)) is PointLocation.ON
         assert classify_point(spec, Point(0, 0)) is PointLocation.OUTSIDE
 
+    # Sweep: classify_point must match its docstring's float reference.
+    @pytest.mark.sweep
     @settings(max_examples=300, deadline=None)
     @given(classify_cases())
     @example((CassiniSpec(Point(0, 0), Point(0, 0), 1.0), Point(0.5, 0.5), 0.0))
@@ -697,6 +699,21 @@ class TestBuildCurves:
         assert {piece.start for piece in curve} == {
             Point(up, 1e6), Point(1e6, up), Point(down, 1e6), Point(1e6, down)
         }
+
+    @pytest.mark.parametrize("c", [1e16, 1e17, 1e100, 1e300])
+    def test_circle_flat_on_a_coordinate_line_is_degenerate_input(self, c):
+        # The unit offsets along the large coordinate round away, so the
+        # circle lies flat on a coordinate line and its vertices there, on
+        # the center, miss the level set by r^2.  This raised AssemblyError.
+        for p in (Point(0.0, c), Point(c, 0.0)):
+            spec = CassiniSpec(p, p, 1.0)
+            with pytest.raises(DegenerateInput) as info:
+                build_curves(spec)
+            assert str(info.value) == (
+                f"{spec}, loop 1 of 1: r = 1.0 is below the float resolution at its"
+                " coordinates: every piece rounds onto one point, or an arc's end onto its"
+                " center's line"
+            )
 
     def test_lobes_below_float_resolution_are_degenerate_input(self):
         # At r = 1e-160 every piece of a lobe rounds onto its focus; the
@@ -1053,6 +1070,8 @@ SUBNORMAL_APART_SPECS = [
 SUBNORMAL_SCALE_SPEC = CassiniSpec(Point(0.0, 0.0), Point(0.0, 5e-324), 1e-310)
 
 
+# Sweep: pieces, samples and errors must match the two-pass reference bit for bit.
+@pytest.mark.sweep
 class TestFloatPathMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(random_specs, dyadic_specs(), stress_specs), st.integers(1, 24))
@@ -1135,6 +1154,8 @@ def piece_coordinates(piece):
     return [(x.x1, x.x2) for x in points]
 
 
+# Sweep: the q half must be the p half negated, at standard frames from 1e-6 to 1e9.
+@pytest.mark.sweep
 class TestPointReflection:
     # _standard_loops writes p's half only and places each piece with its
     # point reflection.  In the standard frame the reflection negates every
@@ -1198,6 +1219,8 @@ standard_specs = standard_frames().map(
 )
 
 
+# Sweep: each piece must end where the next starts, a zero's sign included.
+@pytest.mark.sweep
 class TestJunctions:
     # Each junction is computed once and placed once, and the piece that
     # ends there and the piece that starts there share the one Point; a
@@ -1230,6 +1253,8 @@ class TestJunctions:
 _tiny_coordinates = st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 2.0, -2.0))
 
 
+# Sweep: zero and subnormal coordinates must build or raise DegenerateInput.
+@pytest.mark.sweep
 class TestTinyCoordinates:
     # The point-group element follows p - q, whose signs and order a halving
     # can lose: (p - q) / 2 rounds a difference of the least subnormal to
@@ -1257,6 +1282,8 @@ class TestTinyCoordinates:
         assert curves
 
 
+# Sweep: each region's sides and images must match the tests' own tables.
+@pytest.mark.sweep
 class TestRegionTable:
     # Each region's facts are attributes of its member, checked here against
     # tables written from the definitions: sides 0 on p's side away from q,
@@ -1386,6 +1413,8 @@ class _IndexPiece:
         return [(float(self.index), f) for f in fractions]
 
 
+# Sweep: sample_curve's piece index has no clamp.
+@pytest.mark.sweep
 class TestSampleCurve:
     # sample_curve takes piece int(k * count / n) with no clamp to count - 1.
 
@@ -1416,6 +1445,8 @@ class TestSampleCurve:
             assert all(0.0 <= f < 1.0 for f in piece.fractions)
 
 
+# Sweep: coords_at must match the one-parameter reference under all eight elements.
+@pytest.mark.sweep
 class TestCoordsAt:
     # coords_at is the one evaluator of both piece kinds; reference_point_at
     # works out each parameter on its own, through one Point.  The pieces
@@ -1449,6 +1480,8 @@ class TestCoordsAt:
         assert kinds == {GuideSegment, HyperbolaArc}
 
 
+# Sweep: an arc's ends must lie on one side of its center, its run monotone.
+@pytest.mark.sweep
 class TestArcEndpoints:
     # An arc stores no branch and no run range: coords_at reads the branch
     # off start and the run range off both endpoints.  That branch is the
@@ -1504,6 +1537,8 @@ def assert_never_convex(spec):
             assert [turning_sign(arc) for arc in arcs] == [-1] * len(arcs), spec
 
 
+# Sweep: every arc must turn right, so no loop with p != q is convex.
+@pytest.mark.sweep
 class TestArcTurning:
     # The filled set is never convex when p != q: on the strip above both
     # foci the curve is a convex function of the run coordinate and the set
@@ -1606,6 +1641,8 @@ def _certificate_of(spec):
     return _piece_certificate(spec, target, RESIDUAL_RTOL * max(1.0, target))
 
 
+# Sweep: a certified piece must meet the residual bound at every parameter.
+@pytest.mark.sweep
 class TestCertificateSoundness:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -1668,7 +1705,7 @@ class TestRegionForms:
             return
         p, q = Point(p1, p2), Point(q1, q2)
         axes = (_axis_sides(p1, q1, 0, 0), _axis_sides(p2, q2, 0, 0))
-        frame = foci_frame(p, q)
+        complements = guide_complements(p, q)
         for (side1, side2), region in REGION_BY_SIDES.items():
             signs = [axes[axis][side][:2] for axis, side in zip((0, 1), region.sides)]
             (ep1, eq1), (ep2, eq2) = [(int(ep), int(eq)) for ep, eq in signs]
@@ -1679,7 +1716,7 @@ class TestRegionForms:
             def form_q(x1, x2):
                 return eq1 * (x1 - q1) + eq2 * (x2 - q2)
 
-            centers = [g for g in (frame.g_plus, frame.g_minus) if form_p(*g) == form_q(*g) == 0]
+            centers = [g for g in complements if form_p(*g) == form_q(*g) == 0]
             for beyond1, beyond2, inner1, inner2 in offsets:
                 x1 = _coordinate_on_side(p1, q1, side1, beyond1, inner1)
                 x2 = _coordinate_on_side(p2, q2, side2, beyond2, inner2)
@@ -1883,6 +1920,8 @@ def point_error(x1, x2):
     return str(info.value)
 
 
+# Sweep: the array residual campaign must match the per-Point reference loop.
+@pytest.mark.sweep
 class TestResidualCampaign:
     @pytest.mark.parametrize("seed", [7, 42])
     @pytest.mark.parametrize("samples_per_curve", [16, 64])

@@ -21,7 +21,6 @@ from taxicassini.characterization import (
     IdentityReport,
     boundary_check,
     grid_points,
-    guide_family,
     sampling_box,
     verify_identities,
     verify_identity,
@@ -31,9 +30,10 @@ from taxicassini.core import (
     Point,
     distance_product,
     distance_products,
-    foci_frame,
     taxicab_distance,
 )
+
+from references import reference_guide_complements
 
 dyadic = st.integers(-320, 320).map(lambda k: k / 16.0)
 dyadic_points = st.builds(Point, dyadic, dyadic)
@@ -53,12 +53,11 @@ def filled_contains(spec, x):
 
 def family_memberships(spec, x):
     """Memberships in L(p,g+), L(p,g-), L(q,g+) and L(q,g-), in that order,
-    with the guide complements from foci_frame."""
-    frame = foci_frame(spec.p, spec.q)
+    with the reference guide complements."""
     return [
         filled_contains(CassiniSpec(focus, complement, spec.r), x)
         for focus in (spec.p, spec.q)
-        for complement in (frame.g_plus, frame.g_minus)
+        for complement in reference_guide_complements(spec.p, spec.q)
     ]
 
 
@@ -99,9 +98,8 @@ def violated(in_pq, members, in_gg):
 
 
 def guide_pair_contains(spec, x):
-    """Membership in L(g+, g-; r), built from foci_frame directly."""
-    frame = foci_frame(spec.p, spec.q)
-    return filled_contains(CassiniSpec(frame.g_plus, frame.g_minus, spec.r), x)
+    """Membership in L(g+, g-; r), built from the reference guide complements."""
+    return filled_contains(CassiniSpec(*reference_guide_complements(spec.p, spec.q), spec.r), x)
 
 
 class TestFilledContains:
@@ -116,23 +114,6 @@ class TestFilledContains:
         spec = CassiniSpec(Point(4, 1), Point(-4, -1), 1.0)
         assert filled_contains(spec, spec.p)
         assert filled_contains(spec, spec.q)
-
-
-class TestGuideFamily:
-    def test_members_share_radius_and_anchor_foci(self):
-        fam = guide_family(SPEC)
-        frame = foci_frame(Point(4, 1), Point(-4, -1))
-        assert fam.lp_plus.p == Point(4, 1)
-        assert fam.lp_plus.q == frame.g_plus == Point(-1, -4)
-        assert fam.lp_minus.q == frame.g_minus == Point(1, 4)
-        assert fam.lq_plus.p == Point(-4, -1)
-        assert fam.lq_plus.q == frame.g_plus
-        assert fam.lq_minus.q == frame.g_minus
-        assert {m.r for m in fam} == {6.0}
-
-    def test_members_in_the_order_the_combinations_take(self):
-        fam = guide_family(SPEC)
-        assert tuple(fam) == (fam.lp_plus, fam.lp_minus, fam.lq_plus, fam.lq_minus)
 
 
 class TestPointwiseIdentities:
@@ -301,18 +282,18 @@ def materialise(x1, x2):
 
 def reference_verify_identity(spec, mode, points, band=1e-9):
     """An independent one-mode identity check on an (N, 2) point array: its
-    own five or six products from foci_frame, the set combinations written
-    out, margins over every set the mode involves."""
+    own five or six products from the reference guide complements, the set
+    combinations written out, margins over every set the mode involves."""
     if not (math.isfinite(band) and band >= 0):
         raise GeometryError(f"band must be finite and nonnegative, got {band!r}")
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     x1, x2 = pts[:, 0], pts[:, 1]
     p, q = spec.p, spec.q
-    frame = foci_frame(p, q)
+    g_plus, g_minus = reference_guide_complements(p, q)
     target = spec.r * spec.r
-    pairs = [(p, q), (p, frame.g_plus), (p, frame.g_minus), (q, frame.g_plus), (q, frame.g_minus)]
+    pairs = [(p, q), (p, g_plus), (p, g_minus), (q, g_plus), (q, g_minus)]
     if mode is IdentityMode.CROSS_EQUALITIES:
-        pairs.append((frame.g_plus, frame.g_minus))
+        pairs.append((g_plus, g_minus))
     involved = [distance_product(a, b, x1, x2) for a, b in pairs]
     inside = [f < target for f in involved]
     in_pq, pp, pm, qp, qm = inside[:5]
@@ -439,8 +420,7 @@ class TestVerifyIdentities:
 
         monkeypatch.setattr(characterization, "distance_products", counting)
         p, q = SPEC.p, SPEC.q
-        frame = foci_frame(p, q)
-        g_plus, g_minus = frame.g_plus, frame.g_minus
+        g_plus, g_minus = reference_guide_complements(p, q)
         verify_identities(SPEC, *grid_points(SPEC, 16))
         assert calls == [
             [(p, q), (p, g_plus), (p, g_minus), (q, g_plus), (q, g_minus), (g_plus, g_minus)]
@@ -488,6 +468,27 @@ class TestVerifyIdentities:
         axes[axis].flat[2] = value
         with pytest.raises(GeometryError, match="finite"):
             verify_identities(SPEC, *axes)
+
+    @pytest.mark.parametrize(
+        "p, q",
+        [(Point(1e155, 0), Point(-1e155, 0)), (Point(1.5e307, -1.5e307), Point(0, 0))],
+        ids=["wide-foci", "g-plus-is-p"],
+    )
+    def test_overflowing_products_rejected(self, p, q):
+        # Every product of the first spec overflowed to inf behind six numpy
+        # warnings, so every set was empty and each mode passed vacuously
+        # with worst_residual inf.  The second spec's g+ is p, so a member
+        # spec L(p, g+) used to reject it before any product was formed.
+        spec = CassiniSpec(p, q, 1.0)
+        x1, x2 = grid_points(spec, 16)
+        with pytest.raises(GeometryError) as info:
+            verify_identities(spec, x1, x2)
+        assert str(info.value) == f"{spec}: a distance product overflows on the identity sample"
+
+    def test_overflowing_sample_point_rejected(self):
+        # The spec is small, but the sample point's distances overflow.
+        with pytest.raises(GeometryError, match="overflows"):
+            verify_identities(SPEC, [1e308, 0.0], [-1e308, 0.0])
 
 
 class TestIdentityCampaigns:

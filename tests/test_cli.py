@@ -147,6 +147,36 @@ class TestInfo:
             " large for r = 1.0: 4 (|p1| + |p2| + |q1| + |q2| + r) must be finite\n"
         )
 
+    def test_waist_offset_beyond_1e154_builds(self, capsys):
+        # r* = 1e155: the waist offset's product (r* - r)(r* + r) overflows,
+        # and the error used to name the junction (1e+155, inf).
+        code, out, err = run(capsys, "info", "--p", "1e155,0", "--q", "-1e155,0", "--r", "1e154")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert "curves: 2" in lines
+        assert "curve 1 pieces: 4" in lines and "curve 2 pieces: 4" in lines
+
+    def test_waist_offset_below_float_resolution_is_one_error_line(self, capsys):
+        # The error used to name (inf, -1.5e+307), a junction the user never gave.
+        code, out, err = run(capsys, "info", "--p", "1.5e307,-1.5e307", "--q", "0,0", "--r", "1")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: CassiniSpec(p=Point(x1=1.5e+307, x2=-1.5e+307), q=Point(x1=0.0, x2=0.0),"
+            " r=1.0), loop 1 of 2: r = 1.0 is below the float resolution at its coordinates:"
+            " every piece rounds onto one point, or an arc's end onto its center's line\n"
+        )
+
+    def test_flat_circle_is_one_error_line(self, capsys):
+        # The circle's x2 offsets round away at 1e16, so it lies flat; this
+        # was an AssemblyError "piece 0 sample ... misses the level set".
+        code, out, err = run(capsys, "info", "--p", "0,1e16", "--q", "0,1e16", "--r", "1")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: CassiniSpec(p=Point(x1=0.0, x2=1e+16), q=Point(x1=0.0, x2=1e+16), r=1.0),"
+            " loop 1 of 1: r = 1.0 is below the float resolution at its coordinates: every"
+            " piece rounds onto one point, or an arc's end onto its center's line\n"
+        )
+
 
 class TestClassify:
     @pytest.mark.parametrize(

@@ -17,12 +17,12 @@ from taxicassini.core import (
     RegionId,
     distance_product,
     distance_products,
-    foci_frame,
+    guide_complements,
     midpoint,
     standardize,
     taxicab_distance,
 )
-from references import classify_region, closer_to, placed
+from references import classify_region, closer_to, placed, reference_guide_complements
 
 # Dyadic rationals keep every sum, difference, and halving exact in floats,
 # so the property tests can assert equality without tolerances.
@@ -227,34 +227,32 @@ class TestSignsAndHalfPlanes:
         assert closer_to(a, b, x) == (taxicab_distance(x, a) <= taxicab_distance(x, b))
 
 
-class TestFociFrame:
+class TestGuideComplements:
     def test_centered_instance(self):
-        frame = foci_frame(Point(4, 1), Point(-4, -1))
-        assert frame.c1 == Point(4, -1)
-        assert frame.c2 == Point(-4, 1)
-        assert frame.g_plus == Point(-1, -4)
-        assert frame.g_minus == Point(1, 4)
+        assert guide_complements(Point(4, 1), Point(-4, -1)) == (Point(-1, -4), Point(1, 4))
 
     def test_wide_instance(self):
-        frame = foci_frame(Point(8, 3), Point(-8, -3))
-        assert frame.g_plus == Point(-3, -8)
-        assert frame.g_minus == Point(3, 8)
+        assert guide_complements(Point(8, 3), Point(-8, -3)) == (Point(-3, -8), Point(3, 8))
 
     def test_offset_instance(self):
-        frame = foci_frame(Point(1, 2), Point(4, 3))
-        assert frame.g_plus == Point(3, 4)
-        assert frame.g_minus == Point(2, 1)
-        assert frame.c1 == Point(1, 3)
-        assert frame.c2 == Point(4, 2)
+        assert guide_complements(Point(1, 2), Point(4, 3)) == (Point(3, 4), Point(2, 1))
+
+    @given(st.one_of(kernel_points, tiny_points), st.one_of(kernel_points, tiny_points))
+    def test_matches_reference_bit_for_bit(self, p, q):
+        # The identity tests compare reports with a reference built on the
+        # reference complements, bit for bit.
+        got = guide_complements(p, q)
+        want = reference_guide_complements(p, q)
+        assert [c.hex() for g in got for c in g] == [c.hex() for g in want for c in g]
 
     @given(dyadic_points, dyadic_points)
     def test_guide_complements_lie_on_guide_lines(self, p, q):
-        frame = foci_frame(p, q)
+        g_plus, g_minus = guide_complements(p, q)
         # g+ is on the slope +1 line through p and the slope -1 line through q.
-        assert frame.g_plus.x1 - p.x1 == frame.g_plus.x2 - p.x2
-        assert frame.g_plus.x1 - q.x1 == -(frame.g_plus.x2 - q.x2)
-        assert frame.g_minus.x1 - p.x1 == -(frame.g_minus.x2 - p.x2)
-        assert frame.g_minus.x1 - q.x1 == frame.g_minus.x2 - q.x2
+        assert g_plus.x1 - p.x1 == g_plus.x2 - p.x2
+        assert g_plus.x1 - q.x1 == -(g_plus.x2 - q.x2)
+        assert g_minus.x1 - p.x1 == -(g_minus.x2 - p.x2)
+        assert g_minus.x1 - q.x1 == g_minus.x2 - q.x2
 
 
 class TestClassifyRegion:
@@ -361,6 +359,8 @@ class TestMidpoint:
         assert repr(midpoint(Point(5e-324, 1.0), Point(5e-324, 2.0))) == repr(Point(5e-324, 1.5))
 
 
+# Sweep: the element must be the first that puts p - q in the octant.
+@pytest.mark.sweep
 class TestStandardize:
     # standardize returns the element G and the standard focus p'; a
     # standard-frame point x is placed in the input frame at G^-1(x) + m,

@@ -670,6 +670,8 @@ class TestExtractContour:
         with pytest.raises(GeometryError, match="reaches the grid frame"):
             extract_contour(grid)
 
+    # Sweep: the contour walk must give the reference polylines on drawn grids.
+    @pytest.mark.sweep
     @settings(max_examples=400, deadline=None)
     @given(small_grids())
     @example(framed_cell([[-1.0, 3.0], [3.0, -9.0]], CENTER_INSIDE))
@@ -903,6 +905,8 @@ def criterion_5_ladder():
     return levels
 
 
+# Sweep: the pruned search must equal the all-pairs sweep under every pair tiling.
+@pytest.mark.sweep
 class TestHausdorff:
     def test_identical_polylines(self):
         assert hausdorff(DIAMOND, DIAMOND) == 0.0
