@@ -41,7 +41,6 @@ from .core import (
     Point,
     PointGroup,
     RegionId,
-    _store,
     distance_product,
     midpoint,
     standardize,
@@ -90,6 +89,8 @@ class PointLocation(Enum):
 # The members classify_point returns, read once rather than through the enum
 # class on every call.
 _INSIDE, _ON, _OUTSIDE = PointLocation.INSIDE, PointLocation.ON, PointLocation.OUTSIDE
+# Bound once, as in core: classify_point checks its tolerance on every call.
+_isfinite = math.isfinite
 
 
 def classify_point(spec: CassiniSpec, x: Point, tol: float = 1e-9) -> PointLocation:
@@ -102,7 +103,7 @@ def classify_point(spec: CassiniSpec, x: Point, tol: float = 1e-9) -> PointLocat
     ulps of the curve can land on either side of it (ROADMAP open item 1
     adds an exact sign predicate).
     """
-    if not (math.isfinite(tol) and tol >= 0):
+    if not (_isfinite(tol) and tol >= 0):
         raise GeometryError(f"tolerance must be finite and nonnegative, got {tol!r}")
     # product_value's one line, inlined: this is the per-point path.
     f = distance_product(spec.p, spec.q, x.x1, x.x2)
@@ -110,7 +111,8 @@ def classify_point(spec: CassiniSpec, x: Point, tol: float = 1e-9) -> PointLocat
     target = r * r
     # max(1.0, target) for the finite target >= 0 that CassiniSpec guarantees.
     band = tol * (target if target > 1.0 else 1.0)
-    if abs(f - target) <= band:
+    # |f - target| <= band without the call to abs; NaN fails both.
+    if -band <= f - target <= band:
         return _ON
     if f < target - band:
         return _INSIDE
@@ -127,7 +129,14 @@ class Topology(Enum):
 
 
 def topology(spec: CassiniSpec) -> Topology:
-    """Topological class of K(p, q; r); comparisons with r* are exact."""
+    """Topological class of K(p, q; r), from comparing r with the rounded
+    r* = critical_radius(p, q).
+
+    build_curves makes the same comparison, so its loop count agrees with
+    the class returned here.  It is not the exact class of the float inputs:
+    where r is within rounding of the exact r*, the two can differ (ROADMAP
+    item 19).
+    """
     if spec.r == 0:
         # Coincident foci degenerate to a single point, still PointPair.
         return Topology.POINT_PAIR
@@ -153,11 +162,11 @@ class GuideSegment:
     end: Point
 
     def __init__(self, region: RegionId, start: Point, end: Point) -> None:
-        # The slot stores a generated frozen __init__ makes, without its
-        # lookups of object.__setattr__.
-        _store(self, "region", region)
-        _store(self, "start", start)
-        _store(self, "end", end)
+        # The slot stores a generated frozen __init__ makes, each through its
+        # slot's descriptor (bound after the class), as Point's are.
+        _set_segment_region(self, region)
+        _set_segment_start(self, start)
+        _set_segment_end(self, end)
 
     def __reduce__(self):
         return GuideSegment, (self.region, self.start, self.end)
@@ -172,6 +181,11 @@ class GuideSegment:
             first if f == 0.0 else last if f == 1.0 else (s1 + f * d1, s2 + f * d2)
             for f in fractions
         ]
+
+
+_set_segment_region = GuideSegment.region.__set__
+_set_segment_start = GuideSegment.start.__set__
+_set_segment_end = GuideSegment.end.__set__
 
 
 @dataclass(frozen=True, init=False)
@@ -199,12 +213,13 @@ class HyperbolaArc:
     def __init__(
         self, region: RegionId, center: Point, radius: float, start: Point, end: Point
     ) -> None:
-        # As GuideSegment's: the slot stores a generated frozen __init__ makes.
-        _store(self, "region", region)
-        _store(self, "center", center)
-        _store(self, "radius", radius)
-        _store(self, "start", start)
-        _store(self, "end", end)
+        # As GuideSegment's: the slot stores a generated frozen __init__
+        # makes, through the slots' descriptors.
+        _set_arc_region(self, region)
+        _set_arc_center(self, center)
+        _set_arc_radius(self, radius)
+        _set_arc_start(self, start)
+        _set_arc_end(self, end)
 
     def __reduce__(self):
         return HyperbolaArc, (self.region, self.center, self.radius, self.start, self.end)
@@ -212,33 +227,39 @@ class HyperbolaArc:
     def coords_at(self, fractions: Sequence[float]) -> list[tuple[float, float]]:
         """The (x1, x2) pairs at parameters in [0, 1]: start's at 0, end's at
         1, and between them the branch point over the run coordinate
-        u0 + f * du."""
-        start, end, center, radius = self.start, self.end, self.center, self.radius
+        u0 + f * du, on the side (branch +1 or -1) of the center that start
+        lies on: c_other + branch * hypot(u - c_run, radius)."""
+        start, end, radius = self.start, self.end, self.radius
+        c1, c2 = self.center.x1, self.center.x2
         first, last = (start.x1, start.x2), (end.x1, end.x2)
-        run_axis = 1 if self.region.sides[0] == 1 else 2
-        if run_axis == 1:
-            branch = 1 if start.x2 > center.x2 else -1
+        hypot = math.hypot
+        if self.region.sides[0] == 1:
+            # Run axis 1: the branch lies above or below the center.
+            branch = 1 if start.x2 > c2 else -1
             u0, du = start.x1, end.x1 - start.x1
-        else:
-            branch = 1 if start.x1 > center.x1 else -1
-            u0, du = start.x2, end.x2 - start.x2
+            return [
+                first if f == 0.0 else last if f == 1.0
+                else (u, c2 + branch * hypot(u - c1, radius))
+                for f in fractions
+                for u in (u0 + f * du,)
+            ]
+        branch = 1 if start.x1 > c1 else -1
+        u0, du = start.x2, end.x2 - start.x2
         return [
             first if f == 0.0 else last if f == 1.0
-            else _arc_coords(center, run_axis, branch, radius, u0 + f * du)
+            else (c1 + branch * hypot(u - c2, radius), u)
             for f in fractions
+            for u in (u0 + f * du,)
         ]
 
 
+_set_arc_region = HyperbolaArc.region.__set__
+_set_arc_center = HyperbolaArc.center.__set__
+_set_arc_radius = HyperbolaArc.radius.__set__
+_set_arc_start = HyperbolaArc.start.__set__
+_set_arc_end = HyperbolaArc.end.__set__
+
 CurvePiece = Union[GuideSegment, HyperbolaArc]
-
-
-def _arc_coords(
-    center: Point, run_axis: int, branch: int, radius: float, u: float
-) -> tuple[float, float]:
-    # The point at run coordinate u on the given side (+1 or -1) of the center.
-    if run_axis == 1:
-        return u, center.x2 + branch * math.hypot(u - center.x1, radius)
-    return center.x1 + branch * math.hypot(u - center.x2, radius), u
 
 
 def _placing(element: PointGroup, t: Point, r: float):

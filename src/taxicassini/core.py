@@ -20,10 +20,9 @@ class GeometryError(ValueError):
     """Input outside an operation's documented domain."""
 
 
-# Bound once: every Point is built through these two, and a global name is
-# cheaper to read than an attribute of a module or a type.
+# Bound once: every Point's check calls it, and a global name is cheaper to
+# read than an attribute of a module.
 _isfinite = math.isfinite
-_store = object.__setattr__
 
 
 @dataclass(frozen=True, init=False)
@@ -41,11 +40,13 @@ class Point:
     def __init__(self, x1: float, x2: float) -> None:
         # The slot stores a generated frozen __init__ makes, after one check
         # of the arguments: a __post_init__ check would cost a second call
-        # and re-read both fields, on every sample and probe point.
+        # and re-read both fields, on every sample and probe point.  Each
+        # store goes straight to its slot's descriptor (bound below), not
+        # through object.__setattr__'s lookup of the name on the type.
         if not (_isfinite(x1) and _isfinite(x2)):
             raise GeometryError(f"coordinates must be finite, got ({x1!r}, {x2!r})")
-        _store(self, "x1", x1)
-        _store(self, "x2", x2)
+        _set_x1(self, x1)
+        _set_x2(self, x2)
 
     def __reduce__(self):
         # A copy or an unpickled Point is built by __init__, with its check.
@@ -62,6 +63,12 @@ class Point:
         if axis == 2:
             return self.x2
         raise GeometryError(f"axis must be 1 or 2, got {axis!r}")
+
+
+# The slots' own member descriptors' stores, bound once: every Point is built
+# through these two.
+_set_x1 = Point.x1.__set__
+_set_x2 = Point.x2.__set__
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .cassini import build_curves, curve_polyline
-from .core import CassiniSpec, GeometryError, Point, taxicab_distance
+from .cassini import build_curves, critical_radius, curve_polyline
+from .core import CassiniSpec, GeometryError, Point, midpoint
 from .oracle import extract_contour, grid_field
 
 _CURVE_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -78,9 +78,12 @@ def render_svg(
     if any(r <= 0 for r in radii):
         raise GeometryError("rendering needs positive radius values")
 
-    cx = (p.x1 + q.x1) / 2
-    cy = (p.x2 + q.x2) / 2
-    half = taxicab_distance(p, q) / 2 + max(radii) + 1.5
+    # Validated before the viewport, so foci too large for the sums fail on
+    # the spec's check, which names them, not on a midpoint that overflowed.
+    specs = [CassiniSpec(p, q, float(r)) for r in radii]
+    center = midpoint(p, q)
+    cx, cy = center.x1, center.x2
+    half = critical_radius(p, q) + max(radii) + 1.5
     view = _Viewport(cx, cy, half)
     west, east = cx - half, cx + half
     south, north = cy - half, cy + half
@@ -113,8 +116,7 @@ def render_svg(
     lines.append("</g>")
 
     lines.append('<g id="curves" fill="none">')
-    for idx, r in enumerate(radii):
-        spec = CassiniSpec(p, q, float(r))
+    for idx, spec in enumerate(specs):
         color = _CURVE_COLORS[idx % len(_CURVE_COLORS)]
         for curve in build_curves(spec):
             ring = [(pt.x1, pt.x2) for pt in curve_polyline(curve, samples_per_piece)]
@@ -125,8 +127,7 @@ def render_svg(
     if overlay_oracle:
         lines.append('<g id="oracle" fill="none">')
         style = f'stroke="{_ORACLE_LINE}" stroke-width="1" stroke-dasharray="1,3"'
-        for r in radii:
-            spec = CassiniSpec(p, q, float(r))
+        for spec in specs:
             contour = extract_contour(grid_field(spec, n=oracle_n))
             for polyline in contour.polylines:
                 data = _path_data(view, [(x, y) for x, y in polyline], close=False)

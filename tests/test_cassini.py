@@ -29,7 +29,6 @@ from taxicassini.cassini import (
     HyperbolaArc,
     PointLocation,
     Topology,
-    _arc_coords,
     _axis_sides,
     _diamond_pieces,
     _loop_validator,
@@ -412,6 +411,32 @@ class TestClassifyPoint:
     def test_non_finite_tolerance_rejected(self, tol):
         with pytest.raises(GeometryError, match="finite"):
             classify_point(self.spec, Point(0, 0), tol=tol)
+
+    @pytest.mark.parametrize(
+        "r,x,tol,expected",
+        [
+            # p = q = 0 and r = 2: the band is 4 tol about r^2 = 4, and the
+            # products 9 and 1 sit exactly on its edges at tol 1.25 and 0.75.
+            (2.0, Point(3, 0), 1.25, PointLocation.ON),
+            (2.0, Point(3, 0), math.nextafter(1.25, 0), PointLocation.OUTSIDE),
+            (2.0, Point(1, 0), 0.75, PointLocation.ON),
+            (2.0, Point(1, 0), math.nextafter(0.75, 0), PointLocation.INSIDE),
+            (2.0, Point(2, 0), 0.0, PointLocation.ON),
+            (2.0, Point(math.nextafter(2, 3), 0), 0.0, PointLocation.OUTSIDE),
+            # The product and the band both overflow to inf.
+            (1e154, Point(1e200, 0), 10.0, PointLocation.ON),
+            # Only the product overflows.
+            (1.0, Point(1e200, 0), 1e308, PointLocation.OUTSIDE),
+        ],
+        ids=[
+            "outer-edge", "outside-outer-edge", "inner-edge", "inside-inner-edge",
+            "zero-band", "zero-band-next", "both-overflow", "product-overflows",
+        ],
+    )
+    def test_band_edges(self, r, x, tol, expected):
+        spec = CassiniSpec(Point(0, 0), Point(0, 0), r)
+        assert classify_point(spec, x, tol) is expected
+        assert reference_location(product_value(spec, x), r, tol) is expected
 
     def test_zero_radius(self):
         spec = CassiniSpec(Point(4, 1), Point(-4, -1), 0.0)
@@ -1754,7 +1779,10 @@ def _arc_mutations(arc, a, b, complements):
     wrong = g_minus if center == g_plus else g_plus
 
     def on_branch(u):
-        return Point(*_arc_coords(center, run, branch, arc.radius, u))
+        # The point over run coordinate u on the arc's branch, by
+        # reference_point_at's formula.
+        x_other = center.coord(other) + branch * math.hypot(u - center.coord(run), arc.radius)
+        return Point(u, x_other) if run == 1 else Point(x_other, u)
 
     def mirrored(x):
         # x reflected through the center's line along the run axis.

@@ -348,6 +348,21 @@ class TestRender:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out_path.exists()
 
+    def test_overflowing_foci_named_as_given(self, capsys, tmp_path):
+        # The spec's check runs before the viewport's midpoint, whose sum
+        # would overflow and name a point the user never gave.
+        out_path = tmp_path / "x.svg"
+        code, out, err = run(
+            capsys, "render", "--p", "1.7e308,0", "--q", "1.7e308,0", "--r", "1",
+            "--out", str(out_path),
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: foci Point(x1=1.7e+308, x2=0.0) and Point(x1=1.7e+308, x2=0.0)"
+            " are too large for r = 1.0: 4 (|p1| + |p2| + |q1| + |q2| + r) must be finite\n"
+        )
+        assert not out_path.exists()
+
     def test_zero_radius_rejected(self, capsys):
         code, _, err = run(
             capsys, "render", "--p", "4,1", "--q", "-4,-1", "--r", "0", "--out", "/tmp/x.svg"
